@@ -2,6 +2,12 @@
 elementary hypothesis is rejected only when all intersections containing
 it are.
 
+Every method tests J at local levels c * w_j(J) * alpha, with c = 1
+(Bonferroni), one common c, one c per correlation block, or c under
+proportional weights (xie). One record per method (``_METHODS``) holds
+its level and p-value functions and what it needs of its inputs;
+run_closure and decision_thresholds both test through it.
+
 The exposed pieces:
 
 - TestProblem bundles scheme, correlation model, p-values, alpha, method.
@@ -19,6 +25,7 @@ The exposed pieces:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +35,12 @@ from .intersection import (
     METHODS,
     CorrelationModel,
     IntersectionResult,
+    _check_alpha,
     as_model,
     bonferroni_pvalue,
     derived_seed,
     parametric_c,
     partitioned_common_scale,
-    partitioned_pvalue_common,
     partitioned_pvalue_subsets,
     partitioned_subset_scales,
     xie_pvalue,
@@ -64,34 +71,102 @@ def _check_pvalues(pvalues, m: int) -> np.ndarray:
     return p
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    return float(alpha)
+def _check_shortcut(weights, pvalues, corr, alpha: float, label: str):
+    """(model, weights, p-values) of a shortcut, checked; ``label`` names the weights."""
+    model = as_model(corr)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (model.m,):
+        raise InputError(f"need {model.m} {label}, got shape {w.shape}")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise InputError(f"{label} must be finite and strictly positive")
+    _check_alpha(alpha)
+    return model, w, _check_pvalues(pvalues, model.m)
 
 
-def _check_method(method: str) -> str:
+def _common_levels(mem, w, alpha, model, *solve):
+    c = partitioned_common_scale(mem, w, alpha, model, *solve)
+    return c, None, c * alpha * w
+
+
+def _block_levels(mem, w, alpha, model, *solve):
+    scales = partitioned_subset_scales(mem, w, alpha, model, *solve)
+    scale_of = {j: c for block_mem, c in scales for j in block_mem}
+    return None, scales, np.array([scale_of[j] * alpha * wj for j, wj in zip(mem, w)])
+
+
+def _xie_levels(mem, w, alpha, model, *solve):
+    c = parametric_c(mem, w, alpha, model, *solve)
+    return c, None, c * alpha * w
+
+
+@dataclass(frozen=True)
+class _Method:
+    """What one method does to test an intersection.
+
+    ``levels`` maps (members, weights, alpha, model, seed, target_error,
+    root_tol, max_points) to (scale, block scales, local levels); ``pvalue``
+    maps (members, weights, p-values, model, seed, target_error, max_points)
+    to the p-value, or is None for the common-scale method, which decides by
+    its levels. Both look the intersection tests up in this module's globals
+    per call, so wrappers on those bindings (tracing) see every call.
+    ``optional_levels``: the levels cost root solves the decision does not
+    need. ``proportional``: needs a proportional scheme, correlation known.
+    """
+
+    levels: Callable
+    pvalue: Callable | None
+    optional_levels: bool = False
+    proportional: bool = False
+
+
+_METHODS = {
+    "bonferroni": _Method(
+        lambda mem, w, alpha, *_: (1.0, None, alpha * w),
+        lambda mem, w, p, *_: bonferroni_pvalue(mem, w, p),
+    ),
+    "parametric-common": _Method(_common_levels, None),
+    "parametric-subsets": _Method(
+        _block_levels, lambda *args: partitioned_pvalue_subsets(*args), optional_levels=True
+    ),
+    "xie": _Method(
+        _xie_levels, lambda *args: xie_pvalue(*args), optional_levels=True, proportional=True
+    ),
+}
+
+
+def _check_procedure(
+    scheme: WeightingScheme, corr, alpha: float, method: str, validate_scheme: bool = True
+) -> tuple[CorrelationModel, float]:
+    """The checks every closed procedure shares: scheme (fully validated only
+    with ``validate_scheme``), model size, alpha, method and what the
+    method needs of scheme and model. Returns the model and alpha."""
+    if not isinstance(scheme, WeightingScheme):
+        raise InputError("scheme must be a WeightingScheme")
+    if validate_scheme and not validate(scheme)["valid"]:
+        raise InputError(
+            "scheme is not valid: every subset needs nonnegative weights "
+            "with a positive sum of at most 1"
+        )
+    model = as_model(corr)
+    if model.m != scheme.m:
+        raise InputError(f"correlation model covers {model.m} hypotheses, scheme covers {scheme.m}")
+    alpha = _check_alpha(alpha)
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; choose one of {METHODS}")
-    return method
-
-
-def _check_xie_scheme(scheme: WeightingScheme, model: CorrelationModel) -> None:
-    full = (1 << scheme.m) - 1
-    if np.any(scheme.weights_for(full) <= 0.0):
-        raise InputError(
-            "the proportional method needs strictly positive full-set weights"
-        )
-    if not scheme.is_proportional(_PROPORTIONAL_TOL):
-        raise InputError(
-            "the proportional method needs subset weights proportional to the "
-            "full-set weights; rescale_proportional produces such a scheme"
-        )
-    if not model.covers(range(scheme.m)):
-        raise InputError(
-            "the proportional method needs the correlation fully known; "
-            "the model must consist of a single block"
-        )
+    if _METHODS[method].proportional:
+        if np.any(scheme.weights_for((1 << scheme.m) - 1) <= 0.0):
+            raise InputError("the proportional method needs strictly positive full-set weights")
+        if not scheme.is_proportional(_PROPORTIONAL_TOL):
+            raise InputError(
+                "the proportional method needs subset weights proportional to the "
+                "full-set weights; rescale_proportional produces such a scheme"
+            )
+        if not model.covers(range(scheme.m)):
+            raise InputError(
+                "the proportional method needs the correlation fully known; "
+                "the model must consist of a single block"
+            )
+    return model, alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,29 +188,13 @@ class TestProblem:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scheme, WeightingScheme):
-            raise InputError("scheme must be a WeightingScheme")
-        flags = validate(self.scheme)
-        if not flags["valid"]:
-            raise InputError(
-                "scheme is not valid: every subset needs nonnegative weights "
-                "with a positive sum of at most 1"
-            )
-        model = as_model(self.model)
-        if model.m != self.scheme.m:
-            raise InputError(
-                f"correlation model covers {model.m} hypotheses, "
-                f"scheme covers {self.scheme.m}"
-            )
+        model, alpha = _check_procedure(self.scheme, self.model, self.alpha, self.method)
         object.__setattr__(self, "model", model)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "pvalues", _check_pvalues(self.pvalues, self.scheme.m))
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        object.__setattr__(self, "method", _check_method(self.method))
         if not isinstance(self.seed, (int, np.integer)):
             raise InputError("seed must be an integer")
         object.__setattr__(self, "seed", int(self.seed))
-        if self.method == "xie":
-            _check_xie_scheme(self.scheme, model)
 
     @property
     def m(self) -> int:
@@ -163,15 +222,6 @@ class ClosureReport:
         return self.intersections[mask - 1]
 
 
-def _member_levels(mem, w, alpha, scales) -> np.ndarray:
-    """Per-member local levels c_block * w_j * alpha from per-block scales."""
-    scale_of = {}
-    for block_mem, c in scales:
-        for j in block_mem:
-            scale_of[j] = c
-    return np.array([scale_of[j] * alpha * wj for j, wj in zip(mem, w)])
-
-
 def run_closure(
     problem: TestProblem,
     target_error: float = DEFAULT_TARGET_ERROR,
@@ -185,107 +235,39 @@ def run_closure(
     critical scaling (everything except the common-scale method) skip
     the root-finds and leave scale/levels unset on their intersections.
     """
-    m = problem.m
-    p = problem.pvalues
-    alpha = problem.alpha
-    scheme = problem.scheme
-    model = problem.model
-    method = problem.method
-    seed = problem.seed
+    m, p, alpha, model = problem.m, problem.pvalues, problem.alpha, problem.model
+    method = _METHODS[problem.method]
+    solve = (problem.seed, target_error, root_tol, max_points)
     results: list[IntersectionResult] = []
     for mask in iter_masks(m):
         mem = members(mask)
-        w = scheme.weights_for(mask)
+        w = problem.scheme.weights_for(mask)
         pm = p[list(mem)]
-        if method == "bonferroni":
-            pv = bonferroni_pvalue(mem, w, pm)
-            results.append(
-                IntersectionResult(
-                    members=mem,
-                    method=method,
-                    p_value=pv,
-                    scale=1.0,
-                    block_scales=None,
-                    local_levels=alpha * w,
-                    reject=pv <= alpha,
-                )
-            )
-        elif method == "parametric-common":
-            out = partitioned_pvalue_common(
-                mem, w, pm, model, alpha, seed, target_error, root_tol, max_points
-            )
-            results.append(
-                IntersectionResult(
-                    members=mem,
-                    method=method,
-                    p_value=None,
-                    scale=out.scale,
-                    block_scales=None,
-                    local_levels=out.local_levels,
-                    reject=out.reject,
-                )
-            )
-        elif method == "parametric-subsets":
-            pv = partitioned_pvalue_subsets(
-                mem, w, pm, model, seed, target_error, max_points
-            )
-            scales = levels = None
-            if compute_scales:
-                scales = partitioned_subset_scales(
-                    mem, w, alpha, model, seed, target_error, root_tol, max_points
-                )
-                levels = _member_levels(mem, w, alpha, scales)
-            results.append(
-                IntersectionResult(
-                    members=mem,
-                    method=method,
-                    p_value=pv,
-                    scale=None,
-                    block_scales=scales,
-                    local_levels=levels,
-                    reject=pv <= alpha,
-                )
-            )
-        else:  # xie
-            pv = xie_pvalue(mem, w, pm, model, seed, target_error, max_points)
-            scale = levels = None
-            if compute_scales:
-                scale = parametric_c(
-                    mem, w, alpha, model, seed, target_error, root_tol, max_points
-                )
-                levels = scale * alpha * w
-            results.append(
-                IntersectionResult(
-                    members=mem,
-                    method=method,
-                    p_value=pv,
-                    scale=scale,
-                    block_scales=None,
-                    local_levels=levels,
-                    reject=pv <= alpha,
-                )
-            )
-    if method == "parametric-common":
-        adjusted = None
-        rejected = np.ones(m, dtype=bool)
-        for mask in iter_masks(m):
-            if not results[mask - 1].reject:
-                for j in members(mask):
-                    rejected[j] = False
-    else:
-        adjusted = np.zeros(m)
-        for mask in iter_masks(m):
-            pv = results[mask - 1].p_value
-            for j in members(mask):
-                if pv > adjusted[j]:
-                    adjusted[j] = pv
-        rejected = adjusted <= alpha
-        adjusted.setflags(write=False)
-    rejected.setflags(write=False)
+        pv = None
+        if method.pvalue is not None:
+            pv = method.pvalue(mem, w, pm, model, problem.seed, target_error, max_points)
+        scale = scales = levels = None
+        if compute_scales or not method.optional_levels:
+            scale, scales, levels = method.levels(mem, w, alpha, model, *solve)
+        reject = pv <= alpha if pv is not None else bool(np.any((w > 0.0) & (pm <= levels)))
+        results.append(
+            IntersectionResult(mem, problem.method, pv, scale, scales, levels, reject)
+        )
+    # H_j falls when every intersection containing it does; adjusted = their largest p
+    adjusted = None if method.pvalue is None else np.zeros(m)
+    rejected = np.ones(m, dtype=bool)
+    for res in results:
+        idx = list(res.members)
+        rejected[idx] &= res.reject
+        if adjusted is not None:
+            adjusted[idx] = np.maximum(adjusted[idx], res.p_value)
+    for out in (adjusted, rejected):
+        if out is not None:
+            out.setflags(write=False)
     return ClosureReport(
         m=m,
         alpha=alpha,
-        method=method,
+        method=problem.method,
         adjusted=adjusted,
         rejected=rejected,
         intersections=tuple(results),
@@ -307,38 +289,18 @@ def decision_thresholds(
 
     Non-members carry the sentinel -1.0; zero-weight members carry 0.0.
     The cutoffs do not depend on observed p-values, so one pass serves
-    any number of simulated replications.
+    any number of simulated replications. They are the local levels
+    ``run_closure`` reports, float for float.
     """
-    _check_alpha(alpha)
-    _check_method(method)
-    model = as_model(corr)
+    # the scheme's full (costly) validation is left to TestProblem and SimScenario
+    model, alpha = _check_procedure(scheme, corr, alpha, method, validate_scheme=False)
+    levels = _METHODS[method].levels
+    solve = (seed, target_error, root_tol, max_points)
     m = scheme.m
-    if model.m != m:
-        raise InputError("correlation model and scheme disagree on the hypothesis count")
-    if method == "xie":
-        _check_xie_scheme(scheme, model)
     t = np.full(((1 << m) - 1, m), -1.0)
     for mask in iter_masks(m):
         mem = members(mask)
-        w = scheme.weights_for(mask)
-        if method == "bonferroni":
-            levels = alpha * w
-        elif method == "parametric-common":
-            c = partitioned_common_scale(
-                mem, w, alpha, model, seed, target_error, root_tol, max_points
-            )
-            levels = c * alpha * w
-        elif method == "parametric-subsets":
-            scales = partitioned_subset_scales(
-                mem, w, alpha, model, seed, target_error, root_tol, max_points
-            )
-            levels = _member_levels(mem, w, alpha, scales)
-        else:  # xie
-            c = parametric_c(
-                mem, w, alpha, model, seed, target_error, root_tol, max_points
-            )
-            levels = c * alpha * w
-        t[mask - 1, list(mem)] = levels
+        t[mask - 1, list(mem)] = levels(mem, scheme.weights_for(mask), alpha, model, *solve)[2]
     return t
 
 
@@ -432,15 +394,8 @@ def xie_shortcut(
     Matches full closure under proportional weights because rescaling
     makes the greedy chain's p-values dominate all other intersections.
     """
-    model = as_model(corr)
+    model, w0, p = _check_shortcut(initial_weights, pvalues, corr, alpha, "initial weights")
     m = model.m
-    w0 = np.asarray(initial_weights, dtype=float)
-    if w0.shape != (m,):
-        raise InputError(f"need {m} initial weights, got shape {w0.shape}")
-    if not np.all(np.isfinite(w0)) or np.any(w0 <= 0.0):
-        raise InputError("initial weights must be finite and strictly positive")
-    p = _check_pvalues(pvalues, m)
-    _check_alpha(alpha)
     active = list(range(m))
     order: list[int] = []
     adjusted = np.empty(m)
@@ -484,18 +439,11 @@ def weighted_dunnett_single_step(
     rejected. Coincides with closure under weights held constant across
     subsets.
     """
-    model = as_model(corr)
+    model, w, p = _check_shortcut(weights, pvalues, corr, alpha, "weights")
     m = model.m
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m,):
-        raise InputError(f"need {m} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise InputError("weights must be finite and strictly positive")
     if abs(w.sum() - 1.0) > 1e-9:
         raise InputError(f"weights must sum to 1, got {w.sum()}")
     w = w / w.sum()
-    p = _check_pvalues(pvalues, m)
-    _check_alpha(alpha)
     full = tuple(range(m))
     if not model.covers(full):
         raise InputError("single-step test needs the correlation fully known")

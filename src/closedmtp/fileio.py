@@ -211,6 +211,11 @@ def analysis_document(problem: TestProblem, report, target_error: float) -> dict
         )
     intersections = []
     for res in report.intersections:
+        if res.local_levels is None:
+            raise InputError(
+                "the analysis document needs local levels; run the closure with "
+                "compute_scales on"
+            )
         scheme_w = problem.scheme.weights_for(res.members)
         entry = {
             "set": _set_out(res.members),

@@ -14,6 +14,11 @@ critical scalings and local significance levels under four methods:
 Weight and p-value vectors are aligned with the ascending member order
 of J. Zero-weight members get rejection threshold 0: they never enter a
 union, a minimum, or a rejection decision.
+
+The partitioned tests split J by block through one helper (``_blocks``).
+Every parametric p-value is a union at thresholds w_j * min(p/w) over the
+weight total (``_min_ratio_union``); every critical scaling is one root
+solve over per-block unions (``_solve_scale``).
 """
 
 from __future__ import annotations
@@ -161,7 +166,9 @@ class IntersectionResult:
     ``scale`` is the single critical scaling where the method has one
     (1.0 for Bonferroni); ``block_scales`` carries per-block scalings
     for the per-subset method. ``p_value`` is None for the common-scale
-    method, which yields only a decision.
+    method, which yields only a decision. ``local_levels`` and the scalings
+    are None for the per-subset and proportional methods when the closure
+    ran with ``compute_scales`` off.
     """
 
     members: tuple[int, ...]
@@ -169,7 +176,7 @@ class IntersectionResult:
     p_value: float | None
     scale: float | None
     block_scales: tuple[tuple[tuple[int, ...], float], ...] | None
-    local_levels: np.ndarray
+    local_levels: np.ndarray | None
     reject: bool | None
 
 
@@ -203,6 +210,12 @@ def _check_subset_args(subset, weights, pvalues=None):
     return mem, w, p
 
 
+def _check_alpha(alpha: float) -> float:
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    return float(alpha)
+
+
 def _weight_total(w: np.ndarray) -> float:
     total = float(w.sum())
     if not total > 0.0:
@@ -218,6 +231,29 @@ def bonferroni_pvalue(subset, weights, pvalues) -> float:
     _weight_total(w)
     act = w > 0.0
     return float(min(1.0, np.min(p[act] / w[act])))
+
+
+def _blocks(mem: tuple[int, ...], w: np.ndarray, model: CorrelationModel) -> list[tuple]:
+    """The subset split by correlation block, in block order: (salt, block
+    members, active members, active weights, weight total of all the
+    block's members) per block. The salt is the block index + 1 (0 is the
+    whole subset's); active members are those with positive weight."""
+    pos = {j: i for i, j in enumerate(mem)}
+    out = []
+    for h, block_mem in model.split_by_block(mem):
+        w_h = w[[pos[j] for j in block_mem]]
+        act = w_h > 0.0
+        active = tuple(j for j, a in zip(block_mem, act) if a)
+        out.append((h + 1, block_mem, active, w_h[act], float(w_h.sum())))
+    return out
+
+
+def _min_ratio_union(p, w, total: float, corr, seed: int, target_error, max_points) -> float:
+    """The union at thresholds w_j * min(p / w) divided by the weight
+    total, capped at 1; p and w over positive-weight members only."""
+    q = float(np.min(p / w))
+    est = union_exceedance(np.minimum(1.0, w * q), corr, seed, target_error, max_points)
+    return min(1.0, est.value / total)
 
 
 def parametric_pvalue(
@@ -243,16 +279,9 @@ def parametric_pvalue(
             "parametric p-value needs the correlation fully known over the subset"
         )
     act = np.flatnonzero(w > 0.0)
-    q = float(np.min(p[act] / w[act]))
-    u = np.minimum(1.0, w[act] * q)
-    est = union_exceedance(
-        u,
-        model.corr_for([mem[i] for i in act]),
-        derived_seed(seed, mask_of(mem, model.m)),
-        target_error,
-        max_points,
-    )
-    return float(min(1.0, est.value / total))
+    corr_act = model.corr_for([mem[i] for i in act])
+    seed_j = derived_seed(seed, mask_of(mem, model.m))
+    return _min_ratio_union(p[act], w[act], total, corr_act, seed_j, target_error, max_points)
 
 
 def _solve_scale(
@@ -269,7 +298,8 @@ def _solve_scale(
     c*alpha*w sum to the target.
 
     groups holds (salt, correlation, active weights) per block; a block
-    with one active member contributes a linear term. Each block gets
+    with one active member contributes a linear term, and when every
+    block has at most one the equation is linear and c = 1. Each block gets
     one UnionRule, fixed at c = 1 and kept for the whole solve, so the
     sum is a deterministic, continuous function of c; the QMC error
     budget is split across the blocks that sample. The solved c is then
@@ -280,6 +310,8 @@ def _solve_scale(
     The sum at c=1 never exceeds the target (Bonferroni inequality), so
     an estimate already at or above it means c=1 within noise.
     """
+    if all(w.size <= 1 for _, _, w in groups):
+        return 1.0
     sampled = sum(1 for _, _, w in groups if w.size > MAX_EXACT_DIM)
     block_error = target_error / max(sampled, 1)
     rules = [
@@ -351,19 +383,11 @@ def parametric_c(
     if not model.covers(mem):
         raise InputError("critical scaling needs the correlation fully known over the subset")
     act = np.flatnonzero(w > 0.0)
-    if act.size <= 1:
-        return 1.0
-    groups = [(0, model.corr_for([mem[i] for i in act]), w[act])]
+    groups = [(0, model.corr_for([mem[i] for i in act]), w[act])] if act.size > 1 else []
     return _solve_scale(
         groups, alpha * total, alpha, seed, mask_of(mem, model.m),
         target_error, root_tol, max_points,
     )
-
-
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    return float(alpha)
 
 
 def xie_pvalue(
@@ -417,14 +441,10 @@ def partitioned_common_scale(
     _check_alpha(alpha)
     model = as_model(corr)
     mask = mask_of(mem, model.m)
-    pos = {j: i for i, j in enumerate(mem)}
-    groups = []
-    for h, block_mem in model.split_by_block(mem):
-        active = tuple(j for j in block_mem if w[pos[j]] > 0.0)
-        if active:
-            groups.append((h + 1, model.corr_for(active), np.array([w[pos[j]] for j in active])))
-    if all(w_h.size == 1 for _, _, w_h in groups):
-        return 1.0
+    groups = [
+        (salt, model.corr_for(act), w_act) for salt, _, act, w_act, _ in _blocks(mem, w, model)
+        if act
+    ]
     return _solve_scale(
         groups, alpha * total, alpha, seed, mask, target_error, root_tol, max_points
     )
@@ -472,29 +492,15 @@ def partitioned_pvalue_subsets(
     _weight_total(w)
     model = as_model(corr)
     mask = mask_of(mem, model.m)
-    pos = {j: i for i, j in enumerate(mem)}
-    best = None
-    for h, block_mem in model.split_by_block(mem):
-        idx = [pos[j] for j in block_mem]
-        w_h = w[idx]
-        if not np.any(w_h > 0.0):
-            continue
-        act = np.flatnonzero(w_h > 0.0)
-        total_h = float(w_h.sum())
-        q = float(np.min(p[idx][act] / w_h[act]))
-        u = np.minimum(1.0, w_h[act] * q)
-        est = union_exceedance(
-            u,
-            model.corr_for([block_mem[i] for i in act]),
-            derived_seed(seed, mask, salt=h + 1),
-            target_error,
-            max_points,
+    p_of = dict(zip(mem, p))
+    return float(min(
+        _min_ratio_union(
+            np.array([p_of[j] for j in act]), w_act, total, model.corr_for(act),
+            derived_seed(seed, mask, salt), target_error, max_points,
         )
-        ph = min(1.0, est.value / total_h)
-        best = ph if best is None else min(best, ph)
-    if best is None:
-        raise InputError("all weights in the subset are zero")
-    return float(best)
+        for salt, _, act, w_act, total in _blocks(mem, w, model)
+        if act
+    ))
 
 
 def partitioned_subset_scales(
@@ -519,18 +525,11 @@ def partitioned_subset_scales(
     _check_alpha(alpha)
     model = as_model(corr)
     mask = mask_of(mem, model.m)
-    pos = {j: i for i, j in enumerate(mem)}
     out = []
-    for h, block_mem in model.split_by_block(mem):
-        w_h = np.array([w[pos[j]] for j in block_mem])
-        act = np.flatnonzero(w_h > 0.0)
-        if act.size <= 1:
-            out.append((block_mem, 1.0))
-            continue
-        groups = [(h + 1, model.corr_for([block_mem[i] for i in act]), w_h[act])]
+    for salt, block_mem, act, w_act, total in _blocks(mem, w, model):
+        groups = [(salt, model.corr_for(act), w_act)] if len(act) > 1 else []
         c = _solve_scale(
-            groups, alpha * float(w_h.sum()), alpha, seed, mask,
-            target_error, root_tol, max_points,
+            groups, alpha * total, alpha, seed, mask, target_error, root_tol, max_points
         )
         out.append((block_mem, c))
     return tuple(out)

@@ -411,8 +411,12 @@ class _QmcRule:
         self._shifts = self._draw(self._rng)
         return True
 
-    def __call__(self, lower, upper, shifts: np.ndarray | None = None) -> ProbEstimate:
-        shifts = self._shifts if shifts is None else shifts
+    def __call__(self, lower, upper, seed: int | None = None) -> ProbEstimate:
+        """The estimate at the given bounds; with ``seed``, an independent one
+        at the same n from shifts drawn with that seed."""
+        shifts = self._shifts
+        if seed is not None:
+            shifts = self._draw(np.random.default_rng(int(seed) & _U64))
         base = _sobol_base(self._L.shape[0] - 1, self.n)
         pts = ((base[None, :, :] ^ shifts[:, None, :]).astype(float) + 0.5) / _TWO32
         means = _qmc_means(self._L, lower[self._perm], upper[self._perm], pts)
@@ -421,21 +425,6 @@ class _QmcRule:
         # randomizations happen to agree exactly
         err = max(float(3.0 * means.std(ddof=1) / math.sqrt(_SHIFTS)), 1e-15)
         return ProbEstimate(min(1.0, max(0.0, value)), err)
-
-    def recheck(self, lower, upper, seed: int) -> ProbEstimate:
-        """An independent estimate at the same n, from shifts drawn with ``seed``."""
-        return self(lower, upper, self._draw(np.random.default_rng(int(seed) & _U64)))
-
-
-def _qmc_rectangle(
-    corr: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    seed: int,
-    target_error: float,
-    max_points: int,
-) -> ProbEstimate:
-    return _QmcRule(corr, lower, upper, seed, target_error, max_points).estimate
 
 
 def _check_accuracy_args(target_error: float, max_points: int) -> int:
@@ -525,7 +514,7 @@ def mvn_rectangle(
         v, error = _rectangle_3d(lo, hi, cm.values)
         if error <= max(target_error, _EXACT_ERROR):
             return ProbEstimate(v, max(error, _EXACT_ERROR))
-    return _qmc_rectangle(cm.values, lo, hi, seed, target_error, max_points)
+    return _QmcRule(cm.values, lo, hi, seed, target_error, max_points).estimate
 
 
 def union_exceedance(
@@ -542,7 +531,8 @@ def union_exceedance(
     dropped (zero-probability events); a threshold of 1 makes the union
     certain and returns exactly 1. Up to three remaining thresholds the
     union is exact by inclusion-exclusion (see ``mvn_rectangle``); above
-    that it is a QMC estimate.
+    that it is a QMC estimate. Either way it is the ``estimate`` of a
+    ``UnionRule`` fitted at the remaining thresholds.
     """
     cm = as_correlation(corr)
     u = np.asarray(thresholds, dtype=float)
@@ -556,14 +546,11 @@ def union_exceedance(
     keep = np.flatnonzero(u > 0.0)
     if keep.size == 0:
         return ProbEstimate(0.0, 0.0)
-    u = u[keep]
-    sub = cm.submatrix(keep)
-    est = _exact_union(u, sub.values, target_error)
-    if est is not None:
-        return est
-    est = _qmc_rectangle(
-        sub.values, np.full(keep.size, -np.inf), -ndtri(u), seed, target_error, max_points
-    )
+    return UnionRule(u[keep], cm.submatrix(keep), seed, target_error, max_points).estimate
+
+
+def _complement(est: ProbEstimate) -> ProbEstimate:
+    """The union estimate from the estimate of its complementary orthant."""
     return ProbEstimate(min(1.0, max(0.0, 1.0 - est.value)), est.error)
 
 
@@ -601,7 +588,7 @@ class UnionRule:
             self._qmc = _QmcRule(
                 self._corr, np.full(u.size, -np.inf), -ndtri(u), seed, target_error, max_points
             )
-            est = self(u)
+            est = _complement(self._qmc.estimate)
         self.estimate = est
 
     @property
@@ -617,12 +604,7 @@ class UnionRule:
             return ProbEstimate(1.0, 0.0)
         if self._qmc is None:
             return _exact_union(u, self._corr, math.inf)
-        lower, upper = np.full(u.size, -np.inf), -ndtri(u)
-        if seed is None:
-            est = self._qmc(lower, upper)
-        else:
-            est = self._qmc.recheck(lower, upper, seed)
-        return ProbEstimate(min(1.0, max(0.0, 1.0 - est.value)), est.error)
+        return _complement(self._qmc(np.full(u.size, -np.inf), -ndtri(u), seed))
 
     def refine(self) -> bool:
         """Quadruple the QMC point count with fresh shifts and re-estimate at

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .closure import _check_alpha, _check_method, _check_xie_scheme, decision_thresholds
+from .closure import _check_procedure, decision_thresholds
 from .exceptions import InputError
-from .intersection import CorrelationModel, as_model
+from .intersection import CorrelationModel
 from .mvnorm import DEFAULT_ROOT_TOL, DEFAULT_TARGET_ERROR, CorrelationMatrix, as_correlation
 from .subsets import iter_masks, members
-from .weighting import WeightingScheme, validate
+from .weighting import WeightingScheme
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,26 +45,14 @@ class SimScenario:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scheme, WeightingScheme):
-            raise InputError("scheme must be a WeightingScheme")
-        if not validate(self.scheme)["valid"]:
-            raise InputError(
-                "scheme is not valid: every subset needs nonnegative weights "
-                "with a positive sum of at most 1"
-            )
-        m = self.scheme.m
-        model = as_model(self.model)
-        if model.m != m:
-            raise InputError("correlation model and scheme disagree on the hypothesis count")
+        model, alpha = _check_procedure(self.scheme, self.model, self.alpha, self.method)
         object.__setattr__(self, "model", model)
+        object.__setattr__(self, "alpha", alpha)
+        m = self.scheme.m
         gen = as_correlation(self.generator)
         if gen.dim != m:
             raise InputError(f"generator correlation must be {m} x {m}")
         object.__setattr__(self, "generator", gen)
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        object.__setattr__(self, "method", _check_method(self.method))
-        if self.method == "xie":
-            _check_xie_scheme(self.scheme, model)
         nulls = np.asarray(self.true_nulls, dtype=bool)
         if nulls.shape != (m,):
             raise InputError(f"need {m} true-null flags, got shape {nulls.shape}")

@@ -13,7 +13,7 @@ from closedmtp.closure import (
     xie_shortcut,
 )
 from closedmtp.exceptions import InputError
-from closedmtp.intersection import CorrelationModel
+from closedmtp.intersection import METHODS, CorrelationModel
 from closedmtp.mvnorm import CorrelationMatrix
 from closedmtp.subsets import iter_masks, members
 from closedmtp.weighting import WeightingScheme, xie_scheme
@@ -316,25 +316,33 @@ class TestDecisionThresholds:
 
     def test_matches_closure_levels_exactly(self):
         # same seed, same solver path: thresholds and report levels are
-        # the same floats
+        # the same floats, for every method on a model it accepts
         scheme = xie_scheme((0.4, 0.35, 0.25))
         corr = equicorr(3, 0.4)
-        prob = TestProblem(
-            scheme=scheme,
-            model=CorrelationModel.full(corr),
-            pvalues=(0.01, 0.02, 0.03),
-            alpha=0.025,
-            method="parametric-common",
-            seed=5,
-        )
-        rep = run_closure(prob)
-        t = decision_thresholds(
-            scheme, CorrelationModel.full(corr), 0.025, "parametric-common", seed=5
-        )
-        for mask in iter_masks(3):
-            res = rep.intersections[mask - 1]
-            got = t[mask - 1, list(res.members)]
-            assert got.tolist() == res.local_levels.tolist()
+        models = {
+            "bonferroni": CorrelationModel.independent_blocks(3),
+            "parametric-common": CorrelationModel.full(corr),
+            "parametric-subsets": CorrelationModel(
+                3, ((0, 2), (1,)), (equicorr(2, 0.4), None)
+            ),
+            "xie": CorrelationModel.full(corr),
+        }
+        assert sorted(models) == sorted(METHODS)
+        for method, model in models.items():
+            prob = TestProblem(
+                scheme=scheme,
+                model=model,
+                pvalues=(0.01, 0.02, 0.03),
+                alpha=0.025,
+                method=method,
+                seed=5,
+            )
+            rep = run_closure(prob)
+            t = decision_thresholds(scheme, model, 0.025, method, seed=5)
+            for mask in iter_masks(3):
+                res = rep.intersections[mask - 1]
+                got = t[mask - 1, list(res.members)]
+                assert got.tolist() == res.local_levels.tolist(), (method, res.members)
 
     def test_threshold_decisions_match_closure(self):
         rng = np.random.default_rng(77)

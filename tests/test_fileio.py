@@ -245,6 +245,17 @@ class TestDocuments:
         assert all(h["adjusted"] is None for h in doc["hypotheses"])
         assert all(h["rejected"] for h in doc["hypotheses"])
 
+    @pytest.mark.parametrize("method", ["parametric-subsets", "xie"])
+    def test_analysis_without_levels_names_compute_scales(self, method):
+        # these methods skip their scalings with compute_scales off, which
+        # leaves no local levels to report
+        doc = problem_doc()
+        doc["correlation"] = {"blocks": [[1, 2]], "matrices": [[[1.0, 0.3], [0.3, 1.0]]]}
+        prob = fileio.parse_problem(doc, method=method)
+        report = run_closure(prob, compute_scales=False)
+        with pytest.raises(InputError, match="compute_scales"):
+            fileio.analysis_document(prob, report, 1e-6)
+
     def test_scheme_document_round_trips(self):
         scheme = fileio.scheme_from_graph(fileio.parse_graph(graph_doc()))
         doc = fileio.scheme_document(scheme)

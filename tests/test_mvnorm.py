@@ -407,6 +407,30 @@ class TestUnionRule:
             assert a.value == pytest.approx(ref.value, abs=a.error + ref.error)
         assert rule(u0).value == rule.estimate.value
 
+    def test_fit_that_meets_its_target_is_one_kernel_pass(self, monkeypatch):
+        # the first pass at 2^11 points meets the loose target, so fitting
+        # the rule is that pass alone, and its estimate is the value a call
+        # at the reference thresholds gives
+        import closedmtp.mvnorm as mvnorm
+
+        calls = []
+        kernel = mvnorm._qmc_means
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(mvnorm, "_qmc_means", counted)
+        u0 = np.array([0.01, 0.02, 0.01, 0.005])
+        cm = random_correlation(np.random.default_rng(6), 4)
+        rule = UnionRule(u0, cm, seed=1, target_error=1e-3)
+        assert rule.sampled
+        assert len(calls) == 1
+        assert rule.estimate.error <= 1e-3
+        assert rule(u0) == rule.estimate
+        assert union_exceedance(u0, cm, seed=1, target_error=1e-3) == rule.estimate
+        assert len(calls) == 3
+
     def test_continuous_in_the_thresholds(self):
         cm = random_correlation(np.random.default_rng(6), 4)
         u0 = np.array([0.01, 0.02, 0.01, 0.005])
