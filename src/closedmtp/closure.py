@@ -51,7 +51,7 @@ from .mvnorm import (
     DEFAULT_TARGET_ERROR,
     union_exceedance,
 )
-from .subsets import iter_masks, iter_submasks, mask_of, members
+from .subsets import iter_masks, mask_of, members
 from .weighting import WeightingScheme, validate
 
 # the consonance sweep visits each subset pair; 3^m pairs get slow fast
@@ -341,13 +341,15 @@ def check_consonance(
     rejecting some elementary hypothesis inside it, and sequentially
     rejective shortcuts reproduce the closed procedure. ``tolerance``
     absorbs root-finding and integration noise on the scale*weight
-    products.
+    products; it must be finite and nonnegative.
     """
     m = scheme.m
     if m > MAX_CONSONANCE_M:
         raise InputError(
             f"consonance sweep is limited to {MAX_CONSONANCE_M} hypotheses, got {m}"
         )
+    if not 0.0 <= tolerance < np.inf:
+        raise InputError(f"consonance tolerance must be finite and nonnegative, got {tolerance}")
     t = decision_thresholds(
         scheme, corr, alpha, "parametric-common", seed, target_error, root_tol
     )
@@ -355,21 +357,23 @@ def check_consonance(
     t = np.where(t >= 0.0, t / alpha, -1.0)
     violations = []
     for mask in iter_masks(m):
+        mem = np.array(members(mask))
+        # the proper submasks, descending: the bits of 2^k - 2 .. 1 placed on the members
+        bits = np.arange((1 << mem.size) - 2, 0, -1)[:, None] >> np.arange(mem.size) & 1
+        subs = bits @ (1 << mem)
         row = t[mask - 1]
-        for sub in iter_submasks(mask):
-            if sub == mask:
-                continue
-            sub_row = t[sub - 1]
-            for j in members(sub):
-                if row[j] > sub_row[j] + tolerance:
-                    violations.append(
-                        ConsonanceViolation(
-                            superset=members(mask),
-                            subset=members(sub),
-                            hypothesis=j,
-                            excess=float(row[j] - sub_row[j]),
-                        )
-                    )
+        sub_rows = t[subs - 1]
+        # a subset's members carry levels >= 0, the others the sentinel -1
+        hit = (sub_rows >= 0.0) & (row > sub_rows + tolerance)
+        for i, j in zip(*np.nonzero(hit)):
+            violations.append(
+                ConsonanceViolation(
+                    superset=members(mask),
+                    subset=members(int(subs[i])),
+                    hypothesis=int(j),
+                    excess=float(row[j] - sub_rows[i, j]),
+                )
+            )
     return ConsonanceReport(consonant=not violations, violations=tuple(violations))
 
 

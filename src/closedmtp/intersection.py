@@ -15,10 +15,15 @@ Weight and p-value vectors are aligned with the ascending member order
 of J. Zero-weight members get rejection threshold 0: they never enter a
 union, a minimum, or a rejection decision.
 
-The partitioned tests split J by block through one helper (``_blocks``).
-Every parametric p-value is a union at thresholds w_j * min(p/w) over the
-weight total (``_min_ratio_union``); every critical scaling is one root
-solve over per-block unions (``_solve_scale``).
+The fully known tests are the one-block case of the partitioned ones
+(``parametric_pvalue`` returns ``partitioned_pvalue_subsets``,
+``parametric_c`` returns ``partitioned_common_scale``). One helper
+(``_blocks``) splits J by block and hands each block the correlation of
+its active members and the salt of its random stream, its place in the
+split: a subset inside one block gets salt 0, the whole subset's. Every
+parametric p-value is a union at thresholds w_j * min(p/w) over the block's
+weight total; every critical scaling is one root solve over per-block
+unions (``_solve_scale``).
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ _U64 = (1 << 64) - 1
 _MIX = 0x9E3779B97F4A7C15
 # added to a block's salt for the independent check of a solved scaling
 _CHECK_SALT = 1 << 32
+# the correlation of every single hypothesis
+_UNIT = CorrelationMatrix(np.eye(1))
 
 METHODS = ("bonferroni", "parametric-common", "parametric-subsets", "xie")
 
@@ -74,46 +81,45 @@ class CorrelationModel:
         if len(self.blocks) != len(self.matrices):
             raise InputError("need exactly one correlation entry per block")
         blocks = []
-        for raw in self.blocks:
+        for i, raw in enumerate(self.blocks):
             mem = tuple(members(mask_of(raw, m)))
+            if not mem:
+                raise InputError(f"correlation block {i + 1} is empty")
             blocks.append(mem)
-        order = sorted(range(len(blocks)), key=lambda h: blocks[h][0])
-        blocks = [blocks[h] for h in order]
-        matrices = [self.matrices[h] for h in order]
-        seen: set[int] = set()
-        for mem in blocks:
-            if seen & set(mem):
-                raise InputError("correlation blocks must be disjoint")
-            seen |= set(mem)
-        if seen != set(range(m)):
+        flat = [j for mem in blocks for j in mem]
+        if len(set(flat)) != len(flat):
+            raise InputError("correlation blocks must be disjoint")
+        if len(flat) != m:
             raise InputError("correlation blocks must cover every hypothesis")
-        fixed: list[CorrelationMatrix | None] = []
-        for mem, mat in zip(blocks, matrices):
-            if len(mem) == 1:
-                if mat is not None and as_correlation(mat).dim != 1:
-                    raise InputError("singleton blocks take no correlation matrix")
-                fixed.append(None)
-            else:
-                if mat is None:
-                    raise InputError(
-                        f"block {tuple(j + 1 for j in mem)} needs a correlation matrix"
-                    )
-                cm = as_correlation(mat)
-                if cm.dim != len(mem):
-                    raise InputError(
-                        f"correlation matrix for block {tuple(j + 1 for j in mem)} "
-                        f"has dimension {cm.dim}, expected {len(mem)}"
-                    )
-                fixed.append(cm)
+        blocks, matrices = zip(*sorted(zip(blocks, self.matrices), key=lambda bm: bm[0][0]))
+        # each hypothesis's block and its place in that block
         block_of = np.empty(m, dtype=int)
-        for h, mem in enumerate(blocks):
-            for j in mem:
-                block_of[j] = h
+        pos = np.empty(m, dtype=int)
+        fixed: list[CorrelationMatrix | None] = []
+        for h, (mem, mat) in enumerate(zip(blocks, matrices)):
+            block_of[list(mem)] = h
+            pos[list(mem)] = np.arange(len(mem))
+            label = tuple(j + 1 for j in mem)
+            cm = None if mat is None else as_correlation(mat)
+            if len(mem) == 1:
+                if cm is not None and cm.dim != 1:
+                    raise InputError("singleton blocks take no correlation matrix")
+                cm = None
+            elif cm is None:
+                raise InputError(f"block {label} needs a correlation matrix")
+            elif cm.dim != len(mem):
+                raise InputError(
+                    f"correlation matrix for block {label} has dimension {cm.dim}, "
+                    f"expected {len(mem)}"
+                )
+            fixed.append(cm)
         block_of.setflags(write=False)
+        pos.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "matrices", tuple(fixed))
         object.__setattr__(self, "_block_of", block_of)
+        object.__setattr__(self, "_pos", pos)
 
     @classmethod
     def full(cls, corr) -> "CorrelationModel":
@@ -139,18 +145,17 @@ class CorrelationModel:
         return [(h, tuple(sorted(mem))) for h, mem in sorted(groups.items())]
 
     def corr_for(self, subset: Sequence[int]) -> CorrelationMatrix:
-        """Correlation restricted to a subset that lies inside one block."""
+        """Correlation restricted to a subset that lies inside one block: a
+        slice of the block's matrix, validated when the model was built and
+        not again; every single hypothesis shares one 1x1 identity."""
         mem = tuple(sorted(subset))
-        h = self.block_of(mem[0])
-        if any(self.block_of(j) != h for j in mem[1:]):
+        if not self.covers(mem):
             raise InputError(
                 f"indices {tuple(j + 1 for j in mem)} span several correlation blocks"
             )
         if len(mem) == 1:
-            return CorrelationMatrix(np.eye(1))
-        block = self.blocks[h]
-        pos = [block.index(j) for j in mem]
-        return self.matrices[h].submatrix(pos)
+            return _UNIT
+        return self.matrices[self._block_of[mem[0]]].submatrix(self._pos[list(mem)])
 
     def covers(self, subset: Sequence[int]) -> bool:
         """True when one block contains the whole subset."""
@@ -234,26 +239,18 @@ def bonferroni_pvalue(subset, weights, pvalues) -> float:
 
 
 def _blocks(mem: tuple[int, ...], w: np.ndarray, model: CorrelationModel) -> list[tuple]:
-    """The subset split by correlation block, in block order: (salt, block
-    members, active members, active weights, weight total of all the
-    block's members) per block. The salt is the block index + 1 (0 is the
-    whole subset's); active members are those with positive weight."""
+    """The subset split by correlation block, in block order: per block
+    (salt, block members, positions in ``mem`` of its active (positive-
+    weight) members, their correlation or None, weight total of all its
+    members). The salt is the block's place in this list."""
     pos = {j: i for i, j in enumerate(mem)}
     out = []
-    for h, block_mem in model.split_by_block(mem):
-        w_h = w[[pos[j] for j in block_mem]]
-        act = w_h > 0.0
-        active = tuple(j for j, a in zip(block_mem, act) if a)
-        out.append((h + 1, block_mem, active, w_h[act], float(w_h.sum())))
+    for salt, (_, block_mem) in enumerate(model.split_by_block(mem)):
+        idx = np.array([pos[j] for j in block_mem])
+        act = idx[w[idx] > 0.0]
+        corr = model.corr_for([mem[i] for i in act]) if act.size else None
+        out.append((salt, block_mem, act, corr, float(w[idx].sum())))
     return out
-
-
-def _min_ratio_union(p, w, total: float, corr, seed: int, target_error, max_points) -> float:
-    """The union at thresholds w_j * min(p / w) divided by the weight
-    total, capped at 1; p and w over positive-weight members only."""
-    q = float(np.min(p / w))
-    est = union_exceedance(np.minimum(1.0, w * q), corr, seed, target_error, max_points)
-    return min(1.0, est.value / total)
 
 
 def parametric_pvalue(
@@ -272,16 +269,13 @@ def parametric_pvalue(
     the total weight, is the p-value (capped at 1).
     """
     mem, w, p = _check_subset_args(subset, weights, pvalues)
-    total = _weight_total(w)
     model = as_model(corr)
     if not model.covers(mem):
         raise InputError(
             "parametric p-value needs the correlation fully known over the subset"
         )
-    act = np.flatnonzero(w > 0.0)
-    corr_act = model.corr_for([mem[i] for i in act])
-    seed_j = derived_seed(seed, mask_of(mem, model.m))
-    return _min_ratio_union(p[act], w[act], total, corr_act, seed_j, target_error, max_points)
+    # the one-block case of the per-block minimum
+    return partitioned_pvalue_subsets(mem, w, p, model, seed, target_error, max_points)
 
 
 def _solve_scale(
@@ -377,16 +371,12 @@ def parametric_c(
     linear and c = 1 exactly.
     """
     mem, w = _check_subset_args(subset, weights)
-    total = _weight_total(w)
-    _check_alpha(alpha)
     model = as_model(corr)
     if not model.covers(mem):
         raise InputError("critical scaling needs the correlation fully known over the subset")
-    act = np.flatnonzero(w > 0.0)
-    groups = [(0, model.corr_for([mem[i] for i in act]), w[act])] if act.size > 1 else []
-    return _solve_scale(
-        groups, alpha * total, alpha, seed, mask_of(mem, model.m),
-        target_error, root_tol, max_points,
+    # the one-block case of the common scaling
+    return partitioned_common_scale(
+        mem, w, alpha, model, seed, target_error, root_tol, max_points
     )
 
 
@@ -442,8 +432,7 @@ def partitioned_common_scale(
     model = as_model(corr)
     mask = mask_of(mem, model.m)
     groups = [
-        (salt, model.corr_for(act), w_act) for salt, _, act, w_act, _ in _blocks(mem, w, model)
-        if act
+        (salt, corr_act, w[act]) for salt, _, act, corr_act, _ in _blocks(mem, w, model) if act.size
     ]
     return _solve_scale(
         groups, alpha * total, alpha, seed, mask, target_error, root_tol, max_points
@@ -492,15 +481,17 @@ def partitioned_pvalue_subsets(
     _weight_total(w)
     model = as_model(corr)
     mask = mask_of(mem, model.m)
-    p_of = dict(zip(mem, p))
-    return float(min(
-        _min_ratio_union(
-            np.array([p_of[j] for j in act]), w_act, total, model.corr_for(act),
-            derived_seed(seed, mask, salt), target_error, max_points,
-        )
-        for salt, _, act, w_act, total in _blocks(mem, w, model)
-        if act
-    ))
+    block_p = []
+    for salt, _, act, corr_act, total in _blocks(mem, w, model):
+        if act.size:
+            # the union at thresholds w_j * min(p / w) over the block's weight total
+            q = float(np.min(p[act] / w[act]))
+            est = union_exceedance(
+                np.minimum(1.0, w[act] * q), corr_act, derived_seed(seed, mask, salt),
+                target_error, max_points,
+            )
+            block_p.append(min(1.0, est.value / total))
+    return float(min(block_p))
 
 
 def partitioned_subset_scales(
@@ -525,11 +516,10 @@ def partitioned_subset_scales(
     _check_alpha(alpha)
     model = as_model(corr)
     mask = mask_of(mem, model.m)
-    out = []
-    for salt, block_mem, act, w_act, total in _blocks(mem, w, model):
-        groups = [(salt, model.corr_for(act), w_act)] if len(act) > 1 else []
-        c = _solve_scale(
-            groups, alpha * total, alpha, seed, mask, target_error, root_tol, max_points
-        )
-        out.append((block_mem, c))
-    return tuple(out)
+    return tuple(
+        (block_mem, _solve_scale(
+            [(salt, corr_act, w[act])], alpha * total, alpha, seed, mask,
+            target_error, root_tol, max_points,
+        ))
+        for salt, block_mem, act, corr_act, total in _blocks(mem, w, model)
+    )

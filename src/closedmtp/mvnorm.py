@@ -112,8 +112,17 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
     def submatrix(self, indices: Sequence[int]) -> "CorrelationMatrix":
+        """The principal submatrix on ``indices``, not validated again: it
+        keeps symmetry, the unit diagonal, the entry range and (by Cauchy
+        interlacing) PSD, so the checks could never reject it."""
         idx = np.asarray(indices, dtype=int)
-        return CorrelationMatrix(self.values[np.ix_(idx, idx)])
+        if idx.size == 0:
+            raise InputError("correlation matrix must be square and nonempty")
+        v = self.values[np.ix_(idx, idx)]
+        v.setflags(write=False)
+        sub = object.__new__(CorrelationMatrix)
+        object.__setattr__(sub, "values", v)
+        return sub
 
     def cholesky_lower(self) -> np.ndarray:
         """Lower Cholesky factor, jittering the diagonal for marginal PSD failures."""

@@ -365,6 +365,31 @@ class TestDecisionThresholds:
                 assert by_threshold == rep.intersections[mask - 1].reject
 
 
+class TestValidateOnce:
+    def test_no_correlation_validated_while_testing(self, monkeypatch):
+        # the model validated its matrices when built; the closure and the
+        # thresholds only slice them
+        model = CorrelationModel(
+            5, ((0, 2, 4), (1,), (3,)), (equicorr(3, 0.4), None, None)
+        )
+        scheme = random_scheme(np.random.default_rng(5), 5)
+        prob = TestProblem(
+            scheme=scheme, model=model, pvalues=(0.01, 0.02, 0.03, 0.004, 0.2),
+            alpha=0.025, method="parametric-subsets",
+        )
+        calls = []
+        check = CorrelationMatrix.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            check(self)
+
+        monkeypatch.setattr(CorrelationMatrix, "__post_init__", counted)
+        run_closure(prob)
+        decision_thresholds(scheme, model, 0.025, "parametric-common")
+        assert calls == []
+
+
 class TestCheckConsonance:
     def test_proportional_scheme_is_consonant(self):
         rep = check_consonance(
@@ -413,6 +438,39 @@ class TestCheckConsonance:
             check_consonance(
                 xie_scheme((1.0 / 13,) * 13), equicorr(13, 0.0), 0.05
             )
+
+    def test_tolerance_must_be_finite_and_nonnegative(self):
+        # nan would hide every violation, a negative one flag equal levels
+        for tolerance in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(InputError, match="tolerance"):
+                check_consonance(
+                    xie_scheme((0.5, 0.5)), equicorr(2, 0.5), 0.05, tolerance=tolerance
+                )
+
+    def test_violations_match_pairwise_sweep(self):
+        # every (superset, proper subset, member) triple compared one by
+        # one, in the report's order: mask up, subset down, member up
+        rng = np.random.default_rng(8)
+        m = 5
+        scheme = random_scheme(rng, m)
+        model = CorrelationModel(
+            m, ((0, 3), (1,), (2, 4)), (equicorr(2, 0.6), None, equicorr(2, -0.3))
+        )
+        t = decision_thresholds(scheme, model, 0.05, "parametric-common")
+        t = np.where(t >= 0.0, t / 0.05, -1.0)
+        expected = []
+        for mask in iter_masks(m):
+            sub = (mask - 1) & mask
+            while sub:
+                for j in members(sub):
+                    if t[mask - 1, j] > t[sub - 1, j] + 1e-4:
+                        excess = float(t[mask - 1, j] - t[sub - 1, j])
+                        expected.append((members(mask), members(sub), j, excess))
+                sub = (sub - 1) & mask
+        rep = check_consonance(scheme, model, 0.05)
+        got = [(v.superset, v.subset, v.hypothesis, v.excess) for v in rep.violations]
+        assert expected
+        assert got == expected
 
 
 class TestXieShortcut:

@@ -10,6 +10,7 @@ from closedmtp.intersection import (
     derived_seed,
     parametric_c,
     parametric_pvalue,
+    partitioned_common_scale,
     partitioned_pvalue_common,
     partitioned_pvalue_subsets,
     partitioned_subset_scales,
@@ -91,6 +92,15 @@ class TestCorrelationModel:
     def test_matrix_dimension_must_match(self):
         with pytest.raises(InputError):
             CorrelationModel(3, ((0, 1, 2),), (equicorr(2, 0.2),))
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(InputError, match="block 1 is empty"):
+            CorrelationModel(2, ((), (0, 1)), (None, equicorr(2, 0.3)))
+
+    def test_corr_for_singletons_share_one_identity(self):
+        model = CorrelationModel(3, ((0, 1), (2,)), (equicorr(2, 0.5), None))
+        assert model.corr_for((2,)) is model.corr_for((0,))
+        assert model.corr_for((2,)).values.tolist() == [[1.0]]
 
 
 class TestBonferroni:
@@ -179,6 +189,25 @@ class TestParametricPvalue:
         )
         with pytest.raises(InputError):
             parametric_pvalue((0, 1, 2), (0.4, 0.3, 0.3), (0.01, 0.02, 0.03), model)
+
+
+class TestOneBlockCase:
+    def test_fully_known_tests_are_the_partitioned_tests(self):
+        # one block: the fully known tests and the partitioned ones are
+        # the same floats, in the exact path (k=4, three active) and in
+        # the sampled one (k=5, four active)
+        rng = np.random.default_rng(31)
+        for w in ((0.3, 0.0, 0.25, 0.25), (0.2, 0.25, 0.0, 0.2, 0.25)):
+            corr = random_correlation(rng, len(w))
+            sub = tuple(range(len(w)))
+            p = rng.uniform(0.0, 0.05, size=len(w))
+            for seed in (0, 9):
+                assert parametric_pvalue(sub, w, p, corr, seed=seed) == (
+                    partitioned_pvalue_subsets(sub, w, p, corr, seed=seed)
+                )
+                assert parametric_c(sub, w, 0.05, corr, seed=seed) == (
+                    partitioned_common_scale(sub, w, 0.05, corr, seed=seed)
+                )
 
 
 class TestParametricC:

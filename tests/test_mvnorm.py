@@ -163,6 +163,12 @@ class TestCorrelationMatrix:
         sub = cm.submatrix([1, 3])
         assert sub.dim == 2
         assert sub.values[0, 1] == 0.3
+        # the slice shares the parent's guarantees, read-only included
+        assert not sub.values.flags.writeable
+        with pytest.raises(ValueError):
+            sub.values[0, 1] = 0.9
+        with pytest.raises(InputError):
+            cm.submatrix([])
 
     def test_cholesky_on_singular(self):
         # rho = 1 is PSD but rank-deficient; jitter must rescue it
