@@ -36,18 +36,23 @@ def _read(source: str) -> str:
 
 
 def _seed_value(flag: int | None, file_seed) -> int:
-    # precedence: --seed flag, then the file, then the environment
-    if flag is not None:
-        return flag
-    if file_seed is not None:
-        return int(file_seed)
+    # precedence: --seed flag, then the file, then the environment; every
+    # report schema takes seeds from 0 up
     env = os.environ.get(_SEED_ENV)
-    if env is not None:
+    if flag is not None:
+        seed, source = flag, "--seed"
+    elif file_seed is not None:
+        seed, source = int(file_seed), "the file's seed"
+    elif env is not None:
         try:
-            return int(env)
+            seed, source = int(env), _SEED_ENV
         except ValueError:
             raise InputError(f"{_SEED_ENV} must be an integer, got {env!r}")
-    return 0
+    else:
+        return 0
+    if seed < 0:
+        raise InputError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _guarded(fn):

@@ -242,14 +242,22 @@ def _blocks(mem: tuple[int, ...], w: np.ndarray, model: CorrelationModel) -> lis
     """The subset split by correlation block, in block order: per block
     (salt, block members, positions in ``mem`` of its active (positive-
     weight) members, their correlation or None, weight total of all its
-    members). The salt is the block's place in this list."""
-    pos = {j: i for i, j in enumerate(mem)}
+    members). The salt is the block's place in this list. ``mem`` must be
+    ascending and inside the model, as every caller's ``mask_of`` checks."""
+    groups: dict[int, list[int]] = {}
+    for i, h in enumerate(model._block_of[list(mem)].tolist()):
+        groups.setdefault(h, []).append(i)
+    positive = (w > 0.0).tolist()
     out = []
-    for salt, (_, block_mem) in enumerate(model.split_by_block(mem)):
-        idx = np.array([pos[j] for j in block_mem])
-        act = idx[w[idx] > 0.0]
-        corr = model.corr_for([mem[i] for i in act]) if act.size else None
-        out.append((salt, block_mem, act, corr, float(w[idx].sum())))
+    for salt, h in enumerate(sorted(groups)):
+        idx = groups[h]
+        act = [i for i in idx if positive[i]]
+        if len(act) > 1:
+            corr = model.matrices[h].submatrix(model._pos[[mem[i] for i in act]])
+        else:
+            corr = _UNIT if act else None
+        total = float(w[idx[0]]) if len(idx) == 1 else float(w[idx].sum())
+        out.append((salt, tuple(mem[i] for i in idx), np.array(act, dtype=int), corr, total))
     return out
 
 

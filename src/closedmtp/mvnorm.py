@@ -362,8 +362,15 @@ def _reordered_cholesky(
     return L, perm
 
 
-def _qmc_means(L: np.ndarray, a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Mean integrand value per randomization; pts has shape (S, n, k-1)."""
+def _qmc_means(
+    L: np.ndarray, a: np.ndarray, b: np.ndarray, pts: np.ndarray, cuts: Sequence[int]
+) -> np.ndarray:
+    """Mean integrand value per point segment and randomization.
+
+    pts has shape (S, n, k-1); row s of the result averages, for every
+    randomization, the points [cuts[s], cuts[s+1]), with cuts running
+    from 0 to n.
+    """
     n_shifts, n, _ = pts.shape
     k = L.shape[0]
     tiny = 1e-15
@@ -385,39 +392,71 @@ def _qmc_means(L: np.ndarray, a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> 
         d = ndtr((a[i] - mu) / L[i, i]) if np.isfinite(a[i]) else 0.0
         e = ndtr((b[i] - mu) / L[i, i]) if np.isfinite(b[i]) else 1.0
         f = f * (e - d)
-    return f.reshape(n_shifts, n).mean(axis=1)
+    f = f.reshape(n_shifts, n)
+    return np.stack([f[:, lo:hi].mean(axis=1) for lo, hi in zip(cuts[:-1], cuts[1:])])
 
 
 class _QmcRule:
     """Randomized QMC rule for one correlation: variable order, points and shifts.
 
     The rule is fitted at one pair of bounds: the variable order is chosen
-    there, and n grows fourfold (with fresh shifts each time) until the
-    error meets the target or n reaches max_points. Later evaluations
-    reuse the same points, so the estimate is a deterministic, continuous
-    function of the bounds. Only the shifts are kept; the points are
-    rebuilt per evaluation, which holds memory to one evaluation's worth.
+    there, and while the error misses the target n grows fourfold, up to
+    max_points, on the same shifts: each refinement integrates only the
+    new Sobol' points [n, 4n) at the fitting bounds and keeps their
+    per-randomization mean beside those of the earlier segments. Every
+    evaluation pools the same segments in the same order, so the estimate
+    at the fitting bounds equals the fit's float for float, and it is a
+    deterministic, continuous function of the bounds. Only the shifts and
+    segment means are kept; the points are rebuilt per evaluation, which
+    holds memory to one evaluation's worth.
     """
 
     def __init__(self, corr, lower, upper, seed, target_error, max_points):
         self._L, self._perm = _reordered_cholesky(corr, lower, upper)
-        self._rng = np.random.default_rng(int(seed) & _U64)
+        self._bounds = lower[self._perm], upper[self._perm]
         self._max_points = max_points
-        self.n = min(_START_POINTS, max_points)
-        self._shifts = self._draw(self._rng)
-        self.estimate = self(lower, upper)
+        self._shifts = self._draw(np.random.default_rng(int(seed) & _U64))
+        # segment ends: the first pass, then one per refinement
+        self._cuts = [0, min(_START_POINTS, max_points)]
+        self._segments = list(self._means(self._shifts, 0, *self._bounds))
+        self.estimate = self._pooled(self._segments)
         while self.estimate.error > target_error and self.refine():
-            self.estimate = self(lower, upper)
+            pass
+
+    @property
+    def n(self) -> int:
+        return self._cuts[-1]
 
     def _draw(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, 1 << 32, size=(_SHIFTS, self._L.shape[0] - 1), dtype=np.uint64)
 
+    def _means(self, shifts: np.ndarray, start: int, lower, upper) -> np.ndarray:
+        """Segment means of the points [start, n) in one kernel pass."""
+        base = _sobol_base(self._L.shape[0] - 1, self.n)[start:]
+        pts = ((base[None, :, :] ^ shifts[:, None, :]).astype(float) + 0.5) / _TWO32
+        cuts = [c - start for c in self._cuts if c >= start]
+        return _qmc_means(self._L, lower, upper, pts, cuts)
+
+    def _pooled(self, segments) -> ProbEstimate:
+        means = 0.0
+        for seg, lo, hi in zip(segments, self._cuts[:-1], self._cuts[1:]):
+            means = means + seg * ((hi - lo) / self.n)
+        value = float(means.mean())
+        # floor acknowledges double-precision rounding even when the
+        # randomizations happen to agree exactly
+        err = max(float(3.0 * means.std(ddof=1) / math.sqrt(_SHIFTS)), 1e-15)
+        return ProbEstimate(min(1.0, max(0.0, value)), err)
+
     def refine(self) -> bool:
-        """Quadruple n with fresh shifts; False, changing nothing, once n is capped."""
+        """Quadruple n on the same shifts, integrating the new points at the
+        fitting bounds and updating ``estimate``; False, changing nothing,
+        once n is capped."""
         if self.n >= self._max_points:
             return False
-        self.n = min(4 * self.n, self._max_points)
-        self._shifts = self._draw(self._rng)
+        start = self.n
+        self._cuts.append(min(4 * start, self._max_points))
+        self._segments.extend(self._means(self._shifts, start, *self._bounds))
+        self.estimate = self._pooled(self._segments)
         return True
 
     def __call__(self, lower, upper, seed: int | None = None) -> ProbEstimate:
@@ -426,14 +465,7 @@ class _QmcRule:
         shifts = self._shifts
         if seed is not None:
             shifts = self._draw(np.random.default_rng(int(seed) & _U64))
-        base = _sobol_base(self._L.shape[0] - 1, self.n)
-        pts = ((base[None, :, :] ^ shifts[:, None, :]).astype(float) + 0.5) / _TWO32
-        means = _qmc_means(self._L, lower[self._perm], upper[self._perm], pts)
-        value = float(means.mean())
-        # floor acknowledges double-precision rounding even when the
-        # randomizations happen to agree exactly
-        err = max(float(3.0 * means.std(ddof=1) / math.sqrt(_SHIFTS)), 1e-15)
-        return ProbEstimate(min(1.0, max(0.0, value)), err)
+        return self._pooled(self._means(shifts, 0, lower[self._perm], upper[self._perm]))
 
 
 def _check_accuracy_args(target_error: float, max_points: int) -> int:
@@ -590,7 +622,6 @@ class UnionRule:
         if not np.all((u > 0.0) & (u < 1.0)):
             raise InputError("rule thresholds must lie strictly in (0, 1)")
         max_points = _check_accuracy_args(target_error, max_points)
-        self._reference = u
         self._qmc: _QmcRule | None = None
         est = _exact_union(u, self._corr, target_error)
         if est is None:
@@ -616,11 +647,12 @@ class UnionRule:
         return _complement(self._qmc(np.full(u.size, -np.inf), -ndtri(u), seed))
 
     def refine(self) -> bool:
-        """Quadruple the QMC point count with fresh shifts and re-estimate at
-        the reference; False, changing nothing, when exact or capped."""
+        """Quadruple the QMC point count on the same shifts, integrating only
+        the new points at the reference; False, changing nothing, when
+        exact or capped."""
         if self._qmc is None or not self._qmc.refine():
             return False
-        self.estimate = self(self._reference)
+        self.estimate = _complement(self._qmc.estimate)
         return True
 
 

@@ -18,7 +18,6 @@ from .closure import _check_procedure, decision_thresholds
 from .exceptions import InputError
 from .intersection import CorrelationModel
 from .mvnorm import DEFAULT_ROOT_TOL, DEFAULT_TARGET_ERROR, CorrelationMatrix, as_correlation
-from .subsets import iter_masks, members
 from .weighting import WeightingScheme
 
 
@@ -71,8 +70,8 @@ class SimScenario:
         if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
             raise InputError("replications must be a positive integer")
         object.__setattr__(self, "replications", int(self.replications))
-        if not isinstance(self.master_seed, (int, np.integer)):
-            raise InputError("master_seed must be an integer")
+        if not isinstance(self.master_seed, (int, np.integer)) or self.master_seed < 0:
+            raise InputError("master_seed must be a nonnegative integer")
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
     @property
@@ -104,7 +103,13 @@ def simulate(
 
     One-sided p-values p = 1 - Phi(z) are formed from z drawn with the
     generator correlation around the mean shifts; the closed procedure
-    is applied through precomputed thresholds.
+    is applied through precomputed thresholds. Per chunk of replications
+    that is one vector comparison per hypothesis against its cutoffs in
+    all 2^m - 1 intersections, OR-ed into one boolean buffer; the
+    surviving intersections are then packed into bits and H_i is
+    rejected when none of them contains it. The buffers are allocated
+    once per call, so memory stays at a few bytes per replication and
+    intersection of one chunk.
     """
     m = scenario.m
     n_total = scenario.replications
@@ -118,17 +123,23 @@ def simulate(
         root_tol,
     )
     # a zero local level (zero weight) can never be crossed; give it the
-    # same sentinel as non-membership so p = 0.0 does not sneak through
-    t = np.where(thresholds > 0.0, thresholds, -1.0)
-    member_lists = [list(members(mask)) for mask in iter_masks(m)]
-    # containing[mask-1, i] = 1 when i is a member of mask
-    containing = np.zeros((len(member_lists), m), dtype=np.float32)
-    for row, mem in enumerate(member_lists):
-        containing[row, mem] = 1.0
+    # same sentinel as non-membership so p = 0.0 does not sneak through.
+    # levels[j, r] is hypothesis j's cutoff in intersection r (mask r + 1)
+    levels = np.ascontiguousarray(np.where(thresholds > 0.0, thresholds, -1.0).T)
+    n_rows = levels.shape[1]
+    masks = np.arange(1, n_rows + 1)
+    # containing[i]: bit r set when hypothesis i is a member of intersection
+    # r, packed along the intersection axis as np.packbits lays it out
+    containing = np.packbits(((masks >> np.arange(m)[:, None]) & 1).astype(bool), axis=1)
     lower = scenario.generator.cholesky_lower()
     shifts = scenario.mean_shifts
     nulls = scenario.true_nulls
     chunk = _chunk_size(m)
+    # one set of buffers for the whole run; a short last chunk uses a prefix
+    fired = np.empty((chunk, n_rows), dtype=bool)
+    hit = np.empty((chunk, n_rows), dtype=bool)
+    kept = np.empty((chunk, containing.shape[1]), dtype=np.uint8)
+    rejected = np.empty((chunk, m), dtype=bool)
     reject_counts = np.zeros(m, dtype=np.int64)
     fwer_count = 0
     done = 0
@@ -142,16 +153,21 @@ def simulate(
         )
         z = rng.standard_normal((n_c, m)) @ lower.T + shifts
         p = ndtr(-z)
-        not_rejected = np.empty((n_c, len(member_lists)), dtype=np.float32)
-        for row, mem in enumerate(member_lists):
-            fired = p[:, mem] <= t[row, mem]
-            not_rejected[:, row] = ~fired.any(axis=1)
-        # H_i is rejected when no containing intersection survives
-        missing = not_rejected @ containing
-        elem_rejected = missing == 0.0
-        reject_counts += elem_rejected.sum(axis=0)
+        # fired[n, r]: some member of intersection r crossed its cutoff
+        f, h = fired[:n_c], hit[:n_c]
+        np.less_equal(p[:, 0, None], levels[0], out=f)
+        for j in range(1, m):
+            np.less_equal(p[:, j, None], levels[j], out=h)
+            f |= h
+        # H_i is rejected when no intersection containing it survives
+        survived = np.packbits(np.logical_not(f, out=f), axis=1)
+        k, rej = kept[:n_c], rejected[:n_c]
+        for i in range(m):
+            np.bitwise_and(survived, containing[i], out=k)
+            np.logical_not(k.any(axis=1), out=rej[:, i])
+        reject_counts += rej.sum(axis=0)
         if nulls.any():
-            fwer_count += int(elem_rejected[:, nulls].any(axis=1).sum())
+            fwer_count += int(rej[:, nulls].any(axis=1).sum())
         done += n_c
         chunk_index += 1
     fwer = fwer_count / n_total

@@ -138,6 +138,29 @@ class TestSeedPrecedence:
         assert result.exit_code == 2
         assert "CLOSEDMTP_SEED" in result.stderr
 
+    @pytest.mark.parametrize(
+        "args, env, source",
+        [
+            (["--seed", "-3"], None, "--seed"),
+            ([], {"CLOSEDMTP_SEED": "-3"}, "CLOSEDMTP_SEED"),
+        ],
+    )
+    def test_negative_seed_is_invalid_input(self, runner, args, env, source):
+        # the report schemas take seeds from 0 up
+        result = runner.invoke(
+            main, ["analyze", "-", *args], input=json.dumps(HOLM_PROBLEM), env=env
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert source in result.stderr
+
+    def test_negative_simulate_seed_fails_before_solving(self, runner):
+        path = str(TUTORIAL / "trial_scenario.json")
+        result = runner.invoke(main, ["simulate", path, "--seed", "-3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "--seed must be a nonnegative integer" in result.stderr
+
 
 class TestWeights:
     def test_tutorial_graph(self, runner):

@@ -437,6 +437,31 @@ class TestUnionRule:
         assert union_exceedance(u0, cm, seed=1, target_error=1e-3) == rule.estimate
         assert len(calls) == 3
 
+    def test_refinement_integrates_each_point_once(self, monkeypatch):
+        # a fit refined from 2^11 to n integrates n points per shift in all:
+        # each refinement adds only the points [n, 4n) on the same shifts,
+        # one kernel pass each, and a call at the reference pools the same
+        # segments into the same estimate
+        import closedmtp.mvnorm as mvnorm
+
+        points = []
+        kernel = mvnorm._qmc_means
+
+        def counted(L, a, b, pts, *rest):
+            points.append(pts.shape[1])
+            return kernel(L, a, b, pts, *rest)
+
+        monkeypatch.setattr(mvnorm, "_qmc_means", counted)
+        cm = random_correlation(np.random.default_rng(3), 5)
+        u0 = np.array([0.01, 0.02, 0.005, 0.01, 0.015])
+        rule = UnionRule(u0, cm, seed=4, target_error=1e-6)
+        n = rule._qmc.n
+        assert n > 1 << 11
+        assert len(points) == 1 + (n // (1 << 11)).bit_length() // 2
+        assert sum(points) == n
+        assert rule(u0) == rule.estimate
+        assert points[-1] == n
+
     def test_continuous_in_the_thresholds(self):
         cm = random_correlation(np.random.default_rng(6), 4)
         u0 = np.array([0.01, 0.02, 0.01, 0.005])

@@ -1,15 +1,18 @@
 """Tests for the Monte Carlo error-rate harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from closedmtp.closure import TestProblem, run_closure
+from closedmtp.closure import TestProblem, decision_thresholds, run_closure
 from closedmtp.exceptions import InputError
 from closedmtp.intersection import CorrelationModel
 from closedmtp.mvnorm import CorrelationMatrix
-from closedmtp.simulation import SimReport, SimScenario, simulate
-from closedmtp.weighting import xie_scheme
+from closedmtp.simulation import SimReport, SimScenario, _chunk_size, simulate
+from closedmtp.subsets import iter_masks, members
+from closedmtp.weighting import GraphSpec, scheme_from_graph, xie_scheme
 
 
 def equicorr(dim, rho):
@@ -27,6 +30,78 @@ def all_null_scenario(m, rho, method, n, seed=0, alpha=0.05):
         mean_shifts=[0.0] * m,
         replications=n,
         master_seed=seed,
+    )
+
+
+def intersection_loop(scen):
+    """simulate's report computed intersection by intersection: per chunk,
+    one gather and comparison per intersection row, the survivors in a
+    float32 matrix and the rejections from its product with the
+    containment matrix."""
+    m, n_total = scen.m, scen.replications
+    thresholds = decision_thresholds(
+        scen.scheme, scen.model, scen.alpha, scen.method, scen.master_seed
+    )
+    t = np.where(thresholds > 0.0, thresholds, -1.0)
+    member_lists = [list(members(mask)) for mask in iter_masks(m)]
+    containing = np.zeros((len(member_lists), m), dtype=np.float32)
+    for row, mem in enumerate(member_lists):
+        containing[row, mem] = 1.0
+    lower = scen.generator.cholesky_lower()
+    reject_counts = np.zeros(m, dtype=np.int64)
+    fwer_count = done = chunk_index = 0
+    while done < n_total:
+        n_c = min(_chunk_size(m), n_total - done)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=scen.master_seed, spawn_key=(chunk_index,))
+        )
+        p = ndtr(-(rng.standard_normal((n_c, m)) @ lower.T + scen.mean_shifts))
+        not_rejected = np.empty((n_c, len(member_lists)), dtype=np.float32)
+        for row, mem in enumerate(member_lists):
+            not_rejected[:, row] = ~(p[:, mem] <= t[row, mem]).any(axis=1)
+        elem_rejected = (not_rejected @ containing) == 0.0
+        reject_counts += elem_rejected.sum(axis=0)
+        fwer_count += int(elem_rejected[:, scen.true_nulls].any(axis=1).sum())
+        done += n_c
+        chunk_index += 1
+    fwer = fwer_count / n_total
+    return SimReport(
+        fwer_estimate=float(fwer),
+        fwer_stderr=float(np.sqrt(fwer * (1.0 - fwer) / n_total)),
+        rejection_rates=reject_counts / n_total,
+        replications=n_total,
+    )
+
+
+def graph_scenario_m10(method, replications):
+    """Random m=10 graph in which H_4 starts at weight zero, so it is a
+    zero-weight member of the intersections whose removed hypotheses
+    pass it nothing; two known correlated pairs and five true nulls."""
+    rng = np.random.default_rng(2024)
+    m = 10
+    w = rng.dirichlet(np.ones(m))
+    w[3] = 0.0
+    g = rng.uniform(0.1, 1.0, size=(m, m))
+    g[:, 3] *= rng.random(m) < 0.5
+    np.fill_diagonal(g, 0.0)
+    g /= g.sum(axis=1, keepdims=True)
+    pairs = ((0, 1), (2, 3))
+    rhos = (0.6, -0.3)
+    corr = np.eye(m)
+    for (a, b), rho in zip(pairs, rhos):
+        corr[a, b] = corr[b, a] = rho
+    mats = tuple(CorrelationMatrix([[1.0, r], [r, 1.0]]) for r in rhos)
+    singles = tuple((j,) for j in range(4, m))
+    return SimScenario(
+        scheme=scheme_from_graph(GraphSpec(m, w / w.sum(), g)),
+        model=CorrelationModel(m, pairs + singles, mats + (None,) * len(singles)),
+        generator=CorrelationMatrix(corr),
+        alpha=0.05,
+        method=method,
+        true_nulls=[True, False, True, False, True, False, True, False, True, False],
+        mean_shifts=[0.0, 2.0, 0.0, 1.5, 0.0, 2.5, 0.0, 1.0, 0.0, 3.0],
+        replications=replications,
+        master_seed=31,
     )
 
 
@@ -73,6 +148,12 @@ class TestScenarioValidation:
                 mean_shifts=[0.0, 0.0],
                 replications=100,
             )
+
+    def test_negative_master_seed_rejected(self):
+        # the scenario schema's minimum; SeedSequence would reject it only
+        # after every threshold was solved
+        with pytest.raises(InputError, match="master_seed"):
+            all_null_scenario(2, 0.0, "bonferroni", 100, seed=-3)
 
     def test_flag_length_must_match(self):
         with pytest.raises(InputError):
@@ -221,3 +302,45 @@ class TestSimulate:
         )
         margin = 3.0 * np.sqrt(0.25 / common["replications"])
         assert np.all(para.rejection_rates >= bonf.rejection_rates - margin)
+
+
+class TestReplicationLoop:
+    @pytest.mark.parametrize("method", ["bonferroni", "parametric-common"])
+    def test_equals_intersection_loop_bit_for_bit(self, method):
+        # two chunks, the second one short
+        n = _chunk_size(10) + 3001
+        scen = graph_scenario_m10(method, n)
+        assert any(
+            scen.scheme.weights_for(mask)[members(mask).index(3)] == 0.0
+            for mask in iter_masks(10)
+            if (mask >> 3) & 1
+        )
+        got, want = simulate(scen), intersection_loop(scen)
+        assert got.fwer_estimate == want.fwer_estimate
+        assert got.fwer_stderr == want.fwer_stderr
+        assert got.rejection_rates.tobytes() == want.rejection_rates.tobytes()
+        assert got.replications == want.replications == n
+        assert 0.0 < got.fwer_estimate and np.all(got.rejection_rates[1::2] > 0.0)
+
+    def test_memory_below_float32_survival_matrix(self):
+        m = 12
+        chunk = _chunk_size(m)
+        scen = SimScenario(
+            scheme=xie_scheme((1.0 / m,) * m),
+            model=CorrelationModel.independent_blocks(m),
+            generator=equicorr(m, 0.2),
+            alpha=0.05,
+            method="bonferroni",
+            true_nulls=[True] * m,
+            mean_shifts=[0.0] * m,
+            replications=chunk + 100,
+            master_seed=5,
+        )
+        tracemalloc.start()
+        try:
+            simulate(scen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk's survivals as float32, which the loop no longer builds
+        assert peak < chunk * ((1 << m) - 1) * 4, peak
