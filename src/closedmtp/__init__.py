@@ -25,7 +25,6 @@ from .closure import (
 from .exceptions import BracketError, InputError, NumericError
 from .intersection import (
     METHODS,
-    CommonScaleResult,
     CorrelationModel,
     IntersectionResult,
     bonferroni_pvalue,
@@ -33,7 +32,6 @@ from .intersection import (
     parametric_c,
     parametric_pvalue,
     partitioned_common_scale,
-    partitioned_pvalue_common,
     partitioned_pvalue_subsets,
     partitioned_subset_scales,
     xie_pvalue,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketError",
     "ClosureReport",
-    "CommonScaleResult",
     "ConsonanceReport",
     "ConsonanceViolation",
     "CorrelationMatrix",
@@ -85,7 +82,6 @@ __all__ = [
     "parametric_c",
     "parametric_pvalue",
     "partitioned_common_scale",
-    "partitioned_pvalue_common",
     "partitioned_pvalue_subsets",
     "partitioned_subset_scales",
     "rescale_proportional",

@@ -3,10 +3,13 @@ elementary hypothesis is rejected only when all intersections containing
 it are.
 
 Every method tests J at local levels c * w_j(J) * alpha, with c = 1
-(Bonferroni), one common c, one c per correlation block, or c under
-proportional weights (xie). One record per method (``_METHODS``) holds
+(Bonferroni), one common c (also for xie, on its one block), or one c
+per correlation block. One record per method (``_METHODS``) holds
 its level and p-value functions and what it needs of its inputs;
-run_closure and decision_thresholds both test through it.
+run_closure and decision_thresholds both test through it. Every
+intersection test, the shortcuts' included, goes through
+``intersection``, the only module outside ``mvnorm`` that calls the
+kernel.
 
 The exposed pieces:
 
@@ -38,8 +41,8 @@ from .intersection import (
     _check_alpha,
     as_model,
     bonferroni_pvalue,
-    derived_seed,
     parametric_c,
+    parametric_pvalue,
     partitioned_common_scale,
     partitioned_pvalue_subsets,
     partitioned_subset_scales,
@@ -49,7 +52,8 @@ from .mvnorm import (
     DEFAULT_MAX_POINTS,
     DEFAULT_ROOT_TOL,
     DEFAULT_TARGET_ERROR,
-    union_exceedance,
+    _check_accuracy_args,
+    union_exceedance,  # not called here; perfbench/smoke.py checks that tracing wraps it
 )
 from .subsets import iter_masks, mask_of, members
 from .weighting import WeightingScheme, validate
@@ -61,12 +65,11 @@ _PROPORTIONAL_TOL = 1e-9
 
 
 def _check_pvalues(pvalues, m: int) -> np.ndarray:
-    p = np.asarray(pvalues, dtype=float)
+    p = np.array(pvalues, dtype=float)
     if p.shape != (m,):
         raise InputError(f"need {m} p-values, got shape {p.shape}")
     if np.any(np.isnan(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise InputError("p-values must lie in [0, 1]")
-    p = p.copy()
     p.setflags(write=False)
     return p
 
@@ -92,11 +95,6 @@ def _block_levels(mem, w, alpha, model, *solve):
     scales = partitioned_subset_scales(mem, w, alpha, model, *solve)
     scale_of = {j: c for block_mem, c in scales for j in block_mem}
     return None, scales, np.array([scale_of[j] * alpha * wj for j, wj in zip(mem, w)])
-
-
-def _xie_levels(mem, w, alpha, model, *solve):
-    c = parametric_c(mem, w, alpha, model, *solve)
-    return c, None, c * alpha * w
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ _METHODS = {
         _block_levels, lambda *args: partitioned_pvalue_subsets(*args), optional_levels=True
     ),
     "xie": _Method(
-        _xie_levels, lambda *args: xie_pvalue(*args), optional_levels=True, proportional=True
+        _common_levels, lambda *args: xie_pvalue(*args), optional_levels=True, proportional=True
     ),
 }
 
@@ -219,6 +217,8 @@ class ClosureReport:
 
     def intersection(self, subset) -> IntersectionResult:
         mask = mask_of(subset, self.m)
+        if mask == 0:
+            raise InputError("subset must be nonempty")
         return self.intersections[mask - 1]
 
 
@@ -235,6 +235,7 @@ def run_closure(
     critical scaling (everything except the common-scale method) skip
     the root-finds and leave scale/levels unset on their intersections.
     """
+    _check_accuracy_args(target_error, max_points)
     m, p, alpha, model = problem.m, problem.pvalues, problem.alpha, problem.model
     method = _METHODS[problem.method]
     solve = (problem.seed, target_error, root_tol, max_points)
@@ -292,6 +293,7 @@ def decision_thresholds(
     any number of simulated replications. They are the local levels
     ``run_closure`` reports, float for float.
     """
+    _check_accuracy_args(target_error, max_points)
     # the scheme's full (costly) validation is left to TestProblem and SimScenario
     model, alpha = _check_procedure(scheme, corr, alpha, method, validate_scheme=False)
     levels = _METHODS[method].levels
@@ -452,13 +454,12 @@ def weighted_dunnett_single_step(
     if not model.covers(full):
         raise InputError("single-step test needs the correlation fully known")
     c = parametric_c(full, w, alpha, model, seed, target_error, root_tol, max_points)
-    corr_full = model.corr_for(full)
-    s = derived_seed(seed, (1 << m) - 1)
-    adjusted = np.empty(m)
-    for i in range(m):
-        u = np.minimum(1.0, w * (p[i] / w[i]))
-        est = union_exceedance(u, corr_full, s, target_error, max_points)
-        adjusted[i] = min(1.0, est.value)
+    # adjusted p_i: the full set's p-value with the other p-values at 1, i.e. the
+    # union at thresholds w * min(p_i / w_i, 1 / w_j for j != i)
+    adjusted = np.array([
+        parametric_pvalue(full, w, p_i, model, seed, target_error, max_points)
+        for p_i in np.where(np.eye(m, dtype=bool), p, 1.0)
+    ])
     adjusted.setflags(write=False)
     return {
         "adjusted": adjusted,

@@ -23,7 +23,9 @@ its active members and the salt of its random stream, its place in the
 split: a subset inside one block gets salt 0, the whole subset's. Every
 parametric p-value is a union at thresholds w_j * min(p/w) over the block's
 weight total; every critical scaling is one root solve over per-block
-unions (``_solve_scale``).
+unions (``_solve_scale``). This module is the only one outside ``mvnorm``
+that calls the kernel: the closure, its shortcuts and the simulation test
+intersections through the functions here.
 """
 
 from __future__ import annotations
@@ -137,13 +139,6 @@ class CorrelationModel:
             raise InputError(f"hypothesis index {j + 1} outside 1..{self.m}")
         return int(self._block_of[j])
 
-    def split_by_block(self, subset: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-        """(block index, members of the subset in that block), ascending."""
-        groups: dict[int, list[int]] = {}
-        for j in subset:
-            groups.setdefault(self.block_of(j), []).append(j)
-        return [(h, tuple(sorted(mem))) for h, mem in sorted(groups.items())]
-
     def corr_for(self, subset: Sequence[int]) -> CorrelationMatrix:
         """Correlation restricted to a subset that lies inside one block: a
         slice of the block's matrix, validated when the model was built and
@@ -158,10 +153,11 @@ class CorrelationModel:
         return self.matrices[self._block_of[mem[0]]].submatrix(self._pos[list(mem)])
 
     def covers(self, subset: Sequence[int]) -> bool:
-        """True when one block contains the whole subset."""
-        mem = tuple(subset)
-        h = self.block_of(mem[0])
-        return all(self.block_of(j) == h for j in mem)
+        """True when one block contains the whole (nonempty) subset."""
+        blocks = {self.block_of(j) for j in subset}
+        if not blocks:
+            raise InputError("subset must be nonempty")
+        return len(blocks) == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,13 +181,9 @@ class IntersectionResult:
     reject: bool | None
 
 
-def as_model(corr, m: int | None = None) -> CorrelationModel:
-    if isinstance(corr, CorrelationModel):
-        return corr
-    model = CorrelationModel.full(corr)
-    if m is not None and model.m != m:
-        raise InputError("correlation dimension does not match the hypothesis count")
-    return model
+def as_model(corr) -> CorrelationModel:
+    """The model itself, or one fully known block for a plain correlation."""
+    return corr if isinstance(corr, CorrelationModel) else CorrelationModel.full(corr)
 
 
 def _check_subset_args(subset, weights, pvalues=None):
@@ -410,15 +402,6 @@ def xie_pvalue(
     return parametric_pvalue(mem, w / w.sum(), p, corr, seed, target_error, max_points)
 
 
-@dataclass(frozen=True)
-class CommonScaleResult:
-    """Common-scale test outcome: the scaling, the decision, and the levels."""
-
-    scale: float
-    reject: bool
-    local_levels: np.ndarray
-
-
 def partitioned_common_scale(
     subset,
     weights,
@@ -445,31 +428,6 @@ def partitioned_common_scale(
     return _solve_scale(
         groups, alpha * total, alpha, seed, mask, target_error, root_tol, max_points
     )
-
-
-def partitioned_pvalue_common(
-    subset,
-    weights,
-    pvalues,
-    corr,
-    alpha: float,
-    seed: int = 0,
-    target_error: float = DEFAULT_TARGET_ERROR,
-    root_tol: float = DEFAULT_ROOT_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> CommonScaleResult:
-    """Common-scale test: solve for the scaling, then compare each p_j
-    against its local level c*w_j*alpha.
-
-    Yields a scaling and a rejection decision, not a p-value.
-    """
-    mem, w, p = _check_subset_args(subset, weights, pvalues)
-    c = partitioned_common_scale(
-        mem, w, alpha, corr, seed, target_error, root_tol, max_points
-    )
-    levels = c * alpha * w
-    reject = bool(np.any((w > 0.0) & (p <= levels)))
-    return CommonScaleResult(scale=c, reject=reject, local_levels=levels)
 
 
 def partitioned_pvalue_subsets(

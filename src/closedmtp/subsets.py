@@ -48,22 +48,7 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def size(mask: int) -> int:
-    return int(mask).bit_count()
-
-
-def contains(mask: int, j: int) -> bool:
-    return bool((mask >> j) & 1)
-
-
 def iter_masks(m: int) -> Iterator[int]:
     """All nonempty subsets of {0..m-1} in canonical order."""
     return iter(range(1, 1 << m))
 
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """Nonempty subsets of ``mask``, including ``mask`` itself (descending)."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask

@@ -327,6 +327,20 @@ class TestErrors:
         assert result.exit_code == 2
         assert "rescale_proportional" in result.stderr
 
+    @pytest.mark.parametrize(
+        "command, path",
+        [("analyze", "trial_problem.json"), ("simulate", "trial_scenario.json")],
+    )
+    def test_target_error_checked_without_kernel_calls(self, runner, command, path):
+        # bonferroni runs no kernel call, which used to let -1 through
+        result = runner.invoke(
+            main,
+            [command, str(TUTORIAL / path), "--method", "bonferroni", "--target-error", "-1"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "target_error must be positive" in result.stderr
+
     def test_semantic_weight_error(self, runner, tmp_path):
         doc = json.loads(json.dumps(HOLM_PROBLEM))
         doc["weights"]["scheme"][2]["weights"] = [0.8, 0.8]

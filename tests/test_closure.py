@@ -13,8 +13,14 @@ from closedmtp.closure import (
     xie_shortcut,
 )
 from closedmtp.exceptions import InputError
-from closedmtp.intersection import METHODS, CorrelationModel
-from closedmtp.mvnorm import CorrelationMatrix
+from closedmtp.intersection import (
+    METHODS,
+    CorrelationModel,
+    derived_seed,
+    parametric_c,
+    parametric_pvalue,
+)
+from closedmtp.mvnorm import CorrelationMatrix, union_exceedance
 from closedmtp.subsets import iter_masks, members
 from closedmtp.weighting import WeightingScheme, xie_scheme
 
@@ -159,6 +165,18 @@ class TestRunClosureBonferroni:
         assert rep.rejected.tolist() == [True, True]
         assert rep.intersection((0, 1)).p_value == pytest.approx(0.02)
 
+    def test_intersection_needs_a_nonempty_subset(self):
+        # mask 0 would otherwise index the last, full-set, result
+        prob = TestProblem(
+            scheme=xie_scheme((0.5, 0.5)),
+            model=CorrelationModel.independent_blocks(2),
+            pvalues=(0.01, 0.03),
+            alpha=0.05,
+            method="bonferroni",
+        )
+        with pytest.raises(InputError):
+            run_closure(prob).intersection(())
+
     def test_single_hypothesis_all_methods(self):
         for method in ("bonferroni", "parametric-subsets", "xie", "parametric-common"):
             prob = TestProblem(
@@ -295,6 +313,25 @@ class TestRunClosureParametric:
         rep = run_closure(prob, compute_scales=False)
         assert rep.intersection((0, 1)).local_levels is None
         assert rep.rejected.tolist() == run_closure(prob).rejected.tolist()
+
+
+class TestAccuracyArgs:
+    """target_error and max_points are checked even when no kernel call runs."""
+
+    @pytest.mark.parametrize("target_error, max_points", [(0.0, 2**16), (-1.0, 2**16), (1e-6, 1)])
+    def test_rejected_without_kernel_work(self, target_error, max_points):
+        scheme = xie_scheme((0.5, 0.5))
+        model = CorrelationModel.independent_blocks(2)
+        for method in ("bonferroni", "parametric-common", "parametric-subsets"):
+            prob = TestProblem(
+                scheme=scheme, model=model, pvalues=(0.01, 0.03), alpha=0.05, method=method
+            )
+            with pytest.raises(InputError):
+                run_closure(prob, target_error=target_error, max_points=max_points)
+            with pytest.raises(InputError):
+                decision_thresholds(
+                    scheme, model, 0.05, method, target_error=target_error, max_points=max_points
+                )
 
 
 class TestDecisionThresholds:
@@ -573,6 +610,40 @@ class TestWeightedDunnett:
         p = rng.uniform(0.0, 0.5, size=3)
         out = weighted_dunnett_single_step(w, p, random_correlation(rng, 3), 0.05)
         assert np.all(out["adjusted"] >= p - 1e-9)
+
+    @pytest.mark.parametrize("instance, saturated", [(119, False), (290, True)])
+    def test_same_route_as_the_closure(self, instance, saturated):
+        # the renormalised weights sum to one ulp below 1, so the division
+        # by their total shows: float for float, the single step is the
+        # full set's parametric p-value with only p_i observed. Saturated:
+        # p_k / w_k > 1 / w_j for the lightest k, so min(p / w) is 1 / w_j,
+        # and w_j * (1 / w_j) rounds to one ulp below 1 for the heaviest j.
+        rng = np.random.default_rng(instance)
+        m = int(rng.integers(2, 6))
+        w = rng.dirichlet(np.ones(m) * 3.0)
+        corr = random_correlation(rng, m)
+        p = rng.uniform(0.0, 0.1, size=m)
+        k = int(np.argmin(w))
+        if saturated:
+            p[k] = 1.5 * w[k] / w.max()
+        assert (w / w.sum()).sum() != 1.0
+        out = weighted_dunnett_single_step(w, p, corr, 0.05, seed=19, target_error=1e-5)
+        full = tuple(range(m))
+        w = w / w.sum()
+        assert (p[k] / w[k] > 1.0 / w.max()) == saturated
+        assert w.max() * (1.0 / w.max()) < 1.0 or not saturated
+        for i in range(m):
+            p_i = np.ones(m)
+            p_i[i] = p[i]
+            want = parametric_pvalue(full, w, p_i, corr, 19, 1e-5)
+            assert out["adjusted"][i] == want
+            # the union at thresholds w * p_i / w_i, capped at 1, on the full set's stream
+            u = np.minimum(1.0, w * (p[i] / w[i]))
+            direct = union_exceedance(u, corr, derived_seed(19, (1 << m) - 1), 1e-5).value
+            assert out["adjusted"][i] == pytest.approx(min(1.0, direct), rel=0.0, abs=1e-15)
+        c = parametric_c(full, w, 0.05, corr, 19, 1e-5)
+        assert out["c_I"] == c
+        np.testing.assert_array_equal(out["rejected"], p <= c * 0.05 * w)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InputError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from closedmtp.closure import TestProblem, run_closure
 from closedmtp.exceptions import InputError
 from closedmtp.intersection import (
     CorrelationModel,
@@ -11,12 +12,12 @@ from closedmtp.intersection import (
     parametric_c,
     parametric_pvalue,
     partitioned_common_scale,
-    partitioned_pvalue_common,
     partitioned_pvalue_subsets,
     partitioned_subset_scales,
     xie_pvalue,
 )
 from closedmtp.mvnorm import CorrelationMatrix
+from closedmtp.weighting import WeightingScheme, constant_scheme
 
 
 def equicorr(dim, rho):
@@ -62,13 +63,19 @@ class TestCorrelationModel:
         assert model.blocks == ((0,), (1, 2), (3,))
         assert model.block_of(0) == 0
         assert model.block_of(2) == 1
-        assert model.split_by_block((0, 1, 2)) == [(0, (0,)), (1, (1, 2))]
 
     def test_corr_for_submatrix(self):
         mat = np.array([[1.0, 0.3, 0.6], [0.3, 1.0, 0.1], [0.6, 0.1, 1.0]])
         model = CorrelationModel(3, ((0, 1, 2),), (CorrelationMatrix(mat),))
         sub = model.corr_for((0, 2))
         assert sub.values[0, 1] == pytest.approx(0.6, abs=1e-15)
+
+    def test_empty_subset_rejected(self):
+        model = CorrelationModel.full(equicorr(3, 0.4))
+        with pytest.raises(InputError):
+            model.covers(())
+        with pytest.raises(InputError):
+            model.corr_for(())
 
     def test_corr_for_rejects_spanning_subset(self):
         model = CorrelationModel.independent_blocks(3)
@@ -305,6 +312,10 @@ class TestXie:
 
 
 class TestPartitionedCommon:
+    """The common-scale test: scales from partitioned_common_scale, levels
+    and decisions from the full-set intersection of a closure whose
+    full-set weights are the test's weights."""
+
     def setup_method(self):
         # three members, first two share a known 0.5 correlation, the
         # third sits in its own block
@@ -314,55 +325,56 @@ class TestPartitionedCommon:
         self.w = (0.4, 0.2, 0.4)
         self.alpha = 0.025
 
-    def test_frozen_scale(self):
-        res = partitioned_pvalue_common(
-            (0, 1, 2), self.w, (0.5, 0.5, 0.5), self.model, self.alpha
+    def full_set(self, pvalues, model=None, scheme=None):
+        prob = TestProblem(
+            scheme=scheme or constant_scheme(self.w),
+            model=model or self.model,
+            pvalues=pvalues,
+            alpha=self.alpha,
+            method="parametric-common",
         )
-        assert res.scale == pytest.approx(C_COMMON_234, abs=2e-6)
+        return run_closure(prob).intersection((0, 1, 2))
+
+    def test_frozen_scale(self):
+        c = partitioned_common_scale((0, 1, 2), self.w, self.alpha, self.model)
+        assert c == pytest.approx(C_COMMON_234, abs=2e-6)
+        assert self.full_set((0.5, 0.5, 0.5)).scale == c
 
     def test_local_levels_scale_weights(self):
-        res = partitioned_pvalue_common(
-            (0, 1, 2), self.w, (0.5, 0.5, 0.5), self.model, self.alpha
-        )
+        res = self.full_set((0.5, 0.5, 0.5))
         expect = res.scale * self.alpha * np.asarray(self.w)
         assert np.allclose(res.local_levels, expect, atol=1e-15)
 
     def test_reject_inside_boosted_level(self):
         # 0.0103 clears the scaled level 0.01033 but not plain 0.01
-        res = partitioned_pvalue_common(
-            (0, 1, 2), self.w, (0.0103, 0.5, 0.5), self.model, self.alpha
-        )
+        res = self.full_set((0.0103, 0.5, 0.5))
         assert res.reject is True
 
     def test_accept_outside_levels(self):
-        res = partitioned_pvalue_common(
-            (0, 1, 2), self.w, (0.0104, 0.0053, 0.0104), self.model, self.alpha
-        )
+        res = self.full_set((0.0104, 0.0053, 0.0104))
         assert res.reject is False
 
     def test_all_singleton_blocks_scale_one(self):
         model = CorrelationModel.independent_blocks(3)
-        res = partitioned_pvalue_common(
-            (0, 1, 2), self.w, (0.009, 0.5, 0.5), model, self.alpha
-        )
+        assert partitioned_common_scale((0, 1, 2), self.w, self.alpha, model) == 1.0
+        res = self.full_set((0.009, 0.5, 0.5), model=model)
         assert res.scale == 1.0
         assert res.reject is True  # 0.009 <= 0.4 * 0.025
 
     def test_zero_weight_member_cannot_reject(self):
         model = CorrelationModel.independent_blocks(3)
-        res = partitioned_pvalue_common(
-            (0, 1, 2), (0.5, 0.0, 0.5), (0.9, 0.0, 0.9), model, self.alpha
-        )
+        table = dict(constant_scheme((0.5, 0.0, 0.5)).table)
+        # the zero-weight member alone needs a positive weight for the scheme to validate
+        table[0b010] = (0.5,)
+        res = self.full_set((0.9, 0.0, 0.9), model=model, scheme=WeightingScheme(3, table))
         assert res.reject is False
         assert res.local_levels[1] == 0.0
 
     def test_full_knowledge_matches_parametric_c(self):
         corr = equicorr(3, 0.3)
-        res = partitioned_pvalue_common(
-            (0, 1, 2), self.w, (0.5, 0.5, 0.5), corr, self.alpha, seed=4
-        )
+        scale = partitioned_common_scale((0, 1, 2), self.w, self.alpha, corr, seed=4)
         c = parametric_c((0, 1, 2), self.w, self.alpha, corr, seed=4)
-        assert res.scale == pytest.approx(c, abs=3e-5)
+        assert scale == c
 
 
 class TestPartitionedSubsets:
