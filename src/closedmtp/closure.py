@@ -64,6 +64,13 @@ MAX_CONSONANCE_M = 12
 _PROPORTIONAL_TOL = 1e-9
 
 
+def _check_solve_args(target_error: float, root_tol: float, max_points: int) -> None:
+    # checked up front, since bonferroni and singleton blocks never reach a solve
+    _check_accuracy_args(target_error, max_points)
+    if not root_tol > 0.0:
+        raise InputError(f"root_tol must be positive, got {root_tol}")
+
+
 def _check_pvalues(pvalues, m: int) -> np.ndarray:
     p = np.array(pvalues, dtype=float)
     if p.shape != (m,):
@@ -235,7 +242,7 @@ def run_closure(
     critical scaling (everything except the common-scale method) skip
     the root-finds and leave scale/levels unset on their intersections.
     """
-    _check_accuracy_args(target_error, max_points)
+    _check_solve_args(target_error, root_tol, max_points)
     m, p, alpha, model = problem.m, problem.pvalues, problem.alpha, problem.model
     method = _METHODS[problem.method]
     solve = (problem.seed, target_error, root_tol, max_points)
@@ -293,7 +300,7 @@ def decision_thresholds(
     any number of simulated replications. They are the local levels
     ``run_closure`` reports, float for float.
     """
-    _check_accuracy_args(target_error, max_points)
+    _check_solve_args(target_error, root_tol, max_points)
     # the scheme's full (costly) validation is left to TestProblem and SimScenario
     model, alpha = _check_procedure(scheme, corr, alpha, method, validate_scheme=False)
     levels = _METHODS[method].levels

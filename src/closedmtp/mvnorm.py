@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
-from scipy.stats import qmc
 
 from .exceptions import BracketError, InputError, NumericError
 
@@ -299,6 +298,10 @@ def _sobol_base(dim: int, n: int) -> np.ndarray:
 
     The sequence prefix is cached per dimension; n must be a power of two.
     """
+    # scipy.stats takes most of a second to import, and only QMC rules
+    # (dimension 4 and above) get here
+    from scipy.stats import qmc
+
     with _sobol_lock:
         cached = _sobol_ints.get(dim)
         if cached is None or cached.shape[0] < n:

@@ -94,6 +94,37 @@ def _chunk_size(m: int) -> int:
     return max(256, min(1 << 16, (1 << 24) >> m))
 
 
+# masks per tile of lookup tables: a multiple of 64, so a tile starts on a
+# word boundary, and small enough that a table row is at most 512 bytes
+_TILE = 1 << 12
+
+
+def _tile_tables(levels: np.ndarray, start: int, stop: int) -> list[tuple]:
+    """Lookup tables of the masks [start, stop), one per hypothesis with a
+    positive cutoff among them: (j, keys, table).
+
+    ``keys`` are j's negated positive cutoffs in ascending order, so
+    K = searchsorted(keys, -p, "right") counts the cutoffs t with p <= t.
+    Row K of ``table`` holds the bits of the K masks with the largest
+    cutoffs, which are exactly the intersections p fires; mask
+    start + b is bit b % 64 of word b // 64.
+    """
+    n_words = -(-(stop - start) // 64)
+    tables = []
+    for j, cut in enumerate(levels[:, start:stop]):
+        bits = np.flatnonzero(cut > 0.0)
+        if bits.size == 0:
+            continue
+        order = bits[np.argsort(-cut[bits])]
+        table = np.zeros((order.size + 1, n_words), dtype=np.uint64)
+        table[np.arange(1, order.size + 1), order >> 6] = np.left_shift(
+            np.uint64(1), (order & 63).astype(np.uint64)
+        )
+        np.bitwise_or.accumulate(table, axis=0, out=table)
+        tables.append((j, -cut[order], table))
+    return tables
+
+
 def simulate(
     scenario: SimScenario,
     target_error: float = DEFAULT_TARGET_ERROR,
@@ -103,13 +134,25 @@ def simulate(
 
     One-sided p-values p = 1 - Phi(z) are formed from z drawn with the
     generator correlation around the mean shifts; the closed procedure
-    is applied through precomputed thresholds. Per chunk of replications
-    that is one vector comparison per hypothesis against its cutoffs in
-    all 2^m - 1 intersections, OR-ed into one boolean buffer; the
-    surviving intersections are then packed into bits and H_i is
-    rejected when none of them contains it. The buffers are allocated
-    once per call, so memory stays at a few bytes per replication and
-    intersection of one chunk.
+    is applied through precomputed thresholds by table lookup. For each
+    hypothesis j, its positive cutoffs are sorted in descending order,
+    and row K of j's table holds the packed bits of the first K
+    intersections in that order. Per replication, one binary search
+    gives the number K_j of cutoffs at least p_j, and the intersections
+    fired are the OR of the m rows table_j[K_j], held as 64-bit words.
+    H_i is rejected when every intersection containing it fired; as bit
+    b of word w stands for mask 64 w + b, that is read from the OR of the
+    surviving words (i < 6) and from which words hold a survivor (i >= 6).
+
+    The masks are split into tiles of 2^12 with their own tables, and
+    the tiles are the outer loop: each tile's tables are built once per
+    call and held only during that tile's pass over the chunks, which
+    redraws each chunk's p-values from the chunk's own seed. Between
+    tiles, only which hypotheses have a surviving intersection is kept,
+    as packed bits. Beyond the cutoffs themselves, memory is thus one
+    tile's tables, one chunk's buffers of 16 bytes per replication and
+    64 masks of a tile, and ceil(m / 8) bytes per replication, for
+    every m.
     """
     m = scenario.m
     n_total = scenario.replications
@@ -122,54 +165,66 @@ def simulate(
         target_error,
         root_tol,
     )
-    # a zero local level (zero weight) can never be crossed; give it the
-    # same sentinel as non-membership so p = 0.0 does not sneak through.
-    # levels[j, r] is hypothesis j's cutoff in intersection r (mask r + 1)
-    levels = np.ascontiguousarray(np.where(thresholds > 0.0, thresholds, -1.0).T)
-    n_rows = levels.shape[1]
-    masks = np.arange(1, n_rows + 1)
-    # containing[i]: bit r set when hypothesis i is a member of intersection
-    # r, packed along the intersection axis as np.packbits lays it out
-    containing = np.packbits(((masks >> np.arange(m)[:, None]) & 1).astype(bool), axis=1)
+    # levels[j, mask] is hypothesis j's cutoff in intersection mask; the
+    # empty mask 0, non-members (-1) and zero-weight members (0) never
+    # fire, so only positive cutoffs enter the tables
+    levels = np.full((m, 1 << m), -1.0)
+    levels[:, 1:] = thresholds.T
+    n_words = -(-min(_TILE, 1 << m) // 64)
+    # the masks 0..63 of a word that contain H_i, i < 6 (none of mask 0)
+    low = min(m, 6)
+    patterns = np.array(
+        [sum(1 << b for b in range(min(64, 1 << m)) if b >> i & 1) for i in range(low)],
+        dtype=np.uint64,
+    )
     lower = scenario.generator.cholesky_lower()
-    shifts = scenario.mean_shifts
-    nulls = scenario.true_nulls
     chunk = _chunk_size(m)
+    chunks = [(lo, min(lo + chunk, n_total)) for lo in range(0, n_total, chunk)]
     # one set of buffers for the whole run; a short last chunk uses a prefix
-    fired = np.empty((chunk, n_rows), dtype=bool)
-    hit = np.empty((chunk, n_rows), dtype=bool)
-    kept = np.empty((chunk, containing.shape[1]), dtype=np.uint8)
-    rejected = np.empty((chunk, m), dtype=bool)
+    fired = np.empty(chunk * n_words, dtype=np.uint64)
+    row = np.empty(chunk * n_words, dtype=np.uint64)
+    hit = np.empty((chunk, m), dtype=bool)
+    # alive[n]: H_i's bit (np.packbits order) is set once some
+    # intersection containing H_i survived in replication n
+    alive = np.zeros((n_total, -(-m // 8)), dtype=np.uint8)
+    for start in range(0, 1 << m, _TILE):
+        tables = _tile_tables(levels, start, min(start + _TILE, 1 << m))
+        # has[w, i - 6]: the masks of the tile's word w contain H_i
+        words = (start >> 6) + np.arange(n_words)
+        has = (words[:, None] >> np.arange(m - 6) & 1).astype(np.float32)
+        for chunk_index, (lo, hi) in enumerate(chunks):
+            n_c = hi - lo
+            rng = np.random.default_rng(
+                np.random.SeedSequence(
+                    entropy=scenario.master_seed, spawn_key=(chunk_index,)
+                )
+            )
+            z = rng.standard_normal((n_c, m)) @ lower.T + scenario.mean_shifts
+            neg_p = np.ascontiguousarray(-ndtr(-z).T)
+            f = fired[: n_c * n_words].reshape(n_c, n_words)
+            g = row[: n_c * n_words].reshape(n_c, n_words)
+            f.fill(0)
+            for j, keys, table in tables:
+                k = np.searchsorted(keys, neg_p[j], side="right")
+                # K is always in range; "clip" lets take write into g unbuffered
+                np.take(table, k, axis=0, out=g, mode="clip")
+                f |= g
+            survived = np.invert(f, out=f)
+            # a[n, i]: some intersection of the tile containing H_i survived
+            a = hit[:n_c]
+            a[:, :low] = (np.bitwise_or.reduce(survived, axis=1)[:, None] & patterns) != 0
+            a[:, 6:] = (survived != 0).astype(np.float32) @ has > 0.0
+            alive[lo:hi] |= np.packbits(a, axis=1)
+        # free this tile's tables before the next tile's are built
+        del tables
     reject_counts = np.zeros(m, dtype=np.int64)
     fwer_count = 0
-    done = 0
-    chunk_index = 0
-    while done < n_total:
-        n_c = min(chunk, n_total - done)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=scenario.master_seed, spawn_key=(chunk_index,)
-            )
-        )
-        z = rng.standard_normal((n_c, m)) @ lower.T + shifts
-        p = ndtr(-z)
-        # fired[n, r]: some member of intersection r crossed its cutoff
-        f, h = fired[:n_c], hit[:n_c]
-        np.less_equal(p[:, 0, None], levels[0], out=f)
-        for j in range(1, m):
-            np.less_equal(p[:, j, None], levels[j], out=h)
-            f |= h
-        # H_i is rejected when no intersection containing it survives
-        survived = np.packbits(np.logical_not(f, out=f), axis=1)
-        k, rej = kept[:n_c], rejected[:n_c]
-        for i in range(m):
-            np.bitwise_and(survived, containing[i], out=k)
-            np.logical_not(k.any(axis=1), out=rej[:, i])
+    nulls = scenario.true_nulls
+    for lo, hi in chunks:
+        # H_i is rejected when no intersection containing it survived
+        rej = np.unpackbits(alive[lo:hi], axis=1, count=m) == 0
         reject_counts += rej.sum(axis=0)
-        if nulls.any():
-            fwer_count += int(rej[:, nulls].any(axis=1).sum())
-        done += n_c
-        chunk_index += 1
+        fwer_count += int(rej[:, nulls].any(axis=1).sum())
     fwer = fwer_count / n_total
     stderr = float(np.sqrt(fwer * (1.0 - fwer) / n_total))
     rates = reject_counts / n_total

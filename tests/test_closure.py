@@ -316,7 +316,8 @@ class TestRunClosureParametric:
 
 
 class TestAccuracyArgs:
-    """target_error and max_points are checked even when no kernel call runs."""
+    """target_error, max_points and root_tol are checked even when no
+    kernel call or root solve runs."""
 
     @pytest.mark.parametrize("target_error, max_points", [(0.0, 2**16), (-1.0, 2**16), (1e-6, 1)])
     def test_rejected_without_kernel_work(self, target_error, max_points):
@@ -332,6 +333,22 @@ class TestAccuracyArgs:
                 decision_thresholds(
                     scheme, model, 0.05, method, target_error=target_error, max_points=max_points
                 )
+
+    @pytest.mark.parametrize("root_tol", [0.0, -1.0, float("nan")])
+    def test_root_tol_rejected_without_root_solve(self, root_tol):
+        # singleton blocks: every common scale is 1 without a solve
+        scheme = xie_scheme((0.5, 0.5))
+        model = CorrelationModel.independent_blocks(2)
+        for method in ("bonferroni", "parametric-common", "parametric-subsets"):
+            prob = TestProblem(
+                scheme=scheme, model=model, pvalues=(0.01, 0.03), alpha=0.05, method=method
+            )
+            with pytest.raises(InputError, match="root_tol"):
+                run_closure(prob, root_tol=root_tol)
+            with pytest.raises(InputError, match="root_tol"):
+                decision_thresholds(scheme, model, 0.05, method, root_tol=root_tol)
+        with pytest.raises(InputError, match="root_tol"):
+            check_consonance(scheme, model, 0.05, root_tol=root_tol)
 
 
 class TestDecisionThresholds:

@@ -105,6 +105,33 @@ def graph_scenario_m10(method, replications):
     )
 
 
+def bonferroni_graph_scenario(m, replications):
+    """Random m-hypothesis graph under bonferroni in which H_4 starts at
+    weight zero (a zero-weight member of some intersections); H_1 and H_2
+    are correlated in the generator, and every other hypothesis is a
+    true null."""
+    rng = np.random.default_rng(7 + m)
+    w = rng.dirichlet(np.ones(m))
+    w[3] = 0.0
+    g = rng.uniform(0.1, 1.0, size=(m, m))
+    g[:, 3] *= rng.random(m) < 0.5
+    np.fill_diagonal(g, 0.0)
+    g /= g.sum(axis=1, keepdims=True)
+    corr = np.eye(m)
+    corr[0, 1] = corr[1, 0] = 0.5
+    return SimScenario(
+        scheme=scheme_from_graph(GraphSpec(m, w / w.sum(), g)),
+        model=CorrelationModel.independent_blocks(m),
+        generator=CorrelationMatrix(corr),
+        alpha=0.05,
+        method="bonferroni",
+        true_nulls=[j % 2 == 0 for j in range(m)],
+        mean_shifts=[0.0 if j % 2 == 0 else 2.5 for j in range(m)],
+        replications=replications,
+        master_seed=19,
+    )
+
+
 class TestScenarioValidation:
     def test_shift_on_true_null_rejected(self):
         with pytest.raises(InputError):
@@ -167,6 +194,22 @@ class TestScenarioValidation:
                 mean_shifts=[0.0, 0.0],
                 replications=100,
             )
+
+    def test_root_tol_checked_without_root_solves(self):
+        # bonferroni solves nothing, so only the up-front check can catch it
+        scen = SimScenario(
+            scheme=xie_scheme((0.5, 0.5)),
+            model=CorrelationModel.independent_blocks(2),
+            generator=equicorr(2, 0.0),
+            alpha=0.05,
+            method="bonferroni",
+            true_nulls=[True, True],
+            mean_shifts=[0.0, 0.0],
+            replications=100,
+        )
+        for root_tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(InputError, match="root_tol"):
+                simulate(scen, root_tol=root_tol)
 
 
 class TestSimulate:
@@ -322,6 +365,36 @@ class TestReplicationLoop:
         assert got.replications == want.replications == n
         assert 0.0 < got.fwer_estimate and np.all(got.rejection_rates[1::2] > 0.0)
 
+    @pytest.mark.parametrize(
+        ("m", "builds"),
+        # m=4: the 2^4 masks fill part of one 64-bit word; m=13 and 14:
+        # two and four tiles, each built once for all three chunks
+        [(4, 1), (13, 2), (14, 4)],
+    )
+    def test_tables_equal_intersection_loop_bit_for_bit(self, m, builds, monkeypatch):
+        from closedmtp import simulation
+
+        calls = []
+        build = simulation._tile_tables
+        monkeypatch.setattr(
+            simulation, "_tile_tables", lambda *args: calls.append(args[1:]) or build(*args)
+        )
+        # the last chunk is short
+        n = 2 * _chunk_size(m) + 301
+        scen = bonferroni_graph_scenario(m, n)
+        assert any(
+            scen.scheme.weights_for(mask)[members(mask).index(3)] == 0.0
+            for mask in iter_masks(m)
+            if (mask >> 3) & 1
+        )
+        got, want = simulate(scen), intersection_loop(scen)
+        assert len(calls) == builds
+        assert got.fwer_estimate == want.fwer_estimate
+        assert got.fwer_stderr == want.fwer_stderr
+        assert got.rejection_rates.tobytes() == want.rejection_rates.tobytes()
+        assert got.replications == want.replications == n
+        assert 0.0 < got.fwer_estimate and np.all(got.rejection_rates[1::2] > 0.0)
+
     def test_memory_below_float32_survival_matrix(self):
         m = 12
         chunk = _chunk_size(m)
@@ -343,4 +416,17 @@ class TestReplicationLoop:
         finally:
             tracemalloc.stop()
         # one chunk's survivals as float32, which the loop no longer builds
+        assert peak < chunk * ((1 << m) - 1) * 4, peak
+
+    def test_memory_below_float32_survival_matrix_over_four_tiles(self):
+        # at m=14 only one of the four tiles' tables is held at a time
+        m = 14
+        chunk = _chunk_size(m)
+        scen = bonferroni_graph_scenario(m, chunk + 100)
+        tracemalloc.start()
+        try:
+            simulate(scen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < chunk * ((1 << m) - 1) * 4, peak
