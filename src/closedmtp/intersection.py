@@ -41,8 +41,10 @@ from .mvnorm import (
     DEFAULT_ROOT_TOL,
     DEFAULT_TARGET_ERROR,
     MAX_EXACT_DIM,
+    _START_POINTS,
     CorrelationMatrix,
     UnionRule,
+    _check_accuracy_args,
     as_correlation,
     solve_monotone,
     union_exceedance,
@@ -53,6 +55,12 @@ _U64 = (1 << 64) - 1
 _MIX = 0x9E3779B97F4A7C15
 # added to a block's salt for the independent check of a solved scaling
 _CHECK_SALT = 1 << 32
+# points per randomization of the coarse rules a sampled root solve
+# brackets its root on, before the full rules polish it: the first pass
+# of every QMC fit
+_COARSE_POINTS = _START_POINTS
+# full-rule evaluations the secant finish of a sampled root solve may spend
+_SECANT_STEPS = 2
 # the correlation of every single hypothesis
 _UNIT = CorrelationMatrix(np.eye(1))
 
@@ -278,6 +286,70 @@ def parametric_pvalue(
     return partitioned_pvalue_subsets(mem, w, p, model, seed, target_error, max_points)
 
 
+def _union_sum(rules, groups, alpha: float, known: dict):
+    """The per-block unions at thresholds c*alpha*w summed, as a function
+    of c that reads and fills ``known``."""
+
+    def total(c: float) -> float:
+        if c not in known:
+            known[c] = sum(
+                rule(np.minimum(1.0, c * alpha * w)).value
+                for rule, (_, _, w) in zip(rules, groups)
+            )
+        return known[c]
+
+    return total
+
+
+def _bracket_root(total, target: float, cap: float, root_tol: float) -> float:
+    """Smallest c in [1, cap] with total(c) = target: a bracket search
+    from c = 1, then ``solve_monotone``."""
+    at_one = total(1.0)
+    if at_one >= target:
+        return 1.0
+    # first trial: a quarter past the linear extrapolation from (0, 0)
+    # through (1, sum at 1), then doubling the step
+    step = max(1.25 * (target / at_one - 1.0), root_tol)
+    lo, hi = 1.0, min(1.0 + step, cap)
+    while hi < cap and total(hi) < target:
+        step *= 2.0
+        lo, hi = hi, min(1.0 + step, cap)
+    # solve_monotone re-reads the bracket ends; every value is kept
+    return solve_monotone(total, target, (lo, hi), root_tol)
+
+
+def _crossing_slope(known: dict, target: float) -> float | None:
+    """Slope of the secant across the tightest bracket of the target among
+    the values in ``known``; None without a bracket or a rising secant."""
+    lo = max((c for c, v in known.items() if v < target), default=None)
+    hi = min((c for c, v in known.items() if v >= target), default=None)
+    if lo is None or hi is None or hi <= lo or known[hi] <= known[lo]:
+        return None
+    return (known[hi] - known[lo]) / (hi - lo)
+
+
+def _secant_root(
+    total, c: float, slope: float, target: float, cap: float, root_tol: float
+) -> float | None:
+    """Root of total(c) = target near c by secant steps, the first along
+    ``slope``; None when _SECANT_STEPS evaluations leave the next step
+    above root_tol / 2."""
+    g = total(c) - target
+    for evaluations in range(_SECANT_STEPS + 1):
+        if c == 1.0 and g >= 0.0:
+            return 1.0
+        step = -g / slope
+        if abs(step) <= 0.5 * root_tol:
+            return max(1.0, c + step)
+        if evaluations == _SECANT_STEPS:
+            return None
+        x = min(max(c + step, 1.0), cap)
+        gx = total(x) - target
+        if x != c and (gx - g) / (x - c) > 0.0:
+            slope = (gx - g) / (x - c)
+        c, g = x, gx
+
+
 def _solve_scale(
     groups: list[tuple[int, CorrelationMatrix, np.ndarray]],
     target: float,
@@ -293,13 +365,23 @@ def _solve_scale(
 
     groups holds (salt, correlation, active weights) per block; a block
     with one active member contributes a linear term, and when every
-    block has at most one the equation is linear and c = 1. Each block gets
-    one UnionRule, fixed at c = 1 and kept for the whole solve, so the
-    sum is a deterministic, continuous function of c; the QMC error
-    budget is split across the blocks that sample. The solved c is then
-    checked against one independent re-estimate (salt + _CHECK_SALT). A
-    miss beyond the combined error refines every sampled rule and
-    solves again, until the rules reach max_points.
+    block has at most one the equation is linear and c = 1. Each block
+    gets one UnionRule kept fixed while c moves, so the sum is a
+    deterministic, continuous function of c; the QMC error budget is
+    split across the blocks that sample.
+
+    The rules are first fitted at c = 1, capped at _COARSE_POINTS (the
+    first pass of any fit). When every block is exact, max_points is at
+    most _COARSE_POINTS, or every sampled rule meets its error target,
+    these are the full rules, and a bracket search and Illinois steps on
+    them find the root. Otherwise that solve runs on them as coarse
+    rules; the full rules are then fitted at the coarse root c0,
+    whose estimate is the sum at c0, and secant steps starting along the
+    coarse slope polish the root (the bracketed solve on the full rules
+    takes over if they do not settle). The solved c is checked against
+    one independent re-estimate (salt + _CHECK_SALT). A miss beyond the
+    combined error refines every sampled rule and solves again, until
+    the rules reach max_points.
 
     The sum at c=1 never exceeds the target (Bonferroni inequality), so
     an estimate already at or above it means c=1 within noise.
@@ -308,10 +390,7 @@ def _solve_scale(
         return 1.0
     sampled = sum(1 for _, _, w in groups if w.size > MAX_EXACT_DIM)
     block_error = target_error / max(sampled, 1)
-    rules = [
-        UnionRule(alpha * w, corr, derived_seed(seed, mask, salt), block_error, max_points)
-        for salt, corr, w in groups
-    ]
+    max_points = _check_accuracy_args(target_error, max_points)
     w_active = np.concatenate([w for _, _, w in groups])
     # at c = 1/(alpha * max weight) the largest threshold saturates at 1,
     # forcing the defining probability to its ceiling
@@ -319,29 +398,32 @@ def _solve_scale(
     # the sum grows at most at rate alpha * total weight, which bounds how
     # far the estimate at the solved c can sit from the target
     slack = alpha * float(w_active.sum()) * root_tol
-    while True:
-        # solve_monotone re-reads the bracket ends; every value is kept
+
+    def fit(c: float, points: int) -> list[UnionRule]:
+        return [
+            UnionRule(c * alpha * w, corr, derived_seed(seed, mask, salt), block_error, points)
+            for salt, corr, w in groups
+        ]
+
+    c0, slope = 1.0, None
+    # a first pass of _COARSE_POINTS: where every rule meets its target
+    # there, these are the rules a fit to max_points makes
+    rules = fit(c0, min(max_points, _COARSE_POINTS))
+    if max_points > _COARSE_POINTS and any(
+        rule.sampled and rule.estimate.error > block_error for rule in rules
+    ):
         known = {1.0: sum(rule.estimate.value for rule in rules)}
-
-        def total_union(c: float) -> float:
-            if c not in known:
-                known[c] = sum(
-                    rule(np.minimum(1.0, c * alpha * w)).value
-                    for rule, (_, _, w) in zip(rules, groups)
-                )
-            return known[c]
-
-        if known[1.0] >= target:
-            c = 1.0
-        else:
-            # first trial: a quarter past the linear extrapolation from
-            # (0, 0) through (1, sum at 1), then doubling the step
-            step = max(1.25 * (target / known[1.0] - 1.0), root_tol)
-            lo, hi = 1.0, min(1.0 + step, cap)
-            while hi < cap and total_union(hi) < target:
-                step *= 2.0
-                lo, hi = hi, min(1.0 + step, cap)
-            c = solve_monotone(total_union, target, (lo, hi), root_tol)
+        c0 = _bracket_root(_union_sum(rules, groups, alpha, known), target, cap, root_tol)
+        slope = _crossing_slope(known, target)
+        if slope is None or c0 * alpha * float(w_active.max()) >= 1.0:
+            c0, slope = 1.0, None
+        rules = fit(c0, max_points)
+    while True:
+        known = {c0: sum(rule.estimate.value for rule in rules)}
+        total = _union_sum(rules, groups, alpha, known)
+        c = None if slope is None else _secant_root(total, c0, slope, target, cap, root_tol)
+        if c is None:
+            c = _bracket_root(total, target, cap, root_tol)
         if not any(rule.sampled for rule in rules):
             return c
         check = err = 0.0
@@ -351,7 +433,7 @@ def _solve_scale(
             err += est.error + rule.estimate.error
         if abs(check - target) <= err + slack:
             return c
-        if not any([rule.refine() for rule in rules]):
+        if not any([rule.refine(max_points) for rule in rules]):
             return c
 
 
@@ -452,6 +534,11 @@ def partitioned_pvalue_subsets(
         if act.size:
             # the union at thresholds w_j * min(p / w) over the block's weight total
             q = float(np.min(p[act] / w[act]))
+            if q >= 1.0 / float(np.max(w[act])):
+                # the heaviest threshold is 1, however its product rounds:
+                # the union is certain
+                block_p.append(1.0)
+                continue
             est = union_exceedance(
                 np.minimum(1.0, w[act] * q), corr_act, derived_seed(seed, mask, salt),
                 target_error, max_points,

@@ -10,9 +10,9 @@ with greedy variable reordering, digitally shifted Sobol' points, and an
 error estimate from independent randomizations. Every result carries an
 absolute-error bound; estimates are bit-reproducible for a fixed seed.
 
-``UnionRule`` fixes one integration rule for a whole root solve, so the
-union probability becomes a deterministic, continuous function of the
-thresholds (Genz & Bretz 2009, section 5).
+``UnionRule`` keeps one integration rule fixed while a root solve moves
+the thresholds, so the union probability becomes a deterministic,
+continuous function of them (Genz & Bretz 2009, section 5).
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ MAX_EXACT_DIM = 3
 
 _SHIFTS = 10
 _START_POINTS = 1 << 11
+# base points per block of a kernel pass, across all shifts
+_BLOCK = 1 << 10
 _PSD_TOL = 1e-10
 _TWO32 = float(1 << 32)
 _U64 = (1 << 64) - 1
@@ -366,37 +368,66 @@ def _reordered_cholesky(
 
 
 def _qmc_means(
-    L: np.ndarray, a: np.ndarray, b: np.ndarray, pts: np.ndarray, cuts: Sequence[int]
+    L: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    base: np.ndarray,
+    shifts: np.ndarray,
+    cuts: Sequence[int],
 ) -> np.ndarray:
     """Mean integrand value per point segment and randomization.
 
-    pts has shape (S, n, k-1); row s of the result averages, for every
-    randomization, the points [cuts[s], cuts[s+1]), with cuts running
-    from 0 to n.
+    The points are the rows of ``base`` (n, k-1), digitally shifted by each
+    row of ``shifts`` (S, k-1), both 32-bit integers; row s of the result
+    averages, for every randomization, the points [cuts[s], cuts[s+1]),
+    with cuts running from 0 to n. The pass walks the base points in
+    blocks of _BLOCK across all shifts, building each block's points in
+    place and reusing its buffers, so the working set stays in cache and
+    only the (S, n) integrand values are held whole. Every value is the
+    float a pass over all points at once would give.
     """
-    n_shifts, n, _ = pts.shape
+    n_shifts, n = shifts.shape[0], base.shape[0]
     k = L.shape[0]
     tiny = 1e-15
-    flat = pts.reshape(n_shifts * n, k - 1)
-    if np.isfinite(a[0]):
-        d = np.full(n_shifts * n, float(ndtr(a[0] / L[0, 0])))
-    else:
-        d = np.zeros(n_shifts * n)
-    if np.isfinite(b[0]):
-        e = np.full(n_shifts * n, float(ndtr(b[0] / L[0, 0])))
-    else:
-        e = np.ones(n_shifts * n)
-    f = e - d
-    y = np.empty((n_shifts * n, k - 1))
-    for i in range(1, k):
-        z = np.clip(d + flat[:, i - 1] * (e - d), tiny, 1.0 - tiny)
-        y[:, i - 1] = ndtri(z)
-        mu = y[:, :i] @ L[i, :i]
-        d = ndtr((a[i] - mu) / L[i, i]) if np.isfinite(a[i]) else 0.0
-        e = ndtr((b[i] - mu) / L[i, i]) if np.isfinite(b[i]) else 1.0
-        f = f * (e - d)
-    f = f.reshape(n_shifts, n)
-    return np.stack([f[:, lo:hi].mean(axis=1) for lo, hi in zip(cuts[:-1], cuts[1:])])
+    d0 = float(ndtr(a[0] / L[0, 0])) if np.isfinite(a[0]) else 0.0
+    e0 = float(ndtr(b[0] / L[0, 0])) if np.isfinite(b[0]) else 1.0
+    size = n_shifts * min(n, _BLOCK)
+    ints = np.empty((size, k - 1), dtype=np.uint64)
+    pts, y = np.empty((size, k - 1)), np.empty((size, k - 1))
+    z, mu, d_buf, e_buf, f = (np.empty(size) for _ in range(5))
+    values = np.empty((n_shifts, n))
+    for start in range(0, n, _BLOCK):
+        width = min(_BLOCK, n - start)
+        rows = n_shifts * width
+        # row-prefix views of the buffers: contiguous, shift-major
+        xb, yb, zb, mub, fb = pts[:rows], y[:rows], z[:rows], mu[:rows], f[:rows]
+        ib = ints[:rows]
+        np.bitwise_xor(
+            base[None, start : start + width], shifts[:, None], out=ib.reshape(n_shifts, width, k - 1)
+        )
+        np.divide(np.add(ib, 0.5, out=xb), _TWO32, out=xb)
+        fb.fill(e0 - d0)
+        d, e = d0, e0
+        for i in range(1, k):
+            np.subtract(e, d, out=zb)
+            np.multiply(xb[:, i - 1], zb, out=zb)
+            np.add(d, zb, out=zb)
+            np.clip(zb, tiny, 1.0 - tiny, out=zb)
+            ndtri(zb, out=yb[:, i - 1])
+            np.matmul(yb[:, :i], L[i, :i], out=mub)
+            if np.isfinite(a[i]):
+                d = np.subtract(a[i], mub, out=d_buf[:rows])
+                ndtr(np.divide(d, L[i, i], out=d), out=d)
+            else:
+                d = 0.0
+            if np.isfinite(b[i]):
+                e = np.subtract(b[i], mub, out=e_buf[:rows])
+                ndtr(np.divide(e, L[i, i], out=e), out=e)
+            else:
+                e = 1.0
+            np.multiply(fb, np.subtract(e, d, out=zb), out=fb)
+        values[:, start : start + width] = fb.reshape(n_shifts, width)
+    return np.stack([values[:, lo:hi].mean(axis=1) for lo, hi in zip(cuts[:-1], cuts[1:])])
 
 
 class _QmcRule:
@@ -410,8 +441,9 @@ class _QmcRule:
     evaluation pools the same segments in the same order, so the estimate
     at the fitting bounds equals the fit's float for float, and it is a
     deterministic, continuous function of the bounds. Only the shifts and
-    segment means are kept; the points are rebuilt per evaluation, which
-    holds memory to one evaluation's worth.
+    segment means are kept; each kernel pass rebuilds its points block by
+    block (``_qmc_means``), which holds memory to one block's points and
+    one pass's integrand values.
     """
 
     def __init__(self, corr, lower, upper, seed, target_error, max_points):
@@ -436,9 +468,8 @@ class _QmcRule:
     def _means(self, shifts: np.ndarray, start: int, lower, upper) -> np.ndarray:
         """Segment means of the points [start, n) in one kernel pass."""
         base = _sobol_base(self._L.shape[0] - 1, self.n)[start:]
-        pts = ((base[None, :, :] ^ shifts[:, None, :]).astype(float) + 0.5) / _TWO32
         cuts = [c - start for c in self._cuts if c >= start]
-        return _qmc_means(self._L, lower, upper, pts, cuts)
+        return _qmc_means(self._L, lower, upper, base, shifts, cuts)
 
     def _pooled(self, segments) -> ProbEstimate:
         means = 0.0
@@ -450,14 +481,15 @@ class _QmcRule:
         err = max(float(3.0 * means.std(ddof=1) / math.sqrt(_SHIFTS)), 1e-15)
         return ProbEstimate(min(1.0, max(0.0, value)), err)
 
-    def refine(self) -> bool:
+    def refine(self, max_points: int | None = None) -> bool:
         """Quadruple n on the same shifts, integrating the new points at the
         fitting bounds and updating ``estimate``; False, changing nothing,
-        once n is capped."""
-        if self.n >= self._max_points:
+        once n reaches max_points (by default the fit's cap)."""
+        cap = self._max_points if max_points is None else max_points
+        if self.n >= cap:
             return False
         start = self.n
-        self._cuts.append(min(4 * start, self._max_points))
+        self._cuts.append(min(4 * start, cap))
         self._segments.extend(self._means(self._shifts, start, *self._bounds))
         self.estimate = self._pooled(self._segments)
         return True
@@ -649,11 +681,11 @@ class UnionRule:
             return _exact_union(u, self._corr, math.inf)
         return _complement(self._qmc(np.full(u.size, -np.inf), -ndtri(u), seed))
 
-    def refine(self) -> bool:
+    def refine(self, max_points: int | None = None) -> bool:
         """Quadruple the QMC point count on the same shifts, integrating only
         the new points at the reference; False, changing nothing, when
-        exact or capped."""
-        if self._qmc is None or not self._qmc.refine():
+        exact or at max_points (by default the fit's cap)."""
+        if self._qmc is None or not self._qmc.refine(max_points):
             return False
         self.estimate = _complement(self._qmc.estimate)
         return True

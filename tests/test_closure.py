@@ -662,6 +662,36 @@ class TestWeightedDunnett:
         assert out["c_I"] == c
         np.testing.assert_array_equal(out["rejected"], p <= c * 0.05 * w)
 
+    def test_saturated_adjusted_pvalue_is_one_without_a_fit(self, monkeypatch):
+        # p_k / w_k > 1 / max w for the lightest k, so the heaviest threshold
+        # of H_k's adjusted p-value is mathematically 1, though w_j * (1 / w_j)
+        # rounds below 1: the union is certain, the p-value exactly 1, and
+        # no rule is fitted for it
+        import closedmtp.mvnorm as mvnorm
+
+        fits = []
+        init = mvnorm.UnionRule.__init__
+
+        def counted(self, *args, **kwargs):
+            fits.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(mvnorm.UnionRule, "__init__", counted)
+        rng = np.random.default_rng(88)
+        m = int(rng.integers(2, 6))
+        w = rng.dirichlet(np.ones(m) * 3.0)
+        corr = random_correlation(rng, m)
+        p = rng.uniform(0.0, 0.1, size=m)
+        k = int(np.argmin(w))
+        p[k] = 1.5 * w[k] / w.max()
+        assert m == 4
+        out = weighted_dunnett_single_step(w, p, corr, 0.05, seed=19, target_error=1e-5)
+        assert out["adjusted"][k] == 1.0
+        single_step = len(fits)
+        parametric_c(tuple(range(m)), w / w.sum(), 0.05, corr, 19, 1e-5)
+        # one fit per unsaturated adjusted p-value besides the solve's own
+        assert single_step - (len(fits) - single_step) == m - 1
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InputError):
             weighted_dunnett_single_step(

@@ -289,6 +289,118 @@ class TestParametricC:
             assert c > 1.0
         assert np.mean(per_solve) <= 12.0, per_solve
 
+    def test_capped_root_solve_polishes_a_coarse_root(self, monkeypatch):
+        # at the 2^16 cap, in points: the bracket and the Illinois steps run
+        # on 2^11-point rules (1/32 pass each), the full rules are fitted
+        # at the coarse root (one pass in all), then one or two secant steps
+        # and the independent check; the bracketed solve on the full rules
+        # costs about six passes
+        import closedmtp.mvnorm as mvnorm
+        from closedmtp.mvnorm import union_exceedance
+
+        points = []
+        kernel = mvnorm._qmc_means
+
+        def counted(L, a, b, base, *rest):
+            points.append(base.shape[0])
+            return kernel(L, a, b, base, *rest)
+
+        monkeypatch.setattr(mvnorm, "_qmc_means", counted)
+        rng = np.random.default_rng(21)
+        passes = []
+        for k, dim in enumerate((4, 4, 5, 5, 6, 6)):
+            corr = random_correlation(rng, dim)
+            w = rng.dirichlet(np.ones(dim) * 2.0)
+            before = len(points)
+            c = parametric_c(range(dim), w, 0.025, corr, seed=k, target_error=1e-6)
+            assert max(points[before:]) == 1 << 16
+            passes.append(sum(points[before:]) / (1 << 16))
+            est = union_exceedance(
+                np.minimum(1.0, c * 0.025 * w), corr, derived_seed(k, (1 << dim) - 1, 7)
+            )
+            assert abs(est.value - 0.025 * w.sum()) <= 3 * est.error + 0.025 * 1e-6
+        assert np.mean(passes) <= 4.5, passes
+
+    @pytest.mark.parametrize("max_points, fits", [(1 << 11, 1), (1 << 16, 2)])
+    def test_coarse_rule_only_below_the_cap(self, monkeypatch, max_points, fits):
+        # one Illinois solve either way; at a 2^11-point cap the coarse rule
+        # is the full rule, so no second rule is fitted
+        import closedmtp.intersection as intersection
+        import closedmtp.mvnorm as mvnorm
+
+        points, solves = [], []
+        init, solve = mvnorm.UnionRule.__init__, intersection.solve_monotone
+        monkeypatch.setattr(
+            mvnorm.UnionRule, "__init__", lambda rule, *args: points.append(args[-1]) or init(rule, *args)
+        )
+        monkeypatch.setattr(
+            intersection, "solve_monotone", lambda *args: solves.append(1) or solve(*args)
+        )
+        corr = random_correlation(np.random.default_rng(4), 5)
+        c = parametric_c(range(5), np.full(5, 0.2), 0.05, corr, 1, 1e-5, max_points=max_points)
+        assert c > 1.0
+        assert len(points) == fits and points[-1] == max_points
+        assert len(solves) == 1
+
+    def test_secant_finish_agrees_with_the_bracketed_solve(self, monkeypatch):
+        # with no secant evaluation allowed, the full rules' root comes from
+        # the bracketed solve instead, after the coarse one: the same rules,
+        # so the same root within the tolerance
+        import closedmtp.intersection as intersection
+
+        rng = np.random.default_rng(31)
+        for k in range(2):
+            corr = random_correlation(rng, 4)
+            w = rng.dirichlet(np.ones(4) * 2.0)
+            polished = parametric_c(range(4), w, 0.025, corr, k, 1e-6)
+            solves = []
+            solve = intersection.solve_monotone
+            with monkeypatch.context() as patch:
+                patch.setattr(intersection, "_SECANT_STEPS", 0)
+                patch.setattr(
+                    intersection, "solve_monotone", lambda *args: solves.append(1) or solve(*args)
+                )
+                bracketed = parametric_c(range(4), w, 0.025, corr, k, 1e-6)
+            assert len(solves) == 2
+            assert abs(polished - bracketed) <= 1e-6
+
+    @pytest.mark.parametrize("check_misses", [False, True])
+    @pytest.mark.parametrize("dim, target", [(4, 1e-4), (6, 1e-4), (5, 1e-3)])
+    def test_rules_that_meet_their_target_solve_once(self, monkeypatch, dim, target, check_misses):
+        # when every first 2^11-point pass already meets its target, those
+        # are the full rules: one bracketed solve on them, the same kernel
+        # passes and the same root as with no coarse level at all, also
+        # when every check misses and the rules refine to the cap
+        import closedmtp.intersection as intersection
+        import closedmtp.mvnorm as mvnorm
+        from closedmtp.mvnorm import ProbEstimate, UnionRule
+
+        class CheckMisses(UnionRule):
+            def __call__(self, thresholds, seed=None):
+                est = super().__call__(thresholds, seed)
+                return est if seed is None else ProbEstimate(0.0, 0.0)
+
+        if check_misses:
+            monkeypatch.setattr(intersection, "UnionRule", CheckMisses)
+        points = []
+        kernel = mvnorm._qmc_means
+
+        def counted(L, a, b, base, *rest):
+            points.append(base.shape[0])
+            return kernel(L, a, b, base, *rest)
+
+        monkeypatch.setattr(mvnorm, "_qmc_means", counted)
+        corr = random_correlation(np.random.default_rng(4), dim)
+        w = np.full(dim, 1.0 / dim)
+        runs = []
+        for coarse in (1 << 11, 1 << 15):
+            monkeypatch.setattr(intersection, "_COARSE_POINTS", coarse)
+            points.clear()
+            c = parametric_c(range(dim), w, 0.05, corr, 1, target, max_points=1 << 15)
+            runs.append((c, list(points)))
+        assert runs[0] == runs[1]
+        assert max(runs[0][1]) == (1 << 15 if check_misses else 1 << 11)
+
 
 class TestXie:
     def test_rescaling_identity_on_pair(self):

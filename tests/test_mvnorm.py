@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from closedmtp.exceptions import BracketError, InputError
 from closedmtp.mvnorm import (
@@ -109,6 +110,35 @@ def conditioned_quad(h, corr):
 def one_factor_union(u, lam):
     upper = -np.array([std_normal_quantile(x) for x in u])
     return 1.0 - one_factor_rectangle(np.full(len(u), -np.inf), upper, lam)
+
+
+def unblocked_means(L, a, b, pts, cuts):
+    """The QMC integrand's segment means over all points at once, pts of
+    shape (S, n, k-1) built whole: the kernel pass before it went block by
+    block, kept as the reference the blocked pass must match bit for bit."""
+    n_shifts, n, _ = pts.shape
+    k = L.shape[0]
+    tiny = 1e-15
+    flat = pts.reshape(n_shifts * n, k - 1)
+    if np.isfinite(a[0]):
+        d = np.full(n_shifts * n, float(ndtr(a[0] / L[0, 0])))
+    else:
+        d = np.zeros(n_shifts * n)
+    if np.isfinite(b[0]):
+        e = np.full(n_shifts * n, float(ndtr(b[0] / L[0, 0])))
+    else:
+        e = np.ones(n_shifts * n)
+    f = e - d
+    y = np.empty((n_shifts * n, k - 1))
+    for i in range(1, k):
+        z = np.clip(d + flat[:, i - 1] * (e - d), tiny, 1.0 - tiny)
+        y[:, i - 1] = ndtri(z)
+        mu = y[:, :i] @ L[i, :i]
+        d = ndtr((a[i] - mu) / L[i, i]) if np.isfinite(a[i]) else 0.0
+        e = ndtr((b[i] - mu) / L[i, i]) if np.isfinite(b[i]) else 1.0
+        f = f * (e - d)
+    f = f.reshape(n_shifts, n)
+    return np.stack([f[:, lo:hi].mean(axis=1) for lo, hi in zip(cuts[:-1], cuts[1:])])
 
 
 class TestUnivariate:
@@ -447,9 +477,9 @@ class TestUnionRule:
         points = []
         kernel = mvnorm._qmc_means
 
-        def counted(L, a, b, pts, *rest):
-            points.append(pts.shape[1])
-            return kernel(L, a, b, pts, *rest)
+        def counted(L, a, b, base, *rest):
+            points.append(base.shape[0])
+            return kernel(L, a, b, base, *rest)
 
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
         cm = random_correlation(np.random.default_rng(3), 5)
@@ -484,11 +514,66 @@ class TestUnionRule:
         rule = UnionRule([0.01] * 4, cm, target_error=1e-12, max_points=1 << 12)
         assert not rule.refine()
 
+    def test_refine_past_the_fit_cap_matches_a_wider_fit(self):
+        # a rule fitted under a cap of 2^11 can still be refined to a larger
+        # one, onto the same points as a rule fitted under that cap
+        cm = random_correlation(np.random.default_rng(2), 4)
+        u = np.array([0.01, 0.02, 0.01, 0.005])
+        narrow = UnionRule(u, cm, seed=5, target_error=1.0, max_points=1 << 11)
+        wide = UnionRule(u, cm, seed=5, target_error=1.0, max_points=1 << 14)
+        assert narrow.estimate == wide.estimate
+        assert not narrow.refine()
+        assert narrow.refine(1 << 14) and wide.refine()
+        assert narrow.refine(1 << 14) and wide.refine()
+        assert not narrow.refine(1 << 14) and not wide.refine()
+        assert narrow.estimate == wide.estimate
+        assert narrow(1.5 * u) == wide(1.5 * u)
+
     def test_thresholds_validated(self):
         with pytest.raises(InputError):
             UnionRule([0.01, 0.0, 0.02], equicorr(3, 0.5))
         with pytest.raises(InputError):
             UnionRule([0.01, 0.02], equicorr(3, 0.5))
+
+
+class TestKernelPass:
+    @pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("finite_lower", [False, True])
+    def test_blocked_pass_equals_unblocked_bit_for_bit(self, dim, finite_lower):
+        import closedmtp.mvnorm as mvnorm
+
+        rng = np.random.default_rng(dim + 10 * finite_lower)
+        corr = random_correlation(rng, dim).values
+        upper = rng.uniform(0.5, 2.5, size=dim)
+        lower = -rng.uniform(0.5, 2.5, size=dim) if finite_lower else np.full(dim, -np.inf)
+        L, perm = mvnorm._reordered_cholesky(corr, lower, upper)
+        lower, upper = lower[perm], upper[perm]
+        shifts = rng.integers(0, 1 << 32, size=(10, dim - 1), dtype=np.uint64)
+        # below one block, one block exactly, and many blocks
+        for n in (2, 1 << 11, 1 << 16):
+            base = mvnorm._sobol_base(dim - 1, n)
+            cuts = [0, n] if n == 2 else [0, n // 4, n]
+            pts = ((base[None, :, :] ^ shifts[:, None, :]).astype(float) + 0.5) / float(1 << 32)
+            got = mvnorm._qmc_means(L, lower, upper, base, shifts, cuts)
+            want = unblocked_means(L, lower, upper, pts, cuts)
+            assert got.tobytes() == want.tobytes(), (dim, finite_lower, n)
+
+    def test_capped_evaluation_holds_no_point_array(self):
+        # one evaluation of a k=6 rule at the 2^16 cap: the whole (10, 2^16,
+        # 5) float point array alone would take 26 MB
+        import tracemalloc
+
+        cm = random_correlation(np.random.default_rng(6), 6)
+        u = np.full(6, 0.004)
+        rule = UnionRule(u, cm, seed=3, target_error=1e-9)
+        assert rule._qmc.n == 1 << 16
+        tracemalloc.start()
+        try:
+            rule(1.1 * u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6, peak
 
 
 class TestSolveMonotone:

@@ -1,0 +1,160 @@
+"""CPU, memory and pass counts of the QMC kernel (L0), of one capped root
+solve (L1) and, on request, of an m=8 ``xie`` closure with scales.
+
+    PYTHONPATH=src python3 tools/bench_kernel.py            # L0 and L1
+    PYTHONPATH=src python3 tools/bench_kernel.py --closure  # also the closure
+
+Run from the repository root; point PYTHONPATH at another checkout's
+``src`` to measure that one with the same script. Every instance is drawn
+from a fixed seed, so both sides integrate the same problems.
+
+- L0: one evaluation of a ``UnionRule`` fitted to the 2^16-point cap, so
+  one kernel pass over 10 x 2^16 points, at k = 4, 6, 8: CPU median of
+  five evaluations and tracemalloc's peak over a sixth.
+- L1: one ``parametric_c`` at k = 4, 6, 8 and targets 1e-4, 1e-5 and 1e-6,
+  with the 2^16-point cap: kernel passes, points in units of one capped
+  pass (2^16 per shift) and CPU, each the mean over three instances.
+- closure: one ``run_closure`` of an m=8 ``xie`` problem at target 1e-5
+  with scales: CPU, kernel passes, points, the decisions, and a sha1
+  prefix of the p-values that shows whether two sides agree bit for bit.
+
+Passes and points are counted by wrapping ``_QmcRule._means``, which each
+kernel pass goes through on both sides. BLAS is pinned to one thread.
+Prints one JSON object per layer, then one with all of them.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from closedmtp import CorrelationMatrix, CorrelationModel, TestProblem, run_closure, xie_scheme  # noqa: E402
+from closedmtp import mvnorm  # noqa: E402
+from closedmtp.intersection import parametric_c  # noqa: E402
+
+CAP = 1 << 16
+DIMS = (4, 6, 8)
+
+
+def random_correlation(rng: np.random.Generator, dim: int) -> CorrelationMatrix:
+    a = rng.standard_normal((dim, dim + 2))
+    s = a @ a.T
+    d = np.sqrt(np.diag(s))
+    return CorrelationMatrix(s / np.outer(d, d))
+
+
+class PassCounter:
+    """Counts kernel passes and their points per shift while installed."""
+
+    def __init__(self) -> None:
+        self.passes = 0
+        self.points = 0
+
+    def __enter__(self) -> "PassCounter":
+        self._means = means = mvnorm._QmcRule._means
+
+        def counted(rule, shifts, start, *bounds):
+            self.passes += 1
+            self.points += rule.n - start
+            return means(rule, shifts, start, *bounds)
+
+        mvnorm._QmcRule._means = counted
+        return self
+
+    def __exit__(self, *exc) -> None:
+        mvnorm._QmcRule._means = self._means
+
+
+def kernel_pass(dim: int) -> dict:
+    rng = np.random.default_rng(40 + dim)
+    corr = random_correlation(rng, dim)
+    u = np.full(dim, 0.025 / dim)
+    rule = mvnorm.UnionRule(u, corr, seed=3, target_error=1e-12, max_points=CAP)
+    cpu = []
+    for _ in range(5):
+        start = time.process_time()
+        est = rule(1.1 * u)
+        cpu.append(time.process_time() - start)
+    tracemalloc.start()
+    try:
+        rule(1.1 * u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "k": dim,
+        "points_per_shift": rule._qmc.n,
+        "cpu_s": round(statistics.median(cpu), 4),
+        "tracemalloc_peak_mb": round(peak / 1e6, 1),
+        "value": est.value,
+    }
+
+
+def root_solve(dim: int, target: float) -> dict:
+    rng = np.random.default_rng(100 + dim)
+    cpu = 0.0
+    scales = []
+    with PassCounter() as count:
+        for inst in range(3):
+            corr = random_correlation(rng, dim)
+            w = rng.dirichlet(np.ones(dim) * 2.0)
+            start = time.process_time()
+            scales.append(parametric_c(range(dim), w, 0.025, corr, seed=inst, target_error=target))
+            cpu += time.process_time() - start
+    return {
+        "k": dim,
+        "target_error": target,
+        "passes": round(count.passes / 3, 2),
+        "capped_passes": round(count.points / CAP / 3, 2),
+        "cpu_s": round(cpu / 3, 3),
+        "scales": scales,
+    }
+
+
+def closure() -> dict:
+    rng = np.random.default_rng(8)
+    m = 8
+    corr = random_correlation(rng, m)
+    w = rng.dirichlet(np.ones(m) * 2.0)
+    p = rng.uniform(0.0, 0.02, size=m)
+    problem = TestProblem(
+        scheme=xie_scheme(w), model=CorrelationModel.full(corr), pvalues=p, alpha=0.025, method="xie"
+    )
+    with PassCounter() as count:
+        start = time.process_time()
+        report = run_closure(problem, target_error=1e-5)
+        cpu = time.process_time() - start
+    pvalues = np.array([r.p_value for r in report.intersections])
+    return {
+        "m": m,
+        "target_error": 1e-5,
+        "cpu_s": round(cpu, 2),
+        "passes": count.passes,
+        "capped_passes": round(count.points / CAP, 2),
+        "rejected": [bool(r) for r in report.rejected],
+        "pvalues_sha1": hashlib.sha1(pvalues.tobytes()).hexdigest()[:12],
+    }
+
+
+if __name__ == "__main__":
+    results = {"L0": [], "L1": []}
+    for dim in DIMS:
+        results["L0"].append(kernel_pass(dim))
+        print(json.dumps(results["L0"][-1]), flush=True)
+    for target in (1e-4, 1e-5, 1e-6):
+        for dim in DIMS:
+            results["L1"].append(root_solve(dim, target))
+            print(json.dumps(results["L1"][-1]), flush=True)
+    if "--closure" in sys.argv[1:]:
+        results["closure"] = closure()
+        print(json.dumps(results["closure"]), flush=True)
+    print(json.dumps(results))
