@@ -12,6 +12,7 @@ harness for verifying error control.
 """
 
 from .closure import (
+    METHODS,
     ClosureReport,
     ConsonanceReport,
     ConsonanceViolation,
@@ -24,7 +25,6 @@ from .closure import (
 )
 from .exceptions import BracketError, InputError, NumericError
 from .intersection import (
-    METHODS,
     CorrelationModel,
     IntersectionResult,
     bonferroni_pvalue,
@@ -39,7 +39,6 @@ from .intersection import (
 from .mvnorm import (
     CorrelationMatrix,
     ProbEstimate,
-    mvn_rectangle,
     solve_monotone,
     union_exceedance,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "constant_scheme",
     "decision_thresholds",
     "derived_seed",
-    "mvn_rectangle",
     "parametric_c",
     "parametric_pvalue",
     "partitioned_common_scale",

@@ -16,9 +16,8 @@ import sys
 import click
 
 from . import fileio
-from .closure import check_consonance, run_closure
+from .closure import METHODS, check_consonance, run_closure
 from .exceptions import InputError, NumericError
-from .intersection import METHODS
 from .simulation import simulate as run_simulation
 
 _FORMATS = ("json", "csv", "text")

@@ -35,7 +35,6 @@ import numpy as np
 
 from .exceptions import InputError
 from .intersection import (
-    METHODS,
     CorrelationModel,
     IntersectionResult,
     _check_alpha,
@@ -137,6 +136,8 @@ _METHODS = {
         _common_levels, lambda *args: xie_pvalue(*args), optional_levels=True, proportional=True
     ),
 }
+# the method names every entry point accepts
+METHODS = tuple(_METHODS)
 
 
 def _check_procedure(

@@ -64,8 +64,6 @@ _SECANT_STEPS = 2
 # the correlation of every single hypothesis
 _UNIT = CorrelationMatrix(np.eye(1))
 
-METHODS = ("bonferroni", "parametric-common", "parametric-subsets", "xie")
-
 
 def derived_seed(seed: int, mask: int, salt: int = 0) -> int:
     """Per-subset RNG seed: base seed combined with the subset's bitmask."""
@@ -146,19 +144,6 @@ class CorrelationModel:
         if not 0 <= int(j) < self.m:
             raise InputError(f"hypothesis index {j + 1} outside 1..{self.m}")
         return int(self._block_of[j])
-
-    def corr_for(self, subset: Sequence[int]) -> CorrelationMatrix:
-        """Correlation restricted to a subset that lies inside one block: a
-        slice of the block's matrix, validated when the model was built and
-        not again; every single hypothesis shares one 1x1 identity."""
-        mem = tuple(sorted(subset))
-        if not self.covers(mem):
-            raise InputError(
-                f"indices {tuple(j + 1 for j in mem)} span several correlation blocks"
-            )
-        if len(mem) == 1:
-            return _UNIT
-        return self.matrices[self._block_of[mem[0]]].submatrix(self._pos[list(mem)])
 
     def covers(self, subset: Sequence[int]) -> bool:
         """True when one block contains the whole (nonempty) subset."""

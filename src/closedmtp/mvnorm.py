@@ -1,14 +1,17 @@
 """Normal-distribution numerics underlying every test in the package.
 
-Univariate CDF/quantile wrap scipy's ndtr/ndtri. Multivariate rectangle
-probabilities are exact in dimension 1, computed from Owen's T function
-in dimension 2, and in dimension 3 by a fixed Gauss-Legendre integral
-over one conditioning variable of a vectorised Owen's T bivariate (after
-Genz 2004). Dimension 4 and above is estimated by separation-of-variables
-quasi-Monte Carlo in the style of Genz (1992): Cholesky factorization
-with greedy variable reordering, digitally shifted Sobol' points, and an
-error estimate from independent randomizations. Every result carries an
-absolute-error bound; estimates are bit-reproducible for a fixed seed.
+Every intersection test needs one probability: the union of one-sided
+events P(P_j <= u_j for some j), with P_j = 1 - Phi(Z_j), which is one
+minus the orthant probability P(Z_j <= -Phi^-1(u_j) for all j). It is
+exact in dimension 1, computed by inclusion-exclusion from Owen's T
+function in dimension 2, and in dimension 3 with a triple term from a
+fixed Gauss-Legendre integral over one conditioning variable of a
+vectorised Owen's T bivariate (after Genz 2004). Dimension 4 and above
+estimates the orthant by separation-of-variables quasi-Monte Carlo in
+the style of Genz (1992): Cholesky factorization with greedy variable
+reordering, digitally shifted Sobol' points, and an error estimate from
+independent randomizations. Every result carries an absolute-error
+bound; estimates are bit-reproducible for a fixed seed.
 
 ``UnionRule`` keeps one integration rule fixed while a root solve moves
 the thresholds, so the union probability becomes a deterministic,
@@ -142,18 +145,6 @@ def as_correlation(corr) -> CorrelationMatrix:
     return CorrelationMatrix(np.asarray(corr, dtype=float))
 
 
-def std_normal_cdf(z: float) -> float:
-    """P(Z <= z) for standard normal Z; saturates at 0/1 in the far tails."""
-    return float(ndtr(z))
-
-
-def std_normal_quantile(u: float) -> float:
-    """Inverse standard normal CDF on (0, 1)."""
-    if not 0.0 < u < 1.0:
-        raise InputError(f"quantile argument must lie strictly in (0, 1), got {u}")
-    return float(ndtri(u))
-
-
 def _owen_tail(h: float, a: float) -> float:
     # Owen's T with the a=0, a=+-inf and h=0 limits made explicit.
     if a == 0.0 or math.isinf(h):
@@ -166,15 +157,12 @@ def _owen_tail(h: float, a: float) -> float:
 
 
 def _bvn_cdf(h: float, k: float, rho: float) -> float:
-    """P(X <= h, Y <= k) for standard bivariate normal with correlation rho."""
+    """P(X <= h, Y <= k) for standard bivariate normal with correlation rho;
+    bounds are finite or -inf."""
     if math.isnan(h) or math.isnan(k):
         raise InputError("NaN bound in bivariate probability")
     if h == -math.inf or k == -math.inf:
         return 0.0
-    if h == math.inf:
-        return 1.0 if k == math.inf else float(ndtr(k))
-    if k == math.inf:
-        return float(ndtr(h))
     if rho == 1.0:
         return float(ndtr(min(h, k)))
     if rho == -1.0:
@@ -215,7 +203,7 @@ def _bvn_cdf_array(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _tvn_cdf(h: np.ndarray, corr: np.ndarray) -> tuple[float, float]:
-    """(P(Z <= h), error) for a trivariate standard normal Z; bounds may be infinite.
+    """(P(Z <= h), error) for a trivariate standard normal Z; bounds are finite or -inf.
 
     Conditions on the variable least correlated with the other two and
     integrates the conditional bivariate probability against its density
@@ -226,14 +214,6 @@ def _tvn_cdf(h: np.ndarray, corr: np.ndarray) -> tuple[float, float]:
     """
     if np.any(h == -np.inf):
         return 0.0, 0.0
-    keep = np.flatnonzero(h < np.inf)
-    if keep.size < 3:
-        if keep.size == 0:
-            return 1.0, 0.0
-        if keep.size == 1:
-            return float(ndtr(h[keep[0]])), 0.0
-        i, j = keep
-        return _bvn_cdf(float(h[i]), float(h[j]), float(corr[i, j])), 0.0
     i = min(range(3), key=lambda t: max(abs(corr[t, (t + 1) % 3]), abs(corr[t, (t + 2) % 3])))
     j, k = (i + 1) % 3, (i + 2) % 3
     rij, rik = float(corr[i, j]), float(corr[i, k])
@@ -279,18 +259,6 @@ def _tvn_cdf(h: np.ndarray, corr: np.ndarray) -> tuple[float, float]:
     return min(1.0, max(0.0, fine)), abs(fine - integral(_GL_COARSE))
 
 
-def _rectangle_3d(lower: np.ndarray, upper: np.ndarray, corr: np.ndarray) -> tuple[float, float]:
-    """(P(lower < Z <= upper), error) in three dimensions by inclusion-exclusion over corners."""
-    value = error = 0.0
-    for corner in range(8):
-        use_lower = [(corner >> t) & 1 for t in range(3)]
-        h = np.where(use_lower, lower, upper)
-        v, e = _tvn_cdf(h, corr)
-        value += -v if sum(use_lower) % 2 else v
-        error += e
-    return min(1.0, max(0.0, value)), error
-
-
 _sobol_lock = threading.Lock()
 _sobol_ints: dict[int, np.ndarray] = {}
 
@@ -313,10 +281,9 @@ def _sobol_base(dim: int, n: int) -> np.ndarray:
         return cached[:n]
 
 
-def _reordered_cholesky(
-    corr: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factorization interleaved with greedy variable reordering.
+def _reordered_cholesky(corr: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factorization for the orthant P(Z <= upper), interleaved
+    with greedy variable reordering.
 
     At each step the variable with the smallest conditional probability
     mass (given truncated-normal means for the earlier coordinates) is
@@ -327,7 +294,6 @@ def _reordered_cholesky(
     """
     k = corr.shape[0]
     c = corr.copy()
-    a = np.asarray(lower, dtype=float).copy()
     b = np.asarray(upper, dtype=float).copy()
     perm = np.arange(k)
     L = np.zeros((k, k))
@@ -337,10 +303,7 @@ def _reordered_cholesky(
         best_mass, best_j = np.inf, i
         for j in range(i, k):
             denom = math.sqrt(max(c[j, j] - float(L[j, :i] @ L[j, :i]), eps))
-            mu = float(L[j, :i] @ y[:i])
-            lo = (a[j] - mu) / denom if np.isfinite(a[j]) else -np.inf
-            hi = (b[j] - mu) / denom if np.isfinite(b[j]) else np.inf
-            mass = float(ndtr(hi)) - float(ndtr(lo))
+            mass = float(ndtr((b[j] - float(L[j, :i] @ y[:i])) / denom))
             if mass < best_mass:
                 best_mass, best_j = mass, j
         j = best_j
@@ -348,53 +311,46 @@ def _reordered_cholesky(
             c[[i, j], :] = c[[j, i], :]
             c[:, [i, j]] = c[:, [j, i]]
             L[[i, j], :i] = L[[j, i], :i]
-            a[[i, j]] = a[[j, i]]
             b[[i, j]] = b[[j, i]]
             perm[[i, j]] = perm[[j, i]]
         sii = max(c[i, i] - float(L[i, :i] @ L[i, :i]), eps)
         L[i, i] = math.sqrt(sii)
         if i + 1 < k:
             L[i + 1 :, i] = (c[i + 1 :, i] - L[i + 1 :, :i] @ L[i, :i]) / L[i, i]
-        mu = float(L[i, :i] @ y[:i])
-        lo = (a[i] - mu) / L[i, i] if np.isfinite(a[i]) else -np.inf
-        hi = (b[i] - mu) / L[i, i] if np.isfinite(b[i]) else np.inf
-        plo, phi = float(ndtr(lo)), float(ndtr(hi))
-        mass = max(phi - plo, 1e-300)
-        dlo = math.exp(-0.5 * lo * lo) / _SQRT_TWO_PI if np.isfinite(lo) else 0.0
-        dhi = math.exp(-0.5 * hi * hi) / _SQRT_TWO_PI if np.isfinite(hi) else 0.0
+        hi = (b[i] - float(L[i, :i] @ y[:i])) / L[i, i]
+        mass = max(float(ndtr(hi)), 1e-300)
         # truncated-normal mean stands in for the integration variable
-        y[i] = (dlo - dhi) / mass
+        y[i] = -(math.exp(-0.5 * hi * hi) / _SQRT_TWO_PI) / mass
     return L, perm
 
 
 def _qmc_means(
     L: np.ndarray,
-    a: np.ndarray,
     b: np.ndarray,
     base: np.ndarray,
     shifts: np.ndarray,
     cuts: Sequence[int],
 ) -> np.ndarray:
-    """Mean integrand value per point segment and randomization.
+    """Mean orthant integrand value per point segment and randomization.
 
-    The points are the rows of ``base`` (n, k-1), digitally shifted by each
-    row of ``shifts`` (S, k-1), both 32-bit integers; row s of the result
-    averages, for every randomization, the points [cuts[s], cuts[s+1]),
-    with cuts running from 0 to n. The pass walks the base points in
-    blocks of _BLOCK across all shifts, building each block's points in
-    place and reusing its buffers, so the working set stays in cache and
-    only the (S, n) integrand values are held whole. Every value is the
-    float a pass over all points at once would give.
+    The integrand is Genz's separation-of-variables form of P(Z <= b) for
+    the factor L. The points are the rows of ``base`` (n, k-1), digitally
+    shifted by each row of ``shifts`` (S, k-1), both 32-bit integers; row
+    s of the result averages, for every randomization, the points
+    [cuts[s], cuts[s+1]), with cuts running from 0 to n. The pass walks the
+    base points in blocks of _BLOCK across all shifts, building each
+    block's points in place and reusing its buffers, so the working set
+    stays in cache and only the (S, n) integrand values are held whole.
+    Every value is the float a pass over all points at once would give.
     """
     n_shifts, n = shifts.shape[0], base.shape[0]
     k = L.shape[0]
     tiny = 1e-15
-    d0 = float(ndtr(a[0] / L[0, 0])) if np.isfinite(a[0]) else 0.0
-    e0 = float(ndtr(b[0] / L[0, 0])) if np.isfinite(b[0]) else 1.0
+    e0 = float(ndtr(b[0] / L[0, 0]))
     size = n_shifts * min(n, _BLOCK)
     ints = np.empty((size, k - 1), dtype=np.uint64)
     pts, y = np.empty((size, k - 1)), np.empty((size, k - 1))
-    z, mu, d_buf, e_buf, f = (np.empty(size) for _ in range(5))
+    z, mu, e_buf, f = (np.empty(size) for _ in range(4))
     values = np.empty((n_shifts, n))
     for start in range(0, n, _BLOCK):
         width = min(_BLOCK, n - start)
@@ -406,54 +362,45 @@ def _qmc_means(
             base[None, start : start + width], shifts[:, None], out=ib.reshape(n_shifts, width, k - 1)
         )
         np.divide(np.add(ib, 0.5, out=xb), _TWO32, out=xb)
-        fb.fill(e0 - d0)
-        d, e = d0, e0
+        fb.fill(e0)
+        e = e0
         for i in range(1, k):
-            np.subtract(e, d, out=zb)
-            np.multiply(xb[:, i - 1], zb, out=zb)
-            np.add(d, zb, out=zb)
+            np.multiply(xb[:, i - 1], e, out=zb)
             np.clip(zb, tiny, 1.0 - tiny, out=zb)
             ndtri(zb, out=yb[:, i - 1])
             np.matmul(yb[:, :i], L[i, :i], out=mub)
-            if np.isfinite(a[i]):
-                d = np.subtract(a[i], mub, out=d_buf[:rows])
-                ndtr(np.divide(d, L[i, i], out=d), out=d)
-            else:
-                d = 0.0
-            if np.isfinite(b[i]):
-                e = np.subtract(b[i], mub, out=e_buf[:rows])
-                ndtr(np.divide(e, L[i, i], out=e), out=e)
-            else:
-                e = 1.0
-            np.multiply(fb, np.subtract(e, d, out=zb), out=fb)
+            e = np.subtract(b[i], mub, out=e_buf[:rows])
+            ndtr(np.divide(e, L[i, i], out=e), out=e)
+            np.multiply(fb, e, out=fb)
         values[:, start : start + width] = fb.reshape(n_shifts, width)
     return np.stack([values[:, lo:hi].mean(axis=1) for lo, hi in zip(cuts[:-1], cuts[1:])])
 
 
 class _QmcRule:
-    """Randomized QMC rule for one correlation: variable order, points and shifts.
+    """Randomized QMC rule for the orthant P(Z <= upper) of one correlation:
+    variable order, points and shifts.
 
-    The rule is fitted at one pair of bounds: the variable order is chosen
+    The rule is fitted at one upper bound: the variable order is chosen
     there, and while the error misses the target n grows fourfold, up to
     max_points, on the same shifts: each refinement integrates only the
-    new Sobol' points [n, 4n) at the fitting bounds and keeps their
+    new Sobol' points [n, 4n) at the fitting bound and keeps their
     per-randomization mean beside those of the earlier segments. Every
     evaluation pools the same segments in the same order, so the estimate
-    at the fitting bounds equals the fit's float for float, and it is a
-    deterministic, continuous function of the bounds. Only the shifts and
+    at the fitting bound equals the fit's float for float, and it is a
+    deterministic, continuous function of the bound. Only the shifts and
     segment means are kept; each kernel pass rebuilds its points block by
     block (``_qmc_means``), which holds memory to one block's points and
     one pass's integrand values.
     """
 
-    def __init__(self, corr, lower, upper, seed, target_error, max_points):
-        self._L, self._perm = _reordered_cholesky(corr, lower, upper)
-        self._bounds = lower[self._perm], upper[self._perm]
+    def __init__(self, corr, upper, seed, target_error, max_points):
+        self._L, self._perm = _reordered_cholesky(corr, upper)
+        self._upper = upper[self._perm]
         self._max_points = max_points
         self._shifts = self._draw(np.random.default_rng(int(seed) & _U64))
         # segment ends: the first pass, then one per refinement
         self._cuts = [0, min(_START_POINTS, max_points)]
-        self._segments = list(self._means(self._shifts, 0, *self._bounds))
+        self._segments = list(self._means(self._shifts, 0, self._upper))
         self.estimate = self._pooled(self._segments)
         while self.estimate.error > target_error and self.refine():
             pass
@@ -465,11 +412,11 @@ class _QmcRule:
     def _draw(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, 1 << 32, size=(_SHIFTS, self._L.shape[0] - 1), dtype=np.uint64)
 
-    def _means(self, shifts: np.ndarray, start: int, lower, upper) -> np.ndarray:
+    def _means(self, shifts: np.ndarray, start: int, upper) -> np.ndarray:
         """Segment means of the points [start, n) in one kernel pass."""
         base = _sobol_base(self._L.shape[0] - 1, self.n)[start:]
         cuts = [c - start for c in self._cuts if c >= start]
-        return _qmc_means(self._L, lower, upper, base, shifts, cuts)
+        return _qmc_means(self._L, upper, base, shifts, cuts)
 
     def _pooled(self, segments) -> ProbEstimate:
         means = 0.0
@@ -483,24 +430,24 @@ class _QmcRule:
 
     def refine(self, max_points: int | None = None) -> bool:
         """Quadruple n on the same shifts, integrating the new points at the
-        fitting bounds and updating ``estimate``; False, changing nothing,
+        fitting bound and updating ``estimate``; False, changing nothing,
         once n reaches max_points (by default the fit's cap)."""
         cap = self._max_points if max_points is None else max_points
         if self.n >= cap:
             return False
         start = self.n
         self._cuts.append(min(4 * start, cap))
-        self._segments.extend(self._means(self._shifts, start, *self._bounds))
+        self._segments.extend(self._means(self._shifts, start, self._upper))
         self.estimate = self._pooled(self._segments)
         return True
 
-    def __call__(self, lower, upper, seed: int | None = None) -> ProbEstimate:
-        """The estimate at the given bounds; with ``seed``, an independent one
-        at the same n from shifts drawn with that seed."""
+    def __call__(self, upper, seed: int | None = None) -> ProbEstimate:
+        """The estimate at the given upper bound; with ``seed``, an
+        independent one at the same n from shifts drawn with that seed."""
         shifts = self._shifts
         if seed is not None:
             shifts = self._draw(np.random.default_rng(int(seed) & _U64))
-        return self._pooled(self._means(shifts, 0, lower[self._perm], upper[self._perm]))
+        return self._pooled(self._means(shifts, 0, upper[self._perm]))
 
 
 def _check_accuracy_args(target_error: float, max_points: int) -> int:
@@ -542,57 +489,6 @@ def _exact_union(u: np.ndarray, corr: np.ndarray, target_error: float) -> ProbEs
     return ProbEstimate(min(1.0, max(0.0, v)), error)
 
 
-def mvn_rectangle(
-    lower,
-    upper,
-    corr,
-    seed: int = 0,
-    target_error: float = DEFAULT_TARGET_ERROR,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> ProbEstimate:
-    """P(lower_j < Z_j <= upper_j for all j) for Z ~ MVN(0, corr).
-
-    Bounds may be -inf/+inf. Exact in dimensions 1-3 (to ~1e-13; in
-    dimension 3 a quadrature whose error estimate misses ``target_error``
-    hands over to QMC); QMC above, with the reported error targeted at
-    ``target_error`` but honest when the sample cap bites first.
-    """
-    cm = as_correlation(corr)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if lo.shape != (cm.dim,) or hi.shape != (cm.dim,):
-        raise InputError("bound vectors must match the correlation dimension")
-    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-        raise InputError("bounds must not be NaN")
-    if not np.all(lo < hi):
-        raise InputError("lower bounds must be strictly below upper bounds")
-    max_points = _check_accuracy_args(target_error, max_points)
-    vacuous = (lo == -np.inf) & (hi == np.inf)
-    if vacuous.any():
-        keep = np.flatnonzero(~vacuous)
-        if keep.size == 0:
-            return ProbEstimate(1.0, 0.0)
-        return mvn_rectangle(lo[keep], hi[keep], cm.submatrix(keep), seed, target_error, max_points)
-    k = cm.dim
-    if k == 1:
-        v = float(ndtr(hi[0])) - float(ndtr(lo[0]))
-        return ProbEstimate(min(1.0, max(0.0, v)), 1e-15)
-    if k == 2:
-        r = float(cm.values[0, 1])
-        v = (
-            _bvn_cdf(hi[0], hi[1], r)
-            - _bvn_cdf(lo[0], hi[1], r)
-            - _bvn_cdf(hi[0], lo[1], r)
-            + _bvn_cdf(lo[0], lo[1], r)
-        )
-        return ProbEstimate(min(1.0, max(0.0, v)), _EXACT_ERROR)
-    if k == 3:
-        v, error = _rectangle_3d(lo, hi, cm.values)
-        if error <= max(target_error, _EXACT_ERROR):
-            return ProbEstimate(v, max(error, _EXACT_ERROR))
-    return _QmcRule(cm.values, lo, hi, seed, target_error, max_points).estimate
-
-
 def union_exceedance(
     thresholds,
     corr,
@@ -603,12 +499,15 @@ def union_exceedance(
     """P(P_j <= u_j for some j) under the global null.
 
     P_j = 1 - Phi(Z_j) with Z ~ MVN(0, corr), so each P_j is uniform and
-    the union is 1 minus a rectangle probability. Zero thresholds are
-    dropped (zero-probability events); a threshold of 1 makes the union
-    certain and returns exactly 1. Up to three remaining thresholds the
-    union is exact by inclusion-exclusion (see ``mvn_rectangle``); above
-    that it is a QMC estimate. Either way it is the ``estimate`` of a
-    ``UnionRule`` fitted at the remaining thresholds.
+    the union is 1 minus the orthant probability P(Z_j <= -Phi^-1(u_j)
+    for all j). Zero thresholds are dropped (zero-probability events); a
+    threshold of 1 makes the union certain and returns exactly 1. Up to
+    three remaining thresholds the union is exact by inclusion-exclusion
+    (to ~1e-13; in dimension 3 a quadrature whose error estimate misses
+    ``target_error`` hands over to QMC); above that it is a QMC estimate
+    of the orthant, with the reported error targeted at ``target_error``
+    but honest when the sample cap bites first. Either way it is the
+    ``estimate`` of a ``UnionRule`` fitted at the remaining thresholds.
     """
     cm = as_correlation(corr)
     u = np.asarray(thresholds, dtype=float)
@@ -631,15 +530,17 @@ def _complement(est: ProbEstimate) -> ProbEstimate:
 
 
 class UnionRule:
-    """``union_exceedance`` over one correlation on a rule kept fixed across thresholds.
+    """``union_exceedance`` over one correlation on a rule kept fixed across
+    thresholds: the package's one entry to the kernel.
 
     The rule is built at reference thresholds, all in (0, 1). Up to
-    three dimensions the exact paths need no rule. Above that (or when
-    the trivariate quadrature misses ``target_error`` at the reference) a
-    QMC rule is fitted at the reference thresholds and kept, so the
-    estimate is a deterministic, continuous function of the thresholds:
-    what a root solve needs (Genz & Bretz 2009, section 5).
-    ``estimate`` holds the value at the reference thresholds.
+    three dimensions the exact inclusion-exclusion needs no rule. Above
+    that (or when the trivariate quadrature misses ``target_error`` at
+    the reference) a QMC rule for the complementary orthant is fitted at
+    the reference thresholds and kept, so the estimate is a
+    deterministic, continuous function of the thresholds: what a root
+    solve needs (Genz & Bretz 2009, section 5). ``estimate`` holds the
+    value at the reference thresholds.
     """
 
     def __init__(
@@ -660,9 +561,7 @@ class UnionRule:
         self._qmc: _QmcRule | None = None
         est = _exact_union(u, self._corr, target_error)
         if est is None:
-            self._qmc = _QmcRule(
-                self._corr, np.full(u.size, -np.inf), -ndtri(u), seed, target_error, max_points
-            )
+            self._qmc = _QmcRule(self._corr, -ndtri(u), seed, target_error, max_points)
             est = _complement(self._qmc.estimate)
         self.estimate = est
 
@@ -679,7 +578,7 @@ class UnionRule:
             return ProbEstimate(1.0, 0.0)
         if self._qmc is None:
             return _exact_union(u, self._corr, math.inf)
-        return _complement(self._qmc(np.full(u.size, -np.inf), -ndtri(u), seed))
+        return _complement(self._qmc(-ndtri(u), seed))
 
     def refine(self, max_points: int | None = None) -> bool:
         """Quadruple the QMC point count on the same shifts, integrating only

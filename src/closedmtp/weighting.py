@@ -57,8 +57,12 @@ class WeightingScheme:
         object.__setattr__(self, "table", tab)
 
     def weights_for(self, subset) -> np.ndarray:
-        """Weight vector for a subset given as bitmask or index iterable."""
-        mask = subset if isinstance(subset, int) else mask_of(subset, self.m)
+        """Weight vector for a subset given as bitmask (any integer but a
+        bool, NumPy's included) or index iterable."""
+        if isinstance(subset, (int, np.integer)) and not isinstance(subset, bool):
+            mask = int(subset)
+        else:
+            mask = mask_of(subset, self.m)
         if not 1 <= mask < (1 << self.m):
             raise InputError(f"mask {mask} out of range for m={self.m}")
         return self.table[mask]

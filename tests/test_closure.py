@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from closedmtp.closure import (
+    METHODS,
     ClosureReport,
     TestProblem,
     check_consonance,
@@ -14,7 +15,6 @@ from closedmtp.closure import (
 )
 from closedmtp.exceptions import InputError
 from closedmtp.intersection import (
-    METHODS,
     CorrelationModel,
     derived_seed,
     parametric_c,

@@ -64,23 +64,10 @@ class TestCorrelationModel:
         assert model.block_of(0) == 0
         assert model.block_of(2) == 1
 
-    def test_corr_for_submatrix(self):
-        mat = np.array([[1.0, 0.3, 0.6], [0.3, 1.0, 0.1], [0.6, 0.1, 1.0]])
-        model = CorrelationModel(3, ((0, 1, 2),), (CorrelationMatrix(mat),))
-        sub = model.corr_for((0, 2))
-        assert sub.values[0, 1] == pytest.approx(0.6, abs=1e-15)
-
     def test_empty_subset_rejected(self):
         model = CorrelationModel.full(equicorr(3, 0.4))
         with pytest.raises(InputError):
             model.covers(())
-        with pytest.raises(InputError):
-            model.corr_for(())
-
-    def test_corr_for_rejects_spanning_subset(self):
-        model = CorrelationModel.independent_blocks(3)
-        with pytest.raises(InputError):
-            model.corr_for((0, 1))
 
     def test_blocks_must_cover(self):
         with pytest.raises(InputError):
@@ -104,10 +91,15 @@ class TestCorrelationModel:
         with pytest.raises(InputError, match="block 1 is empty"):
             CorrelationModel(2, ((), (0, 1)), (None, equicorr(2, 0.3)))
 
-    def test_corr_for_singletons_share_one_identity(self):
+    def test_blocks_singletons_share_one_identity(self):
+        from closedmtp import intersection
+
         model = CorrelationModel(3, ((0, 1), (2,)), (equicorr(2, 0.5), None))
-        assert model.corr_for((2,)) is model.corr_for((0,))
-        assert model.corr_for((2,)).values.tolist() == [[1.0]]
+        # a singleton block, and a pair with one active member
+        groups = intersection._blocks((0, 1, 2), np.array([0.3, 0.0, 0.2]), model)
+        assert [g[1] for g in groups] == [(0, 1), (2,)]
+        assert all(g[3] is intersection._UNIT for g in groups)
+        assert intersection._UNIT.values.tolist() == [[1.0]]
 
 
 class TestBonferroni:
@@ -301,9 +293,9 @@ class TestParametricC:
         points = []
         kernel = mvnorm._qmc_means
 
-        def counted(L, a, b, base, *rest):
+        def counted(L, b, base, *rest):
             points.append(base.shape[0])
-            return kernel(L, a, b, base, *rest)
+            return kernel(L, b, base, *rest)
 
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
         rng = np.random.default_rng(21)
@@ -385,9 +377,9 @@ class TestParametricC:
         points = []
         kernel = mvnorm._qmc_means
 
-        def counted(L, a, b, base, *rest):
+        def counted(L, b, base, *rest):
             points.append(base.shape[0])
-            return kernel(L, a, b, base, *rest)
+            return kernel(L, b, base, *rest)
 
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
         corr = random_correlation(np.random.default_rng(4), dim)

@@ -1,4 +1,4 @@
-"""Kernel tests: univariate wrappers, rectangle/union probabilities, root solves."""
+"""Kernel tests: union/orthant probabilities, the QMC pass, root solves."""
 
 import math
 
@@ -13,10 +13,7 @@ from closedmtp.mvnorm import (
     ProbEstimate,
     UnionRule,
     _bvn_cdf,
-    mvn_rectangle,
     solve_monotone,
-    std_normal_cdf,
-    std_normal_quantile,
     union_exceedance,
 )
 
@@ -42,26 +39,23 @@ def one_factor(lam):
     return CorrelationMatrix(v)
 
 
-def one_factor_rectangle(lower, upper, lam):
-    """P(lower < Z <= upper) for a one-factor correlation, by adaptive quadrature
+def one_factor_orthant(upper, lam):
+    """P(Z <= upper) for a one-factor correlation, by adaptive quadrature
     over the common factor W (independent of the kernel's reduction)."""
     lam = np.asarray(lam, dtype=float)
     s = np.sqrt(1.0 - lam**2)
 
     def given_w(w):
         out = 1.0
-        for lo, hi, l, sd in zip(lower, upper, lam, s):
-            if sd == 0.0:
-                out *= float(lo < l * w <= hi)
-            else:
-                out *= std_normal_cdf((hi - l * w) / sd) - std_normal_cdf((lo - l * w) / sd)
+        for hi, l, sd in zip(upper, lam, s):
+            out *= float(l * w <= hi) if sd == 0.0 else ndtr((hi - l * w) / sd)
         return math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * out
 
     # the integrand bends where a bound meets lam_j * W, over a width
     # sqrt(1 - lam_j^2) / |lam_j|; cuts at doubling distances resolve it
     cuts = {-12.0, 12.0}
-    for b, l, sd in zip(np.concatenate([lower, upper]), np.tile(lam, 2), np.tile(s, 2)):
-        if l == 0.0 or not math.isfinite(b):
+    for b, l, sd in zip(upper, lam, s):
+        if l == 0.0:
             continue
         width = sd / abs(l)
         offsets = [0.0] + [sign * width * 2.0**i for i in range(60) for sign in (-1, 1)]
@@ -108,65 +102,29 @@ def conditioned_quad(h, corr):
 
 
 def one_factor_union(u, lam):
-    upper = -np.array([std_normal_quantile(x) for x in u])
-    return 1.0 - one_factor_rectangle(np.full(len(u), -np.inf), upper, lam)
+    return 1.0 - one_factor_orthant(-ndtri(np.asarray(u, dtype=float)), lam)
 
 
-def unblocked_means(L, a, b, pts, cuts):
-    """The QMC integrand's segment means over all points at once, pts of
-    shape (S, n, k-1) built whole: the kernel pass before it went block by
-    block, kept as the reference the blocked pass must match bit for bit."""
+def unblocked_means(L, b, pts, cuts):
+    """The QMC orthant integrand's segment means over all points at once,
+    pts of shape (S, n, k-1) built whole: the kernel pass before it went
+    block by block, kept as the reference the blocked pass must match bit
+    for bit."""
     n_shifts, n, _ = pts.shape
     k = L.shape[0]
     tiny = 1e-15
     flat = pts.reshape(n_shifts * n, k - 1)
-    if np.isfinite(a[0]):
-        d = np.full(n_shifts * n, float(ndtr(a[0] / L[0, 0])))
-    else:
-        d = np.zeros(n_shifts * n)
-    if np.isfinite(b[0]):
-        e = np.full(n_shifts * n, float(ndtr(b[0] / L[0, 0])))
-    else:
-        e = np.ones(n_shifts * n)
-    f = e - d
+    e = np.full(n_shifts * n, float(ndtr(b[0] / L[0, 0])))
+    f = e
     y = np.empty((n_shifts * n, k - 1))
     for i in range(1, k):
-        z = np.clip(d + flat[:, i - 1] * (e - d), tiny, 1.0 - tiny)
+        z = np.clip(flat[:, i - 1] * e, tiny, 1.0 - tiny)
         y[:, i - 1] = ndtri(z)
         mu = y[:, :i] @ L[i, :i]
-        d = ndtr((a[i] - mu) / L[i, i]) if np.isfinite(a[i]) else 0.0
-        e = ndtr((b[i] - mu) / L[i, i]) if np.isfinite(b[i]) else 1.0
-        f = f * (e - d)
+        e = ndtr((b[i] - mu) / L[i, i])
+        f = f * e
     f = f.reshape(n_shifts, n)
     return np.stack([f[:, lo:hi].mean(axis=1) for lo, hi in zip(cuts[:-1], cuts[1:])])
-
-
-class TestUnivariate:
-    def test_cdf_symmetry(self):
-        assert std_normal_cdf(0.0) == 0.5
-
-    def test_cdf_saturation(self):
-        assert std_normal_cdf(40.0) == pytest.approx(1.0, abs=1e-15)
-        assert std_normal_cdf(-40.0) == 0.0
-
-    def test_cdf_reference_point(self):
-        # 97.5% point of the standard normal
-        assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
-
-    def test_quantile_symmetry(self):
-        assert std_normal_quantile(0.5) == 0.0
-
-    def test_quantile_reference_point(self):
-        assert std_normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
-
-    def test_round_trip(self):
-        u = 0.0123
-        assert std_normal_cdf(std_normal_quantile(u)) == pytest.approx(u, abs=1e-10)
-
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.5, 1.5])
-    def test_quantile_domain(self, u):
-        with pytest.raises(InputError):
-            std_normal_quantile(u)
 
 
 class TestCorrelationMatrix:
@@ -222,67 +180,38 @@ class TestProbEstimateType:
             ProbEstimate(0.5, -1.0)
 
 
-class TestRectangle:
-    def test_bivariate_orthant_independent(self):
-        est = mvn_rectangle([-np.inf, -np.inf], [0.0, 0.0], equicorr(2, 0.0))
-        assert est.value == pytest.approx(0.25, abs=1e-13)
-
-    def test_bivariate_orthant_closed_form(self):
-        # P(Z1<=0, Z2<=0) = 1/4 + arcsin(rho)/(2 pi)
-        for rho in (-0.9, -0.3, 0.2, 0.5, 0.8, 0.95):
-            est = mvn_rectangle([-np.inf, -np.inf], [0.0, 0.0], equicorr(2, rho))
-            want = 0.25 + math.asin(rho) / (2.0 * math.pi)
+class TestUnionExceedance:
+    def test_bivariate_closed_form(self):
+        # at u = 1/2 the orthant bounds are 0: 1/4 + arcsin(rho) / (2 pi)
+        for rho in (-0.9, -0.3, 0.0, 0.2, 0.5, 0.8, 0.95):
+            est = union_exceedance([0.5, 0.5], equicorr(2, rho))
+            want = 1.0 - (0.25 + math.asin(rho) / (2.0 * math.pi))
             assert est.value == pytest.approx(want, abs=1e-12)
 
-    def test_trivariate_orthant_closed_form(self):
-        # equicorrelated orthant: 1/8 + 3 arcsin(rho) / (4 pi)
+    def test_trivariate_closed_form(self):
+        # equicorrelated orthant at 0: 1/8 + 3 arcsin(rho) / (4 pi)
         for rho in (0.2, 0.5, 0.7):
-            est = mvn_rectangle([-np.inf] * 3, [0.0] * 3, equicorr(3, rho), seed=7)
-            want = 0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi)
+            est = union_exceedance([0.5] * 3, equicorr(3, rho), seed=7)
+            want = 1.0 - (0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi))
             assert est.value == pytest.approx(want, abs=3 * max(est.error, 1e-9))
-        est = mvn_rectangle([-np.inf] * 3, [0.0] * 3, equicorr(3, 0.5), seed=3)
-        assert est.value == pytest.approx(0.25, abs=3 * max(est.error, 1e-9))
-
-    def test_univariate_reduction(self):
-        est = mvn_rectangle([-np.inf], [1.959964], equicorr(1, 0.0))
-        assert est.value == pytest.approx(0.975, abs=1e-6)
-        assert est.error <= 1e-14
-
-    def test_finite_bivariate_against_products(self):
-        est = mvn_rectangle([-1.0, 0.5], [2.0, 1.5], equicorr(2, 0.0))
-        want = (std_normal_cdf(2.0) - std_normal_cdf(-1.0)) * (
-            std_normal_cdf(1.5) - std_normal_cdf(0.5)
-        )
-        assert est.value == pytest.approx(want, abs=1e-13)
 
     def test_independence_product_rule_qmc(self):
         rng = np.random.default_rng(5)
         for dim in (3, 4, 5):
-            lo = rng.uniform(-2.0, -0.5, size=dim)
-            hi = rng.uniform(0.0, 2.0, size=dim)
-            est = mvn_rectangle(lo, hi, equicorr(dim, 0.0), seed=11)
-            want = np.prod([std_normal_cdf(h) - std_normal_cdf(l) for l, h in zip(lo, hi)])
+            u = rng.uniform(0.01, 0.5, size=dim)
+            est = union_exceedance(u, equicorr(dim, 0.0), seed=11)
+            if dim > 3:
+                assert UnionRule(u, equicorr(dim, 0.0), seed=11).sampled
+            want = 1.0 - np.prod(ndtr(-ndtri(u)))
             assert est.value == pytest.approx(want, abs=3 * est.error)
-
-    def test_vacuous_dimensions_dropped(self):
-        cm = equicorr(3, 0.4)
-        est = mvn_rectangle([-np.inf, -np.inf, -np.inf], [0.0, np.inf, 0.0], cm, seed=2)
-        want = 0.25 + math.asin(0.4) / (2.0 * math.pi)
-        assert est.value == pytest.approx(want, abs=1e-12)
-        assert est.error <= 1e-12
-
-    def test_all_vacuous(self):
-        est = mvn_rectangle([-np.inf, -np.inf], [np.inf, np.inf], equicorr(2, 0.3))
-        assert est == ProbEstimate(1.0, 0.0)
 
     def test_determinism(self):
         cm = random_correlation(np.random.default_rng(0), 4)
-        lo = np.array([-2.0, -1.0, -np.inf, -0.5])
-        hi = np.array([1.0, 2.0, 0.5, 1.5])
-        a = mvn_rectangle(lo, hi, cm, seed=42)
-        b = mvn_rectangle(lo, hi, cm, seed=42)
+        u = np.array([0.02, 0.3, 0.1, 0.05])
+        a = union_exceedance(u, cm, seed=42)
+        b = union_exceedance(u, cm, seed=42)
         assert (a.value, a.error) == (b.value, b.error)
-        c = mvn_rectangle(lo, hi, cm, seed=43)
+        c = union_exceedance(u, cm, seed=43)
         assert a.value != c.value
 
     def test_error_honesty_scipy_cross_check(self):
@@ -293,10 +222,10 @@ class TestRectangle:
             dim = int(rng.integers(3, 7))
             cm = random_correlation(rng, dim)
             hi = rng.uniform(-1.0, 2.0, size=dim)
-            est = mvn_rectangle(np.full(dim, -np.inf), hi, cm, seed=trial)
+            est = union_exceedance(ndtr(-hi), cm, seed=trial)
             # seeded, and integrated well below the 1e-5 floor, so the
             # oracle's own error cannot decide the comparison
-            want = multivariate_normal(
+            want = 1.0 - multivariate_normal(
                 np.zeros(dim), cm.values, allow_singular=True,
                 seed=trial, abseps=1e-6, releps=0.0,
             ).cdf(hi, lower_limit=np.full(dim, -40.0))
@@ -304,14 +233,8 @@ class TestRectangle:
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            mvn_rectangle([-1.0], [1.0], equicorr(2, 0.0))
+            union_exceedance([0.1], equicorr(2, 0.0))
 
-    def test_crossed_bounds(self):
-        with pytest.raises(InputError):
-            mvn_rectangle([1.0, 0.0], [0.0, 1.0], equicorr(2, 0.0))
-
-
-class TestUnionExceedance:
     def test_single_threshold_exact(self):
         est = union_exceedance([0.01], equicorr(1, 0.0))
         assert est == ProbEstimate(0.01, 0.0)
@@ -355,7 +278,7 @@ class TestUnionExceedance:
         cm = equicorr(3, 0.5)
         u = np.array([0.010, 0.005, 0.010])
         est = union_exceedance(u, cm, seed=1)
-        upper = -np.array([std_normal_quantile(x) for x in u])
+        upper = -ndtri(u)
         # seeded, at abseps 1e-9: the default draws from the global RNG and
         # strays by up to 5e-6, more than the floor below
         want = 1.0 - multivariate_normal(
@@ -368,6 +291,28 @@ class TestUnionExceedance:
             union_exceedance([0.5, 1.2], equicorr(2, 0.0))
         with pytest.raises(InputError):
             union_exceedance([-0.1, 0.5], equicorr(2, 0.0))
+
+    @pytest.mark.parametrize("u", [-0.5, 1.5, math.nan])
+    def test_threshold_domain(self, u):
+        with pytest.raises(InputError):
+            union_exceedance([0.1, u, 0.2], equicorr(3, 0.3))
+
+    @pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+    def test_equicorrelated_half_orthant_qmc(self, dim):
+        # at rho = 1/2, Z_j = (E_j - E_0) / sqrt 2, so the orthant at 0 is
+        # P(E_0 is the largest of dim + 1) = 1 / (dim + 1)
+        est = union_exceedance([0.5] * dim, equicorr(dim, 0.5), seed=dim)
+        assert UnionRule([0.5] * dim, equicorr(dim, 0.5), seed=dim).sampled
+        assert est.value == pytest.approx(dim / (dim + 1.0), abs=3 * est.error)
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_one_factor_quadrature_qmc(self, dim):
+        # mixed-sign loadings, checked against quadrature over the factor
+        rng = np.random.default_rng(40 + dim)
+        lam = rng.uniform(0.2, 0.9, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+        u = rng.uniform(0.002, 0.05, size=dim)
+        est = union_exceedance(u, one_factor(lam), seed=dim)
+        assert est.value == pytest.approx(one_factor_union(u, lam), abs=3 * est.error)
 
 
 class TestExactTrivariate:
@@ -382,18 +327,13 @@ class TestExactTrivariate:
         assert est.value == pytest.approx(0.02237368435650633, abs=1e-13)
 
     def test_non_equicorrelated(self):
-        # unequal and mixed-sign correlations; finite lower bounds exercise
-        # the inclusion-exclusion over corners
+        # unequal and mixed-sign correlations
         lam = [0.9, -0.6, 0.4]
         cm = one_factor(lam)
         for u in ([0.01, 0.03, 0.002], [0.25, 0.1, 0.4]):
             est = union_exceedance(u, cm)
             assert est.error <= 1e-12
             assert est.value == pytest.approx(one_factor_union(u, lam), abs=1e-12)
-        lo, hi = np.array([-1.0, -np.inf, 0.3]), np.array([0.5, 1.2, np.inf])
-        est = mvn_rectangle(lo, hi, cm)
-        assert est.error <= 1e-12
-        assert est.value == pytest.approx(one_factor_rectangle(lo, hi, lam), abs=1e-12)
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 0.0])
     @pytest.mark.parametrize("r12", [0.3, -0.5])
@@ -406,7 +346,7 @@ class TestExactTrivariate:
         for u in ([0.01, 0.02, 0.03], [0.2, 0.1, 0.05], [0.3, 0.3, 0.001]):
             est = union_exceedance(u, cm)
             assert est.error <= 1e-12
-            a = [std_normal_quantile(x) for x in u]
+            a = ndtri(u)
             both = sum(
                 _bvn_cdf(a[i], a[j], cm.values[i, j]) for i, j in ((0, 1), (0, 2), (1, 2))
             )
@@ -414,20 +354,23 @@ class TestExactTrivariate:
             assert est.value == pytest.approx(want, abs=1e-12)
 
     def test_rank_one_correlation(self):
-        # Z2 = -Z1 and Z3 = Z1: the event is one interval for Z1
+        # Z2 = -Z1 and Z3 = Z1: the orthant is one interval for Z1, so the
+        # union is max(u1, u3) + u2 while the two tails are disjoint, else 1
         cm = CorrelationMatrix([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
-        est = mvn_rectangle([-1.0, -2.0, -0.5], [1.0, 2.0, 3.0], cm)
-        want = std_normal_cdf(1.0) - std_normal_cdf(-0.5)
-        assert est.value == pytest.approx(want, abs=1e-14)
+        est = union_exceedance([0.01, 0.02, 0.03], cm)
+        assert est.value == pytest.approx(0.05, abs=1e-14)
+        est = union_exceedance([0.6, 0.5, 0.1], cm)
+        assert est.value == pytest.approx(1.0, abs=1e-14)
         est = union_exceedance([0.01, 0.02, 0.03], equicorr(3, 1.0))
         assert est.value == pytest.approx(0.03, abs=1e-14)
 
     def test_orthant_and_independence_exact(self):
-        # zero bounds hit the zero-argument forms of the bivariate kernel
-        est = mvn_rectangle([-np.inf] * 3, [0.0] * 3, equicorr(3, 0.0))
-        assert est.value == pytest.approx(0.125, abs=1e-14)
-        est = mvn_rectangle([-np.inf] * 3, [0.0] * 3, equicorr(3, 0.5))
-        assert est.value == pytest.approx(0.25, abs=1e-14)
+        # u = 1/2 puts the bounds at 0: the zero-argument forms of the
+        # bivariate kernel
+        est = union_exceedance([0.5] * 3, equicorr(3, 0.0))
+        assert est.value == pytest.approx(0.875, abs=1e-14)
+        est = union_exceedance([0.5] * 3, equicorr(3, 0.5))
+        assert est.value == pytest.approx(0.75, abs=1e-14)
 
 
 class TestUnionRule:
@@ -477,9 +420,9 @@ class TestUnionRule:
         points = []
         kernel = mvnorm._qmc_means
 
-        def counted(L, a, b, base, *rest):
+        def counted(L, b, base, *rest):
             points.append(base.shape[0])
-            return kernel(L, a, b, base, *rest)
+            return kernel(L, b, base, *rest)
 
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
         cm = random_correlation(np.random.default_rng(3), 5)
@@ -535,28 +478,59 @@ class TestUnionRule:
         with pytest.raises(InputError):
             UnionRule([0.01, 0.02], equicorr(3, 0.5))
 
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_threshold_domain(self, u):
+        # a rule is fitted strictly inside (0, 1), exact or sampled
+        for dim in (2, 4):
+            with pytest.raises(InputError):
+                UnionRule([0.01] * (dim - 1) + [u], equicorr(dim, 0.5))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_qmc_orthant_matches_exact(self, dim, seed):
+        # the QMC pass, run where the exact inclusion-exclusion also holds
+        import closedmtp.mvnorm as mvnorm
+
+        rng = np.random.default_rng(10 * dim + seed)
+        cm = random_correlation(rng, dim)
+        u = rng.uniform(0.005, 0.3, size=dim)
+        qmc = mvnorm._QmcRule(cm.values, -ndtri(u), seed, 1e-6, 1 << 16)
+        exact = UnionRule(u, cm)
+        assert not exact.sampled
+        assert 1.0 - qmc.estimate.value == pytest.approx(
+            exact.estimate.value, abs=3 * qmc.estimate.error + 1e-12
+        )
+
+
+def check_blocked_pass(rng, dim, upper):
+    import closedmtp.mvnorm as mvnorm
+
+    corr = random_correlation(rng, dim).values
+    L, perm = mvnorm._reordered_cholesky(corr, upper)
+    upper = upper[perm]
+    shifts = rng.integers(0, 1 << 32, size=(10, dim - 1), dtype=np.uint64)
+    # below one block, one block exactly, and many blocks
+    for n in (2, 1 << 11, 1 << 16):
+        base = mvnorm._sobol_base(dim - 1, n)
+        cuts = [0, n] if n == 2 else [0, n // 4, n]
+        pts = ((base[None, :, :] ^ shifts[:, None, :]).astype(float) + 0.5) / float(1 << 32)
+        got = mvnorm._qmc_means(L, upper, base, shifts, cuts)
+        want = unblocked_means(L, upper, pts, cuts)
+        assert got.tobytes() == want.tobytes(), (dim, n)
+
 
 class TestKernelPass:
     @pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
-    @pytest.mark.parametrize("finite_lower", [False, True])
-    def test_blocked_pass_equals_unblocked_bit_for_bit(self, dim, finite_lower):
-        import closedmtp.mvnorm as mvnorm
+    def test_blocked_pass_equals_unblocked_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        check_blocked_pass(rng, dim, rng.uniform(0.5, 2.5, size=dim))
 
-        rng = np.random.default_rng(dim + 10 * finite_lower)
-        corr = random_correlation(rng, dim).values
-        upper = rng.uniform(0.5, 2.5, size=dim)
-        lower = -rng.uniform(0.5, 2.5, size=dim) if finite_lower else np.full(dim, -np.inf)
-        L, perm = mvnorm._reordered_cholesky(corr, lower, upper)
-        lower, upper = lower[perm], upper[perm]
-        shifts = rng.integers(0, 1 << 32, size=(10, dim - 1), dtype=np.uint64)
-        # below one block, one block exactly, and many blocks
-        for n in (2, 1 << 11, 1 << 16):
-            base = mvnorm._sobol_base(dim - 1, n)
-            cuts = [0, n] if n == 2 else [0, n // 4, n]
-            pts = ((base[None, :, :] ^ shifts[:, None, :]).astype(float) + 0.5) / float(1 << 32)
-            got = mvnorm._qmc_means(L, lower, upper, base, shifts, cuts)
-            want = unblocked_means(L, lower, upper, pts, cuts)
-            assert got.tobytes() == want.tobytes(), (dim, finite_lower, n)
+    @pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+    def test_blocked_pass_in_the_far_tail(self, dim):
+        # negative bounds: small orthants, whose conditional masses are
+        # small at every step of the integrand
+        rng = np.random.default_rng(dim + 10)
+        check_blocked_pass(rng, dim, -rng.uniform(0.5, 2.5, size=dim))
 
     def test_capped_evaluation_holds_no_point_array(self):
         # one evaluation of a k=6 rule at the 2^16 cap: the whole (10, 2^16,

@@ -76,6 +76,15 @@ class TestSchemeFromGraph:
         w = scheme.weights_for([1, 2, 3])
         assert np.abs(w - [0.4, 0.2, 0.4]).max() <= 1e-12
 
+    def test_numpy_integer_masks(self):
+        scheme = scheme_from_graph(cyclic_graph_m6())
+        want = scheme.weights_for(11)
+        for mask in (np.int64(11), np.uint32(11)):
+            np.testing.assert_array_equal(scheme.weights_for(mask), want)
+        for mask in (np.int64(1 << 6), np.uint32(0)):
+            with pytest.raises(InputError):
+                scheme.weights_for(mask)
+
     def test_flags(self):
         flags = validate(scheme_from_graph(cyclic_graph_m6()))
         assert flags == {"valid": True, "exhaustive": True, "monotone": True}
