@@ -4,9 +4,11 @@ it are.
 
 Every method tests J at local levels c * w_j(J) * alpha, with c = 1
 (Bonferroni), one common c (also for xie, on its one block), or one c
-per correlation block. One record per method (``_METHODS``) holds
-its level and p-value functions and what it needs of its inputs;
-run_closure and decision_thresholds both test through it. Every
+per correlation block, and gives J the p-value p_J, the smallest alpha
+at which those levels reject J: J is rejected when p_J <= alpha. One
+record per method (``_METHODS``) holds its level and p-value functions
+and what it needs of its inputs; run_closure decides through its
+p-values, decision_thresholds through its levels. Every
 intersection test, the shortcuts' included, goes through
 ``intersection``, the only module outside ``mvnorm`` that calls the
 kernel.
@@ -15,7 +17,7 @@ The exposed pieces:
 
 - TestProblem bundles scheme, correlation model, p-values, alpha, method.
 - run_closure produces per-intersection results plus adjusted p-values
-  (where the method defines them) and final rejections.
+  and final rejections.
 - decision_thresholds precomputes, per intersection and hypothesis, the
   p-value cutoff that rejects the intersection; these depend on the
   scheme and alpha but not on observed p-values, which is what makes
@@ -43,6 +45,7 @@ from .intersection import (
     parametric_c,
     parametric_pvalue,
     partitioned_common_scale,
+    partitioned_pvalue_common,
     partitioned_pvalue_subsets,
     partitioned_subset_scales,
     xie_pvalue,
@@ -110,16 +113,13 @@ class _Method:
     ``levels`` maps (members, weights, alpha, model, seed, target_error,
     root_tol, max_points) to (scale, block scales, local levels); ``pvalue``
     maps (members, weights, p-values, model, seed, target_error, max_points)
-    to the p-value, or is None for the common-scale method, which decides by
-    its levels. Both look the intersection tests up in this module's globals
-    per call, so wrappers on those bindings (tracing) see every call.
-    ``optional_levels``: the levels cost root solves the decision does not
-    need. ``proportional``: needs a proportional scheme, correlation known.
+    to the p-value. Both look the intersection tests up in this module's
+    globals per call, so wrappers on those bindings (tracing) see every
+    call. ``proportional``: needs a proportional scheme, correlation known.
     """
 
     levels: Callable
-    pvalue: Callable | None
-    optional_levels: bool = False
+    pvalue: Callable
     proportional: bool = False
 
 
@@ -128,13 +128,9 @@ _METHODS = {
         lambda mem, w, alpha, *_: (1.0, None, alpha * w),
         lambda mem, w, p, *_: bonferroni_pvalue(mem, w, p),
     ),
-    "parametric-common": _Method(_common_levels, None),
-    "parametric-subsets": _Method(
-        _block_levels, lambda *args: partitioned_pvalue_subsets(*args), optional_levels=True
-    ),
-    "xie": _Method(
-        _common_levels, lambda *args: xie_pvalue(*args), optional_levels=True, proportional=True
-    ),
+    "parametric-common": _Method(_common_levels, lambda *args: partitioned_pvalue_common(*args)),
+    "parametric-subsets": _Method(_block_levels, lambda *args: partitioned_pvalue_subsets(*args)),
+    "xie": _Method(_common_levels, lambda *args: xie_pvalue(*args), proportional=True),
 }
 # the method names every entry point accepts
 METHODS = tuple(_METHODS)
@@ -198,9 +194,11 @@ class TestProblem:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "pvalues", _check_pvalues(self.pvalues, self.scheme.m))
-        if not isinstance(self.seed, (int, np.integer)):
-            raise InputError("seed must be an integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        # the report's schema takes a nonnegative integer seed; a bool is none
+        seed = self.seed
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise InputError("seed must be a nonnegative integer")
+        object.__setattr__(self, "seed", int(seed))
 
     @property
     def m(self) -> int:
@@ -211,15 +209,15 @@ class TestProblem:
 class ClosureReport:
     """Full closure outcome.
 
-    ``adjusted`` holds per-hypothesis adjusted p-values, or None for the
-    common-scale method, which produces decisions without p-values.
-    ``intersections`` is ordered by subset bitmask.
+    ``adjusted`` holds per-hypothesis adjusted p-values; H_j is rejected
+    when its adjusted p-value is at most alpha. ``intersections`` is
+    ordered by subset bitmask.
     """
 
     m: int
     alpha: float
     method: str
-    adjusted: np.ndarray | None
+    adjusted: np.ndarray
     rejected: np.ndarray
     intersections: tuple[IntersectionResult, ...]
 
@@ -239,9 +237,9 @@ def run_closure(
 ) -> ClosureReport:
     """Test every intersection and combine the outcomes.
 
-    With ``compute_scales`` off, methods whose decisions do not need a
-    critical scaling (everything except the common-scale method) skip
-    the root-finds and leave scale/levels unset on their intersections.
+    Every intersection is decided by its p-value alone, p_J <= alpha. With
+    ``compute_scales`` off the root solves are skipped and scale/levels
+    stay unset on every intersection.
     """
     _check_solve_args(target_error, root_tol, max_points)
     m, p, alpha, model = problem.m, problem.pvalues, problem.alpha, problem.model
@@ -251,28 +249,21 @@ def run_closure(
     for mask in iter_masks(m):
         mem = members(mask)
         w = problem.scheme.weights_for(mask)
-        pm = p[list(mem)]
-        pv = None
-        if method.pvalue is not None:
-            pv = method.pvalue(mem, w, pm, model, problem.seed, target_error, max_points)
+        pv = method.pvalue(mem, w, p[list(mem)], model, problem.seed, target_error, max_points)
         scale = scales = levels = None
-        if compute_scales or not method.optional_levels:
+        if compute_scales:
             scale, scales, levels = method.levels(mem, w, alpha, model, *solve)
-        reject = pv <= alpha if pv is not None else bool(np.any((w > 0.0) & (pm <= levels)))
         results.append(
-            IntersectionResult(mem, problem.method, pv, scale, scales, levels, reject)
+            IntersectionResult(mem, problem.method, pv, scale, scales, levels, pv <= alpha)
         )
     # H_j falls when every intersection containing it does; adjusted = their largest p
-    adjusted = None if method.pvalue is None else np.zeros(m)
-    rejected = np.ones(m, dtype=bool)
+    adjusted = np.zeros(m)
     for res in results:
         idx = list(res.members)
-        rejected[idx] &= res.reject
-        if adjusted is not None:
-            adjusted[idx] = np.maximum(adjusted[idx], res.p_value)
+        adjusted[idx] = np.maximum(adjusted[idx], res.p_value)
+    rejected = adjusted <= alpha
     for out in (adjusted, rejected):
-        if out is not None:
-            out.setflags(write=False)
+        out.setflags(write=False)
     return ClosureReport(
         m=m,
         alpha=alpha,
@@ -299,7 +290,9 @@ def decision_thresholds(
     Non-members carry the sentinel -1.0; zero-weight members carry 0.0.
     The cutoffs do not depend on observed p-values, so one pass serves
     any number of simulated replications. They are the local levels
-    ``run_closure`` reports, float for float.
+    ``run_closure`` reports, float for float. ``run_closure`` decides by
+    the p-values instead; the cutoffs reproduce its decisions up to the
+    root solve's tolerance and the integration error.
     """
     _check_solve_args(target_error, root_tol, max_points)
     # the scheme's full (costly) validation is left to TestProblem and SimScenario

@@ -200,12 +200,11 @@ def scheme_document(scheme: WeightingScheme) -> dict:
 def analysis_document(problem: TestProblem, report, target_error: float) -> dict:
     hypotheses = []
     for i in range(report.m):
-        adj = None if report.adjusted is None else round10(report.adjusted[i])
         hypotheses.append(
             {
                 "index": i + 1,
                 "p_value": round10(problem.pvalues[i]),
-                "adjusted": adj,
+                "adjusted": round10(report.adjusted[i]),
                 "rejected": bool(report.rejected[i]),
             }
         )
@@ -220,7 +219,7 @@ def analysis_document(problem: TestProblem, report, target_error: float) -> dict
         entry = {
             "set": _set_out(res.members),
             "weights": [round10(x) for x in scheme_w],
-            "p_value": None if res.p_value is None else round10(res.p_value),
+            "p_value": round10(res.p_value),
             "scale": None if res.scale is None else round10(res.scale),
             "local_levels": [round10(x) for x in res.local_levels],
             "reject": bool(res.reject),

@@ -8,7 +8,8 @@ critical scalings and local significance levels under four methods:
 - fully parametric / proportional ("xie") for a completely known joint
   distribution,
 - partitioned methods for block-diagonal knowledge: either one common
-  scaling solved across blocks, or per-block scalings whose minimum
+  scaling solved across blocks, whose p-value sums the per-block unions
+  at one common threshold ratio, or per-block scalings whose minimum
   block p-value is the intersection p-value.
 
 Weight and p-value vectors are aligned with the ascending member order
@@ -21,11 +22,12 @@ The fully known tests are the one-block case of the partitioned ones
 (``_blocks``) splits J by block and hands each block the correlation of
 its active members and the salt of its random stream, its place in the
 split: a subset inside one block gets salt 0, the whole subset's. Every
-parametric p-value is a union at thresholds w_j * min(p/w) over the block's
-weight total; every critical scaling is one root solve over per-block
-unions (``_solve_scale``). This module is the only one outside ``mvnorm``
-that calls the kernel: the closure, its shortcuts and the simulation test
-intersections through the functions here.
+parametric p-value is built from per-block unions at thresholds w_j * q,
+q the smallest p/w of the block (of J, for the common scaling, which sums
+them), over a weight total; every critical scaling is one root solve over
+per-block unions (``_solve_scale``). This module is the only one outside
+``mvnorm`` that calls the kernel: the closure, its shortcuts and the
+simulation test intersections through the functions here.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .mvnorm import (
     solve_monotone,
     union_exceedance,
 )
-from .subsets import check_m, mask_of, members
+from .subsets import as_indices, check_m, mask_of, members
 
 _U64 = (1 << 64) - 1
 _MIX = 0x9E3779B97F4A7C15
@@ -141,13 +143,14 @@ class CorrelationModel:
         return cls(m, tuple((j,) for j in range(m)), (None,) * m)
 
     def block_of(self, j: int) -> int:
-        if not 0 <= int(j) < self.m:
+        (j,) = as_indices((j,))
+        if not 0 <= j < self.m:
             raise InputError(f"hypothesis index {j + 1} outside 1..{self.m}")
         return int(self._block_of[j])
 
     def covers(self, subset: Sequence[int]) -> bool:
         """True when one block contains the whole (nonempty) subset."""
-        blocks = {self.block_of(j) for j in subset}
+        blocks = {self.block_of(j) for j in as_indices(subset)}
         if not blocks:
             raise InputError("subset must be nonempty")
         return len(blocks) == 1
@@ -159,19 +162,17 @@ class IntersectionResult:
 
     ``scale`` is the single critical scaling where the method has one
     (1.0 for Bonferroni); ``block_scales`` carries per-block scalings
-    for the per-subset method. ``p_value`` is None for the common-scale
-    method, which yields only a decision. ``local_levels`` and the scalings
-    are None for the per-subset and proportional methods when the closure
-    ran with ``compute_scales`` off.
+    for the per-subset method. ``local_levels`` and the scalings are None
+    when the closure ran with ``compute_scales`` off.
     """
 
     members: tuple[int, ...]
     method: str
-    p_value: float | None
+    p_value: float
     scale: float | None
     block_scales: tuple[tuple[tuple[int, ...], float], ...] | None
     local_levels: np.ndarray | None
-    reject: bool | None
+    reject: bool
 
 
 def as_model(corr) -> CorrelationModel:
@@ -180,7 +181,7 @@ def as_model(corr) -> CorrelationModel:
 
 
 def _check_subset_args(subset, weights, pvalues=None):
-    mem = tuple(int(j) for j in subset)
+    mem = as_indices(subset)
     if len(mem) == 0:
         raise InputError("intersection subset must be nonempty")
     if sorted(set(mem)) != list(mem):
@@ -530,6 +531,47 @@ def partitioned_pvalue_subsets(
             )
             block_p.append(min(1.0, est.value / total))
     return float(min(block_p))
+
+
+def partitioned_pvalue_common(
+    subset,
+    weights,
+    pvalues,
+    corr,
+    seed: int = 0,
+    target_error: float = DEFAULT_TARGET_ERROR,
+    max_points: int = DEFAULT_MAX_POINTS,
+) -> float:
+    """Common-scale p-value: the per-block unions at thresholds w_j * q,
+    q = min(p / w), summed over the subset's weight total (capped at 1).
+
+    The common scaling rejects J when q <= c * alpha, and the union sum at
+    thresholds t * w grows with t, so this is the smallest alpha at which
+    ``partitioned_common_scale``'s levels reject J. No root-finding is
+    involved; the error budget is split across the blocks that sample, as
+    in the root solve. For one block it is ``parametric_pvalue``.
+    """
+    mem, w, p = _check_subset_args(subset, weights, pvalues)
+    total = _weight_total(w)
+    model = as_model(corr)
+    mask = mask_of(mem, model.m)
+    live = w > 0.0
+    q = float(np.min(p[live] / w[live]))
+    if q >= 1.0 / float(np.max(w)):
+        # some block's heaviest threshold is 1: its union alone reaches the total
+        return 1.0
+    groups = [
+        (salt, act, corr_act) for salt, _, act, corr_act, _ in _blocks(mem, w, model) if act.size
+    ]
+    block_error = target_error / max(1, sum(1 for _, act, _ in groups if act.size > MAX_EXACT_DIM))
+    union = sum(
+        union_exceedance(
+            np.minimum(1.0, w[act] * q), corr_act, derived_seed(seed, mask, salt),
+            block_error, max_points,
+        ).value
+        for salt, act, corr_act in groups
+    )
+    return float(min(1.0, union / total))
 
 
 def partitioned_subset_scales(

@@ -70,7 +70,8 @@ class SimScenario:
         if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
             raise InputError("replications must be a positive integer")
         object.__setattr__(self, "replications", int(self.replications))
-        if not isinstance(self.master_seed, (int, np.integer)) or self.master_seed < 0:
+        seed = self.master_seed
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
             raise InputError("master_seed must be a nonnegative integer")
         object.__setattr__(self, "master_seed", int(self.master_seed))
 

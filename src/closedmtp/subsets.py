@@ -8,6 +8,7 @@ the canonical ordering used by every report in the package.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from numbers import Integral
 
 from .exceptions import InputError
 
@@ -21,11 +22,25 @@ def check_m(m: int) -> int:
     return m
 
 
+def as_indices(indices: Iterable[int]) -> tuple[int, ...]:
+    """The members of an index iterable as Python ints. Python and NumPy
+    integers pass; a bool, a float or a value that is not iterable, as
+    the iterable or as a member, is an InputError."""
+    try:
+        out = tuple(indices)
+    except TypeError:
+        raise InputError(f"a subset must be an iterable of indices, got {indices!r}") from None
+    for i in out:
+        # a plain int passes at once; bool is a subclass of int, not an index
+        if type(i) is not int and (not isinstance(i, Integral) or isinstance(i, bool)):
+            raise InputError(f"hypothesis indices must be integers, got {i!r}")
+    return tuple(map(int, out))
+
+
 def mask_of(indices: Iterable[int], m: int) -> int:
     """Pack 0-based indices into a bitmask, rejecting duplicates."""
     mask = 0
-    for i in indices:
-        i = int(i)
+    for i in as_indices(indices):
         if not 0 <= i < m:
             raise InputError(f"hypothesis index {i} out of range for m={m}")
         bit = 1 << i

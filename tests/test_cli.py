@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -6,6 +8,7 @@ from click.testing import CliRunner
 
 from closedmtp import fileio
 from closedmtp.cli import main
+from closedmtp.closure import METHODS
 
 TUTORIAL = Path(__file__).resolve().parent.parent / "tutorial"
 
@@ -96,7 +99,8 @@ class TestAnalyze:
         )
         doc = json.loads(result.stdout)
         assert doc["method"] == "parametric-common"
-        assert all(h["adjusted"] is None for h in doc["hypotheses"])
+        # singleton blocks: the common scaling is Holm's test
+        assert [h["adjusted"] for h in doc["hypotheses"]] == [0.02, 0.03]
 
     def test_no_output_on_failure(self, runner, tmp_path):
         bad = dict(HOLM_PROBLEM, pvalues=[0.01, 1.5])
@@ -363,3 +367,48 @@ def test_tutorial_problem_analyzes(runner=None):
     doc = json.loads(result.stdout)
     fileio.check_schema(doc, "analysis")
     assert doc["seed"] == 2024
+
+
+def _method_problem(method):
+    """The tutorial problem, or for xie, which needs proportional weights
+    and one correlation block, its first three hypotheses under equal weights."""
+    doc = json.loads((TUTORIAL / "trial_problem.json").read_text())
+    if method == "xie":
+        block = doc["correlation"]["matrices"][0]
+        doc.update(
+            m=3,
+            pvalues=doc["pvalues"][:3],
+            weights={"graph": {
+                "m": 3,
+                "weights": [1 / 3] * 3,
+                "transitions": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+            }},
+            correlation={"blocks": [[1, 2, 3]], "matrices": [block]},
+        )
+    return doc
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_reports_every_pvalue(tmp_path, method):
+    # no method leaves an adjusted or intersection p-value empty, in any format
+    runner = CliRunner()
+    path = write_json(tmp_path, "problem.json", _method_problem(method))
+    out = {}
+    for fmt in ("json", "csv", "text"):
+        result = runner.invoke(main, ["analyze", path, "--method", method, "--format", fmt])
+        assert result.exit_code == 0, result.stderr
+        out[fmt] = result.stdout
+    doc = json.loads(out["json"])
+    fileio.check_schema(doc, "analysis")
+    assert all(h["adjusted"] is not None for h in doc["hypotheses"])
+    assert all(e["p_value"] is not None for e in doc["intersections"])
+    if method == "parametric-common":
+        assert [h["adjusted"] for h in doc["hypotheses"]] == pytest.approx(
+            [0.03, 0.0075, 0.05, 0.03, 0.05, 0.3], abs=1e-12
+        )
+    inter, hyps = (list(csv.reader(io.StringIO(b))) for b in out["csv"].split("\n\n"))
+    assert all(row[2] for row in inter[1:])
+    assert all(row[1] and row[2] for row in hyps[1:])
+    _, hyp_table, inter_table = out["text"].split("\n\n")
+    assert all(line.split()[2] != "-" for line in hyp_table.splitlines()[1:])
+    assert all(line.split()[1] != "-" for line in inter_table.splitlines()[1:])

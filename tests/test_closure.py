@@ -148,6 +148,30 @@ class TestProblemValidation:
                 seed=1.5,
             )
 
+    @pytest.mark.parametrize("seed", [-3, True])
+    def test_seed_must_be_nonnegative_and_not_bool(self, seed):
+        # the analysis report's schema takes a nonnegative integer seed
+        with pytest.raises(InputError, match="nonnegative integer"):
+            TestProblem(
+                scheme=xie_scheme((0.5, 0.5)),
+                model=CorrelationModel.independent_blocks(2),
+                pvalues=(0.01, 0.03),
+                alpha=0.05,
+                method="bonferroni",
+                seed=seed,
+            )
+
+    def test_numpy_seed_accepted(self):
+        prob = TestProblem(
+            scheme=xie_scheme((0.5, 0.5)),
+            model=CorrelationModel.independent_blocks(2),
+            pvalues=(0.01, 0.03),
+            alpha=0.05,
+            method="bonferroni",
+            seed=np.uint32(7),
+        )
+        assert prob.seed == 7 and type(prob.seed) is int
+
 
 class TestRunClosureBonferroni:
     def test_holm_m2(self):
@@ -188,10 +212,7 @@ class TestRunClosureBonferroni:
             )
             rep = run_closure(prob)
             assert rep.rejected.tolist() == [True]
-            if method == "parametric-common":
-                assert rep.adjusted is None
-            else:
-                assert rep.adjusted == pytest.approx([0.01], abs=1e-12)
+            assert rep.adjusted == pytest.approx([0.01], abs=1e-12)
 
     def test_adjusted_is_maximum_over_containing_subsets(self):
         rng = np.random.default_rng(314)
@@ -253,7 +274,10 @@ class TestRunClosureParametric:
             method="parametric-common",
         )
         rep = run_closure(prob)
-        assert rep.adjusted is None
+        # the pair's p-value is the union at thresholds 0.5 * min(p / w) = 0.024:
+        # 1 - 0.976^2, below alpha as 0.024 is below the pair level
+        assert rep.intersection((0, 1)).p_value == pytest.approx(1 - 0.976**2, abs=1e-12)
+        assert rep.adjusted == pytest.approx([1 - 0.976**2, 0.2], abs=1e-12)
         # 0.024 clears the scaled pair level 0.02532 and the singleton level
         assert rep.rejected.tolist() == [True, False]
         assert rep.intersection((0, 1)).scale == pytest.approx(C_DUNNETT_PAIR, abs=2e-6)
@@ -302,17 +326,30 @@ class TestRunClosureParametric:
         # the singleton block is never scaled
         assert full.block_scales[1] == ((2,), 1.0)
 
-    def test_compute_scales_off_skips_levels(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_compute_scales_off_skips_levels(self, monkeypatch, method):
+        # every method decides by its p-values, so none needs a scale function
+        import closedmtp.closure as closure
+
         prob = TestProblem(
             scheme=xie_scheme((0.5, 0.5)),
             model=CorrelationModel.full(equicorr(2, 0.3)),
             pvalues=(0.01, 0.02),
             alpha=0.05,
-            method="parametric-subsets",
+            method=method,
         )
+        with_levels = run_closure(prob)
+        calls = []
+        for name in ("partitioned_common_scale", "partitioned_subset_scales"):
+            scale = getattr(closure, name)
+            monkeypatch.setattr(
+                closure, name, lambda *args, scale=scale: calls.append(1) or scale(*args)
+            )
         rep = run_closure(prob, compute_scales=False)
-        assert rep.intersection((0, 1)).local_levels is None
-        assert rep.rejected.tolist() == run_closure(prob).rejected.tolist()
+        assert calls == []
+        assert all(res.local_levels is None for res in rep.intersections)
+        assert rep.rejected.tolist() == with_levels.rejected.tolist()
+        assert rep.adjusted.tolist() == with_levels.adjusted.tolist()
 
 
 class TestAccuracyArgs:
@@ -397,6 +434,37 @@ class TestDecisionThresholds:
                 res = rep.intersections[mask - 1]
                 got = t[mask - 1, list(res.members)]
                 assert got.tolist() == res.local_levels.tolist(), (method, res.members)
+
+    def test_common_thresholds_match_pvalue_decisions(self):
+        # the cutoffs come from root solves, the closure's decisions from
+        # p-values; on a model with a sampled (4-member) block the two agree
+        # wherever p_J sits clear of alpha by the integration error
+        rng = np.random.default_rng(5)
+        alpha, target_error = 0.05, 1e-5
+        checked = 0
+        for instance in range(2):
+            model = CorrelationModel(
+                5, ((0, 1, 2, 3), (4,)), (random_correlation(rng, 4), None)
+            )
+            scheme = random_scheme(rng, 5)
+            t = decision_thresholds(
+                scheme, model, alpha, "parametric-common", seed=instance, target_error=target_error
+            )
+            for _ in range(15):
+                p = rng.uniform(0.0, 0.1, size=5)
+                rep = run_closure(
+                    TestProblem(scheme, model, p, alpha, "parametric-common", seed=instance),
+                    target_error=target_error,
+                    compute_scales=False,
+                )
+                for mask in iter_masks(5):
+                    mem = list(members(mask))
+                    res = rep.intersections[mask - 1]
+                    margin = 1e-5 + 3.0 * target_error / scheme.weights_for(mask).sum()
+                    if abs(res.p_value - alpha) > margin:
+                        assert bool(np.any(p[mem] <= t[mask - 1, mem])) == res.reject
+                        checked += 1
+        assert checked >= 900
 
     def test_threshold_decisions_match_closure(self):
         rng = np.random.default_rng(77)

@@ -237,12 +237,13 @@ class TestDocuments:
         assert doc["hypotheses"][0]["adjusted"] == 0.02
         assert doc["hypotheses"][1]["adjusted"] == 0.03
 
-    def test_common_method_adjusted_is_null(self):
+    def test_common_method_adjusted_is_holm(self):
+        # singleton blocks know no correlation: the common scaling is Holm's test
         prob = fileio.parse_problem(problem_doc(), method="parametric-common")
         report = run_closure(prob)
         doc = fileio.analysis_document(prob, report, 1e-6)
         fileio.check_schema(doc, "analysis")
-        assert all(h["adjusted"] is None for h in doc["hypotheses"])
+        assert [h["adjusted"] for h in doc["hypotheses"]] == [0.02, 0.03]
         assert all(h["rejected"] for h in doc["hypotheses"])
 
     @pytest.mark.parametrize("method", ["parametric-subsets", "xie"])

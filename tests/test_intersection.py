@@ -12,6 +12,7 @@ from closedmtp.intersection import (
     parametric_c,
     parametric_pvalue,
     partitioned_common_scale,
+    partitioned_pvalue_common,
     partitioned_pvalue_subsets,
     partitioned_subset_scales,
     xie_pvalue,
@@ -48,6 +49,20 @@ class TestCorrelationModel:
         assert model.blocks == ((0, 1, 2),)
         assert model.block_of(2) == 0
         assert model.covers((0, 2))
+
+    def test_non_integer_block_members_rejected(self):
+        # ((0.2,), (1.9,), (2,)) once built the blocks (0,), (1,), (2,)
+        with pytest.raises(InputError, match="integers"):
+            CorrelationModel(3, ((0.2,), (1.9,), (2,)), (None, None, None))
+        model = CorrelationModel(3, (np.array([0, 2]), (np.int64(1),)), (equicorr(2, 0.4), None))
+        assert model.blocks == ((0, 2), (1,))
+        assert model.block_of(np.int64(1)) == 1 and model.covers(np.array([0, 2]))
+        for j in (0.5, 2.0, True):
+            with pytest.raises(InputError):
+                model.block_of(j)
+        for subset in ((0.5, 1.7), 3, None):
+            with pytest.raises(InputError):
+                model.covers(subset)
 
     def test_independent_blocks(self):
         model = CorrelationModel.independent_blocks(4)
@@ -103,6 +118,12 @@ class TestCorrelationModel:
 
 
 class TestBonferroni:
+    @pytest.mark.parametrize("subset", [(0.5, 1.7), (0, True), 1, None])
+    def test_non_integer_members_rejected(self, subset):
+        # (0.5, 1.7) once tested {H1, H2}
+        with pytest.raises(InputError):
+            bonferroni_pvalue(subset, (0.5, 0.5), (0.01, 0.02))
+
     def test_hand_computed_example(self):
         # min(0.009/0.4, 0.03/0.2, 0.009/0.4)
         p = bonferroni_pvalue((1, 2, 3), (0.4, 0.2, 0.4), (0.009, 0.03, 0.009))
@@ -206,6 +227,9 @@ class TestOneBlockCase:
                 )
                 assert parametric_c(sub, w, 0.05, corr, seed=seed) == (
                     partitioned_common_scale(sub, w, 0.05, corr, seed=seed)
+                )
+                assert parametric_pvalue(sub, w, p, corr, seed=seed) == (
+                    partitioned_pvalue_common(sub, w, p, corr, seed=seed)
                 )
 
 
@@ -479,6 +503,101 @@ class TestPartitionedCommon:
         scale = partitioned_common_scale((0, 1, 2), self.w, self.alpha, corr, seed=4)
         c = parametric_c((0, 1, 2), self.w, self.alpha, corr, seed=4)
         assert scale == c
+
+
+class TestPartitionedPvalueCommon:
+    """The common-scale p-value: per-block unions at thresholds w * min(p / w),
+    summed over the weight total."""
+
+    def setup_method(self):
+        self.model = CorrelationModel(
+            3, ((0, 1), (2,)), (equicorr(2, 0.5), None)
+        )
+        self.w = (0.4, 0.2, 0.4)
+
+    def test_frozen_value(self):
+        from scipy.stats import multivariate_normal, norm
+
+        p = partitioned_pvalue_common((0, 1, 2), self.w, (0.012, 0.003, 0.009), self.model)
+        # q = 0.003 / 0.2: thresholds (0.006, 0.003) on the pair, 0.006 alone
+        z = norm.isf([0.006, 0.003])
+        both = multivariate_normal(cov=[[1.0, 0.5], [0.5, 1.0]]).cdf(-z)
+        assert p == pytest.approx(0.006 + 0.003 - both + 0.006, abs=1e-9)
+
+    def test_all_singleton_blocks_is_bonferroni(self):
+        rng = np.random.default_rng(17)
+        model = CorrelationModel.independent_blocks(4)
+        for _ in range(20):
+            w = rng.dirichlet(np.ones(4)) * rng.uniform(0.5, 1.0)
+            p = rng.uniform(0.0, 0.2, size=4)
+            assert partitioned_pvalue_common((0, 1, 2, 3), w, p, model) == pytest.approx(
+                bonferroni_pvalue((0, 1, 2, 3), w, p), abs=1e-15
+            )
+
+    def test_saturated_threshold_gives_exactly_one(self, monkeypatch):
+        # q = 1 / 0.41, whose product with 0.41 rounds below 1: the heaviest
+        # thresholds are still 1, and no kernel rule is fitted for them
+        import closedmtp.intersection as intersection
+
+        def no_kernel(*args):
+            raise AssertionError("kernel called on a saturated threshold")
+
+        monkeypatch.setattr(intersection, "union_exceedance", no_kernel)
+        w = (0.41, 0.18, 0.41)
+        assert (1.0 / 0.41) * 0.41 < 1.0
+        assert partitioned_pvalue_common((0, 1, 2), w, (1.0, 0.9, 1.0), self.model) == 1.0
+
+    def test_never_exceeds_bonferroni(self):
+        # a union is at most the sum of its events' probabilities
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            w = rng.dirichlet(np.ones(3)) * rng.uniform(0.5, 1.0)
+            p = rng.uniform(0.0, 0.2, size=3)
+            common = partitioned_pvalue_common((0, 1, 2), w, p, self.model, seed=2)
+            assert common <= bonferroni_pvalue((0, 1, 2), w, p) + 1e-15
+
+    def test_smallest_rejecting_alpha_on_exact_blocks(self):
+        # blocks of at most three are exact: p_J is the alpha at which the
+        # common-scale levels start to reject J, found here by bisection,
+        # up to a root_tol-sized error
+        rng = np.random.default_rng(61)
+        root_tol = 1e-9
+        checked = 0
+        for _ in range(20):
+            model = CorrelationModel(
+                6, ((0, 1, 2), (3, 4), (5,)),
+                (random_correlation(rng, 3), random_correlation(rng, 2), None),
+            )
+            sub = tuple(sorted(rng.choice(6, size=int(rng.integers(2, 7)), replace=False)))
+            w = rng.dirichlet(np.ones(len(sub))) * rng.uniform(0.5, 1.0)
+            w[rng.random(len(sub)) < 0.2] = 0.0
+            if not w.any():
+                continue
+            p = rng.uniform(0.0, 0.05, size=len(sub))
+            act = w > 0.0
+            p_j = partitioned_pvalue_common(sub, w, p, model, seed=4)
+
+            def rejects(alpha):
+                c = partitioned_common_scale(sub, w, alpha, model, seed=4, root_tol=root_tol)
+                return bool(np.any(p[act] <= c * alpha * w[act]))
+
+            lo, hi = 1e-9, 0.999
+            assert p_j < hi and rejects(hi) and not rejects(lo)
+            while hi - lo > 0.1 * root_tol:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if rejects(mid) else (mid, hi)
+            assert p_j == pytest.approx(hi, abs=root_tol)
+            checked += 1
+        assert checked >= 15
+
+    def test_zero_weight_member_never_sets_q(self):
+        p = partitioned_pvalue_common((0, 1, 2), (0.5, 0.0, 0.5), (0.2, 0.0, 0.01), self.model)
+        # q = 0.02 from the third member alone: 0.01 on each block
+        assert p == pytest.approx(0.02, abs=1e-12)
+
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(InputError):
+            partitioned_pvalue_common((0, 1), (0.0, 0.0), (0.1, 0.1), equicorr(2, 0.0))
 
 
 class TestPartitionedSubsets:

@@ -182,6 +182,11 @@ class TestScenarioValidation:
         with pytest.raises(InputError, match="master_seed"):
             all_null_scenario(2, 0.0, "bonferroni", 100, seed=-3)
 
+    def test_bool_master_seed_rejected(self):
+        # a bool is an int to Python, and would run as seed 1
+        with pytest.raises(InputError, match="master_seed"):
+            all_null_scenario(2, 0.0, "bonferroni", 100, seed=True)
+
     def test_flag_length_must_match(self):
         with pytest.raises(InputError):
             SimScenario(

@@ -85,6 +85,18 @@ class TestSchemeFromGraph:
             with pytest.raises(InputError):
                 scheme.weights_for(mask)
 
+    @pytest.mark.parametrize("subset", [[0.9], [0, 1.0], [True], 1.0, True, None, "01"])
+    def test_non_integer_subsets_rejected(self, subset):
+        # no member is truncated to an index, and no bare TypeError escapes
+        with pytest.raises(InputError):
+            xie_scheme([0.5, 0.5]).weights_for(subset)
+
+    def test_numpy_integer_members(self):
+        scheme = xie_scheme([0.5, 0.3, 0.2])
+        want = scheme.weights_for([0, 2])
+        for subset in ([np.int64(0), np.uint8(2)], np.array([0, 2])):
+            np.testing.assert_array_equal(scheme.weights_for(subset), want)
+
     def test_flags(self):
         flags = validate(scheme_from_graph(cyclic_graph_m6()))
         assert flags == {"valid": True, "exhaustive": True, "monotone": True}
