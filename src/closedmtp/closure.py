@@ -37,16 +37,18 @@ import numpy as np
 
 from .exceptions import InputError
 from .intersection import (
+    _COARSE_POINTS,
     CorrelationModel,
     IntersectionResult,
     _check_alpha,
+    _common_estimate,
+    _subsets_estimate,
+    _xie_estimate,
     as_model,
     bonferroni_pvalue,
     parametric_c,
     parametric_pvalue,
     partitioned_common_scale,
-    partitioned_pvalue_common,
-    partitioned_pvalue_subsets,
     partitioned_subset_scales,
     xie_pvalue,
 )
@@ -54,7 +56,9 @@ from .mvnorm import (
     DEFAULT_MAX_POINTS,
     DEFAULT_ROOT_TOL,
     DEFAULT_TARGET_ERROR,
+    ProbEstimate,
     _check_accuracy_args,
+    _check_root_tol,
     union_exceedance,  # not called here; perfbench/smoke.py checks that tracing wraps it
 )
 from .subsets import iter_masks, mask_of, members
@@ -66,11 +70,11 @@ MAX_CONSONANCE_M = 12
 _PROPORTIONAL_TOL = 1e-9
 
 
-def _check_solve_args(target_error: float, root_tol: float, max_points: int) -> None:
-    # checked up front, since bonferroni and singleton blocks never reach a solve
-    _check_accuracy_args(target_error, max_points)
-    if not root_tol > 0.0:
-        raise InputError(f"root_tol must be positive, got {root_tol}")
+def _check_solve_args(target_error: float, root_tol: float, max_points: int) -> int:
+    """max_points rounded as the kernel rounds it; checked up front, since
+    bonferroni and singleton blocks never reach a solve."""
+    _check_root_tol(root_tol)
+    return _check_accuracy_args(target_error, max_points)
 
 
 def _check_pvalues(pvalues, m: int) -> np.ndarray:
@@ -111,11 +115,14 @@ class _Method:
     """What one method does to test an intersection.
 
     ``levels`` maps (members, weights, alpha, model, seed, target_error,
-    root_tol, max_points) to (scale, block scales, local levels); ``pvalue``
-    maps (members, weights, p-values, model, seed, target_error, max_points)
-    to the p-value. Both look the intersection tests up in this module's
-    globals per call, so wrappers on those bindings (tracing) see every
-    call. ``proportional``: needs a proportional scheme, correlation known.
+    root_tol, max_points) to (scale, block scales, local levels), and
+    looks the intersection tests up in this module's globals per call, so
+    wrappers on those bindings (tracing) see every call. ``pvalue`` maps
+    (members, weights, p-values, model, seed, target_error, max_points) to
+    (p-value estimate, whether every kernel fit met its target, in which
+    case a fit capped at _COARSE_POINTS gives what one at any larger
+    max_points would). ``proportional``: needs a proportional scheme,
+    correlation known.
     """
 
     levels: Callable
@@ -126,11 +133,11 @@ class _Method:
 _METHODS = {
     "bonferroni": _Method(
         lambda mem, w, alpha, *_: (1.0, None, alpha * w),
-        lambda mem, w, p, *_: bonferroni_pvalue(mem, w, p),
+        lambda mem, w, p, *_: (ProbEstimate(bonferroni_pvalue(mem, w, p), 0.0), True),
     ),
-    "parametric-common": _Method(_common_levels, lambda *args: partitioned_pvalue_common(*args)),
-    "parametric-subsets": _Method(_block_levels, lambda *args: partitioned_pvalue_subsets(*args)),
-    "xie": _Method(_common_levels, lambda *args: xie_pvalue(*args), proportional=True),
+    "parametric-common": _Method(_common_levels, _common_estimate),
+    "parametric-subsets": _Method(_block_levels, _subsets_estimate),
+    "xie": _Method(_common_levels, _xie_estimate, proportional=True),
 }
 # the method names every entry point accepts
 METHODS = tuple(_METHODS)
@@ -237,25 +244,50 @@ def run_closure(
 ) -> ClosureReport:
     """Test every intersection and combine the outcomes.
 
-    Every intersection is decided by its p-value alone, p_J <= alpha. With
+    Every intersection is decided by its p-value alone, p_J <= alpha, and
+    H_j's adjusted p-value is the largest p_J over the J containing j.
+    ``target_error`` bounds the adjusted p-values, the decisions and each
+    intersection's ``reject``: every p-value is first fitted on one pass
+    of _COARSE_POINTS, and only those that could still set an adjusted
+    p-value or fall on the other side of alpha are fitted again to
+    ``target_error`` (``_refits``), giving the floats a fit of every
+    p-value to the target gives. Every other intersection keeps its
+    first-pass ``p_value``, with its error in ``p_error``. With
     ``compute_scales`` off the root solves are skipped and scale/levels
     stay unset on every intersection.
     """
-    _check_solve_args(target_error, root_tol, max_points)
+    max_points = _check_solve_args(target_error, root_tol, max_points)
     m, p, alpha, model = problem.m, problem.pvalues, problem.alpha, problem.model
     method = _METHODS[problem.method]
     solve = (problem.seed, target_error, root_tol, max_points)
-    results: list[IntersectionResult] = []
-    for mask in iter_masks(m):
+
+    def fit(mask: int, points: int) -> tuple[ProbEstimate, bool]:
         mem = members(mask)
         w = problem.scheme.weights_for(mask)
-        pv = method.pvalue(mem, w, p[list(mem)], model, problem.seed, target_error, max_points)
+        return method.pvalue(mem, w, p[list(mem)], model, problem.seed, target_error, points)
+
+    first = [fit(mask, min(max_points, _COARSE_POINTS)) for mask in iter_masks(m)]
+    ests = [est for est, _ in first]
+    # final: the first pass is already the fit to max_points
+    final = np.array([met or max_points <= _COARSE_POINTS for _, met in first])
+    # a refit is the fit to max_points on the same stream, so each J is refit at most once
+    while not final.all():
+        todo = _refits(ests, final, m, alpha)
+        if todo.size == 0:
+            break
+        for mask in todo.tolist():
+            ests[mask - 1] = fit(mask, max_points)[0]
+        final[todo - 1] = True
+    results: list[IntersectionResult] = []
+    for mask, est in zip(iter_masks(m), ests):
+        mem = members(mask)
         scale = scales = levels = None
         if compute_scales:
+            w = problem.scheme.weights_for(mask)
             scale, scales, levels = method.levels(mem, w, alpha, model, *solve)
-        results.append(
-            IntersectionResult(mem, problem.method, pv, scale, scales, levels, pv <= alpha)
-        )
+        results.append(IntersectionResult(
+            mem, problem.method, est.value, scale, scales, levels, est.value <= alpha, est.error
+        ))
     # H_j falls when every intersection containing it does; adjusted = their largest p
     adjusted = np.zeros(m)
     for res in results:
@@ -272,6 +304,24 @@ def run_closure(
         rejected=rejected,
         intersections=tuple(results),
     )
+
+
+def _refits(ests: list[ProbEstimate], final: np.ndarray, m: int, alpha: float) -> np.ndarray:
+    """Masks of the intersections J, not final, whose p-value within its
+    error could still change an answer: v_J + e_J reaches lo_j, the
+    largest v_K - e_K over the K containing j, for some member j (J may
+    set H_j's adjusted p-value), or [v_J - e_J, v_J + e_J] holds alpha."""
+    v = np.array([est.value for est in ests])
+    e = np.array([est.error for est in ests])
+    masks = np.arange(1, 1 << m)
+    low = v - e
+    # per J, the smallest lo_j over its members
+    reach = np.full(masks.size, np.inf)
+    for j in range(m):
+        has = (masks >> j & 1).astype(bool)
+        reach[has] = np.minimum(reach[has], low[has].max())
+    high = v + e
+    return masks[~final & ((high >= reach) | ((low <= alpha) & (alpha <= high)))]
 
 
 def decision_thresholds(

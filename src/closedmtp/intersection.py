@@ -45,8 +45,10 @@ from .mvnorm import (
     MAX_EXACT_DIM,
     _START_POINTS,
     CorrelationMatrix,
+    ProbEstimate,
     UnionRule,
     _check_accuracy_args,
+    _check_root_tol,
     as_correlation,
     solve_monotone,
     union_exceedance,
@@ -160,6 +162,12 @@ class CorrelationModel:
 class IntersectionResult:
     """Outcome of testing one intersection hypothesis.
 
+    ``p_error`` is the reported absolute error of ``p_value``: 0 for
+    Bonferroni, about 1e-13 where no block has more than three active
+    members, the QMC bound otherwise. The closure fits ``p_value`` to its
+    target error only where that can change an adjusted p-value or a
+    decision; elsewhere it is the first-pass estimate, and ``p_error`` may
+    exceed the target.
     ``scale`` is the single critical scaling where the method has one
     (1.0 for Bonferroni); ``block_scales`` carries per-block scalings
     for the per-subset method. ``local_levels`` and the scalings are None
@@ -173,6 +181,7 @@ class IntersectionResult:
     block_scales: tuple[tuple[tuple[int, ...], float], ...] | None
     local_levels: np.ndarray | None
     reject: bool
+    p_error: float = 0.0
 
 
 def as_model(corr) -> CorrelationModel:
@@ -263,13 +272,17 @@ def parametric_pvalue(
     the total weight, is the p-value (capped at 1).
     """
     mem, w, p = _check_subset_args(subset, weights, pvalues)
+    model = _one_block(mem, corr, "parametric p-value")
+    # the one-block case of the per-block minimum
+    return _subsets_estimate(mem, w, p, model, seed, target_error, max_points)[0].value
+
+
+def _one_block(mem: tuple[int, ...], corr, what: str) -> CorrelationModel:
+    """The model of ``corr``, checked to know the correlation over all of ``mem``."""
     model = as_model(corr)
     if not model.covers(mem):
-        raise InputError(
-            "parametric p-value needs the correlation fully known over the subset"
-        )
-    # the one-block case of the per-block minimum
-    return partitioned_pvalue_subsets(mem, w, p, model, seed, target_error, max_points)
+        raise InputError(f"{what} needs the correlation fully known over the subset")
+    return model
 
 
 def _union_sum(rules, groups, alpha: float, known: dict):
@@ -372,11 +385,13 @@ def _solve_scale(
     The sum at c=1 never exceeds the target (Bonferroni inequality), so
     an estimate already at or above it means c=1 within noise.
     """
+    # checked before the linear case returns, so every entry checks them
+    max_points = _check_accuracy_args(target_error, max_points)
+    root_tol = _check_root_tol(root_tol)
     if all(w.size <= 1 for _, _, w in groups):
         return 1.0
     sampled = sum(1 for _, _, w in groups if w.size > MAX_EXACT_DIM)
     block_error = target_error / max(sampled, 1)
-    max_points = _check_accuracy_args(target_error, max_points)
     w_active = np.concatenate([w for _, _, w in groups])
     # at c = 1/(alpha * max weight) the largest threshold saturates at 1,
     # forcing the defining probability to its ceiling
@@ -439,9 +454,7 @@ def parametric_c(
     linear and c = 1 exactly.
     """
     mem, w = _check_subset_args(subset, weights)
-    model = as_model(corr)
-    if not model.covers(mem):
-        raise InputError("critical scaling needs the correlation fully known over the subset")
+    model = _one_block(mem, corr, "critical scaling")
     # the one-block case of the common scaling
     return partitioned_common_scale(
         mem, w, alpha, model, seed, target_error, root_tol, max_points
@@ -464,10 +477,20 @@ def xie_pvalue(
     1/total factor, which is the proportional method's defining
     simplification.
     """
+    return _xie_estimate(
+        subset, initial_weights, pvalues, corr, seed, target_error, max_points
+    )[0].value
+
+
+def _xie_estimate(
+    subset, initial_weights, pvalues, corr, seed, target_error, max_points
+) -> tuple[ProbEstimate, bool]:
+    """``xie_pvalue`` as ``_subsets_estimate`` gives it: (estimate, target met)."""
     mem, w, p = _check_subset_args(subset, initial_weights, pvalues)
     if np.any(w <= 0.0):
         raise InputError("proportional method needs strictly positive initial weights")
-    return parametric_pvalue(mem, w / w.sum(), p, corr, seed, target_error, max_points)
+    model = _one_block(mem, corr, "parametric p-value")
+    return _subsets_estimate(mem, w / w.sum(), p, model, seed, target_error, max_points)
 
 
 def partitioned_common_scale(
@@ -511,11 +534,24 @@ def partitioned_pvalue_subsets(
     its own share of the weight and the smallest block p-value is the
     intersection p-value. No root-finding is involved.
     """
+    return _subsets_estimate(
+        subset, weights, pvalues, corr, seed, target_error, max_points
+    )[0].value
+
+
+def _subsets_estimate(
+    subset, weights, pvalues, corr, seed, target_error, max_points
+) -> tuple[ProbEstimate, bool]:
+    """``partitioned_pvalue_subsets`` with its error, the largest block
+    error over that block's weight total, and whether every block met its
+    target. A kernel fit that meets its target on the first pass of
+    _COARSE_POINTS stops there, so then a fit capped at _COARSE_POINTS
+    gives the floats of one at any larger max_points."""
     mem, w, p = _check_subset_args(subset, weights, pvalues)
     _weight_total(w)
     model = as_model(corr)
     mask = mask_of(mem, model.m)
-    block_p = []
+    block_p, error, met = [], 0.0, True
     for salt, _, act, corr_act, total in _blocks(mem, w, model):
         if act.size:
             # the union at thresholds w_j * min(p / w) over the block's weight total
@@ -530,7 +566,9 @@ def partitioned_pvalue_subsets(
                 target_error, max_points,
             )
             block_p.append(min(1.0, est.value / total))
-    return float(min(block_p))
+            error = max(error, est.error / total)
+            met = met and est.error <= target_error
+    return ProbEstimate(float(min(block_p)), error), met
 
 
 def partitioned_pvalue_common(
@@ -551,6 +589,17 @@ def partitioned_pvalue_common(
     involved; the error budget is split across the blocks that sample, as
     in the root solve. For one block it is ``parametric_pvalue``.
     """
+    return _common_estimate(
+        subset, weights, pvalues, corr, seed, target_error, max_points
+    )[0].value
+
+
+def _common_estimate(
+    subset, weights, pvalues, corr, seed, target_error, max_points
+) -> tuple[ProbEstimate, bool]:
+    """``partitioned_pvalue_common`` with its error, the block errors
+    summed over the weight total, and whether every block met its share
+    of the target (as in ``_subsets_estimate``)."""
     mem, w, p = _check_subset_args(subset, weights, pvalues)
     total = _weight_total(w)
     model = as_model(corr)
@@ -559,19 +608,22 @@ def partitioned_pvalue_common(
     q = float(np.min(p[live] / w[live]))
     if q >= 1.0 / float(np.max(w)):
         # some block's heaviest threshold is 1: its union alone reaches the total
-        return 1.0
+        return ProbEstimate(1.0, 0.0), True
     groups = [
         (salt, act, corr_act) for salt, _, act, corr_act, _ in _blocks(mem, w, model) if act.size
     ]
     block_error = target_error / max(1, sum(1 for _, act, _ in groups if act.size > MAX_EXACT_DIM))
-    union = sum(
-        union_exceedance(
+    union = error = 0.0
+    met = True
+    for salt, act, corr_act in groups:
+        est = union_exceedance(
             np.minimum(1.0, w[act] * q), corr_act, derived_seed(seed, mask, salt),
             block_error, max_points,
-        ).value
-        for salt, act, corr_act in groups
-    )
-    return float(min(1.0, union / total))
+        )
+        union += est.value
+        error += est.error
+        met = met and est.error <= block_error
+    return ProbEstimate(float(min(1.0, union / total)), error / total), met
 
 
 def partitioned_subset_scales(

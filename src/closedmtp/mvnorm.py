@@ -451,13 +451,22 @@ class _QmcRule:
 
 
 def _check_accuracy_args(target_error: float, max_points: int) -> int:
-    if not target_error > 0.0:
-        raise InputError(f"target_error must be positive, got {target_error}")
-    max_points = int(max_points)
+    if not 0.0 < target_error < math.inf:
+        raise InputError(f"target_error must be positive and finite, got {target_error}")
+    try:
+        max_points = int(max_points)
+    except (OverflowError, ValueError):
+        raise InputError(f"max_points must be finite, got {max_points}") from None
     if max_points < 2:
         raise InputError("max_points must allow at least 2 points")
     # round down to a power of two so cached Sobol' prefixes line up
     return 1 << (max_points.bit_length() - 1)
+
+
+def _check_root_tol(root_tol: float) -> float:
+    if not 0.0 < root_tol < math.inf:
+        raise InputError(f"root_tol must be positive and finite, got {root_tol}")
+    return float(root_tol)
 
 
 def _exact_union(u: np.ndarray, corr: np.ndarray, target_error: float) -> ProbEstimate | None:
@@ -609,8 +618,7 @@ def solve_monotone(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InputError("bracket must be a finite interval with lo < hi")
-    if not tol > 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
+    tol = _check_root_tol(tol)
     g_lo, g_hi = f(lo) - target, f(hi) - target
     if g_lo > 0.0:
         raise BracketError(f"f(lo) is above the target {target}; bracket does not straddle")

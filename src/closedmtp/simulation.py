@@ -67,7 +67,8 @@ class SimScenario:
         shifts.setflags(write=False)
         object.__setattr__(self, "true_nulls", nulls)
         object.__setattr__(self, "mean_shifts", shifts)
-        if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
+        n = self.replications
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise InputError("replications must be a positive integer")
         object.__setattr__(self, "replications", int(self.replications))
         seed = self.master_seed

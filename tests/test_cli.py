@@ -345,6 +345,23 @@ class TestErrors:
         assert result.stdout == ""
         assert "target_error must be positive" in result.stderr
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "command, path",
+        [
+            ("analyze", "trial_problem.json"),
+            ("simulate", "trial_scenario.json"),
+            ("check-consonance", "trial_problem.json"),
+        ],
+    )
+    def test_target_error_must_be_finite(self, runner, command, path, value):
+        # analyze used to exit 0 and print "target_error": Infinity, which
+        # is not JSON
+        result = runner.invoke(main, [command, str(TUTORIAL / path), "--target-error", value])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "target_error must be positive and finite" in result.stderr
+
     def test_semantic_weight_error(self, runner, tmp_path):
         doc = json.loads(json.dumps(HOLM_PROBLEM))
         doc["weights"]["scheme"][2]["weights"] = [0.8, 0.8]

@@ -1,8 +1,14 @@
 """Tests for the closed procedure, consonance check and the two shortcuts."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import closedmtp.closure as closure_module
+from closedmtp import fileio
 from closedmtp.closure import (
     METHODS,
     ClosureReport,
@@ -19,9 +25,12 @@ from closedmtp.intersection import (
     derived_seed,
     parametric_c,
     parametric_pvalue,
+    partitioned_pvalue_common,
+    partitioned_pvalue_subsets,
+    xie_pvalue,
 )
 from closedmtp.mvnorm import CorrelationMatrix, union_exceedance
-from closedmtp.subsets import iter_masks, members
+from closedmtp.subsets import iter_masks, mask_of, members
 from closedmtp.weighting import WeightingScheme, xie_scheme
 
 C_DUNNETT_PAIR = 1.0128226207641466  # (1 - sqrt(0.95)) / 0.025
@@ -356,7 +365,13 @@ class TestAccuracyArgs:
     """target_error, max_points and root_tol are checked even when no
     kernel call or root solve runs."""
 
-    @pytest.mark.parametrize("target_error, max_points", [(0.0, 2**16), (-1.0, 2**16), (1e-6, 1)])
+    @pytest.mark.parametrize(
+        "target_error, max_points",
+        [
+            (0.0, 2**16), (-1.0, 2**16), (1e-6, 1),
+            (np.inf, 2**16), (np.nan, 2**16), (1e-6, np.inf), (1e-6, np.nan),
+        ],
+    )
     def test_rejected_without_kernel_work(self, target_error, max_points):
         scheme = xie_scheme((0.5, 0.5))
         model = CorrelationModel.independent_blocks(2)
@@ -371,7 +386,7 @@ class TestAccuracyArgs:
                     scheme, model, 0.05, method, target_error=target_error, max_points=max_points
                 )
 
-    @pytest.mark.parametrize("root_tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("root_tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_root_tol_rejected_without_root_solve(self, root_tol):
         # singleton blocks: every common scale is 1 without a solve
         scheme = xie_scheme((0.5, 0.5))
@@ -771,3 +786,202 @@ class TestWeightedDunnett:
             weighted_dunnett_single_step(
                 (1.0, 0.0), (0.01, 0.02), equicorr(2, 0.0), 0.05
             )
+
+
+# the public p-value function of each sampled method, which the closure's
+# refits must reproduce float for float
+PUBLIC_PVALUE = {
+    "xie": xie_pvalue,
+    "parametric-common": partitioned_pvalue_common,
+    "parametric-subsets": partitioned_pvalue_subsets,
+}
+FULL_CORR = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "full-corr.json"
+TUTORIAL_PROBLEM = Path(__file__).resolve().parents[1] / "tutorial" / "trial_problem.json"
+
+
+def reference_fits(prob, target_error, max_points):
+    """(values, errors) of every p_J fitted to the target at max_points:
+    values from the public p-value function, errors from the estimate the
+    closure uses, whose value must be the same float."""
+    values, errors = [], []
+    for mask in iter_masks(prob.m):
+        mem = members(mask)
+        args = (mem, prob.scheme.weights_for(mask), prob.pvalues[list(mem)], prob.model,
+                prob.seed, target_error, max_points)
+        est, _ = closure_module._METHODS[prob.method].pvalue(*args)
+        values.append(PUBLIC_PVALUE[prob.method](*args))
+        assert est.value == values[-1]
+        errors.append(est.error)
+    return np.array(values), np.array(errors)
+
+
+def adjusted_of(values, m):
+    adjusted = np.zeros(m)
+    for mask, v in zip(iter_masks(m), values):
+        idx = list(members(mask))
+        adjusted[idx] = np.maximum(adjusted[idx], v)
+    return adjusted
+
+
+def full_corr_problem():
+    inst = json.loads(FULL_CORR.read_text())
+    return TestProblem(
+        scheme=xie_scheme(inst["weights"]),
+        model=CorrelationModel.full(CorrelationMatrix(np.array(inst["corr"]))),
+        pvalues=inst["pvalues"],
+        alpha=inst["alpha"],
+        method="xie",
+    )
+
+
+def refine_contract_problems():
+    """Random full-correlation xie problems at m = 5 and 6, and block models
+    with a 4-member block under both partitioned methods."""
+    rng = np.random.default_rng(2024)
+    for m in (5, 6):
+        yield TestProblem(
+            scheme=xie_scheme(rng.dirichlet(np.ones(m) * 2.0)),
+            model=CorrelationModel.full(random_correlation(rng, m)),
+            pvalues=rng.uniform(0.0, 0.03, size=m),
+            alpha=0.025,
+            method="xie",
+        )
+    for method in ("parametric-common", "parametric-subsets"):
+        yield TestProblem(
+            scheme=random_scheme(rng, 6),
+            model=CorrelationModel(
+                6, ((0, 1, 2, 3), (4,), (5,)), (random_correlation(rng, 4), None, None)
+            ),
+            pvalues=rng.uniform(0.0, 0.03, size=6),
+            alpha=0.025,
+            method=method,
+            seed=3,
+        )
+
+
+class TestRefineOnlyWhatCanChangeAnAnswer:
+    """run_closure fits every p_J on one 2^11-point pass and refits to the
+    target only those that could set an adjusted p-value or cross alpha;
+    the reference fits every p_J to the target."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_answers_equal_the_reference(self, index):
+        prob = list(refine_contract_problems())[index]
+        target_error = 1e-6
+        rep = run_closure(prob, target_error=target_error, compute_scales=False)
+        values, errors = reference_fits(prob, target_error, 1 << 16)
+        want = adjusted_of(values, prob.m)
+        assert rep.adjusted.tolist() == want.tolist()
+        assert rep.rejected.tolist() == (want <= prob.alpha).tolist()
+        got = np.array([res.p_value for res in rep.intersections])
+        got_error = np.array([res.p_error for res in rep.intersections])
+        assert [res.reject for res in rep.intersections] == (values <= prob.alpha).tolist()
+        assert np.all(np.abs(got - values) <= got_error + errors)
+        # some p-values keep their first pass, with the error of that pass
+        coarse = got != values
+        assert coarse.any()
+        assert np.all(got_error[coarse] > target_error)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_first_pass_cap_is_the_reference(self, index):
+        # with max_points <= 2^11 the first pass is every fit
+        prob = list(refine_contract_problems())[index]
+        rep = run_closure(prob, target_error=1e-6, max_points=1 << 11, compute_scales=False)
+        values, errors = reference_fits(prob, 1e-6, 1 << 11)
+        assert [res.p_value for res in rep.intersections] == values.tolist()
+        assert [res.p_error for res in rep.intersections] == errors.tolist()
+
+    @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
+    def test_exact_model_is_the_reference(self, method):
+        # blocks of at most three are exact: nothing is refit
+        rng = np.random.default_rng(61)
+        prob = TestProblem(
+            scheme=random_scheme(rng, 6),
+            model=CorrelationModel(
+                6, ((0, 1, 2), (3, 4), (5,)), (random_correlation(rng, 3), equicorr(2, 0.4), None)
+            ),
+            pvalues=rng.uniform(0.0, 0.03, size=6),
+            alpha=0.025,
+            method=method,
+        )
+        rep = run_closure(prob, compute_scales=False)
+        values, errors = reference_fits(prob, 1e-6, 1 << 16)
+        assert [res.p_value for res in rep.intersections] == values.tolist()
+        assert [res.p_error for res in rep.intersections] == errors.tolist()
+
+
+class TestRefineSaving:
+    """Kernel passes counted by wrapping ``_QmcRule._means``, which every
+    pass goes through."""
+
+    def test_only_named_intersections_pass_the_first_pass(self, monkeypatch):
+        import closedmtp.mvnorm as mvnorm
+
+        prob = full_corr_problem()
+        m, alpha, coarse = prob.m, prob.alpha, 1 << 11
+        estimate = closure_module._METHODS["xie"].pvalue
+
+        def fit(mask, points):
+            mem = members(mask)
+            w = prob.scheme.weights_for(mask)
+            return estimate(mem, w, prob.pvalues[list(mem)], prob.model, prob.seed, 1e-6, points)
+
+        # the refine rule, round by round, on the first-pass estimates
+        fits = {mask: fit(mask, coarse) for mask in iter_masks(m)}
+        named = set()
+        while True:
+            lo = [max(est.value - est.error for mask, (est, _) in fits.items() if mask >> j & 1)
+                  for j in range(m)]
+            todo = {
+                mask for mask, (est, met) in fits.items()
+                if not met and mask not in named and (
+                    any(est.value + est.error >= lo[j] for j in members(mask))
+                    or est.value - est.error <= alpha <= est.value + est.error
+                )
+            }
+            if not todo:
+                break
+            named |= todo
+            fits.update({mask: (fit(mask, 1 << 16)[0], True) for mask in todo})
+        sampled = {mask for mask in iter_masks(m) if len(members(mask)) > 3}
+        assert named and named < sampled
+
+        current, deep = [], set()
+
+        def tagged(mem, *args):
+            current.append(mask_of(mem, m))
+            return estimate(mem, *args)
+
+        means = mvnorm._QmcRule._means
+
+        def counted(rule, shifts, start, upper):
+            if rule.n > coarse:
+                deep.add(current[-1])
+            return means(rule, shifts, start, upper)
+
+        monkeypatch.setitem(
+            closure_module._METHODS, "xie", dataclasses.replace(closure_module._METHODS["xie"], pvalue=tagged)
+        )
+        monkeypatch.setattr(mvnorm._QmcRule, "_means", counted)
+        rep = run_closure(prob, compute_scales=False)
+        assert deep == named
+        assert rep.adjusted.tolist() == [
+            max(est.value for mask, (est, _) in fits.items() if mask >> j & 1) for j in range(m)
+        ]
+
+    def test_tutorial_closure_makes_no_qmc_pass(self, monkeypatch):
+        import closedmtp.mvnorm as mvnorm
+
+        passes = []
+        means = mvnorm._QmcRule._means
+
+        def counted(*args):
+            passes.append(1)
+            return means(*args)
+
+        monkeypatch.setattr(mvnorm._QmcRule, "_means", counted)
+        doc = fileio.load_document(TUTORIAL_PROBLEM.read_text(), "problem")
+        for method in ("bonferroni", "parametric-common", "parametric-subsets"):
+            rep = run_closure(fileio.parse_problem(doc, method=method), compute_scales=False)
+            assert all(res.p_error <= 1e-6 for res in rep.intersections)
+        assert passes == []

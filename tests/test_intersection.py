@@ -245,6 +245,23 @@ class TestParametricC:
     def test_singleton_is_exactly_one(self):
         assert parametric_c((1,), (0.4,), 0.025, equicorr(2, 0.0)) == 1.0
 
+    @pytest.mark.parametrize("max_points", [np.inf, np.nan])
+    def test_max_points_must_be_finite(self, max_points):
+        # used to raise OverflowError or ValueError, and only when a solve ran
+        for sub, w in (((0, 1), (0.5, 0.5)), ((1,), (0.4,))):
+            with pytest.raises(InputError, match="max_points"):
+                parametric_c(sub, w, 0.025, equicorr(2, 0.5), max_points=max_points)
+
+    @pytest.mark.parametrize("root_tol", [0.0, -1.0, np.inf, np.nan])
+    def test_root_tol_must_be_finite_and_positive(self, root_tol):
+        # an infinite root_tol used to return 40.5, the midpoint of [1, 80],
+        # where the root is 1.078; a singleton needs no solve, but the
+        # argument is checked all the same
+        for sub, w in (((0, 1), (0.5, 0.5)), ((1,), (0.4,))):
+            for scale in (parametric_c, partitioned_common_scale, partitioned_subset_scales):
+                with pytest.raises(InputError, match="root_tol"):
+                    scale(sub, w, 0.025, equicorr(2, 0.5), root_tol=root_tol)
+
     def test_member_index_outside_model_rejected(self):
         with pytest.raises(InputError):
             parametric_c((1,), (0.4,), 0.025, equicorr(1, 0.0))

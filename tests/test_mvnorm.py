@@ -181,6 +181,22 @@ class TestProbEstimateType:
 
 
 class TestUnionExceedance:
+    @pytest.mark.parametrize(
+        "target_error, max_points",
+        [(math.inf, 1 << 16), (math.nan, 1 << 16), (1e-6, math.inf), (1e-6, math.nan)],
+    )
+    def test_accuracy_args_must_be_finite(self, target_error, max_points):
+        # an infinite or NaN max_points used to raise OverflowError or
+        # ValueError from int(), and an infinite target_error went through
+        with pytest.raises(InputError):
+            union_exceedance([0.01] * 4, equicorr(4, 0.3), 1, target_error, max_points)
+
+    def test_finite_float_max_points_truncates(self):
+        # 5000.7 rounds down to 4096 points, as 4096 itself does
+        u, cm = [0.01, 0.02, 0.01, 0.005], equicorr(4, 0.3)
+        want = union_exceedance(u, cm, 1, 1e-9, 1 << 12)
+        assert union_exceedance(u, cm, 1, 1e-9, 5000.7) == want
+
     def test_bivariate_closed_form(self):
         # at u = 1/2 the orthant bounds are 0: 1/4 + arcsin(rho) / (2 pi)
         for rho in (-0.9, -0.3, 0.0, 0.2, 0.5, 0.8, 0.95):
@@ -587,6 +603,13 @@ class TestSolveMonotone:
             solve_monotone(lambda x: x, -1.0, (0.0, 1.0))
         with pytest.raises(InputError):
             solve_monotone(lambda x: x, 0.5, (1.0, 0.0))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # an infinite tolerance used to end the search at once, at the
+        # bracket's midpoint
+        with pytest.raises(InputError, match="root_tol"):
+            solve_monotone(lambda x: x, 0.5, (0.0, 1.0), tol=tol)
 
     def test_smooth_function_needs_few_evaluations(self):
         calls = []

@@ -163,6 +163,11 @@ class TestScenarioValidation:
         with pytest.raises(InputError):
             all_null_scenario(2, 0.0, "bonferroni", 0)
 
+    def test_bool_replications_rejected(self):
+        # a bool is an int to Python, and True would run as 1 replication
+        with pytest.raises(InputError, match="replications"):
+            all_null_scenario(2, 0.0, "bonferroni", True)
+
     def test_generator_dimension_must_match(self):
         with pytest.raises(InputError):
             SimScenario(

@@ -1,5 +1,6 @@
 """CPU, memory and pass counts of the QMC kernel (L0), of one capped root
-solve (L1) and, on request, of an m=8 ``xie`` closure with scales.
+solve (L1) and, on request, of an m=8 ``xie`` closure with and without
+scales.
 
     PYTHONPATH=src python3 tools/bench_kernel.py            # L0 and L1
     PYTHONPATH=src python3 tools/bench_kernel.py --closure  # also the closure
@@ -15,8 +16,15 @@ from a fixed seed, so both sides integrate the same problems.
   with the 2^16-point cap: kernel passes, points in units of one capped
   pass (2^16 per shift) and CPU, each the mean over three instances.
 - closure: one ``run_closure`` of an m=8 ``xie`` problem at target 1e-5
-  with scales: CPU, kernel passes, points, the decisions, and a sha1
-  prefix of the p-values that shows whether two sides agree bit for bit.
+  with scales, and of the same problem at target 1e-6 without them (the
+  p-values only): CPU, kernel passes, points, refits, the decisions, and
+  sha1 prefixes of the adjusted and of the intersection p-values, which
+  show whether two sides agree bit for bit. ``refits`` counts the
+  intersection p-value fits beyond one per intersection, counted by
+  wrapping the method's entry in ``closure._METHODS``; a closure that fits
+  every p-value once to the target reports 0, and one that refits only
+  what can change an answer leaves the other p-values at their first pass,
+  so only the adjusted sha1 should agree between those two.
 
 Passes and points are counted by wrapping ``_QmcRule._means``, which each
 kernel pass goes through on both sides. BLAS is pinned to one thread.
@@ -28,6 +36,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
@@ -38,6 +47,7 @@ import tracemalloc  # noqa: E402
 import numpy as np  # noqa: E402
 
 from closedmtp import CorrelationMatrix, CorrelationModel, TestProblem, run_closure, xie_scheme  # noqa: E402
+from closedmtp import closure as closure_module  # noqa: E402
 from closedmtp import mvnorm  # noqa: E402
 from closedmtp.intersection import parametric_c  # noqa: E402
 
@@ -120,7 +130,11 @@ def root_solve(dim: int, target: float) -> dict:
     }
 
 
-def closure() -> dict:
+def sha1(values) -> str:
+    return hashlib.sha1(np.asarray(values, dtype=float).tobytes()).hexdigest()[:12]
+
+
+def closure(target: float, compute_scales: bool) -> dict:
     rng = np.random.default_rng(8)
     m = 8
     corr = random_correlation(rng, m)
@@ -129,19 +143,32 @@ def closure() -> dict:
     problem = TestProblem(
         scheme=xie_scheme(w), model=CorrelationModel.full(corr), pvalues=p, alpha=0.025, method="xie"
     )
-    with PassCounter() as count:
-        start = time.process_time()
-        report = run_closure(problem, target_error=1e-5)
-        cpu = time.process_time() - start
-    pvalues = np.array([r.p_value for r in report.intersections])
+    method = closure_module._METHODS["xie"]
+    fits = []
+
+    def counted(*args):
+        fits.append(1)
+        return method.pvalue(*args)
+
+    closure_module._METHODS["xie"] = dataclasses.replace(method, pvalue=counted)
+    try:
+        with PassCounter() as count:
+            start = time.process_time()
+            report = run_closure(problem, target_error=target, compute_scales=compute_scales)
+            cpu = time.process_time() - start
+    finally:
+        closure_module._METHODS["xie"] = method
     return {
         "m": m,
-        "target_error": 1e-5,
+        "target_error": target,
+        "compute_scales": compute_scales,
         "cpu_s": round(cpu, 2),
         "passes": count.passes,
         "capped_passes": round(count.points / CAP, 2),
+        "refits": len(fits) - len(report.intersections),
         "rejected": [bool(r) for r in report.rejected],
-        "pvalues_sha1": hashlib.sha1(pvalues.tobytes()).hexdigest()[:12],
+        "adjusted_sha1": sha1(report.adjusted),
+        "pvalues_sha1": sha1([r.p_value for r in report.intersections]),
     }
 
 
@@ -155,6 +182,8 @@ if __name__ == "__main__":
             results["L1"].append(root_solve(dim, target))
             print(json.dumps(results["L1"][-1]), flush=True)
     if "--closure" in sys.argv[1:]:
-        results["closure"] = closure()
+        results["closure"] = closure(1e-5, compute_scales=True)
         print(json.dumps(results["closure"]), flush=True)
+        results["closure_pvalues"] = closure(1e-6, compute_scales=False)
+        print(json.dumps(results["closure_pvalues"]), flush=True)
     print(json.dumps(results))
