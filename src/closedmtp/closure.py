@@ -38,11 +38,14 @@ import numpy as np
 from .exceptions import InputError
 from .intersection import (
     _COARSE_POINTS,
+    _TOTAL_TOL,
     CorrelationModel,
     IntersectionResult,
     _check_alpha,
+    _check_subset_args,
     _common_estimate,
     _subsets_estimate,
+    _weight_total,
     _xie_estimate,
     as_model,
     bonferroni_pvalue,
@@ -343,6 +346,13 @@ def decision_thresholds(
     ``run_closure`` reports, float for float. ``run_closure`` decides by
     the p-values instead; the cutoffs reproduce its decisions up to the
     root solve's tolerance and the integration error.
+
+    Only a subset in which some correlation block holds two positive-
+    weight members needs the method's levels (a root solve). Every other
+    row is alpha * w, filled in one array step: the float every method's
+    levels give there, its scale being exactly 1. The weights of the whole
+    table are checked at once, for every method, as each intersection
+    test checks its own.
     """
     _check_solve_args(target_error, root_tol, max_points)
     # the scheme's full (costly) validation is left to TestProblem and SimScenario
@@ -350,11 +360,35 @@ def decision_thresholds(
     levels = _METHODS[method].levels
     solve = (seed, target_error, root_tol, max_points)
     m = scheme.m
-    t = np.full(((1 << m) - 1, m), -1.0)
-    for mask in iter_masks(m):
+    masks = np.arange(1, 1 << m)
+    inside = np.stack([masks >> j & 1 == 1 for j in range(m)], axis=1)
+    t = np.full(inside.shape, -1.0)
+    # a boolean assignment fills row by row, each row in ascending member
+    # order: the order of the scheme's weight vectors
+    t[inside] = np.concatenate([scheme.table[mask] for mask in iter_masks(m)])
+    _check_weight_table(scheme, t, inside)
+    positive = t > 0.0
+    needs_solve = np.zeros(len(t), dtype=bool)
+    for block in model.blocks:
+        if len(block) > 1:
+            needs_solve |= positive[:, list(block)].sum(axis=1) > 1
+    np.multiply(t, alpha, out=t, where=inside & ~needs_solve[:, None])
+    for mask in masks[needs_solve].tolist():
         mem = members(mask)
-        t[mask - 1, list(mem)] = levels(mem, scheme.weights_for(mask), alpha, model, *solve)[2]
+        t[mask - 1, list(mem)] = levels(mem, scheme.table[mask], alpha, model, *solve)[2]
     return t
+
+
+def _check_weight_table(scheme: WeightingScheme, w: np.ndarray, inside: np.ndarray) -> None:
+    """The weight checks of every intersection test (``_check_subset_args``,
+    ``_weight_total``) on the whole table: raises their InputError for the
+    first failing mask. The array step only picks the masks those checks
+    could fail, with a margin over the sums' rounding."""
+    total = w.sum(axis=1, where=inside)
+    suspect = (inside & (w < 0.0)).any(axis=1) | ~(total > 0.0) | (total > 1.0 + _TOTAL_TOL - 1e-13)
+    for mask in (np.flatnonzero(suspect) + 1).tolist():
+        _check_subset_args(members(mask), scheme.table[mask])
+        _weight_total(scheme.table[mask])
 
 
 @dataclass(frozen=True)

@@ -216,11 +216,15 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+# how far a subset's weight total may exceed 1
+_TOTAL_TOL = 1e-12
+
+
 def _weight_total(w: np.ndarray) -> float:
     total = float(w.sum())
     if not total > 0.0:
         raise InputError("all weights in the subset are zero")
-    if total > 1.0 + 1e-12:
+    if total > 1.0 + _TOTAL_TOL:
         raise InputError(f"weights sum to {total}, exceeding 1")
     return total
 
@@ -285,14 +289,22 @@ def _one_block(mem: tuple[int, ...], corr, what: str) -> CorrelationModel:
     return model
 
 
+def _linear(c: float, alpha: float, w: np.ndarray) -> float:
+    """The union of a block with one active member at threshold c*alpha*w:
+    min(1, c*alpha*w), exact, the float a one-member rule gives."""
+    return min(1.0, c * alpha * float(w[0]))
+
+
 def _union_sum(rules, groups, alpha: float, known: dict):
-    """The per-block unions at thresholds c*alpha*w summed, as a function
-    of c that reads and fills ``known``."""
+    """The per-block unions at thresholds c*alpha*w summed in block order,
+    as a function of c that reads and fills ``known``. A block with one
+    active member has no rule (None): it adds its linear term."""
 
     def total(c: float) -> float:
         if c not in known:
             known[c] = sum(
-                rule(np.minimum(1.0, c * alpha * w)).value
+                _linear(c, alpha, w) if rule is None
+                else rule(np.minimum(1.0, c * alpha * w)).value
                 for rule, (_, _, w) in zip(rules, groups)
             )
         return known[c]
@@ -363,11 +375,12 @@ def _solve_scale(
     c*alpha*w sum to the target.
 
     groups holds (salt, correlation, active weights) per block; a block
-    with one active member contributes a linear term, and when every
-    block has at most one the equation is linear and c = 1. Each block
-    gets one UnionRule kept fixed while c moves, so the sum is a
-    deterministic, continuous function of c; the QMC error budget is
-    split across the blocks that sample.
+    with one active member gets no rule and contributes the exact linear
+    term min(1, c*alpha*w) (``_linear``), and when every block has at
+    most one the equation is linear and c = 1. Every other block gets one
+    UnionRule kept fixed while c moves, so the sum is a deterministic,
+    continuous function of c; the QMC error budget is split across the
+    blocks that sample.
 
     The rules are first fitted at c = 1, capped at _COARSE_POINTS (the
     first pass of any fit). When every block is exact, max_points is at
@@ -400,41 +413,54 @@ def _solve_scale(
     # far the estimate at the solved c can sit from the target
     slack = alpha * float(w_active.sum()) * root_tol
 
-    def fit(c: float, points: int) -> list[UnionRule]:
-        return [
-            UnionRule(c * alpha * w, corr, derived_seed(seed, mask, salt), block_error, points)
+    def fit(c: float, points: int) -> tuple[list[UnionRule | None], list[UnionRule]]:
+        """(per block its rule or None, the rules) fitted at c."""
+        rules = [
+            None if w.size == 1
+            else UnionRule(c * alpha * w, corr, derived_seed(seed, mask, salt), block_error, points)
             for salt, corr, w in groups
         ]
+        return rules, [rule for rule in rules if rule is not None]
+
+    def fitted_sum(rules: list[UnionRule | None], c: float) -> float:
+        """The sum at the c the rules were fitted at, from their estimates."""
+        return sum(
+            _linear(c, alpha, w) if rule is None else rule.estimate.value
+            for rule, (_, _, w) in zip(rules, groups)
+        )
 
     c0, slope = 1.0, None
     # a first pass of _COARSE_POINTS: where every rule meets its target
     # there, these are the rules a fit to max_points makes
-    rules = fit(c0, min(max_points, _COARSE_POINTS))
+    rules, built = fit(c0, min(max_points, _COARSE_POINTS))
     if max_points > _COARSE_POINTS and any(
-        rule.sampled and rule.estimate.error > block_error for rule in rules
+        rule.sampled and rule.estimate.error > block_error for rule in built
     ):
-        known = {1.0: sum(rule.estimate.value for rule in rules)}
+        known = {1.0: fitted_sum(rules, 1.0)}
         c0 = _bracket_root(_union_sum(rules, groups, alpha, known), target, cap, root_tol)
         slope = _crossing_slope(known, target)
         if slope is None or c0 * alpha * float(w_active.max()) >= 1.0:
             c0, slope = 1.0, None
-        rules = fit(c0, max_points)
+        rules, built = fit(c0, max_points)
     while True:
-        known = {c0: sum(rule.estimate.value for rule in rules)}
+        known = {c0: fitted_sum(rules, c0)}
         total = _union_sum(rules, groups, alpha, known)
         c = None if slope is None else _secant_root(total, c0, slope, target, cap, root_tol)
         if c is None:
             c = _bracket_root(total, target, cap, root_tol)
-        if not any(rule.sampled for rule in rules):
+        if not any(rule.sampled for rule in built):
             return c
         check = err = 0.0
         for rule, (salt, _, w) in zip(rules, groups):
+            if rule is None:
+                check += _linear(c, alpha, w)
+                continue
             est = rule(np.minimum(1.0, c * alpha * w), derived_seed(seed, mask, salt + _CHECK_SALT))
             check += est.value
             err += est.error + rule.estimate.error
         if abs(check - target) <= err + slack:
             return c
-        if not any([rule.refine(max_points) for rule in rules]):
+        if not any([rule.refine(max_points) for rule in built]):
             return c
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,16 @@ from closedmtp.intersection import (
     partitioned_pvalue_subsets,
     xie_pvalue,
 )
-from closedmtp.mvnorm import CorrelationMatrix, union_exceedance
+from closedmtp.mvnorm import (
+    DEFAULT_MAX_POINTS,
+    DEFAULT_ROOT_TOL,
+    DEFAULT_TARGET_ERROR,
+    CorrelationMatrix,
+    UnionRule,
+    union_exceedance,
+)
 from closedmtp.subsets import iter_masks, mask_of, members
-from closedmtp.weighting import WeightingScheme, xie_scheme
+from closedmtp.weighting import GraphSpec, WeightingScheme, scheme_from_graph, xie_scheme
 
 C_DUNNETT_PAIR = 1.0128226207641466  # (1 - sqrt(0.95)) / 0.025
 
@@ -425,16 +433,17 @@ class TestDecisionThresholds:
         # the same floats, for every method on a model it accepts
         scheme = xie_scheme((0.4, 0.35, 0.25))
         corr = equicorr(3, 0.4)
-        models = {
-            "bonferroni": CorrelationModel.independent_blocks(3),
-            "parametric-common": CorrelationModel.full(corr),
-            "parametric-subsets": CorrelationModel(
-                3, ((0, 2), (1,)), (equicorr(2, 0.4), None)
-            ),
-            "xie": CorrelationModel.full(corr),
-        }
-        assert sorted(models) == sorted(METHODS)
-        for method, model in models.items():
+        pair_and_single = CorrelationModel(3, ((0, 2), (1,)), (equicorr(2, 0.4), None))
+        models = [
+            ("bonferroni", CorrelationModel.independent_blocks(3)),
+            ("parametric-common", CorrelationModel.full(corr)),
+            # the full set's solve adds the singleton as a linear term
+            ("parametric-common", pair_and_single),
+            ("parametric-subsets", pair_and_single),
+            ("xie", CorrelationModel.full(corr)),
+        ]
+        assert sorted({method for method, _ in models}) == sorted(METHODS)
+        for method, model in models:
             prob = TestProblem(
                 scheme=scheme,
                 model=model,
@@ -525,6 +534,189 @@ class TestValidateOnce:
         run_closure(prob)
         decision_thresholds(scheme, model, 0.025, "parametric-common")
         assert calls == []
+
+
+def random_graph_scheme(rng, m):
+    """A propagation graph's scheme with every weight positive."""
+    g = rng.uniform(0.1, 1.0, size=(m, m))
+    np.fill_diagonal(g, 0.0)
+    return scheme_from_graph(GraphSpec(m, rng.dirichlet(np.ones(m)), g / g.sum(axis=1, keepdims=True)))
+
+
+def per_subset_thresholds(scheme, model, alpha, method, seed=0, target_error=DEFAULT_TARGET_ERROR):
+    """The threshold table as a loop over every subset gives it: each row
+    the method's levels for that subset."""
+    levels = closure_module._METHODS[method].levels
+    t = np.full(((1 << scheme.m) - 1, scheme.m), -1.0)
+    for mask in iter_masks(scheme.m):
+        mem = members(mask)
+        t[mask - 1, list(mem)] = levels(
+            mem, scheme.weights_for(mask), alpha, model,
+            seed, target_error, DEFAULT_ROOT_TOL, DEFAULT_MAX_POINTS,
+        )[2]
+    return t
+
+
+def threshold_table_cases():
+    """(name, scheme, model, methods the model allows)."""
+    rng = np.random.default_rng(1313)
+    partitioned = ("bonferroni", "parametric-common", "parametric-subsets")
+    yield "singletons", random_graph_scheme(rng, 5), CorrelationModel.independent_blocks(5), partitioned
+    yield "pair", random_graph_scheme(rng, 6), CorrelationModel(
+        6, ((1, 4), (0,), (2,), (3,), (5,)), (equicorr(2, 0.5), None, None, None, None)
+    ), partitioned
+    yield "pair-triple", random_graph_scheme(rng, 7), CorrelationModel(
+        7, ((0, 3), (1, 2, 5), (4,), (6,)),
+        (equicorr(2, -0.3), random_correlation(rng, 3), None, None),
+    ), partitioned
+    # the pair's second member carries weight 0 in every subset that holds H_3
+    table = {
+        mask: np.where(np.array(mem) == 1, 0.0, w) if {1, 3} <= set(mem) else w
+        for mask, mem, w in random_scheme(rng, 5).entries()
+    }
+    yield "zero-weight", WeightingScheme(5, table), CorrelationModel(
+        5, ((0, 1), (2,), (3,), (4,)), (equicorr(2, 0.6), None, None, None)
+    ), partitioned
+    yield "sampled", xie_scheme(rng.dirichlet(np.ones(4) * 2.0)), CorrelationModel.full(
+        random_correlation(rng, 4)
+    ), tuple(METHODS)
+
+
+class TestThresholdTable:
+    """decision_thresholds fills the rows that need no root solve in one
+    array step; every row must be the float the per-subset levels give."""
+
+    @pytest.mark.parametrize("case", list(threshold_table_cases()), ids=lambda case: case[0])
+    def test_equals_the_per_subset_loop(self, case):
+        _, scheme, model, methods = case
+        for method in methods:
+            got = decision_thresholds(scheme, model, 0.025, method, seed=4, target_error=1e-5)
+            ref = per_subset_thresholds(scheme, model, 0.025, method, seed=4, target_error=1e-5)
+            assert got.tobytes() == ref.tobytes(), method
+
+    def test_zero_weight_case_has_such_rows(self):
+        # the case above keeps H_1 in the block but out of its solve
+        _, scheme, model, _ = list(threshold_table_cases())[3]
+        t = decision_thresholds(scheme, model, 0.025, "parametric-common")
+        assert t[0b1011 - 1, 1] == 0.0
+        assert t[0b1011 - 1, 0] == 0.025 * scheme.weights_for(0b1011)[0]
+
+
+# schemes each intersection test refuses; bonferroni's levels read no check
+INVALID_SCHEMES = {
+    "sum-above-one": {1: (0.9,), 2: (0.9,), 3: (0.7, 0.7)},
+    "negative": {1: (0.5,), 2: (0.5,), 3: (-0.1, 0.5)},
+    "zero-total": {1: (0.0,), 2: (0.5,), 3: (0.5, 0.5)},
+    # mask 2 fails first, although mask 3 fails too
+    "first-mask-first": {1: (0.5,), 2: (1.5,), 3: (-0.1, 0.5)},
+    # a negative weight is named before the total it spoils
+    "negative-before-total": {1: (0.5,), 2: (0.5,), 3: (-0.1, 1.5)},
+}
+
+
+class TestThresholdWeightChecks:
+    """Every method's table checks every subset's weights as the
+    intersection tests do, and raises the same error for the first
+    failing mask."""
+
+    @pytest.mark.parametrize("name", sorted(INVALID_SCHEMES))
+    def test_every_method_raises_the_per_subset_error(self, name):
+        scheme = WeightingScheme(2, INVALID_SCHEMES[name])
+        model = CorrelationModel.independent_blocks(2)
+        with pytest.raises(InputError) as ref:
+            per_subset_thresholds(scheme, model, 0.05, "parametric-common")
+        for method in ("bonferroni", "parametric-common", "parametric-subsets"):
+            with pytest.raises(InputError, match=f"^{re.escape(str(ref.value))}$"):
+                decision_thresholds(scheme, model, 0.05, method)
+        with pytest.raises(InputError, match=f"^{re.escape(str(ref.value))}$"):
+            check_consonance(scheme, model, 0.05)
+
+    def test_reported_errors(self):
+        model = CorrelationModel.independent_blocks(2)
+        expected = {
+            "sum-above-one": "weights sum to 1.4, exceeding 1",
+            "negative": "weights must be finite and nonnegative",
+            "zero-total": "all weights in the subset are zero",
+            "first-mask-first": "weights sum to 1.5, exceeding 1",
+            "negative-before-total": "weights must be finite and nonnegative",
+        }
+        for name, message in expected.items():
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                decision_thresholds(WeightingScheme(2, INVALID_SCHEMES[name]), model, 0.05, "bonferroni")
+
+    def test_every_method_on_a_proportional_scheme_above_one(self):
+        # proportional within the method's 1e-9, but every total is 1 + 5e-10
+        over = 1.0 + 5e-10
+        scheme = WeightingScheme(2, {1: (over,), 2: (over,), 3: (0.5 * over, 0.5 * over)})
+        model = CorrelationModel.full(equicorr(2, 0.3))
+        for method in METHODS:
+            with pytest.raises(InputError, match="exceeding 1"):
+                decision_thresholds(scheme, model, 0.05, method)
+        with pytest.raises(InputError, match="exceeding 1"):
+            check_consonance(scheme, model, 0.05)
+
+    @pytest.mark.parametrize("ulps", range(-6, 7))
+    def test_total_at_the_bound(self, ulps):
+        # totals a few ulps either side of 1 + 1e-12: the table raises
+        # exactly when the per-subset check does
+        bound = 1.0 + 1e-12
+        top = bound + ulps * np.spacing(bound)
+        table = {1: (0.5,), 2: (0.5,), 3: (0.25, top - 0.25), 4: (0.5,), 5: (0.5, 0.5),
+                 6: (0.5, 0.5), 7: (top / 3, top / 3, top - 2 * (top / 3))}
+        scheme = WeightingScheme(3, table)
+        failing = [mask for mask in iter_masks(3) if float(np.sum(table[mask])) > bound]
+        model = CorrelationModel.independent_blocks(3)
+        if failing:
+            total = float(np.sum(table[failing[0]]))
+            with pytest.raises(InputError, match=f"^weights sum to {re.escape(str(total))}, "):
+                decision_thresholds(scheme, model, 0.05, "bonferroni")
+        else:
+            decision_thresholds(scheme, model, 0.05, "bonferroni")
+
+
+class TestThresholdSaving:
+    """The table's saving, by counts: only subsets in which a block holds
+    two positive-weight members reach the method's levels, and a root
+    solve builds a kernel rule only for such a block."""
+
+    PAIR = (2, 5)
+
+    def problem(self):
+        m = 8
+        scheme = random_graph_scheme(np.random.default_rng(88), m)
+        singles = tuple((j,) for j in range(m) if j not in self.PAIR)
+        model = CorrelationModel(m, (self.PAIR,) + singles, (equicorr(2, 0.5),) + (None,) * 6)
+        return scheme, model
+
+    def test_levels_only_for_subsets_holding_the_pair(self, monkeypatch):
+        scheme, model = self.problem()
+        method = closure_module._METHODS["parametric-common"]
+        calls = []
+
+        def counted(mem, *args):
+            calls.append(mem)
+            return method.levels(mem, *args)
+
+        monkeypatch.setitem(
+            closure_module._METHODS, "parametric-common", dataclasses.replace(method, levels=counted)
+        )
+        decision_thresholds(scheme, model, 0.025, "parametric-common")
+        assert len(calls) == 2**6
+        assert all(set(self.PAIR) <= set(mem) for mem in calls)
+
+    def test_rules_only_for_blocks_of_two(self, monkeypatch):
+        scheme, model = self.problem()
+        dims = []
+        build = UnionRule.__init__
+
+        def counted(self, thresholds, *args, **kwargs):
+            dims.append(np.size(thresholds))
+            build(self, thresholds, *args, **kwargs)
+
+        monkeypatch.setattr(UnionRule, "__init__", counted)
+        decision_thresholds(scheme, model, 0.025, "parametric-common")
+        # one exact rule per solve: the pair's, never a singleton's
+        assert dims == [2] * 2**6
 
 
 class TestCheckConsonance:

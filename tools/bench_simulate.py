@@ -1,16 +1,26 @@
-"""Replications per second and tracemalloc peak of ``simulate``'s replication loop.
+"""Time ``simulate``'s two halves: the replication loop, or with
+``--thresholds`` the threshold table it solves first.
 
     PYTHONPATH=src python3 tools/bench_simulate.py 10 12 13 14 15 16 18
+    PYTHONPATH=src python3 tools/bench_simulate.py --thresholds 10 12
 
 Run from the repository root; point PYTHONPATH at another checkout's
-``src`` to measure that one with the same script. Per m the scenario is
-a seeded random graph under bonferroni with one correlated pair in the
-generator, a zero-weight hypothesis and every other hypothesis a true
-null, over eight chunks plus a short one. The cutoffs are solved once
-beforehand and handed to ``simulate``, so the figures cover the
-replications alone. CPU time is the median of three calls; the peak is
-tracemalloc's over a fourth. BLAS is pinned to one thread. Prints one
-JSON object per m, then one with all of them.
+``src`` to measure that one with the same script. BLAS is pinned to one
+thread. Prints one JSON object per m, then one with all of them.
+
+Replication loop: per m the scenario is a seeded random graph under
+bonferroni with one correlated pair in the generator, a zero-weight
+hypothesis and every other hypothesis a true null, over eight chunks
+plus a short one. The cutoffs are solved once beforehand and handed to
+``simulate``, so the figures cover the replications alone. CPU time is
+the median of three calls; the peak is tracemalloc's over a fourth.
+
+Thresholds: per m one ``decision_thresholds`` table shaped like the
+fwer-sim benchmark's, parametric-common on a seeded random graph with
+one known pair at rho = 0.5 and singletons. CPU time is the median of
+three calls. A fourth call counts the common-scale calls
+(``partitioned_common_scale``) and the root solves (``solve_monotone``)
+it makes; the table's sha1 prefix must match between checkouts.
 """
 
 import os
@@ -32,6 +42,8 @@ from closedmtp import (  # noqa: E402
     CorrelationModel,
     GraphSpec,
     SimScenario,
+    closure,
+    intersection,
     scheme_from_graph,
     simulation,
 )
@@ -91,9 +103,65 @@ def measure(m: int) -> dict:
     }
 
 
+def measure_thresholds(m: int) -> dict:
+    rng = np.random.default_rng(3030 + m)
+    g = rng.uniform(0.1, 1.0, size=(m, m))
+    np.fill_diagonal(g, 0.0)
+    scheme = scheme_from_graph(
+        GraphSpec(m, rng.dirichlet(np.ones(m)), g / g.sum(axis=1, keepdims=True))
+    )
+    a, b = sorted(int(j) for j in rng.choice(m, size=2, replace=False))
+    pair = CorrelationMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    singles = tuple((j,) for j in range(m) if j not in (a, b))
+    model = CorrelationModel(m, ((a, b),) + singles, (pair,) + (None,) * len(singles))
+
+    def table():
+        return closure.decision_thresholds(scheme, model, 0.025, "parametric-common", 11)
+
+    cpu = []
+    for _ in range(3):
+        start = time.process_time()
+        t = table()
+        cpu.append(time.process_time() - start)
+    counts = {"scale_calls": 0, "solves": 0}
+    wrapped = [
+        (closure, "partitioned_common_scale", "scale_calls"),
+        (intersection, "solve_monotone", "solves"),
+    ]
+    originals = [getattr(module, name) for module, name, _ in wrapped]
+
+    def counted(fn, key):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for (module, name, key), fn in zip(wrapped, originals):
+        setattr(module, name, counted(fn, key))
+    try:
+        counted_table = table()
+    finally:
+        for (module, name, _), fn in zip(wrapped, originals):
+            setattr(module, name, fn)
+    if counted_table.tobytes() != t.tobytes():
+        raise RuntimeError(f"m={m}: the counted call gave another table")
+    return {
+        "m": m,
+        "pair": [a, b],
+        "cpu_s": round(statistics.median(cpu), 4),
+        **counts,
+        "table_sha1": hashlib.sha1(t.tobytes()).hexdigest()[:12],
+    }
+
+
 if __name__ == "__main__":
+    args = sys.argv[1:]
+    run = measure
+    if args[:1] == ["--thresholds"]:
+        args, run = args[1:], measure_thresholds
     results = []
-    for arg in sys.argv[1:]:
-        results.append(measure(int(arg)))
+    for arg in args:
+        results.append(run(int(arg)))
         print(json.dumps(results[-1]), flush=True)
     print(json.dumps(results))
