@@ -42,7 +42,9 @@ from .intersection import (
     CorrelationModel,
     IntersectionResult,
     _check_alpha,
+    _check_seed,
     _check_subset_args,
+    _closed_form_scales,
     _common_estimate,
     _subsets_estimate,
     _weight_total,
@@ -124,12 +126,14 @@ class _Method:
     (members, weights, p-values, model, seed, target_error, max_points) to
     (p-value estimate, whether every kernel fit met its target, in which
     case a fit capped at _COARSE_POINTS gives what one at any larger
-    max_points would). ``proportional``: needs a proportional scheme,
-    correlation known.
+    max_points would). ``scales``: "one" (c = 1), "common" (one c per
+    intersection) or "block" (one c per correlation block).
+    ``proportional``: needs a proportional scheme, correlation known.
     """
 
     levels: Callable
     pvalue: Callable
+    scales: str
     proportional: bool = False
 
 
@@ -137,10 +141,11 @@ _METHODS = {
     "bonferroni": _Method(
         lambda mem, w, alpha, *_: (1.0, None, alpha * w),
         lambda mem, w, p, *_: (ProbEstimate(bonferroni_pvalue(mem, w, p), 0.0), True),
+        "one",
     ),
-    "parametric-common": _Method(_common_levels, _common_estimate),
-    "parametric-subsets": _Method(_block_levels, _subsets_estimate),
-    "xie": _Method(_common_levels, _xie_estimate, proportional=True),
+    "parametric-common": _Method(_common_levels, _common_estimate, "common"),
+    "parametric-subsets": _Method(_block_levels, _subsets_estimate, "block"),
+    "xie": _Method(_common_levels, _xie_estimate, "common", proportional=True),
 }
 # the method names every entry point accepts
 METHODS = tuple(_METHODS)
@@ -204,11 +209,7 @@ class TestProblem:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "pvalues", _check_pvalues(self.pvalues, self.scheme.m))
-        # the report's schema takes a nonnegative integer seed; a bool is none
-        seed = self.seed
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-            raise InputError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property
     def m(self) -> int:
@@ -348,16 +349,21 @@ def decision_thresholds(
     root solve's tolerance and the integration error.
 
     Only a subset in which some correlation block holds two positive-
-    weight members needs the method's levels (a root solve). Every other
-    row is alpha * w, filled in one array step: the float every method's
-    levels give there, its scale being exactly 1. The weights of the whole
-    table are checked at once, for every method, as each intersection
-    test checks its own.
+    weight members needs a root solve. Every other row is alpha * w,
+    filled in one array step: the float every method's levels give there,
+    its scale being exactly 1. The rows in which no block holds more than
+    two positive-weight members are solved together in one array pass
+    (``_closed_form_scales``), on the exact linear and bivariate unions,
+    and get the floats the method's levels give them one by one. Only a
+    row with a block of three or more calls the method's levels. The
+    weights of the whole table are checked at once, for every method, as
+    each intersection test checks its own.
     """
     _check_solve_args(target_error, root_tol, max_points)
+    seed = _check_seed(seed)
     # the scheme's full (costly) validation is left to TestProblem and SimScenario
     model, alpha = _check_procedure(scheme, corr, alpha, method, validate_scheme=False)
-    levels = _METHODS[method].levels
+    method = _METHODS[method]
     solve = (seed, target_error, root_tol, max_points)
     m = scheme.m
     masks = np.arange(1, 1 << m)
@@ -367,15 +373,24 @@ def decision_thresholds(
     # order: the order of the scheme's weight vectors
     t[inside] = np.concatenate([scheme.table[mask] for mask in iter_masks(m)])
     _check_weight_table(scheme, t, inside)
-    positive = t > 0.0
-    needs_solve = np.zeros(len(t), dtype=bool)
-    for block in model.blocks:
-        if len(block) > 1:
-            needs_solve |= positive[:, list(block)].sum(axis=1) > 1
-    np.multiply(t, alpha, out=t, where=inside & ~needs_solve[:, None])
-    for mask in masks[needs_solve].tolist():
+    # per row, the most positive-weight members any block holds
+    most = np.zeros(len(t), dtype=int)
+    if method.scales != "one":
+        positive = t > 0.0
+        for block in model.blocks:
+            if len(block) > 1:
+                np.maximum(most, positive[:, list(block)].sum(axis=1), out=most)
+    scale = np.ones(t.shape)
+    closed = np.flatnonzero(most == 2)
+    scale[closed] = _closed_form_scales(
+        t[closed], model, alpha, method.scales == "common", root_tol
+    )
+    # a row the pass could not settle is solved alone, to raise its error in mask order
+    alone = (most > 2) | np.isnan(scale).any(axis=1)
+    np.multiply(scale * alpha, t, out=t, where=inside & ~alone[:, None])
+    for mask in masks[alone].tolist():
         mem = members(mask)
-        t[mask - 1, list(mem)] = levels(mem, scheme.table[mask], alpha, model, *solve)[2]
+        t[mask - 1, list(mem)] = method.levels(mem, scheme.table[mask], alpha, model, *solve)[2]
     return t
 
 
@@ -437,6 +452,7 @@ def check_consonance(
         )
     if not 0.0 <= tolerance < np.inf:
         raise InputError(f"consonance tolerance must be finite and nonnegative, got {tolerance}")
+    seed = _check_seed(seed)
     t = decision_thresholds(
         scheme, corr, alpha, "parametric-common", seed, target_error, root_tol
     )
@@ -486,6 +502,7 @@ def xie_shortcut(
     makes the greedy chain's p-values dominate all other intersections.
     """
     model, w0, p = _check_shortcut(initial_weights, pvalues, corr, alpha, "initial weights")
+    seed = _check_seed(seed)
     m = model.m
     active = list(range(m))
     order: list[int] = []
@@ -531,6 +548,7 @@ def weighted_dunnett_single_step(
     subsets.
     """
     model, w, p = _check_shortcut(weights, pvalues, corr, alpha, "weights")
+    seed = _check_seed(seed)
     m = model.m
     if abs(w.sum() - 1.0) > 1e-9:
         raise InputError(f"weights must sum to 1, got {w.sum()}")

@@ -25,9 +25,11 @@ split: a subset inside one block gets salt 0, the whole subset's. Every
 parametric p-value is built from per-block unions at thresholds w_j * q,
 q the smallest p/w of the block (of J, for the common scaling, which sums
 them), over a weight total; every critical scaling is one root solve over
-per-block unions (``_solve_scale``). This module is the only one outside
-``mvnorm`` that calls the kernel: the closure, its shortcuts and the
-simulation test intersections through the functions here.
+per-block unions (``_solve_scale``), or, for the rows of a threshold table
+in which every block holds at most two active members, the same solve run
+for all of them in one array pass (``_solve_scales``). This module is the
+only one outside ``mvnorm`` that calls the kernel: the closure, its
+shortcuts and the simulation test intersections through the functions here.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .mvnorm import (
     UnionRule,
     _check_accuracy_args,
     _check_root_tol,
+    _pair_unions,
     as_correlation,
     solve_monotone,
     union_exceedance,
@@ -67,6 +70,14 @@ _COARSE_POINTS = _START_POINTS
 _SECANT_STEPS = 2
 # the correlation of every single hypothesis
 _UNIT = CorrelationMatrix(np.eye(1))
+
+
+def _check_seed(seed, name: str = "seed") -> int:
+    """The seed as an int; every report's schema takes a nonnegative
+    integer seed, and a bool or a float is none."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InputError(f"{name} must be a nonnegative integer")
+    return int(seed)
 
 
 def derived_seed(seed: int, mask: int, salt: int = 0) -> int:
@@ -462,6 +473,133 @@ def _solve_scale(
             return c
         if not any([rule.refine(max_points) for rule in built]):
             return c
+
+
+def _solve_scales(
+    w: np.ndarray, rho: np.ndarray, target: np.ndarray, alpha: float, root_tol: float
+) -> np.ndarray:
+    """``_solve_scale`` for many problems in one array pass, where no
+    block holds more than two active members, so every block is exact.
+
+    ``w`` (n, B, 2) holds per problem and block, in block order, the
+    weights of the block's active members: a single member's second entry
+    is 0, a block with none is all 0. ``rho`` (n, B) is each pair's
+    correlation. A problem's sum adds, in block order, the linear term
+    min(1, c*alpha*w) of each single member and the exact bivariate union
+    of each pair (``_pair_unions``); the sum starts at 0, and an empty
+    block's 0 changes no float. ``_bracket_root``'s search and
+    ``solve_monotone``'s Illinois steps run elementwise, one state per
+    problem, so each c is the float ``_solve_scale`` gives it. A problem
+    on which those would raise (a pair threshold outside (0, 1) at c = 1,
+    a bracket that does not straddle) gets NaN, for its caller to solve
+    alone and raise that error.
+    """
+    pair = w[..., 1] > 0.0
+
+    def total(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+        u = np.minimum(1.0, (c * alpha)[:, None, None] * w[rows])
+        terms = u[..., 0]
+        on = pair[rows]
+        at = u[on]
+        # a threshold of 1 makes the union certain
+        live = (at < 1.0).all(axis=1)
+        union = np.ones(len(at))
+        union[live] = _pair_unions(at[live, 0], at[live, 1], rho[rows][on][live])
+        terms[on] = union
+        out = terms[:, 0].copy()
+        for b in range(1, terms.shape[1]):
+            out += terms[:, b]
+        return out
+
+    n = len(target)
+    # UnionRule's check of a pair's thresholds at c = 1, where its rule is fitted
+    u1 = alpha * w
+    fits = ~(pair & ((u1 <= 0.0) | (u1 >= 1.0)).any(axis=2)).any(axis=1)
+    c = np.where(fits, 1.0, np.nan)
+    at_one = total(np.arange(n), np.ones(n))
+    todo = np.flatnonzero(fits & (at_one < target))
+    tgt, f_lo = target[todo], at_one[todo]
+    # _bracket_root's search: at c = 1/(alpha * max weight) the largest
+    # threshold saturates
+    cap = 1.0 / (alpha * w[todo].max(axis=(1, 2)))
+    step = np.maximum(1.25 * (tgt / f_lo - 1.0), root_tol)
+    lo, hi = np.ones(todo.size), np.minimum(1.0 + step, cap)
+    f_hi = np.full(todo.size, np.nan)
+    grow = hi < cap
+    while grow.any():
+        i = np.flatnonzero(grow)
+        f_hi[i] = total(todo[i], hi[i])
+        i = i[f_hi[i] < tgt[i]]
+        grow[:] = False
+        step[i] *= 2.0
+        lo[i], f_lo[i] = hi[i], f_hi[i]
+        hi[i], f_hi[i] = np.minimum(1.0 + step[i], cap[i]), np.nan
+        grow[i] = hi[i] < cap[i]
+    unread = np.flatnonzero(np.isnan(f_hi))
+    f_hi[unread] = total(todo[unread], hi[unread])
+    # solve_monotone's checks of the bracket, then its Illinois steps
+    g_lo, g_hi = f_lo - tgt, f_hi - tgt
+    ok = (lo < hi) & (g_lo <= 0.0) & (g_hi >= 0.0)
+    side = np.zeros(todo.size)
+    # the widths of the last three steps, oldest first
+    w3, w2, w1 = (np.full(todo.size, np.inf) for _ in range(3))
+    run = ok & (hi - lo > root_tol)
+    while run.any():
+        i = np.flatnonzero(run)
+        l, h, gl, gh = lo[i], hi[i], g_lo[i], g_hi[i]
+        width = h - l
+        secant = (gl < 0.0) & (0.0 < gh) & (width <= 0.5 * w3[i])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = l - gl * width / (gh - gl)
+        x = np.minimum(np.maximum(x, l + 0.5 * root_tol), h - 0.5 * root_tol)
+        x = np.where(secant, x, 0.5 * (l + h))
+        w3[i], w2[i], w1[i] = w2[i], w1[i], width
+        g = total(todo[i], x) - tgt[i]
+        up, was = g >= 0.0, side[i]
+        hi[i[up]], g_hi[i[up]], side[i[up]] = x[up], g[up], 1.0
+        g_lo[i[up & (was > 0.0)]] *= 0.5
+        lo[i[~up]], g_lo[i[~up]], side[i[~up]] = x[~up], g[~up], -1.0
+        g_hi[i[~up & (was < 0.0)]] *= 0.5
+        run[i] = hi[i] - lo[i] > root_tol
+    c[todo] = np.where(ok, 0.5 * (lo + hi), np.nan)
+    return c
+
+
+def _closed_form_scales(
+    w: np.ndarray, model: CorrelationModel, alpha: float, common: bool, root_tol: float
+) -> np.ndarray:
+    """The scales of rows of a weight table (n, m; non-members -1) in
+    which no block holds more than two positive-weight members, all
+    solved in one ``_solve_scales`` pass: with ``common`` each row's
+    common scaling (``partitioned_common_scale``) as an (n, 1) column,
+    else each member's block scaling (``partitioned_subset_scales``) as
+    (n, m). A row the pass cannot settle is NaN."""
+    n, blocks = len(w), model.blocks
+    rows = np.arange(n)
+    active = np.zeros((n, len(blocks), 2))
+    rho = np.zeros((n, len(blocks)))
+    for b, (mem, corr) in enumerate(zip(blocks, model.matrices)):
+        mem = np.array(mem)
+        positive = w[:, mem] > 0.0
+        # the first and the last positive-weight member: the pair in member order
+        first = positive.argmax(axis=1)
+        last = mem.size - 1 - positive[:, ::-1].argmax(axis=1)
+        count = positive.sum(axis=1)
+        active[:, b, 0] = np.where(count > 0, w[rows, mem[first]], 0.0)
+        active[:, b, 1] = np.where(count > 1, w[rows, mem[last]], 0.0)
+        if corr is not None:
+            rho[:, b] = corr.values[first, last]
+    if common:
+        # the weight total over the members, as _weight_total sums them
+        total = np.array([row[row >= 0.0].sum() for row in w])
+        return _solve_scales(active, rho, alpha * total, alpha, root_tol)[:, None]
+    at = np.nonzero(active[..., 1] > 0.0)
+    pairs = active[at]
+    scales = np.ones((n, len(blocks)))
+    scales[at] = _solve_scales(
+        pairs[:, None], rho[at][:, None], alpha * (pairs[:, 0] + pairs[:, 1]), alpha, root_tol
+    )
+    return scales[:, model._block_of]
 
 
 def parametric_c(

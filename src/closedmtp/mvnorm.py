@@ -202,6 +202,38 @@ def _bvn_cdf_array(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
+def _pair_unions(u: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The union of two events at thresholds u and v in (0, 1) and
+    correlation rho, elementwise: each entry the float ``_exact_union``
+    gives that pair. The bivariate takes ``_bvn_cdf``'s branches, which
+    differ from ``_bvn_cdf_array``'s at rho = 0 and at a zero bound."""
+    h, k = ndtri(u), ndtri(v)
+    nh, nk = ndtr(h), ndtr(k)
+    both = np.empty(h.shape)
+    one, minus, zero = rho == 1.0, rho == -1.0, rho == 0.0
+    both[one] = ndtr(np.minimum(h[one], k[one]))
+    low = nh[minus] + nk[minus] - 1.0
+    both[minus] = np.where(low > 0.0, low, 0.0)
+    both[zero] = nh[zero] * nk[zero]
+    rest = ~(one | minus | zero)
+    h, k, r, nh, nk = h[rest], k[rest], rho[rest], nh[rest], nk[rest]
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    hz, kz = h == 0.0, k == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = (
+            0.5 * (nh + nk) - owens_t(h, (k - r * h) / (h * s)) - owens_t(k, (h - r * k) / (k * s))
+            - np.where(h * k < 0.0, 0.5, 0.0)
+        )
+    # min(1, max(0, p)) as _bvn_cdf rounds it; its zero-bound forms are not clipped
+    p = np.where(p < 1.0, np.where(p > 0.0, p, 0.0), 1.0)
+    p = np.where(hz, 0.5 * nk - owens_t(k, -r / s), p)
+    p = np.where(kz, 0.5 * nh - owens_t(h, -r / s), p)
+    p[hz & kz] = [0.25 + math.asin(x) / (2.0 * math.pi) for x in r[hz & kz]]
+    both[rest] = p
+    union = (u + v) - both
+    return np.where(union < 1.0, np.where(union > 0.0, union, 0.0), 1.0)
+
+
 def _tvn_cdf(h: np.ndarray, corr: np.ndarray) -> tuple[float, float]:
     """(P(Z <= h), error) for a trivariate standard normal Z; bounds are finite or -inf.
 

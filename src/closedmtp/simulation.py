@@ -16,7 +16,7 @@ from scipy.special import ndtr
 
 from .closure import _check_procedure, decision_thresholds
 from .exceptions import InputError
-from .intersection import CorrelationModel
+from .intersection import CorrelationModel, _check_seed
 from .mvnorm import DEFAULT_ROOT_TOL, DEFAULT_TARGET_ERROR, CorrelationMatrix, as_correlation
 from .weighting import WeightingScheme
 
@@ -71,10 +71,7 @@ class SimScenario:
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise InputError("replications must be a positive integer")
         object.__setattr__(self, "replications", int(self.replications))
-        seed = self.master_seed
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-            raise InputError("master_seed must be a nonnegative integer")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", _check_seed(self.master_seed, "master_seed"))
 
     @property
     def m(self) -> int:

@@ -20,7 +20,7 @@ from closedmtp.closure import (
     weighted_dunnett_single_step,
     xie_shortcut,
 )
-from closedmtp.exceptions import InputError
+from closedmtp.exceptions import BracketError, InputError
 from closedmtp.intersection import (
     CorrelationModel,
     derived_seed,
@@ -165,7 +165,7 @@ class TestProblemValidation:
                 seed=1.5,
             )
 
-    @pytest.mark.parametrize("seed", [-3, True])
+    @pytest.mark.parametrize("seed", [-3, True, 1.5, "3"])
     def test_seed_must_be_nonnegative_and_not_bool(self, seed):
         # the analysis report's schema takes a nonnegative integer seed
         with pytest.raises(InputError, match="nonnegative integer"):
@@ -580,6 +580,20 @@ def threshold_table_cases():
     yield "sampled", xie_scheme(rng.dirichlet(np.ones(4) * 2.0)), CorrelationModel.full(
         random_correlation(rng, 4)
     ), tuple(METHODS)
+    yield "two-pairs", random_graph_scheme(rng, 7), CorrelationModel(
+        7, ((0, 4), (1,), (2, 6), (3,), (5,)),
+        (equicorr(2, 0.4), None, equicorr(2, -0.7), None, None),
+    ), partitioned
+    # ten members: a weight total sums in numpy's unrolled order
+    yield "pair-m10", random_graph_scheme(rng, 10), CorrelationModel(
+        10, ((3, 8),) + tuple((j,) for j in range(10) if j not in (3, 8)),
+        (equicorr(2, 0.5),) + (None,) * 8,
+    ), partitioned
+    # the bivariate's closed forms: independence and the two degenerate pairs
+    for rho in (0.0, 1.0, -1.0):
+        yield f"pair-rho={rho:g}", random_graph_scheme(rng, 5), CorrelationModel(
+            5, ((1, 3), (0,), (2,), (4,)), (equicorr(2, rho), None, None, None)
+        ), partitioned
 
 
 class TestThresholdTable:
@@ -593,6 +607,49 @@ class TestThresholdTable:
             got = decision_thresholds(scheme, model, 0.025, method, seed=4, target_error=1e-5)
             ref = per_subset_thresholds(scheme, model, 0.025, method, seed=4, target_error=1e-5)
             assert got.tobytes() == ref.tobytes(), method
+
+    @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
+    def test_a_bracket_that_does_not_straddle_raises_the_per_subset_error(self, method):
+        # just below alpha = 1, a pair weight total just above 1 sets a
+        # target no union reaches; masks 3 and 7 both miss, each at its own
+        # target, and mask 3's is named
+        over, more = 0.5 + 4e-13, 0.5 + 4.4e-13
+        scheme = WeightingScheme(3, {
+            1: (1.0,), 2: (1.0,), 3: (over, over), 4: (1.0,), 5: (0.5, 0.5), 6: (0.5, 0.5),
+            7: (more, more, 1e-13),
+        })
+        model = CorrelationModel(3, ((0, 1), (2,)), (equicorr(2, 0.3), None))
+        alpha = float(np.nextafter(1.0, 0.0))
+        with pytest.raises(BracketError) as ref:
+            per_subset_thresholds(scheme, model, alpha, method)
+        assert f"target {alpha * (over + over)};" in str(ref.value)
+        with pytest.raises(BracketError, match=f"^{re.escape(str(ref.value))}$"):
+            decision_thresholds(scheme, model, alpha, method)
+        # without mask 3's miss, mask 7's is named
+        first = str(ref.value)
+        scheme = WeightingScheme(3, {**scheme.table, 3: (0.5, 0.5)})
+        with pytest.raises(BracketError) as ref:
+            per_subset_thresholds(scheme, model, alpha, method)
+        assert str(ref.value) != first
+        with pytest.raises(BracketError, match=f"^{re.escape(str(ref.value))}$"):
+            decision_thresholds(scheme, model, alpha, method)
+
+    @pytest.mark.parametrize("weights, alpha", [
+        ((1.0 + 5e-13, 1e-13), float(np.nextafter(1.0, 0.0))),
+        ((1e-320, 1e-320), 1e-10),
+    ])
+    def test_a_pair_threshold_outside_the_unit_interval_raises_the_per_subset_error(
+        self, weights, alpha
+    ):
+        # alpha * w rounds to 1 or to 0, where the per-subset solve fails;
+        # the table raises what it raises
+        scheme = WeightingScheme(2, {1: (1.0,), 2: (1.0,), 3: weights})
+        model = CorrelationModel.full(equicorr(2, 0.3))
+        for method in ("parametric-common", "parametric-subsets"):
+            with pytest.raises(Exception) as ref:
+                per_subset_thresholds(scheme, model, alpha, method)
+            with pytest.raises(type(ref.value), match=f"^{re.escape(str(ref.value))}$"):
+                decision_thresholds(scheme, model, alpha, method)
 
     def test_zero_weight_case_has_such_rows(self):
         # the case above keeps H_1 in the block but out of its solve
@@ -675,9 +732,10 @@ class TestThresholdWeightChecks:
 
 
 class TestThresholdSaving:
-    """The table's saving, by counts: only subsets in which a block holds
-    two positive-weight members reach the method's levels, and a root
-    solve builds a kernel rule only for such a block."""
+    """The table's saving, by counts: a row in which no block holds more
+    than two positive-weight members is solved in one array pass, with no
+    call of the method's levels and no kernel rule; only a row with a
+    block of three or more calls the levels, once."""
 
     PAIR = (2, 5)
 
@@ -688,35 +746,86 @@ class TestThresholdSaving:
         model = CorrelationModel(m, (self.PAIR,) + singles, (equicorr(2, 0.5),) + (None,) * 6)
         return scheme, model
 
-    def test_levels_only_for_subsets_holding_the_pair(self, monkeypatch):
-        scheme, model = self.problem()
-        method = closure_module._METHODS["parametric-common"]
+    @staticmethod
+    def counted_levels(monkeypatch, name):
+        method = closure_module._METHODS[name]
         calls = []
 
         def counted(mem, *args):
             calls.append(mem)
             return method.levels(mem, *args)
 
-        monkeypatch.setitem(
-            closure_module._METHODS, "parametric-common", dataclasses.replace(method, levels=counted)
-        )
-        decision_thresholds(scheme, model, 0.025, "parametric-common")
-        assert len(calls) == 2**6
-        assert all(set(self.PAIR) <= set(mem) for mem in calls)
+        monkeypatch.setitem(closure_module._METHODS, name, dataclasses.replace(method, levels=counted))
+        return calls
 
-    def test_rules_only_for_blocks_of_two(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
+    def test_closed_form_rows_call_no_levels_and_build_no_rule(self, monkeypatch, method):
         scheme, model = self.problem()
-        dims = []
+        calls = self.counted_levels(monkeypatch, method)
+        builds = []
         build = UnionRule.__init__
 
-        def counted(self, thresholds, *args, **kwargs):
-            dims.append(np.size(thresholds))
-            build(self, thresholds, *args, **kwargs)
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            build(self, *args, **kwargs)
 
         monkeypatch.setattr(UnionRule, "__init__", counted)
-        decision_thresholds(scheme, model, 0.025, "parametric-common")
-        # one exact rule per solve: the pair's, never a singleton's
-        assert dims == [2] * 2**6
+        t = decision_thresholds(scheme, model, 0.025, method)
+        assert calls == [] and builds == []
+        # the subsets holding the pair were solved: their scale exceeds 1
+        both = [mask for mask in iter_masks(8) if set(self.PAIR) <= set(members(mask))]
+        assert all(t[mask - 1, 2] > 0.025 * scheme.weights_for(mask)[members(mask).index(2)]
+                   for mask in both)
+
+    def test_rows_holding_the_triple_call_levels_once(self, monkeypatch):
+        name, scheme, model, _ = list(threshold_table_cases())[2]
+        assert name == "pair-triple"
+        triple = {1, 2, 5}
+        holding = [members(mask) for mask in iter_masks(7) if triple <= set(members(mask))]
+        for method in ("parametric-common", "parametric-subsets"):
+            calls = self.counted_levels(monkeypatch, method)
+            decision_thresholds(scheme, model, 0.025, method)
+            # every weight is positive, so these rows hold a block of three
+            assert calls == holding, method
+
+
+BAD_SEEDS = [-1, True, 1.5, "3"]
+
+
+class TestSeedChecks:
+    """Every entry taking a seed refuses what is no nonnegative integer,
+    before any row is solved: a closed-form table never reads its seed,
+    and True or 1.5 would run seed 1's streams."""
+
+    PAIR_MODEL = CorrelationModel(3, ((0, 2), (1,)), (equicorr(2, 0.4), None))
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_decision_thresholds(self, seed):
+        with pytest.raises(InputError, match="^seed must be a nonnegative integer$"):
+            decision_thresholds(xie_scheme((0.4, 0.35, 0.25)), self.PAIR_MODEL, 0.025,
+                                "parametric-common", seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_check_consonance(self, seed):
+        with pytest.raises(InputError, match="^seed must be a nonnegative integer$"):
+            check_consonance(xie_scheme((0.4, 0.35, 0.25)), self.PAIR_MODEL, 0.025, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_xie_shortcut(self, seed):
+        with pytest.raises(InputError, match="^seed must be a nonnegative integer$"):
+            xie_shortcut((0.5, 0.5), (0.01, 0.03), equicorr(2, 0.5), 0.05, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_weighted_dunnett_single_step(self, seed):
+        with pytest.raises(InputError, match="^seed must be a nonnegative integer$"):
+            weighted_dunnett_single_step((0.5, 0.5), (0.01, 0.03), equicorr(2, 0.5), 0.05, seed=seed)
+
+    def test_numpy_seed_gives_the_int_seeds_table(self):
+        scheme = random_scheme(np.random.default_rng(3), 3)
+        model = CorrelationModel.full(equicorr(3, 0.3))
+        got = decision_thresholds(scheme, model, 0.025, "parametric-common", seed=np.uint32(7))
+        want = decision_thresholds(scheme, model, 0.025, "parametric-common", seed=7)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCheckConsonance:

@@ -13,6 +13,8 @@ from closedmtp.mvnorm import (
     ProbEstimate,
     UnionRule,
     _bvn_cdf,
+    _exact_union,
+    _pair_unions,
     solve_monotone,
     union_exceedance,
 )
@@ -387,6 +389,23 @@ class TestExactTrivariate:
         assert est.value == pytest.approx(0.875, abs=1e-14)
         est = union_exceedance([0.5] * 3, equicorr(3, 0.5))
         assert est.value == pytest.approx(0.75, abs=1e-14)
+
+
+class TestPairUnions:
+    def test_equals_the_exact_union_elementwise(self):
+        # every entry the float the kernel's exact path gives the pair, on
+        # every branch of the bivariate: a threshold of 1/2 (bound 0), in
+        # one or both places, rho 0 and +-1, and rho near -1
+        us = [1e-9, 0.003, 0.0125, 0.3, 0.5, 0.7, 1.0 - 1e-9]
+        rhos = [-1.0, -0.99, -0.6, 0.0, 1e-17, 0.45, 1.0]
+        u, v, r = (a.ravel() for a in np.meshgrid(us, us, rhos, indexing="ij"))
+        assert np.count_nonzero((u == 0.5) & (v == 0.5)) == len(rhos)
+        got = _pair_unions(u, v, r)
+        want = np.array([
+            _exact_union(np.array([a, b]), np.array([[1.0, c], [c, 1.0]]), 1e-6).value
+            for a, b, c in zip(u, v, r)
+        ])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestUnionRule:

@@ -192,6 +192,12 @@ class TestScenarioValidation:
         with pytest.raises(InputError, match="master_seed"):
             all_null_scenario(2, 0.0, "bonferroni", 100, seed=True)
 
+    @pytest.mark.parametrize("seed", [1.5, "3"])
+    def test_master_seed_must_be_an_integer(self, seed):
+        # 1.5 would run as seed 1
+        with pytest.raises(InputError, match="^master_seed must be a nonnegative integer$"):
+            all_null_scenario(2, 0.0, "bonferroni", 100, seed=seed)
+
     def test_flag_length_must_match(self):
         with pytest.raises(InputError):
             SimScenario(

@@ -18,9 +18,11 @@ the median of three calls; the peak is tracemalloc's over a fourth.
 Thresholds: per m one ``decision_thresholds`` table shaped like the
 fwer-sim benchmark's, parametric-common on a seeded random graph with
 one known pair at rho = 0.5 and singletons. CPU time is the median of
-three calls. A fourth call counts the common-scale calls
-(``partitioned_common_scale``) and the root solves (``solve_monotone``)
-it makes; the table's sha1 prefix must match between checkouts.
+three calls. A fourth call counts the rows solved one by one (calls of
+``partitioned_common_scale``), the rows solved together in the array
+pass (the rows handed to ``_closed_form_scales``; 0 in a checkout
+without it) and the scalar root solves (``solve_monotone``) it makes;
+the table's sha1 prefix must match between checkouts.
 """
 
 import os
@@ -123,16 +125,19 @@ def measure_thresholds(m: int) -> dict:
         start = time.process_time()
         t = table()
         cpu.append(time.process_time() - start)
-    counts = {"scale_calls": 0, "solves": 0}
+    counts = {"rows_alone": 0, "rows_batched": 0, "solves": 0}
     wrapped = [
-        (closure, "partitioned_common_scale", "scale_calls"),
+        (closure, "partitioned_common_scale", "rows_alone"),
+        (closure, "_closed_form_scales", "rows_batched"),
         (intersection, "solve_monotone", "solves"),
     ]
+    wrapped = [entry for entry in wrapped if hasattr(entry[0], entry[1])]
     originals = [getattr(module, name) for module, name, _ in wrapped]
 
     def counted(fn, key):
         def call(*args, **kwargs):
-            counts[key] += 1
+            # the array pass takes its rows' weights first
+            counts[key] += len(args[0]) if key == "rows_batched" else 1
             return fn(*args, **kwargs)
 
         return call
