@@ -8,10 +8,10 @@ per correlation block, and gives J the p-value p_J, the smallest alpha
 at which those levels reject J: J is rejected when p_J <= alpha. One
 record per method (``_METHODS``) holds its level and p-value functions
 and what it needs of its inputs; run_closure decides through its
-p-values, decision_thresholds through its levels. Every
-intersection test, the shortcuts' included, goes through
-``intersection``, the only module outside ``mvnorm`` that calls the
-kernel.
+p-values, decision_thresholds through its levels, both read from one
+table (``_level_table``). Every intersection test, the shortcuts'
+included, goes through ``intersection``, the only module outside
+``mvnorm`` that calls the kernel.
 
 The exposed pieces:
 
@@ -256,9 +256,10 @@ def run_closure(
     p-value or fall on the other side of alpha are fitted again to
     ``target_error`` (``_refits``), giving the floats a fit of every
     p-value to the target gives. Every other intersection keeps its
-    first-pass ``p_value``, with its error in ``p_error``. With
-    ``compute_scales`` off the root solves are skipped and scale/levels
-    stay unset on every intersection.
+    first-pass ``p_value``, with its error in ``p_error``. Scales and
+    local levels come from ``decision_thresholds``'s table
+    (``_level_table``); with ``compute_scales`` off the root solves are
+    skipped and scale/levels stay unset on every intersection.
     """
     max_points = _check_solve_args(target_error, root_tol, max_points)
     m, p, alpha, model = problem.m, problem.pvalues, problem.alpha, problem.model
@@ -282,13 +283,19 @@ def run_closure(
         for mask in todo.tolist():
             ests[mask - 1] = fit(mask, max_points)[0]
         final[todo - 1] = True
+    if compute_scales:
+        table, scale_table = _level_table(problem.scheme, model, alpha, method, solve)
     results: list[IntersectionResult] = []
     for mask, est in zip(iter_masks(m), ests):
         mem = members(mask)
         scale = scales = levels = None
         if compute_scales:
-            w = problem.scheme.weights_for(mask)
-            scale, scales, levels = method.levels(mem, w, alpha, model, *solve)
+            levels, row = table[mask - 1, list(mem)], scale_table[mask - 1]
+            if method.scales == "block":
+                split = (tuple(j for j in block if mask >> j & 1) for block in model.blocks)
+                scales = tuple((inner, float(row[inner[0]])) for inner in split if inner)
+            else:
+                scale = float(row[mem[0]])
         results.append(IntersectionResult(
             mem, problem.method, est.value, scale, scales, levels, est.value <= alpha, est.error
         ))
@@ -344,27 +351,30 @@ def decision_thresholds(
     Non-members carry the sentinel -1.0; zero-weight members carry 0.0.
     The cutoffs do not depend on observed p-values, so one pass serves
     any number of simulated replications. They are the local levels
-    ``run_closure`` reports, float for float. ``run_closure`` decides by
-    the p-values instead; the cutoffs reproduce its decisions up to the
-    root solve's tolerance and the integration error.
-
-    Only a subset in which some correlation block holds two positive-
-    weight members needs a root solve. Every other row is alpha * w,
-    filled in one array step: the float every method's levels give there,
-    its scale being exactly 1. The rows in which no block holds more than
-    two positive-weight members are solved together in one array pass
-    (``_closed_form_scales``), on the exact linear and bivariate unions,
-    and get the floats the method's levels give them one by one. Only a
-    row with a block of three or more calls the method's levels. The
-    weights of the whole table are checked at once, for every method, as
-    each intersection test checks its own.
+    ``run_closure`` reports, from the same table (``_level_table``).
+    ``run_closure`` decides by the p-values instead; the cutoffs reproduce
+    its decisions up to the root solve's tolerance and the integration
+    error.
     """
     _check_solve_args(target_error, root_tol, max_points)
     seed = _check_seed(seed)
     # the scheme's full (costly) validation is left to TestProblem and SimScenario
     model, alpha = _check_procedure(scheme, corr, alpha, method, validate_scheme=False)
-    method = _METHODS[method]
     solve = (seed, target_error, root_tol, max_points)
+    return _level_table(scheme, model, alpha, _METHODS[method], solve)[0]
+
+
+def _level_table(scheme, model, alpha: float, method: _Method, solve: tuple):
+    """(levels, scales) per mask - 1 and hypothesis: for each member j
+    the local level c * alpha * w_j (-1.0 off the members) and the scaling
+    c of j's block or of the whole intersection; the floats the method's
+    levels give. ``solve`` is (seed, target_error, root_tol,
+    max_points); the weights are checked as each intersection test checks
+    its own. A row in which no block holds two positive-weight members is
+    alpha * w (scale 1); the rows in which none holds more than two are
+    solved in one array pass (``_closed_form_scales``); only a row with a
+    block of three or more, or one that pass leaves NaN, calls the levels.
+    """
     m = scheme.m
     masks = np.arange(1, 1 << m)
     inside = np.stack([masks >> j & 1 == 1 for j in range(m)], axis=1)
@@ -382,16 +392,18 @@ def decision_thresholds(
                 np.maximum(most, positive[:, list(block)].sum(axis=1), out=most)
     scale = np.ones(t.shape)
     closed = np.flatnonzero(most == 2)
-    scale[closed] = _closed_form_scales(
-        t[closed], model, alpha, method.scales == "common", root_tol
-    )
+    common = method.scales == "common"
+    scale[closed] = _closed_form_scales(t[closed], model, alpha, common, solve[2])
     # a row the pass could not settle is solved alone, to raise its error in mask order
     alone = (most > 2) | np.isnan(scale).any(axis=1)
     np.multiply(scale * alpha, t, out=t, where=inside & ~alone[:, None])
     for mask in masks[alone].tolist():
         mem = members(mask)
-        t[mask - 1, list(mem)] = method.levels(mem, scheme.table[mask], alpha, model, *solve)[2]
-    return t
+        c, block_scales, levels = method.levels(mem, scheme.table[mask], alpha, model, *solve)
+        t[mask - 1, list(mem)] = levels
+        for block, c in block_scales or ((mem, c),):
+            scale[mask - 1, list(block)] = c
+    return t, scale
 
 
 def _check_weight_table(scheme: WeightingScheme, w: np.ndarray, inside: np.ndarray) -> None:

@@ -27,9 +27,10 @@ q the smallest p/w of the block (of J, for the common scaling, which sums
 them), over a weight total; every critical scaling is one root solve over
 per-block unions (``_solve_scale``), or, for the rows of a threshold table
 in which every block holds at most two active members, the same solve run
-for all of them in one array pass (``_solve_scales``). This module is the
-only one outside ``mvnorm`` that calls the kernel: the closure, its
-shortcuts and the simulation test intersections through the functions here.
+for all of them in one array pass (``_solve_scales``); both run the one
+bracket search (``_bracket_scales``) and Illinois loop (``_illinois``). This
+module is the only one outside ``mvnorm`` that calls the kernel: the closure,
+its shortcuts and the simulation test intersections through the functions here.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .mvnorm import (
     UnionRule,
     _check_accuracy_args,
     _check_root_tol,
+    _illinois,
     _pair_unions,
     as_correlation,
     solve_monotone,
@@ -323,21 +325,25 @@ def _union_sum(rules, groups, alpha: float, known: dict):
     return total
 
 
-def _bracket_root(total, target: float, cap: float, root_tol: float) -> float:
-    """Smallest c in [1, cap] with total(c) = target: a bracket search
-    from c = 1, then ``solve_monotone``."""
-    at_one = total(1.0)
-    if at_one >= target:
-        return 1.0
-    # first trial: a quarter past the linear extrapolation from (0, 0)
-    # through (1, sum at 1), then doubling the step
-    step = max(1.25 * (target / at_one - 1.0), root_tol)
-    lo, hi = 1.0, min(1.0 + step, cap)
-    while hi < cap and total(hi) < target:
-        step *= 2.0
-        lo, hi = hi, min(1.0 + step, cap)
-    # solve_monotone re-reads the bracket ends; every value is kept
-    return solve_monotone(total, target, (lo, hi), root_tol)
+def _bracket_scales(total, target, at_one, cap, root_tol: float) -> tuple[np.ndarray, ...]:
+    """(lo, hi, sum at lo, sum at hi): per problem, one state each, a
+    bracket in [1, cap] of the smallest c with total(rows, c) = target >
+    at_one, the sum at 1. The first trial is a quarter past the line from
+    (0, 0) through (1, at_one); the step doubles until the sum reaches
+    the target or hi the cap."""
+    step = np.maximum(1.25 * (target / at_one - 1.0), root_tol)
+    lo, f_lo = np.ones(target.size), at_one.copy()
+    hi = np.minimum(1.0 + step, cap)
+    f_hi = total(np.arange(target.size), hi)
+    grow = (hi < cap) & (f_hi < target)
+    while grow.any():
+        i = np.flatnonzero(grow)
+        step[i] *= 2.0
+        lo[i], f_lo[i] = hi[i], f_hi[i]
+        hi[i] = np.minimum(1.0 + step[i], cap[i])
+        f_hi[i] = total(i, hi[i])
+        grow[i] = (hi[i] < cap[i]) & (f_hi[i] < target[i])
+    return lo, hi, f_lo, f_hi
 
 
 def _crossing_slope(known: dict, target: float) -> float | None:
@@ -373,14 +379,8 @@ def _secant_root(
 
 
 def _solve_scale(
-    groups: list[tuple[int, CorrelationMatrix, np.ndarray]],
-    target: float,
-    alpha: float,
-    seed: int,
-    mask: int,
-    target_error: float,
-    root_tol: float,
-    max_points: int,
+    groups: list[tuple[int, CorrelationMatrix, np.ndarray]], target: float, alpha: float,
+    seed: int, mask: int, target_error: float, root_tol: float, max_points: int,
 ) -> float:
     """Smallest c >= 1 at which the per-block unions at thresholds
     c*alpha*w sum to the target.
@@ -396,15 +396,15 @@ def _solve_scale(
     The rules are first fitted at c = 1, capped at _COARSE_POINTS (the
     first pass of any fit). When every block is exact, max_points is at
     most _COARSE_POINTS, or every sampled rule meets its error target,
-    these are the full rules, and a bracket search and Illinois steps on
-    them find the root. Otherwise that solve runs on them as coarse
-    rules; the full rules are then fitted at the coarse root c0,
-    whose estimate is the sum at c0, and secant steps starting along the
-    coarse slope polish the root (the bracketed solve on the full rules
-    takes over if they do not settle). The solved c is checked against
-    one independent re-estimate (salt + _CHECK_SALT). A miss beyond the
-    combined error refines every sampled rule and solves again, until
-    the rules reach max_points.
+    these are the full rules, and the bracket search and Illinois steps
+    of a table's array pass, run on this one problem, find the root.
+    Otherwise that solve runs on them as coarse rules; the full rules are
+    fitted at the coarse root c0, whose estimate is the sum at c0, and
+    secant steps starting along the coarse slope polish the root (the
+    bracketed solve takes over if they do not settle). The solved c is
+    checked against one independent re-estimate (salt + _CHECK_SALT); a
+    miss beyond the combined error refines every sampled rule and solves
+    again, until the rules reach max_points.
 
     The sum at c=1 never exceeds the target (Bonferroni inequality), so
     an estimate already at or above it means c=1 within noise.
@@ -417,9 +417,6 @@ def _solve_scale(
     sampled = sum(1 for _, _, w in groups if w.size > MAX_EXACT_DIM)
     block_error = target_error / max(sampled, 1)
     w_active = np.concatenate([w for _, _, w in groups])
-    # at c = 1/(alpha * max weight) the largest threshold saturates at 1,
-    # forcing the defining probability to its ceiling
-    cap = 1.0 / (alpha * float(w_active.max()))
     # the sum grows at most at rate alpha * total weight, which bounds how
     # far the estimate at the solved c can sit from the target
     slack = alpha * float(w_active.sum()) * root_tol
@@ -433,6 +430,17 @@ def _solve_scale(
         ]
         return rules, [rule for rule in rules if rule is not None]
 
+    def bracketed(total) -> float:
+        """The root of total(c) = target; ``total`` keeps what it evaluates."""
+        at_one = total(1.0)
+        if at_one >= target:
+            return 1.0
+        lo, hi, _, _ = _bracket_scales(
+            lambda _, cs: np.array([total(float(c)) for c in cs]),
+            np.array([target]), np.array([at_one]), np.array([cap]), root_tol,
+        )
+        return solve_monotone(total, target, (lo[0], hi[0]), root_tol)
+
     def fitted_sum(rules: list[UnionRule | None], c: float) -> float:
         """The sum at the c the rules were fitted at, from their estimates."""
         return sum(
@@ -444,11 +452,14 @@ def _solve_scale(
     # a first pass of _COARSE_POINTS: where every rule meets its target
     # there, these are the rules a fit to max_points makes
     rules, built = fit(c0, min(max_points, _COARSE_POINTS))
+    # at c = 1/(alpha * max weight) the largest threshold saturates at 1;
+    # the fit has checked that alpha * w > 0, so this is finite
+    cap = 1.0 / (alpha * float(w_active.max()))
     if max_points > _COARSE_POINTS and any(
         rule.sampled and rule.estimate.error > block_error for rule in built
     ):
         known = {1.0: fitted_sum(rules, 1.0)}
-        c0 = _bracket_root(_union_sum(rules, groups, alpha, known), target, cap, root_tol)
+        c0 = bracketed(_union_sum(rules, groups, alpha, known))
         slope = _crossing_slope(known, target)
         if slope is None or c0 * alpha * float(w_active.max()) >= 1.0:
             c0, slope = 1.0, None
@@ -458,7 +469,7 @@ def _solve_scale(
         total = _union_sum(rules, groups, alpha, known)
         c = None if slope is None else _secant_root(total, c0, slope, target, cap, root_tol)
         if c is None:
-            c = _bracket_root(total, target, cap, root_tol)
+            c = bracketed(total)
         if not any(rule.sampled for rule in built):
             return c
         check = err = 0.0
@@ -475,24 +486,19 @@ def _solve_scale(
             return c
 
 
-def _solve_scales(
-    w: np.ndarray, rho: np.ndarray, target: np.ndarray, alpha: float, root_tol: float
-) -> np.ndarray:
+def _solve_scales(w, rho, target, alpha: float, root_tol: float) -> np.ndarray:
     """``_solve_scale`` for many problems in one array pass, where no
     block holds more than two active members, so every block is exact.
 
     ``w`` (n, B, 2) holds per problem and block, in block order, the
-    weights of the block's active members: a single member's second entry
-    is 0, a block with none is all 0. ``rho`` (n, B) is each pair's
-    correlation. A problem's sum adds, in block order, the linear term
-    min(1, c*alpha*w) of each single member and the exact bivariate union
-    of each pair (``_pair_unions``); the sum starts at 0, and an empty
-    block's 0 changes no float. ``_bracket_root``'s search and
-    ``solve_monotone``'s Illinois steps run elementwise, one state per
-    problem, so each c is the float ``_solve_scale`` gives it. A problem
-    on which those would raise (a pair threshold outside (0, 1) at c = 1,
-    a bracket that does not straddle) gets NaN, for its caller to solve
-    alone and raise that error.
+    weights of the block's active members (0 where it has fewer than
+    two); ``rho`` (n, B) is each pair's correlation. A problem's sum adds,
+    in block order from 0, the linear term min(1, c*alpha*w) of each
+    single member and the exact bivariate union of each pair
+    (``_pair_unions``). The loops ``_solve_scale`` runs on one problem run
+    on all of them, so each c is the float it gives; a problem on which
+    it would raise (a pair threshold outside (0, 1) at c = 1, a bracket
+    that does not straddle) gets NaN, for its caller to solve alone.
     """
     pair = w[..., 1] > 0.0
 
@@ -518,62 +524,29 @@ def _solve_scales(
     c = np.where(fits, 1.0, np.nan)
     at_one = total(np.arange(n), np.ones(n))
     todo = np.flatnonzero(fits & (at_one < target))
-    tgt, f_lo = target[todo], at_one[todo]
-    # _bracket_root's search: at c = 1/(alpha * max weight) the largest
-    # threshold saturates
+    tgt = target[todo]
+    # at c = 1/(alpha * max weight) the largest threshold saturates
     cap = 1.0 / (alpha * w[todo].max(axis=(1, 2)))
-    step = np.maximum(1.25 * (tgt / f_lo - 1.0), root_tol)
-    lo, hi = np.ones(todo.size), np.minimum(1.0 + step, cap)
-    f_hi = np.full(todo.size, np.nan)
-    grow = hi < cap
-    while grow.any():
-        i = np.flatnonzero(grow)
-        f_hi[i] = total(todo[i], hi[i])
-        i = i[f_hi[i] < tgt[i]]
-        grow[:] = False
-        step[i] *= 2.0
-        lo[i], f_lo[i] = hi[i], f_hi[i]
-        hi[i], f_hi[i] = np.minimum(1.0 + step[i], cap[i]), np.nan
-        grow[i] = hi[i] < cap[i]
-    unread = np.flatnonzero(np.isnan(f_hi))
-    f_hi[unread] = total(todo[unread], hi[unread])
-    # solve_monotone's checks of the bracket, then its Illinois steps
+    lo, hi, f_lo, f_hi = _bracket_scales(
+        lambda i, x: total(todo[i], x), tgt, at_one[todo], cap, root_tol
+    )
+    # solve_monotone's checks of the bracket, then the Illinois steps
     g_lo, g_hi = f_lo - tgt, f_hi - tgt
     ok = (lo < hi) & (g_lo <= 0.0) & (g_hi >= 0.0)
-    side = np.zeros(todo.size)
-    # the widths of the last three steps, oldest first
-    w3, w2, w1 = (np.full(todo.size, np.inf) for _ in range(3))
-    run = ok & (hi - lo > root_tol)
-    while run.any():
-        i = np.flatnonzero(run)
-        l, h, gl, gh = lo[i], hi[i], g_lo[i], g_hi[i]
-        width = h - l
-        secant = (gl < 0.0) & (0.0 < gh) & (width <= 0.5 * w3[i])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = l - gl * width / (gh - gl)
-        x = np.minimum(np.maximum(x, l + 0.5 * root_tol), h - 0.5 * root_tol)
-        x = np.where(secant, x, 0.5 * (l + h))
-        w3[i], w2[i], w1[i] = w2[i], w1[i], width
-        g = total(todo[i], x) - tgt[i]
-        up, was = g >= 0.0, side[i]
-        hi[i[up]], g_hi[i[up]], side[i[up]] = x[up], g[up], 1.0
-        g_lo[i[up & (was > 0.0)]] *= 0.5
-        lo[i[~up]], g_lo[i[~up]], side[i[~up]] = x[~up], g[~up], -1.0
-        g_hi[i[~up & (was < 0.0)]] *= 0.5
-        run[i] = hi[i] - lo[i] > root_tol
-    c[todo] = np.where(ok, 0.5 * (lo + hi), np.nan)
+    c[todo[~ok]] = np.nan
+    rows, tgt = todo[ok], tgt[ok]
+    c[rows] = _illinois(
+        lambda i, x: total(rows[i], x) - tgt[i], lo[ok], hi[ok], g_lo[ok], g_hi[ok], root_tol
+    )
     return c
 
 
-def _closed_form_scales(
-    w: np.ndarray, model: CorrelationModel, alpha: float, common: bool, root_tol: float
-) -> np.ndarray:
-    """The scales of rows of a weight table (n, m; non-members -1) in
-    which no block holds more than two positive-weight members, all
-    solved in one ``_solve_scales`` pass: with ``common`` each row's
-    common scaling (``partitioned_common_scale``) as an (n, 1) column,
-    else each member's block scaling (``partitioned_subset_scales``) as
-    (n, m). A row the pass cannot settle is NaN."""
+def _closed_form_scales(w, model: CorrelationModel, alpha: float, common: bool, root_tol: float):
+    """The scales of weight-table rows (n, m; non-members -1) in which no
+    block holds more than two positive-weight members, in one
+    ``_solve_scales`` pass: with ``common`` each row's common scaling as
+    an (n, 1) column, else each member's block scaling (n, m); NaN where
+    the pass cannot settle a row."""
     n, blocks = len(w), model.blocks
     rows = np.arange(n)
     active = np.zeros((n, len(blocks), 2))

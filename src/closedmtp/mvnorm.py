@@ -637,16 +637,8 @@ def solve_monotone(
     bracket: Sequence[float],
     tol: float = DEFAULT_ROOT_TOL,
 ) -> float:
-    """Smallest c in [lo, hi] with f(c) = target, for nondecreasing f.
-
-    Illinois (modified regula falsi) steps, kept at least tol/2 inside
-    the bracket, with a bisection step whenever three steps fail to halve
-    it or an end already sits on the target. Every step keeps f(lo) <
-    target <= f(hi), so the bracket closes on the smallest crossing even
-    across flat stretches, and evaluation noise cannot collapse it on
-    the wrong side of a monotone trend. On a smooth f this takes a
-    handful of evaluations where bisection takes log2(width / tol).
-    """
+    """Smallest c in [lo, hi] with f(c) = target, for nondecreasing f:
+    ``_illinois`` on this one bracket."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InputError("bracket must be a finite interval with lo < hi")
@@ -656,25 +648,47 @@ def solve_monotone(
         raise BracketError(f"f(lo) is above the target {target}; bracket does not straddle")
     if g_hi < 0.0:
         raise BracketError(f"f(hi) is below the target {target}; bracket does not straddle")
-    side = 0
-    widths = [math.inf] * 3
-    while hi - lo > tol:
-        width = hi - lo
-        if g_lo < 0.0 < g_hi and width <= 0.5 * widths[-3]:
-            x = lo - g_lo * width / (g_hi - g_lo)
-            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
-        else:
-            x = 0.5 * (lo + hi)
-        widths.append(width)
-        g = f(x) - target
-        if g >= 0.0:
-            hi, g_hi = x, g
-            if side > 0:
-                g_lo *= 0.5
-            side = 1
-        else:
-            lo, g_lo = x, g
-            if side < 0:
-                g_hi *= 0.5
-            side = -1
-    return 0.5 * (lo + hi)
+    one = np.array([[lo], [hi], [g_lo], [g_hi]])
+    c = _illinois(lambda _, xs: np.array([f(float(x)) - target for x in xs]), *one, tol)
+    return float(c[0])
+
+
+def _illinois(g, lo, hi, g_lo, g_hi, tol: float) -> np.ndarray:
+    """Roots of n nondecreasing functions at once, one state per problem:
+    each the smallest c in [lo, hi] with g(c) = 0, where g(rows, x) gives
+    problem rows[i]'s g at x[i] and g(lo) <= 0 <= g(hi).
+
+    Illinois (modified regula falsi) steps, kept at least tol/2 inside
+    the bracket, bisecting whenever three steps fail to halve it or an
+    end sits on the root. Every step keeps g(lo) < 0 <= g(hi), so the
+    bracket closes on the smallest crossing across flat stretches and
+    evaluation noise. A problem ends at its bracket's midpoint once that
+    is at most tol wide, or at hi once no float lies strictly inside.
+    """
+    c = np.empty(lo.size)
+    rows = np.arange(lo.size)
+    # the factor g at an end takes when a step keeps that end: 1/2 after
+    # a step that kept it too (the Illinois modification)
+    keep_lo = keep_hi = np.ones(lo.size)
+    # the widths of the last three steps, oldest first
+    w3 = w2 = w1 = np.full(lo.size, np.inf)
+    while rows.size:
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        run = (width > tol) & (lo < mid) & (mid < hi)
+        if not run.all():
+            # the finished problems leave the state
+            c[rows[~run]] = np.where(width > tol, hi, mid)[~run]
+            state = rows, lo, hi, g_lo, g_hi, keep_lo, keep_hi, w3, w2, w1
+            rows, lo, hi, g_lo, g_hi, keep_lo, keep_hi, w3, w2, w1 = (a[run] for a in state)
+            continue
+        secant = (g_lo < 0.0) & (0.0 < g_hi) & (width <= 0.5 * w3)
+        x = lo - g_lo * width / np.where(secant, g_hi - g_lo, 1.0)
+        x = np.where(secant, np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol), mid)
+        w3, w2, w1 = w2, w1, width
+        gx = g(rows, x)
+        up = gx >= 0.0
+        lo, g_lo = np.where(up, lo, x), np.where(up, g_lo * keep_lo, gx)
+        hi, g_hi = np.where(up, x, hi), np.where(up, gx, g_hi * keep_hi)
+        keep_lo = np.where(up, 0.5, 1.0)
+        keep_hi = 1.5 - keep_lo
+    return c

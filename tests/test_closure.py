@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import re
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,23 @@ from closedmtp.subsets import iter_masks, mask_of, members
 from closedmtp.weighting import GraphSpec, WeightingScheme, scheme_from_graph, xie_scheme
 
 C_DUNNETT_PAIR = 1.0128226207641466  # (1 - sqrt(0.95)) / 0.025
+
+
+@contextmanager
+def deadline(seconds):
+    """Fails the block with TimeoutError, instead of hanging the test run,
+    when it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def equicorr(dim, rho):
@@ -646,10 +665,26 @@ class TestThresholdTable:
         scheme = WeightingScheme(2, {1: (1.0,), 2: (1.0,), 3: weights})
         model = CorrelationModel.full(equicorr(2, 0.3))
         for method in ("parametric-common", "parametric-subsets"):
-            with pytest.raises(Exception) as ref:
+            with pytest.raises(InputError) as ref:
                 per_subset_thresholds(scheme, model, alpha, method)
-            with pytest.raises(type(ref.value), match=f"^{re.escape(str(ref.value))}$"):
+            with pytest.raises(InputError, match=f"^{re.escape(str(ref.value))}$"):
                 decision_thresholds(scheme, model, alpha, method)
+
+    def test_a_root_tol_below_the_float_spacing_ends(self):
+        # no bracket near c = 1.1 is 1e-17 wide: the per-subset solve and
+        # the table's array pass both stop at two adjacent floats, on the
+        # same one
+        corr = equicorr(2, 0.5)
+        scheme, model = xie_scheme((0.5, 0.5)), CorrelationModel.full(corr)
+        with deadline(30):
+            c = parametric_c((0, 1), (0.5, 0.5), 0.05, corr, root_tol=1e-17)
+            tables = [
+                decision_thresholds(scheme, model, 0.05, method, root_tol=1e-17)
+                for method in ("parametric-common", "parametric-subsets")
+            ]
+        assert abs(c - parametric_c((0, 1), (0.5, 0.5), 0.05, corr, root_tol=1e-12)) <= 1e-12
+        for t in tables:
+            assert t[2].tolist() == [c * 0.05 * 0.5] * 2
 
     def test_zero_weight_case_has_such_rows(self):
         # the case above keeps H_1 in the block but out of its solve
@@ -777,6 +812,37 @@ class TestThresholdSaving:
         assert all(t[mask - 1, 2] > 0.025 * scheme.weights_for(mask)[members(mask).index(2)]
                    for mask in both)
 
+    @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
+    def test_a_closure_with_scales_calls_no_levels(self, monkeypatch, method):
+        # the closure takes its levels from the table, whose pair rows the
+        # array pass solves
+        scheme, model = self.problem()
+        calls = self.counted_levels(monkeypatch, method)
+        problem = TestProblem(
+            scheme=scheme, model=model, pvalues=np.linspace(0.001, 0.04, 8), alpha=0.025,
+            method=method,
+        )
+        report = run_closure(problem)
+        assert calls == []
+        full = report.intersections[-1]
+        if method == "parametric-common":
+            assert full.scale > 1.0
+        else:
+            assert dict(full.block_scales)[self.PAIR] > 1.0
+
+    def test_a_closure_calls_levels_once_per_row_holding_the_triple(self, monkeypatch):
+        _, scheme, model, _ = list(threshold_table_cases())[2]
+        triple = {1, 2, 5}
+        holding = [members(mask) for mask in iter_masks(7) if triple <= set(members(mask))]
+        for method in ("parametric-common", "parametric-subsets"):
+            calls = self.counted_levels(monkeypatch, method)
+            problem = TestProblem(
+                scheme=scheme, model=model, pvalues=np.linspace(0.001, 0.04, 7), alpha=0.025,
+                method=method,
+            )
+            run_closure(problem)
+            assert calls == holding, method
+
     def test_rows_holding_the_triple_call_levels_once(self, monkeypatch):
         name, scheme, model, _ = list(threshold_table_cases())[2]
         assert name == "pair-triple"
@@ -787,6 +853,30 @@ class TestThresholdSaving:
             decision_thresholds(scheme, model, 0.025, method)
             # every weight is positive, so these rows hold a block of three
             assert calls == holding, method
+
+
+class TestClosureLevels:
+    """run_closure reads its scales and local levels from the threshold
+    table; each intersection's must be the floats the method's levels
+    give that subset alone."""
+
+    @pytest.mark.parametrize("case", list(threshold_table_cases()), ids=lambda case: case[0])
+    def test_equal_the_per_subset_levels(self, case):
+        _, scheme, model, methods = case
+        p = np.random.default_rng(9).uniform(0.0, 0.05, size=scheme.m)
+        for method in methods:
+            problem = TestProblem(
+                scheme=scheme, model=model, pvalues=p, alpha=0.025, method=method, seed=4
+            )
+            report = run_closure(problem, target_error=1e-5)
+            levels = closure_module._METHODS[method].levels
+            for mask, res in zip(iter_masks(scheme.m), report.intersections):
+                scale, block_scales, local = levels(
+                    res.members, scheme.weights_for(mask), 0.025, model,
+                    4, 1e-5, DEFAULT_ROOT_TOL, DEFAULT_MAX_POINTS,
+                )
+                assert res.scale == scale and res.block_scales == block_scales, (method, mask)
+                assert res.local_levels.tobytes() == local.tobytes(), (method, mask)
 
 
 BAD_SEEDS = [-1, True, 1.5, "3"]

@@ -630,6 +630,28 @@ class TestSolveMonotone:
         with pytest.raises(InputError, match="root_tol"):
             solve_monotone(lambda x: x, 0.5, (0.0, 1.0), tol=tol)
 
+    @pytest.mark.parametrize("f, target, bracket", [
+        (lambda x: x * x, 2.0, (1.0, 2.0)),
+        (lambda x: x, 0.3, (0.0, 1.0)),
+        # flat at the target from 0.3 on
+        (lambda x: min(x, 0.3), 0.3, (0.0, 1.0)),
+    ])
+    def test_a_tolerance_below_the_float_spacing_ends(self, f, target, bracket):
+        # no bracket near the root is 1e-17 wide: the search stops at two
+        # adjacent floats and returns the upper one, the smallest float
+        # that reaches the target; f raises instead of letting a search
+        # that does not end hang the test
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            if len(calls) > 300:
+                raise RuntimeError("solve_monotone did not end")
+            return f(x)
+
+        c = solve_monotone(counted, target, bracket, tol=1e-17)
+        assert f(c) >= target > f(math.nextafter(c, -math.inf))
+
     def test_smooth_function_needs_few_evaluations(self):
         calls = []
 

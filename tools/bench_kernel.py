@@ -1,9 +1,9 @@
-"""CPU, memory and pass counts of the QMC kernel (L0), of one capped root
-solve (L1) and, on request, of an m=8 ``xie`` closure with and without
-scales.
+"""CPU, memory and pass counts of the QMC kernel (L0), of one root solve
+(L1), of the tutorial closure with scales and, on request, of an m=8
+``xie`` closure with and without scales.
 
-    PYTHONPATH=src python3 tools/bench_kernel.py            # L0 and L1
-    PYTHONPATH=src python3 tools/bench_kernel.py --closure  # also the closure
+    PYTHONPATH=src python3 tools/bench_kernel.py            # L0, L1, tutorial
+    PYTHONPATH=src python3 tools/bench_kernel.py --closure  # also the m=8 closure
 
 Run from the repository root; point PYTHONPATH at another checkout's
 ``src`` to measure that one with the same script. Every instance is drawn
@@ -15,6 +15,16 @@ from a fixed seed, so both sides integrate the same problems.
 - L1: one ``parametric_c`` at k = 4, 6, 8 and targets 1e-4, 1e-5 and 1e-6,
   with the 2^16-point cap: kernel passes, points in units of one capped
   pass (2^16 per shift) and CPU, each the mean over three instances.
+- L1 exact: one ``parametric_c`` at k = 2 and 3, where every union is
+  exact (no kernel pass): the median CPU of one solve over ten instances,
+  each timed as the fastest of five runs, the exact union evaluations
+  per solve (``mvnorm._exact_union`` calls) and a sha1 prefix of the
+  scales.
+- tutorial: ``run_closure`` with scales on ``tutorial/trial_problem.json``
+  (the perfbench gatekeeping problem) at the CLI's target 1e-6: the
+  median CPU of fifteen runs after a warm-up, the ``solve_monotone``
+  calls of one run (counted through ``intersection``'s binding) and sha1
+  prefixes of the local levels and adjusted p-values.
 - closure: one ``run_closure`` of an m=8 ``xie`` problem at target 1e-5
   with scales, and of the same problem at target 1e-6 without them (the
   p-values only): CPU, kernel passes, points, refits, the decisions, and
@@ -46,13 +56,17 @@ import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from pathlib import Path  # noqa: E402
+
 from closedmtp import CorrelationMatrix, CorrelationModel, TestProblem, run_closure, xie_scheme  # noqa: E402
 from closedmtp import closure as closure_module  # noqa: E402
-from closedmtp import mvnorm  # noqa: E402
+from closedmtp import fileio, intersection, mvnorm  # noqa: E402
 from closedmtp.intersection import parametric_c  # noqa: E402
 
 CAP = 1 << 16
 DIMS = (4, 6, 8)
+EXACT_DIMS = (2, 3)
+TUTORIAL = Path(__file__).resolve().parent.parent / "tutorial" / "trial_problem.json"
 
 
 def random_correlation(rng: np.random.Generator, dim: int) -> CorrelationMatrix:
@@ -134,6 +148,70 @@ def sha1(values) -> str:
     return hashlib.sha1(np.asarray(values, dtype=float).tobytes()).hexdigest()[:12]
 
 
+class Counter:
+    """Counts the calls of ``module.name`` while installed."""
+
+    def __init__(self, module, name: str) -> None:
+        self.module, self.name, self.calls = module, name, 0
+
+    def __enter__(self) -> "Counter":
+        self._fn = fn = getattr(self.module, self.name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return fn(*args, **kwargs)
+
+        setattr(self.module, self.name, counted)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        setattr(self.module, self.name, self._fn)
+
+
+def exact_solve(dim: int) -> dict:
+    rng = np.random.default_rng(200 + dim)
+    instances = [
+        (random_correlation(rng, dim), rng.dirichlet(np.ones(dim) * 2.0)) for _ in range(10)
+    ]
+    cpu, scales = [], []
+    with Counter(mvnorm, "_exact_union") as count:
+        for corr, w in instances:
+            scales.append(parametric_c(range(dim), w, 0.025, corr))
+    for corr, w in instances:
+        runs = []
+        for _ in range(5):
+            start = time.process_time()
+            parametric_c(range(dim), w, 0.025, corr)
+            runs.append(time.process_time() - start)
+        cpu.append(min(runs))
+    return {
+        "k": dim,
+        "cpu_ms": round(1e3 * statistics.median(cpu), 3),
+        "unions_per_solve": count.calls / len(instances),
+        "scales_sha1": sha1(scales),
+    }
+
+
+def tutorial_closure() -> dict:
+    doc = fileio.load_document(TUTORIAL.read_text(encoding="utf-8"), "problem")
+    problem = fileio.parse_problem(doc)
+    with Counter(intersection, "solve_monotone") as count:
+        report = run_closure(problem, target_error=1e-6)
+    cpu = []
+    for _ in range(15):
+        start = time.process_time()
+        run_closure(problem, target_error=1e-6)
+        cpu.append(time.process_time() - start)
+    return {
+        "m": problem.m,
+        "method": problem.method,
+        "cpu_s": round(statistics.median(cpu), 4),
+        "solve_monotone_calls": count.calls,
+        "levels_sha1": sha1(np.concatenate([r.local_levels for r in report.intersections])),
+        "adjusted_sha1": sha1(report.adjusted),
+    }
+
+
 def closure(target: float, compute_scales: bool) -> dict:
     rng = np.random.default_rng(8)
     m = 8
@@ -181,6 +259,12 @@ if __name__ == "__main__":
         for dim in DIMS:
             results["L1"].append(root_solve(dim, target))
             print(json.dumps(results["L1"][-1]), flush=True)
+    results["L1_exact"] = []
+    for dim in EXACT_DIMS:
+        results["L1_exact"].append(exact_solve(dim))
+        print(json.dumps(results["L1_exact"][-1]), flush=True)
+    results["tutorial_closure"] = tutorial_closure()
+    print(json.dumps(results["tutorial_closure"]), flush=True)
     if "--closure" in sys.argv[1:]:
         results["closure"] = closure(1e-5, compute_scales=True)
         print(json.dumps(results["closure"]), flush=True)
