@@ -22,9 +22,10 @@ The exposed pieces:
   p-value cutoff that rejects the intersection; these depend on the
   scheme and alpha but not on observed p-values, which is what makes
   error-rate simulation affordable.
-- check_consonance sweeps all subset pairs for local-level drops, the
+- check_consonance finds every subset pair whose local level drops, the
   condition under which closure collapses to a sequentially rejective
-  shortcut.
+  shortcut: per hypothesis the least level over each set's subsets, in m
+  array steps, and a listing only where a level lies above it.
 - xie_shortcut and weighted_dunnett_single_step are two such shortcuts.
 """
 
@@ -38,7 +39,6 @@ import numpy as np
 from .exceptions import InputError
 from .intersection import (
     _COARSE_POINTS,
-    _TOTAL_TOL,
     CorrelationModel,
     IntersectionResult,
     _check_alpha,
@@ -66,10 +66,11 @@ from .mvnorm import (
     _check_root_tol,
     union_exceedance,  # not called here; perfbench/smoke.py checks that tracing wraps it
 )
-from .subsets import iter_masks, mask_of, members
-from .weighting import WeightingScheme, validate
+from .subsets import iter_masks, mask_of, member_table, members
+from .weighting import WeightingScheme, _invalid_masks, validate
 
-# the consonance sweep visits each subset pair; 3^m pairs get slow fast
+# the consonance check holds the (2^m, m) levels twice and lists each
+# violating subset pair; at m = 12 a listing can run to thousands of pairs
 MAX_CONSONANCE_M = 12
 
 _PROPORTIONAL_TOL = 1e-9
@@ -265,10 +266,11 @@ def run_closure(
     m, p, alpha, model = problem.m, problem.pvalues, problem.alpha, problem.model
     method = _METHODS[problem.method]
     solve = (problem.seed, target_error, root_tol, max_points)
+    rows, inside = problem.scheme.rows, member_table(m)[1:]
 
     def fit(mask: int, points: int) -> tuple[ProbEstimate, bool]:
         mem = members(mask)
-        w = problem.scheme.weights_for(mask)
+        w = rows[mask - 1][inside[mask - 1]]
         return method.pvalue(mem, w, p[list(mem)], model, problem.seed, target_error, points)
 
     first = [fit(mask, min(max_points, _COARSE_POINTS)) for mask in iter_masks(m)]
@@ -300,10 +302,8 @@ def run_closure(
             mem, problem.method, est.value, scale, scales, levels, est.value <= alpha, est.error
         ))
     # H_j falls when every intersection containing it does; adjusted = their largest p
-    adjusted = np.zeros(m)
-    for res in results:
-        idx = list(res.members)
-        adjusted[idx] = np.maximum(adjusted[idx], res.p_value)
+    p_values = np.array([est.value for est in ests])
+    adjusted = np.where(inside, p_values[:, None], 0.0).max(axis=0)
     rejected = adjusted <= alpha
     for out in (adjusted, rejected):
         out.setflags(write=False)
@@ -358,7 +358,7 @@ def decision_thresholds(
     """
     _check_solve_args(target_error, root_tol, max_points)
     seed = _check_seed(seed)
-    # the scheme's full (costly) validation is left to TestProblem and SimScenario
+    # the table checks the weights; the rest of validate is left to TestProblem and SimScenario
     model, alpha = _check_procedure(scheme, corr, alpha, method, validate_scheme=False)
     solve = (seed, target_error, root_tol, max_points)
     return _level_table(scheme, model, alpha, _METHODS[method], solve)[0]
@@ -370,19 +370,18 @@ def _level_table(scheme, model, alpha: float, method: _Method, solve: tuple):
     c of j's block or of the whole intersection; the floats the method's
     levels give. ``solve`` is (seed, target_error, root_tol,
     max_points); the weights are checked as each intersection test checks
-    its own. A row in which no block holds two positive-weight members is
-    alpha * w (scale 1); the rows in which none holds more than two are
-    solved in one array pass (``_closed_form_scales``); only a row with a
-    block of three or more, or one that pass leaves NaN, calls the levels.
+    its own (``_invalid_masks``). A row in which no block holds two
+    positive-weight members is alpha * w (scale 1); the rows in which
+    none holds more than two are solved in one array pass
+    (``_closed_form_scales``); only a row with a block of three or more,
+    or one that pass leaves NaN, calls the levels.
     """
-    m = scheme.m
-    masks = np.arange(1, 1 << m)
-    inside = np.stack([masks >> j & 1 == 1 for j in range(m)], axis=1)
-    t = np.full(inside.shape, -1.0)
-    # a boolean assignment fills row by row, each row in ascending member
-    # order: the order of the scheme's weight vectors
-    t[inside] = np.concatenate([scheme.table[mask] for mask in iter_masks(m)])
-    _check_weight_table(scheme, t, inside)
+    for mask in _invalid_masks(scheme)[:1].tolist():  # raise the intersection tests' error
+        _check_subset_args(members(mask), scheme.table[mask])
+        _weight_total(scheme.table[mask])
+    masks = np.arange(1, 1 << scheme.m)
+    inside = member_table(scheme.m)[1:]
+    t = np.where(inside, scheme.rows, -1.0)
     # per row, the most positive-weight members any block holds
     most = np.zeros(len(t), dtype=int)
     if method.scales != "one":
@@ -404,18 +403,6 @@ def _level_table(scheme, model, alpha: float, method: _Method, solve: tuple):
         for block, c in block_scales or ((mem, c),):
             scale[mask - 1, list(block)] = c
     return t, scale
-
-
-def _check_weight_table(scheme: WeightingScheme, w: np.ndarray, inside: np.ndarray) -> None:
-    """The weight checks of every intersection test (``_check_subset_args``,
-    ``_weight_total``) on the whole table: raises their InputError for the
-    first failing mask. The array step only picks the masks those checks
-    could fail, with a margin over the sums' rounding."""
-    total = w.sum(axis=1, where=inside)
-    suspect = (inside & (w < 0.0)).any(axis=1) | ~(total > 0.0) | (total > 1.0 + _TOTAL_TOL - 1e-13)
-    for mask in (np.flatnonzero(suspect) + 1).tolist():
-        _check_subset_args(members(mask), scheme.table[mask])
-        _weight_total(scheme.table[mask])
 
 
 @dataclass(frozen=True)
@@ -465,13 +452,22 @@ def check_consonance(
     if not 0.0 <= tolerance < np.inf:
         raise InputError(f"consonance tolerance must be finite and nonnegative, got {tolerance}")
     seed = _check_seed(seed)
-    t = decision_thresholds(
-        scheme, corr, alpha, "parametric-common", seed, target_error, root_tol
-    )
+    t = decision_thresholds(scheme, corr, alpha, "parametric-common", seed, target_error, root_tol)
     # compare on the scale*weight product scale
     t = np.where(t >= 0.0, t / alpha, -1.0)
+    # least[J, j]: the least level of j over the subsets of J that hold it
+    # (J included; inf where there are none), one hypothesis bit at a time
+    least = np.vstack((np.full(m, np.inf), np.where(t >= 0.0, t, np.inf)))
+    for i in range(m):
+        # rows mask with bit i set, above the same rows without it
+        pairs = least.reshape(-1, 2, 1 << i, m)
+        np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    # x -> x + tolerance rounds monotonically, so a level exceeds some subset's
+    # by the tolerance exactly when it exceeds the least one (J's own level
+    # never does); only those J are listed
+    flagged = (t > least[1:] + tolerance).any(axis=1)
     violations = []
-    for mask in iter_masks(m):
+    for mask in (np.flatnonzero(flagged) + 1).tolist():
         mem = np.array(members(mask))
         # the proper submasks, descending: the bits of 2^k - 2 .. 1 placed on the members
         bits = np.arange((1 << mem.size) - 2, 0, -1)[:, None] >> np.arange(mem.size) & 1
@@ -480,15 +476,11 @@ def check_consonance(
         sub_rows = t[subs - 1]
         # a subset's members carry levels >= 0, the others the sentinel -1
         hit = (sub_rows >= 0.0) & (row > sub_rows + tolerance)
-        for i, j in zip(*np.nonzero(hit)):
-            violations.append(
-                ConsonanceViolation(
-                    superset=members(mask),
-                    subset=members(int(subs[i])),
-                    hypothesis=int(j),
-                    excess=float(row[j] - sub_rows[i, j]),
-                )
-            )
+        excess = row - sub_rows
+        violations += [
+            ConsonanceViolation(members(mask), members(int(subs[i])), int(j), float(excess[i, j]))
+            for i, j in zip(*np.nonzero(hit))
+        ]
     return ConsonanceReport(consonant=not violations, violations=tuple(violations))
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from numbers import Integral
 
+import numpy as np
+
 from .exceptions import InputError
 
 MAX_HYPOTHESES = 20
@@ -67,3 +69,9 @@ def iter_masks(m: int) -> Iterator[int]:
     """All nonempty subsets of {0..m-1} in canonical order."""
     return iter(range(1, 1 << m))
 
+
+def member_table(m: int) -> np.ndarray:
+    """(2^m, m) bools: row mask holds, at column j, whether j is a member
+    of mask. Row 0 is the empty set."""
+    masks = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(masks, axis=1, count=m, bitorder="little").view(bool)

@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python3 tools/bench_simulate.py 10 12 13 14 15 16 18
     PYTHONPATH=src python3 tools/bench_simulate.py --thresholds 10 12
+    PYTHONPATH=src python3 tools/bench_simulate.py --schemes 12 14 16
 
 Run from the repository root; point PYTHONPATH at another checkout's
 ``src`` to measure that one with the same script. BLAS is pinned to one
@@ -23,6 +24,15 @@ three calls. A fourth call counts the rows solved one by one (calls of
 pass (the rows handed to ``_closed_form_scales``; 0 in a checkout
 without it) and the scalar root solves (``solve_monotone``) it makes;
 the table's sha1 prefix must match between checkouts.
+
+Schemes: per m one seeded random graph with two zero initial weights.
+CPU time, the median of three calls each, of ``scheme_from_graph``, of
+``WeightingScheme`` built from the scheme's table copied into a dict,
+of ``validate``, of ``check_consonance`` (m <= 12, under a model with
+one known pair at rho = 0.5 and singletons) and of a bonferroni
+``run_closure``; tracemalloc's peak over a fourth ``scheme_from_graph``.
+The scheme's weights, the violations and the adjusted p-values are
+hashed; their sha1 prefixes must match between checkouts.
 """
 
 import os
@@ -44,10 +54,15 @@ from closedmtp import (  # noqa: E402
     CorrelationModel,
     GraphSpec,
     SimScenario,
+    TestProblem,
+    WeightingScheme,
+    check_consonance,
     closure,
     intersection,
+    run_closure,
     scheme_from_graph,
     simulation,
+    validate,
 )
 
 
@@ -160,11 +175,59 @@ def measure_thresholds(m: int) -> dict:
     }
 
 
+def median_cpu(fn, calls: int = 3):
+    """(median CPU seconds over ``calls`` calls, the last call's result)."""
+    cpu = []
+    for _ in range(calls):
+        start = time.process_time()
+        out = fn()
+        cpu.append(time.process_time() - start)
+    return round(statistics.median(cpu), 4), out
+
+
+def measure_schemes(m: int) -> dict:
+    rng = np.random.default_rng(5050 + m)
+    w = rng.dirichlet(np.ones(m))
+    w[[1, m - 2]] = 0.0
+    g = rng.uniform(0.1, 1.0, size=(m, m))
+    np.fill_diagonal(g, 0.0)
+    graph = GraphSpec(m, w / w.sum(), g / g.sum(axis=1, keepdims=True))
+    out = {"m": m}
+    out["scheme_from_graph_s"], scheme = median_cpu(lambda: scheme_from_graph(graph))
+    tracemalloc.start()
+    try:
+        scheme_from_graph(graph)
+        out["scheme_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 1e6, 1)
+    finally:
+        tracemalloc.stop()
+    table = dict(scheme.table)
+    out["construct_s"] = median_cpu(lambda: WeightingScheme(m, table))[0]
+    out["validate_s"], flags = median_cpu(lambda: validate(scheme))
+    out["flags"] = flags
+    if m <= closure.MAX_CONSONANCE_M:
+        pair = CorrelationMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        model = CorrelationModel(m, ((0, 1),) + tuple((j,) for j in range(2, m)), (pair,) + (None,) * (m - 2))
+        out["consonance_s"], report = median_cpu(lambda: check_consonance(scheme, model, 0.025))
+        out["violations"] = len(report.violations)
+        text = repr([(v.superset, v.subset, v.hypothesis, v.excess.hex()) for v in report.violations])
+        out["violations_sha1"] = hashlib.sha1(text.encode()).hexdigest()[:12]
+    problem = TestProblem(
+        scheme, CorrelationModel.independent_blocks(m), rng.uniform(0.0, 0.05, size=m), 0.025, "bonferroni"
+    )
+    out["bonferroni_closure_s"], report = median_cpu(lambda: run_closure(problem))
+    weights = np.concatenate([scheme.weights_for(mask) for mask in range(1, 1 << m)])
+    out["table_sha1"] = hashlib.sha1(weights.tobytes()).hexdigest()[:12]
+    out["adjusted_sha1"] = hashlib.sha1(report.adjusted.tobytes()).hexdigest()[:12]
+    return out
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
     run = measure
     if args[:1] == ["--thresholds"]:
         args, run = args[1:], measure_thresholds
+    elif args[:1] == ["--schemes"]:
+        args, run = args[1:], measure_schemes
     results = []
     for arg in args:
         results.append(run(int(arg)))
