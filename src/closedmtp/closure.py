@@ -11,7 +11,8 @@ and what it needs of its inputs; run_closure decides through its
 p-values, decision_thresholds through its levels, both read from one
 table (``_level_table``). Every intersection test, the shortcuts'
 included, goes through ``intersection``, the only module outside
-``mvnorm`` that calls the kernel.
+``mvnorm`` that calls the kernel, except Bonferroni's in run_closure,
+which needs no kernel and is one array step over all intersections.
 
 The exposed pieces:
 
@@ -50,7 +51,6 @@ from .intersection import (
     _weight_total,
     _xie_estimate,
     as_model,
-    bonferroni_pvalue,
     parametric_c,
     parametric_pvalue,
     partitioned_common_scale,
@@ -130,19 +130,31 @@ class _Method:
     max_points would). ``scales``: "one" (c = 1), "common" (one c per
     intersection) or "block" (one c per correlation block).
     ``proportional``: needs a proportional scheme, correlation known.
+    ``pvalues``, set in place of ``pvalue``, maps (the scheme's rows,
+    p-values) to every intersection's exact p-value in one array step.
     """
 
     levels: Callable
-    pvalue: Callable
+    pvalue: Callable | None
     scales: str
     proportional: bool = False
+    pvalues: Callable | None = None
+
+
+def _bonferroni_pvalues(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """bonferroni_pvalue of every row of ``rows`` (weights, 0.0 off the
+    members): min(1, min over positive-weight j of p_j / w_j), the same
+    floats, as division and minimum are exact per element."""
+    ratios = np.divide(p, rows, out=np.full(rows.shape, np.inf), where=rows > 0.0)
+    return np.minimum(ratios.min(axis=1), 1.0)
 
 
 _METHODS = {
     "bonferroni": _Method(
         lambda mem, w, alpha, *_: (1.0, None, alpha * w),
-        lambda mem, w, p, *_: (ProbEstimate(bonferroni_pvalue(mem, w, p), 0.0), True),
+        None,
         "one",
+        pvalues=_bonferroni_pvalues,
     ),
     "parametric-common": _Method(_common_levels, _common_estimate, "common"),
     "parametric-subsets": _Method(_block_levels, _subsets_estimate, "block"),
@@ -273,7 +285,10 @@ def run_closure(
         w = rows[mask - 1][inside[mask - 1]]
         return method.pvalue(mem, w, p[list(mem)], model, problem.seed, target_error, points)
 
-    first = [fit(mask, min(max_points, _COARSE_POINTS)) for mask in iter_masks(m)]
+    if method.pvalues is not None:
+        first = [(ProbEstimate(v, 0.0), True) for v in method.pvalues(rows, p).tolist()]
+    else:
+        first = [fit(mask, min(max_points, _COARSE_POINTS)) for mask in iter_masks(m)]
     ests = [est for est, _ in first]
     # final: the first pass is already the fit to max_points
     final = np.array([met or max_points <= _COARSE_POINTS for _, met in first])

@@ -2,9 +2,13 @@
 
 The procedure's rejection thresholds depend on the weights and alpha but
 not on observed p-values, so they are solved once up front; each
-replication then reduces to threshold comparisons. Replications are
-drawn in fixed-size chunks with counter-derived seeds, making the run
-deterministic for a given master seed and independent of chunk order.
+replication then reduces to threshold comparisons. Two exact bounds per
+hypothesis, read once from those thresholds, settle most replications
+with a few comparisons per hypothesis; only the replications they leave
+open go through the per-hypothesis lookup tables over every
+intersection. Replications are drawn in fixed-size chunks with
+counter-derived seeds, making the run deterministic for a given master
+seed and independent of chunk order.
 """
 
 from __future__ import annotations
@@ -133,25 +137,41 @@ def simulate(
 
     One-sided p-values p = 1 - Phi(z) are formed from z drawn with the
     generator correlation around the mean shifts; the closed procedure
-    is applied through precomputed thresholds by table lookup. For each
-    hypothesis j, its positive cutoffs are sorted in descending order,
-    and row K of j's table holds the packed bits of the first K
+    is applied through precomputed cutoffs t[J, j], where J fires when
+    some member has p_j <= t[J, j] > 0 and H_i is rejected when every
+    intersection containing it fired.
+
+    Most replications are decided from two bounds per hypothesis, read
+    once from the cutoffs: top_j, j's largest positive cutoff, and
+    least_j, its smallest cutoff over the intersections that contain it.
+    A hypothesis with p_j > top_j fires nothing, so the intersection
+    O_i = {i} plus every such j survives unless H_i fires in it: H_i is
+    retained when p_i > t[O_i, i] or that cutoff is not positive, and
+    rejected when 0 < least_i and p_i <= least_i, as it then fires in
+    every intersection that holds it. Both are exact. Only the
+    replications with a hypothesis neither rule decides reach the
+    tables below.
+
+    For each hypothesis j, its positive cutoffs are sorted in descending
+    order, and row K of j's table holds the packed bits of the first K
     intersections in that order. Per replication, one binary search
     gives the number K_j of cutoffs at least p_j, and the intersections
     fired are the OR of the m rows table_j[K_j], held as 64-bit words.
-    H_i is rejected when every intersection containing it fired; as bit
-    b of word w stands for mask 64 w + b, that is read from the OR of the
-    surviving words (i < 6) and from which words hold a survivor (i >= 6).
+    As bit b of word w stands for mask 64 w + b, which hypotheses have a
+    surviving intersection is read from the OR of the surviving words
+    (i < 6) and from which words hold a survivor (i >= 6).
 
     The masks are split into tiles of 2^12 with their own tables, and
     the tiles are the outer loop: each tile's tables are built once per
     call and held only during that tile's pass over the chunks, which
-    redraws each chunk's p-values from the chunk's own seed. Between
-    tiles, only which hypotheses have a surviving intersection is kept,
+    redraws from the chunk's own seed the p-values of each chunk that
+    holds an open replication. The first tile's pass also decides by
+    the bounds. Between tiles, only which replications are open and
+    which hypotheses have a surviving intersection are kept, the latter
     as packed bits. Beyond the cutoffs themselves, memory is thus one
     tile's tables, one chunk's buffers of 16 bytes per replication and
-    64 masks of a tile, and ceil(m / 8) bytes per replication, for
-    every m.
+    64 masks of a tile plus a few replication-by-hypothesis arrays, and
+    ceil(m / 8) + 1 bytes per replication, for every m.
     """
     m = scenario.m
     n_total = scenario.replications
@@ -169,6 +189,13 @@ def simulate(
     # fire, so only positive cutoffs enter the tables
     levels = np.full((m, 1 << m), -1.0)
     levels[:, 1:] = thresholds.T
+    hyps = np.arange(m)
+    bits = np.left_shift(1, hyps)
+    # p_j > top_j fires nothing; -1 where j has no positive cutoff
+    top = levels.max(axis=1)
+    top[top <= 0.0] = -1.0
+    # the masks holding j are those with bit j set
+    least = np.array([levels[j].reshape(-1, 2, 1 << j)[:, 1].min() for j in range(m)])
     n_words = -(-min(_TILE, 1 << m) // 64)
     # the masks 0..63 of a word that contain H_i, i < 6 (none of mask 0)
     low = min(m, 6)
@@ -179,27 +206,45 @@ def simulate(
     lower = scenario.generator.cholesky_lower()
     chunk = _chunk_size(m)
     chunks = [(lo, min(lo + chunk, n_total)) for lo in range(0, n_total, chunk)]
-    # one set of buffers for the whole run; a short last chunk uses a prefix
+    # one set of buffers for the whole run; the rows a chunk leaves open use a prefix
     fired = np.empty(chunk * n_words, dtype=np.uint64)
     row = np.empty(chunk * n_words, dtype=np.uint64)
     hit = np.empty((chunk, m), dtype=bool)
     # alive[n]: H_i's bit (np.packbits order) is set once some
     # intersection containing H_i survived in replication n
     alive = np.zeros((n_total, -(-m // 8)), dtype=np.uint8)
+    # pending[n]: the bounds leave some hypothesis of replication n open
+    pending = np.zeros(n_total, dtype=bool)
     for start in range(0, 1 << m, _TILE):
         tables = _tile_tables(levels, start, min(start + _TILE, 1 << m))
         # has[w, i - 6]: the masks of the tile's word w contain H_i
         words = (start >> 6) + np.arange(n_words)
         has = (words[:, None] >> np.arange(m - 6) & 1).astype(np.float32)
         for chunk_index, (lo, hi) in enumerate(chunks):
-            n_c = hi - lo
+            # the first tile decides by the bounds; later ones redraw only
+            # the chunks with a replication left open
+            if start and not pending[lo:hi].any():
+                continue
             rng = np.random.default_rng(
                 np.random.SeedSequence(
                     entropy=scenario.master_seed, spawn_key=(chunk_index,)
                 )
             )
-            z = rng.standard_normal((n_c, m)) @ lower.T + scenario.mean_shifts
-            neg_p = np.ascontiguousarray(-ndtr(-z).T)
+            z = rng.standard_normal((hi - lo, m)) @ lower.T + scenario.mean_shifts
+            p = ndtr(-z)
+            if start == 0:
+                # cut[n, i] = t[O_i, i]: O_i survives unless H_i fires in it
+                outside = (p > top) @ bits
+                cut = levels[hyps, outside[:, None] | bits]
+                held = (p > cut) | (cut <= 0.0)
+                alive[lo:hi] = np.packbits(held, axis=1)
+                sure = (p <= least) & (least > 0.0)
+                pending[lo:hi] = ~(held | sure).all(axis=1)
+            todo = np.flatnonzero(pending[lo:hi])
+            n_c = todo.size
+            if n_c == 0:
+                continue
+            neg_p = np.ascontiguousarray(-p[todo].T)
             f = fired[: n_c * n_words].reshape(n_c, n_words)
             g = row[: n_c * n_words].reshape(n_c, n_words)
             f.fill(0)
@@ -213,7 +258,7 @@ def simulate(
             a = hit[:n_c]
             a[:, :low] = (np.bitwise_or.reduce(survived, axis=1)[:, None] & patterns) != 0
             a[:, 6:] = (survived != 0).astype(np.float32) @ has > 0.0
-            alive[lo:hi] |= np.packbits(a, axis=1)
+            alive[lo + todo] |= np.packbits(a, axis=1)
         # free this tile's tables before the next tile's are built
         del tables
     reject_counts = np.zeros(m, dtype=np.int64)

@@ -25,6 +25,7 @@ from closedmtp.closure import (
 from closedmtp.exceptions import BracketError, InputError
 from closedmtp.intersection import (
     CorrelationModel,
+    bonferroni_pvalue,
     derived_seed,
     parametric_c,
     parametric_pvalue,
@@ -268,6 +269,42 @@ class TestRunClosureBonferroni:
                 ]
                 assert rep.adjusted[i] == pytest.approx(max(containing), abs=1e-15)
                 assert rep.adjusted[i] >= prob.pvalues[i] - 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_intersection_pvalue_is_bonferroni_pvalue(self, seed):
+        # zero-weight members, ratios above 1 and one that overflows to
+        # inf; p-values of exactly 0 and 1
+        rng = np.random.default_rng(4100 + seed)
+        m = 7
+        table = {}
+        for mask in iter_masks(m):
+            k = len(members(mask))
+            w = rng.dirichlet(np.ones(k)) * rng.uniform(0.3, 1.0)
+            w[rng.random(k) < 0.3] = 0.0
+            if not w.any():
+                w[rng.integers(k)] = 0.5
+            table[mask] = w
+        # p_2 / 1e-310 overflows
+        table[1 << 2] = np.array([1e-310])
+        p = rng.uniform(0.0, 0.6, size=m)
+        p[0], p[1] = 0.0, 1.0
+        rep = run_closure(
+            TestProblem(
+                scheme=WeightingScheme(m, table),
+                model=CorrelationModel.independent_blocks(m),
+                pvalues=p,
+                alpha=0.05,
+                method="bonferroni",
+            )
+        )
+        got = [r.p_value for r in rep.intersections]
+        want = [
+            bonferroni_pvalue(members(mask), table[mask], p[list(members(mask))])
+            for mask in iter_masks(m)
+        ]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert all(r.p_error == 0.0 for r in rep.intersections)
+        assert 1.0 in got and 0.0 in got and len(set(got)) > m
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2718)

@@ -1,17 +1,19 @@
 """Tests for the Monte Carlo error-rate harness."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from closedmtp import simulation
 from closedmtp.closure import TestProblem, decision_thresholds, run_closure
 from closedmtp.exceptions import InputError
 from closedmtp.intersection import CorrelationModel
 from closedmtp.mvnorm import CorrelationMatrix
 from closedmtp.simulation import SimReport, SimScenario, _chunk_size, simulate
-from closedmtp.subsets import iter_masks, members
+from closedmtp.subsets import iter_masks, member_table, members
 from closedmtp.weighting import GraphSpec, scheme_from_graph, xie_scheme
 
 
@@ -33,15 +35,16 @@ def all_null_scenario(m, rho, method, n, seed=0, alpha=0.05):
     )
 
 
-def intersection_loop(scen):
+def intersection_loop(scen, thresholds=None):
     """simulate's report computed intersection by intersection: per chunk,
     one gather and comparison per intersection row, the survivors in a
     float32 matrix and the rejections from its product with the
-    containment matrix."""
+    containment matrix. ``thresholds`` defaults to the scenario's own."""
     m, n_total = scen.m, scen.replications
-    thresholds = decision_thresholds(
-        scen.scheme, scen.model, scen.alpha, scen.method, scen.master_seed
-    )
+    if thresholds is None:
+        thresholds = decision_thresholds(
+            scen.scheme, scen.model, scen.alpha, scen.method, scen.master_seed
+        )
     t = np.where(thresholds > 0.0, thresholds, -1.0)
     member_lists = [list(members(mask)) for mask in iter_masks(m)]
     containing = np.zeros((len(member_lists), m), dtype=np.float32)
@@ -130,6 +133,81 @@ def bonferroni_graph_scenario(m, replications):
         replications=replications,
         master_seed=19,
     )
+
+
+def drawn_pvalues(scen):
+    """The p-values simulate draws, replication by replication: each
+    chunk's stream replayed from its own seed."""
+    m, n_total = scen.m, scen.replications
+    lower = scen.generator.cholesky_lower()
+    chunk = _chunk_size(m)
+    out = []
+    for chunk_index, lo in enumerate(range(0, n_total, chunk)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=scen.master_seed, spawn_key=(chunk_index,))
+        )
+        z = rng.standard_normal((min(chunk, n_total - lo), m)) @ lower.T + scen.mean_shifts
+        out.append(ndtr(-z))
+    return np.vstack(out)
+
+
+def report_of(rejected, nulls):
+    n_total = len(rejected)
+    fwer = int(rejected[:, nulls].any(axis=1).sum()) / n_total
+    return SimReport(
+        fwer_estimate=float(fwer),
+        fwer_stderr=float(np.sqrt(fwer * (1.0 - fwer) / n_total)),
+        rejection_rates=rejected.sum(axis=0) / n_total,
+        replications=n_total,
+    )
+
+
+def bitset_loop(scen, thresholds):
+    """simulate's report from the lookup tables alone: every replication
+    goes through every tile's binary search and OR of table rows, with
+    no decision by bounds."""
+    m = scen.m
+    levels = np.full((m, 1 << m), -1.0)
+    levels[:, 1:] = thresholds.T
+    p = drawn_pvalues(scen)
+    inside = member_table(m).astype(np.float32)
+    alive = np.zeros(p.shape, dtype=bool)
+    for start in range(0, 1 << m, simulation._TILE):
+        stop = min(start + simulation._TILE, 1 << m)
+        tables = simulation._tile_tables(levels, start, stop)
+        for lo in range(0, len(p), _chunk_size(m)):
+            rows = p[lo : lo + _chunk_size(m)]
+            fired = np.zeros((len(rows), -(-(stop - start) // 64)), dtype=np.uint64)
+            for j, keys, table in tables:
+                fired |= table[np.searchsorted(keys, -rows[:, j], side="right")]
+            # mask start + 64 w + b is bit b of word w
+            words = np.invert(fired).astype("<u8").view(np.uint8)
+            survived = np.unpackbits(words, axis=1, bitorder="little")[:, : stop - start]
+            alive[lo : lo + len(rows)] |= survived.astype(np.float32) @ inside[start:stop] > 0.0
+    return report_of(~alive, scen.true_nulls)
+
+
+def undecided_share(scen, thresholds):
+    """Share of replications with a hypothesis that neither bound decides:
+    p_i <= least_i > 0 rejects H_i; p_i > t[O_i, i] or t[O_i, i] <= 0
+    retains it, O_i being i plus every j with p_j above all its positive
+    cutoffs."""
+    m = scen.m
+    inside = member_table(m)[1:]
+    p = drawn_pvalues(scen)
+    top = np.where(thresholds > 0.0, thresholds, -1.0).max(axis=0)
+    least = np.where(inside, thresholds, np.inf).min(axis=0)
+    outside = (p > top) @ (1 << np.arange(m))
+    cut = thresholds[(outside[:, None] | (1 << np.arange(m))) - 1, np.arange(m)]
+    decided = (p > cut) | (cut <= 0.0) | ((p <= least) & (least > 0.0))
+    return float((~decided.all(axis=1)).mean())
+
+
+def assert_same_report(got, want):
+    assert got.fwer_estimate == want.fwer_estimate
+    assert got.fwer_stderr == want.fwer_stderr
+    assert got.rejection_rates.tobytes() == want.rejection_rates.tobytes()
+    assert got.replications == want.replications
 
 
 class TestScenarioValidation:
@@ -364,7 +442,7 @@ class TestSimulate:
 
 
 class TestReplicationLoop:
-    @pytest.mark.parametrize("method", ["bonferroni", "parametric-common"])
+    @pytest.mark.parametrize("method", ["bonferroni", "parametric-common", "parametric-subsets"])
     def test_equals_intersection_loop_bit_for_bit(self, method):
         # two chunks, the second one short
         n = _chunk_size(10) + 3001
@@ -380,6 +458,9 @@ class TestReplicationLoop:
         assert got.rejection_rates.tobytes() == want.rejection_rates.tobytes()
         assert got.replications == want.replications == n
         assert 0.0 < got.fwer_estimate and np.all(got.rejection_rates[1::2] > 0.0)
+        t = decision_thresholds(scen.scheme, scen.model, scen.alpha, scen.method, scen.master_seed)
+        assert_same_report(got, bitset_loop(scen, t))
+        assert 0.0 < undecided_share(scen, t) < 1.0
 
     @pytest.mark.parametrize(
         ("m", "builds"),
@@ -388,8 +469,6 @@ class TestReplicationLoop:
         [(4, 1), (13, 2), (14, 4)],
     )
     def test_tables_equal_intersection_loop_bit_for_bit(self, m, builds, monkeypatch):
-        from closedmtp import simulation
-
         calls = []
         build = simulation._tile_tables
         monkeypatch.setattr(
@@ -446,3 +525,108 @@ class TestReplicationLoop:
         finally:
             tracemalloc.stop()
         assert peak < chunk * ((1 << m) - 1) * 4, peak
+
+
+class TestBoundDecisions:
+    """simulate decides most replications from per-hypothesis bounds; these
+    tables put cutoffs exactly on drawn p-values and on the bounds' edges."""
+
+    @staticmethod
+    def tied_scenario(m, n):
+        # H_1's p-values are exactly 0; the other false nulls shift by 2.5
+        scen = bonferroni_graph_scenario(m, n)
+        shifts = np.array(scen.mean_shifts)
+        shifts[1] = 50.0
+        return dataclasses.replace(scen, mean_shifts=shifts)
+
+    @pytest.mark.parametrize("m", [4, 13, 14])
+    def test_cutoffs_on_drawn_pvalues(self, m, monkeypatch):
+        # the last chunk is short; at m=13 and 14 the masks span 2 and 4 tiles
+        n = 2 * _chunk_size(m) + 301
+        scen = self.tied_scenario(m, n)
+        p = drawn_pvalues(scen)
+        assert np.all(p[:, 1] == 0.0)
+        rng = np.random.default_rng(600 + m)
+        inside = member_table(m)[1:]
+        # every cutoff is the p-value of its hypothesis in one of the
+        # replications that give it its lowest tenth
+        t = np.sort(p, axis=0)[rng.integers(n // 10, size=inside.shape), np.arange(m)]
+        # H_1 (p = 0) meets zero cutoffs and H_0's drawn p-values; H_2 has
+        # no positive cutoff; H_3 is a zero-weight member of a third of its sets
+        t[:, 1] = np.where(rng.random(len(t)) < 0.5, 0.0, t[:, 0])
+        t[:, 2] = 0.0
+        t[rng.random(len(t)) < 1 / 3, 3] = 0.0
+        t = np.where(inside, t, -1.0)
+        monkeypatch.setattr(simulation, "decision_thresholds", lambda *args: t)
+        got = simulate(scen)
+        assert_same_report(got, intersection_loop(scen, t))
+        assert_same_report(got, bitset_loop(scen, t))
+        assert 0.0 < undecided_share(scen, t) < 1.0
+        assert np.any(inside[:, 1] & (t[:, 1] == 0.0)) and np.any(t[:, 1] > 0.0)
+
+    def test_p_equal_to_its_cutoff_fires(self, monkeypatch):
+        # every cutoff of H_0 is replication 0's p_0 and H_1 never fires,
+        # so H_0 falls exactly where p_0 <= that cutoff, replication 0 included
+        scen = all_null_scenario(2, 0.3, "bonferroni", 500, seed=3)
+        p = drawn_pvalues(scen)
+        t = np.array([[p[0, 0], -1.0], [-1.0, 0.0], [p[0, 0], 0.0]])
+        monkeypatch.setattr(simulation, "decision_thresholds", lambda *args: t)
+        got = simulate(scen)
+        assert got.rejection_rates[0] * 500 == np.sum(p[:, 0] <= p[0, 0]) > 0
+        assert got.rejection_rates[1] == 0.0
+        assert_same_report(got, intersection_loop(scen, t))
+
+    def test_every_replication_decided(self, monkeypatch):
+        # tiny positive cutoffs: a p of 0 is below every cutoff of its
+        # hypothesis (rejected), any other p above all of them (retained)
+        m = 9
+        n = _chunk_size(m) + 301
+        scen = self.tied_scenario(m, n)
+        scen = dataclasses.replace(
+            scen, mean_shifts=np.where(scen.true_nulls, 0.0, 50.0)
+        )
+        inside = member_table(m)[1:]
+        t = np.where(inside, 1e-300, -1.0)
+        monkeypatch.setattr(simulation, "decision_thresholds", lambda *args: t)
+        got = simulate(scen)
+        assert undecided_share(scen, t) == 0.0
+        assert_same_report(got, intersection_loop(scen, t))
+        assert_same_report(got, bitset_loop(scen, t))
+        assert got.rejection_rates.tolist() == [0.0 if null else 1.0 for null in scen.true_nulls]
+
+    def test_no_replication_decided(self, monkeypatch):
+        # H_0 fires in every set but the full one, where it has weight 0,
+        # and H_1's singleton cutoff of 1 keeps H_1 among the hypotheses
+        # that fire, so the full set is never the set the bounds look up
+        m = 9
+        n = _chunk_size(m) + 301
+        scen = bonferroni_graph_scenario(m, n)
+        rng = np.random.default_rng(9)
+        inside = member_table(m)[1:]
+        t = rng.uniform(0.0, 0.1, size=inside.shape)
+        t[:, 0] = 1.0
+        t[-1, 0] = 0.0
+        t[(1 << 1) - 1, 1] = 1.0
+        t = np.where(inside, t, -1.0)
+        monkeypatch.setattr(simulation, "decision_thresholds", lambda *args: t)
+        got = simulate(scen)
+        assert undecided_share(scen, t) == 1.0
+        assert_same_report(got, intersection_loop(scen, t))
+        assert_same_report(got, bitset_loop(scen, t))
+
+    def test_counts_match_per_replication_closure_on_a_graph(self):
+        # a zero-weight member and a correlated pair, one replication at a time
+        m, n = 5, 300
+        scen = bonferroni_graph_scenario(m, n)
+        p = drawn_pvalues(scen)
+        counts = np.zeros(m)
+        for r in range(n):
+            out = run_closure(
+                TestProblem(
+                    scheme=scen.scheme, model=scen.model, pvalues=p[r],
+                    alpha=scen.alpha, method="bonferroni", seed=scen.master_seed,
+                )
+            )
+            counts += out.rejected
+        assert simulate(scen).rejection_rates.tolist() == (counts / n).tolist()
+        assert 0.0 < counts.sum() < m * n

@@ -15,6 +15,11 @@ hypothesis and every other hypothesis a true null, over eight chunks
 plus a short one. The cutoffs are solved once beforehand and handed to
 ``simulate``, so the figures cover the replications alone. CPU time is
 the median of three calls; the peak is tracemalloc's over a fourth.
+``decided_by_bounds`` is the share of replications whose every
+hypothesis two exact bounds settle (p_i <= least_i > 0 rejects H_i;
+p_i > t[O_i, i] or t[O_i, i] <= 0 retains it, O_i being i plus every j
+above all its positive cutoffs), worked out here from the replayed
+p-values and the same cutoffs, whichever checkout ``simulate`` comes from.
 
 Thresholds: per m one ``decision_thresholds`` table shaped like the
 fwer-sim benchmark's, parametric-common on a seeded random graph with
@@ -48,6 +53,7 @@ import time  # noqa: E402
 import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
+from scipy.special import ndtr  # noqa: E402
 
 from closedmtp import (  # noqa: E402
     CorrelationMatrix,
@@ -88,6 +94,27 @@ def scenario(m: int, replications: int) -> SimScenario:
     )
 
 
+def decided_by_bounds(scen: SimScenario, cutoffs: np.ndarray) -> float:
+    """Share of ``scen``'s replications in which every hypothesis is
+    settled by its bounds under the cutoff table ``cutoffs``."""
+    m, n = scen.m, scen.replications
+    chunk = simulation._chunk_size(m)
+    lower = scen.generator.cholesky_lower()
+    members = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+    top = np.where(cutoffs > 0.0, cutoffs, -1.0).max(axis=0)
+    least = np.where(members, cutoffs, np.inf).min(axis=0)
+    bits = 1 << np.arange(m)
+    decided = 0
+    for index, lo in enumerate(range(0, n, chunk)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=scen.master_seed, spawn_key=(index,)))
+        z = rng.standard_normal((min(chunk, n - lo), m)) @ lower.T + scen.mean_shifts
+        p = ndtr(-z)
+        cut = cutoffs[(((p > top) @ bits)[:, None] | bits) - 1, np.arange(m)]
+        settled = (p > cut) | (cut <= 0.0) | ((p <= least) & (least > 0.0))
+        decided += int(settled.all(axis=1).sum())
+    return decided / n
+
+
 def measure(m: int) -> dict:
     n = 8 * simulation._chunk_size(m) + 1000
     scen = scenario(m, n)
@@ -115,6 +142,7 @@ def measure(m: int) -> dict:
         "cpu_s": round(statistics.median(cpu), 4),
         "reps_per_s": round(n / statistics.median(cpu)),
         "tracemalloc_peak_mb": round(peak / 1e6, 1),
+        "decided_by_bounds": round(decided_by_bounds(scen, cutoffs), 4),
         "fwer": report.fwer_estimate,
         "rejection_rates_sha1": digest,
     }
