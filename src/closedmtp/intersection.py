@@ -402,9 +402,9 @@ def _solve_scale(
     fitted at the coarse root c0, whose estimate is the sum at c0, and
     secant steps starting along the coarse slope polish the root (the
     bracketed solve takes over if they do not settle). The solved c is
-    checked against one independent re-estimate (salt + _CHECK_SALT); a
-    miss beyond the combined error refines every sampled rule and solves
-    again, until the rules reach max_points.
+    checked against one independent re-estimate (salt + _CHECK_SALT) while
+    some sampled rule is below max_points; a miss beyond the combined
+    error refines every such rule and solves again.
 
     The sum at c=1 never exceeds the target (Bonferroni inequality), so
     an estimate already at or above it means c=1 within noise.
@@ -470,7 +470,8 @@ def _solve_scale(
         c = None if slope is None else _secant_root(total, c0, slope, target, cap, root_tol)
         if c is None:
             c = bracketed(total)
-        if not any(rule.sampled for rule in built):
+        # the re-estimate can only lead to a refinement: none once no rule can refine
+        if not any(rule.can_refine(max_points) for rule in built):
             return c
         check = err = 0.0
         for rule, (salt, _, w) in zip(rules, groups):
@@ -482,8 +483,8 @@ def _solve_scale(
             err += est.error + rule.estimate.error
         if abs(check - target) <= err + slack:
             return c
-        if not any([rule.refine(max_points) for rule in built]):
-            return c
+        for rule in built:
+            rule.refine(max_points)
 
 
 def _solve_scales(w, rho, target, alpha: float, root_tol: float) -> np.ndarray:

@@ -10,8 +10,10 @@ vectorised Owen's T bivariate (after Genz 2004). Dimension 4 and above
 estimates the orthant by separation-of-variables quasi-Monte Carlo in
 the style of Genz (1992): Cholesky factorization with greedy variable
 reordering, digitally shifted Sobol' points, and an error estimate from
-independent randomizations. Every result carries an absolute-error
-bound; estimates are bit-reproducible for a fixed seed.
+independent randomizations. The Sobol' points are generated here from
+the Joe & Kuo (2008) direction numbers, the set scipy.stats.qmc.Sobol
+uses, so no module imports scipy.stats. Every result carries an
+absolute-error bound; estimates are bit-reproducible for a fixed seed.
 
 ``UnionRule`` keeps one integration rule fixed while a root solve moves
 the thresholds, so the union probability becomes a deterministic,
@@ -29,6 +31,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
 from .exceptions import BracketError, InputError, NumericError
+from .subsets import MAX_HYPOTHESES
 
 DEFAULT_TARGET_ERROR = 1e-6
 DEFAULT_ROOT_TOL = 1e-6
@@ -291,26 +294,78 @@ def _tvn_cdf(h: np.ndarray, corr: np.ndarray) -> tuple[float, float]:
     return min(1.0, max(0.0, fine)), abs(fine - integral(_GL_COARSE))
 
 
+# Joe & Kuo (2008, SIAM J. Sci. Comput. 30:2635): (primitive polynomial,
+# initial direction integers m_1..m_deg) of Sobol' coordinates 1 to 18,
+# enough for the k - 1 <= 19 coordinates of a MAX_HYPOTHESES-dimensional
+# orthant; coordinate 0 is the van der Corput sequence (every m_j = 1)
+_SOBOL_DIRECTIONS = (
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)),
+)
+# bits per Sobol' coordinate, so at most 2^30 points
+_SOBOL_BITS = 30
+
 _sobol_lock = threading.Lock()
-_sobol_ints: dict[int, np.ndarray] = {}
+_sobol_ints = np.zeros((0, 0), dtype=np.uint32)
+
+
+def _direction_numbers(coord: int) -> list[int]:
+    """The 30-bit direction integers v_j = m_j 2^(30-j), j = 1..30, of
+    Sobol' coordinate ``coord``, the m_j past the initial ones from the
+    polynomial's recurrence (Bratley & Fox 1988)."""
+    if coord == 0:
+        m = [1] * _SOBOL_BITS
+    else:
+        poly, init = _SOBOL_DIRECTIONS[coord - 1]
+        deg, m = len(init), list(init)
+        for j in range(deg, _SOBOL_BITS):
+            new = m[j - deg] ^ (m[j - deg] << deg)
+            for t in range(1, deg):
+                if poly >> (deg - t) & 1:
+                    new ^= m[j - t] << t
+            m.append(new)
+    return [mj << (_SOBOL_BITS - 1 - j) for j, mj in enumerate(m)]
 
 
 def _sobol_base(dim: int, n: int) -> np.ndarray:
-    """First n unscrambled Sobol' points in ``dim`` dimensions as 32-bit integers.
+    """First n unscrambled Sobol' points in ``dim`` dimensions as 32-bit
+    integers, one contiguous row of shape (n,) per dimension: the 30-bit
+    points in Gray-code order shifted left by 2, the integers
+    floor(2^32 x) of scipy.stats.qmc.Sobol(dim, scramble=False).
 
-    The sequence prefix is cached per dimension; n must be a power of two.
+    One table, grown to the largest dimension and prefix asked so far, is
+    cached; n must be a power of two of at most 2^30.
     """
-    # scipy.stats takes most of a second to import, and only QMC rules
-    # (dimension 4 and above) get here
-    from scipy.stats import qmc
-
+    global _sobol_ints
     with _sobol_lock:
-        cached = _sobol_ints.get(dim)
-        if cached is None or cached.shape[0] < n:
-            pts = qmc.Sobol(d=dim, scramble=False).random_base2(int(n - 1).bit_length())
-            cached = np.floor(pts * _TWO32).astype(np.uint64)
-            _sobol_ints[dim] = cached
-        return cached[:n]
+        table = _sobol_ints
+        if table.shape[0] < dim or table.shape[1] < n:
+            rows, cols = max(dim, table.shape[0]), max(n, table.shape[1])
+            v = np.array([_direction_numbers(c) for c in range(rows)], dtype=np.uint32) << 2
+            table = np.zeros((rows, cols), dtype=np.uint32)
+            # in Gray-code order point 2^b + j is point 2^b - 1 - j XOR v_(b+1)
+            for b in range(cols.bit_length() - 1):
+                half = 1 << b
+                np.bitwise_xor(table[:, half - 1 :: -1], v[:, b, None], out=table[:, half : 2 * half])
+            table.setflags(write=False)
+            _sobol_ints = table
+        return table[:dim, :n]
 
 
 def _reordered_cholesky(corr: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,40 +421,44 @@ def _qmc_means(
     """Mean orthant integrand value per point segment and randomization.
 
     The integrand is Genz's separation-of-variables form of P(Z <= b) for
-    the factor L. The points are the rows of ``base`` (n, k-1), digitally
-    shifted by each row of ``shifts`` (S, k-1), both 32-bit integers; row
-    s of the result averages, for every randomization, the points
-    [cuts[s], cuts[s+1]), with cuts running from 0 to n. The pass walks the
-    base points in blocks of _BLOCK across all shifts, building each
-    block's points in place and reusing its buffers, so the working set
-    stays in cache and only the (S, n) integrand values are held whole.
-    Every value is the float a pass over all points at once would give.
+    the factor L. The points are the columns of ``base`` (k-1, n), one
+    contiguous row per coordinate, digitally shifted by each row of
+    ``shifts`` (S, k-1), both 32-bit integers; row s of the result
+    averages, for every randomization, the points [cuts[s], cuts[s+1]),
+    with cuts running from 0 to n. The pass walks the base points in
+    blocks of _BLOCK across all shifts and builds each coordinate of a
+    block's points at the step that reads it, reusing its buffers, so the
+    working set stays in cache and only the (S, n) integrand values are
+    held whole. Every value is the float a pass over all points at once
+    would give.
     """
-    n_shifts, n = shifts.shape[0], base.shape[0]
+    n_shifts, n = shifts.shape[0], base.shape[1]
     k = L.shape[0]
     tiny = 1e-15
     e0 = float(ndtr(b[0] / L[0, 0]))
     size = n_shifts * min(n, _BLOCK)
-    ints = np.empty((size, k - 1), dtype=np.uint64)
-    pts, y = np.empty((size, k - 1)), np.empty((size, k - 1))
+    # the shifts are below 2^32; one (S, 1) column per coordinate
+    shift_cols = shifts.T.astype(np.uint32)[:, :, None]
+    ints = np.empty(size, dtype=np.uint32)
+    y = np.empty((size, k - 1))
     z, mu, e_buf, f = (np.empty(size) for _ in range(4))
     values = np.empty((n_shifts, n))
     for start in range(0, n, _BLOCK):
         width = min(_BLOCK, n - start)
         rows = n_shifts * width
         # row-prefix views of the buffers: contiguous, shift-major
-        xb, yb, zb, mub, fb = pts[:rows], y[:rows], z[:rows], mu[:rows], f[:rows]
-        ib = ints[:rows]
-        np.bitwise_xor(
-            base[None, start : start + width], shifts[:, None], out=ib.reshape(n_shifts, width, k - 1)
-        )
-        np.divide(np.add(ib, 0.5, out=xb), _TWO32, out=xb)
+        ib, yb, zb, mub, fb = ints[:rows], y[:rows], z[:rows], mu[:rows], f[:rows]
         fb.fill(e0)
         e = e0
         for i in range(1, k):
-            np.multiply(xb[:, i - 1], e, out=zb)
+            np.bitwise_xor(
+                base[i - 1, start : start + width], shift_cols[i - 1], out=ib.reshape(n_shifts, width)
+            )
+            np.divide(np.add(ib, 0.5, out=zb), _TWO32, out=zb)
+            np.multiply(zb, e, out=zb)
             np.clip(zb, tiny, 1.0 - tiny, out=zb)
             ndtri(zb, out=yb[:, i - 1])
+            # y stays row-major for this dot: a sum written out differs in the last bit
             np.matmul(yb[:, :i], L[i, :i], out=mub)
             e = np.subtract(b[i], mub, out=e_buf[:rows])
             ndtr(np.divide(e, L[i, i], out=e), out=e)
@@ -446,7 +505,7 @@ class _QmcRule:
 
     def _means(self, shifts: np.ndarray, start: int, upper) -> np.ndarray:
         """Segment means of the points [start, n) in one kernel pass."""
-        base = _sobol_base(self._L.shape[0] - 1, self.n)[start:]
+        base = _sobol_base(self._L.shape[0] - 1, self.n)[:, start:]
         cuts = [c - start for c in self._cuts if c >= start]
         return _qmc_means(self._L, upper, base, shifts, cuts)
 
@@ -491,8 +550,16 @@ def _check_accuracy_args(target_error: float, max_points: int) -> int:
         raise InputError(f"max_points must be finite, got {max_points}") from None
     if max_points < 2:
         raise InputError("max_points must allow at least 2 points")
+    if max_points > 1 << _SOBOL_BITS:
+        raise InputError(f"max_points must be at most 2^{_SOBOL_BITS}, got {max_points}")
     # round down to a power of two so cached Sobol' prefixes line up
     return 1 << (max_points.bit_length() - 1)
+
+
+def _check_dim(dim: int) -> None:
+    # the Sobol' table covers the k - 1 QMC coordinates of k <= MAX_HYPOTHESES
+    if dim > MAX_HYPOTHESES:
+        raise InputError(f"correlation dimension must be at most {MAX_HYPOTHESES}, got {dim}")
 
 
 def _check_root_tol(root_tol: float) -> float:
@@ -549,8 +616,11 @@ def union_exceedance(
     of the orthant, with the reported error targeted at ``target_error``
     but honest when the sample cap bites first. Either way it is the
     ``estimate`` of a ``UnionRule`` fitted at the remaining thresholds.
+    A correlation of more than MAX_HYPOTHESES dimensions, or max_points
+    above 2^30 (the Sobol' points' range), raises InputError.
     """
     cm = as_correlation(corr)
+    _check_dim(cm.dim)
     u = np.asarray(thresholds, dtype=float)
     if u.shape != (cm.dim,):
         raise InputError("threshold vector must match the correlation dimension")
@@ -593,6 +663,7 @@ class UnionRule:
         max_points: int = DEFAULT_MAX_POINTS,
     ) -> None:
         self._corr = as_correlation(corr).values
+        _check_dim(self._corr.shape[0])
         u = np.asarray(thresholds, dtype=float)
         if u.shape != (self._corr.shape[0],):
             raise InputError("threshold vector must match the correlation dimension")
@@ -620,6 +691,10 @@ class UnionRule:
         if self._qmc is None:
             return _exact_union(u, self._corr, math.inf)
         return _complement(self._qmc(-ndtri(u), seed))
+
+    def can_refine(self, max_points: int) -> bool:
+        """Whether ``refine(max_points)`` would add points: QMC below max_points."""
+        return self._qmc is not None and self._qmc.n < max_points
 
     def refine(self, max_points: int | None = None) -> bool:
         """Quadruple the QMC point count on the same shifts, integrating only

@@ -326,8 +326,8 @@ class TestParametricC:
         # at the 2^16 cap, in points: the bracket and the Illinois steps run
         # on 2^11-point rules (1/32 pass each), the full rules are fitted
         # at the coarse root (one pass in all), then one or two secant steps
-        # and the independent check; the bracketed solve on the full rules
-        # costs about six passes
+        # and, while some rule is below the cap, the independent check; the
+        # bracketed solve on the full rules costs about six passes
         import closedmtp.mvnorm as mvnorm
         from closedmtp.mvnorm import union_exceedance
 
@@ -335,7 +335,7 @@ class TestParametricC:
         kernel = mvnorm._qmc_means
 
         def counted(L, b, base, *rest):
-            points.append(base.shape[0])
+            points.append(base.shape[1])
             return kernel(L, b, base, *rest)
 
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
@@ -419,7 +419,7 @@ class TestParametricC:
         kernel = mvnorm._qmc_means
 
         def counted(L, b, base, *rest):
-            points.append(base.shape[0])
+            points.append(base.shape[1])
             return kernel(L, b, base, *rest)
 
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
@@ -433,6 +433,46 @@ class TestParametricC:
             runs.append((c, list(points)))
         assert runs[0] == runs[1]
         assert max(runs[0][1]) == (1 << 15 if check_misses else 1 << 11)
+
+    @pytest.mark.parametrize(
+        "blocks, target, calls",
+        [
+            # every rule ends at the cap: the check could only refine, so none
+            ((4,), 1e-9, 0),
+            ((6,), 1e-9, 0),
+            # the first pass meets the target well below the cap: one check
+            ((4,), 1e-3, 1),
+            # one block at the cap, and one (independent: a constant
+            # integrand) that meets any target on its first pass: one
+            # check, which re-estimates both
+            ((4, 4), 1e-9, 2),
+        ],
+    )
+    def test_closing_check_only_while_a_rule_can_refine(self, monkeypatch, blocks, target, calls):
+        import closedmtp.intersection as intersection
+        from closedmtp.mvnorm import UnionRule
+
+        seeded = []
+
+        class Counted(UnionRule):
+            def __call__(self, thresholds, seed=None):
+                if seed is not None:
+                    seeded.append(seed)
+                return super().__call__(thresholds, seed)
+
+        monkeypatch.setattr(intersection, "UnionRule", Counted)
+        cap = 1 << 13
+        mats = [random_correlation(np.random.default_rng(5), blocks[0])]
+        mats += [CorrelationMatrix(np.eye(d)) for d in blocks[1:]]
+        starts = np.cumsum((0,) + blocks)
+        model = CorrelationModel(
+            int(starts[-1]), tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:])), tuple(mats)
+        )
+        m = model.m
+        c = partitioned_common_scale(range(m), np.full(m, 1.0 / m), 0.05, model, 2, target, max_points=cap)
+        assert c > 1.0
+        # each seeded call is one re-estimate pass of one block's rule
+        assert len(seeded) == calls
 
 
 class TestXie:

@@ -456,7 +456,7 @@ class TestUnionRule:
         kernel = mvnorm._qmc_means
 
         def counted(L, b, base, *rest):
-            points.append(base.shape[0])
+            points.append(base.shape[1])
             return kernel(L, b, base, *rest)
 
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
@@ -548,10 +548,87 @@ def check_blocked_pass(rng, dim, upper):
     for n in (2, 1 << 11, 1 << 16):
         base = mvnorm._sobol_base(dim - 1, n)
         cuts = [0, n] if n == 2 else [0, n // 4, n]
-        pts = ((base[None, :, :] ^ shifts[:, None, :]).astype(float) + 0.5) / float(1 << 32)
+        # base holds one row per coordinate; the reference takes (S, n, k-1)
+        pts = ((base.T[None, :, :] ^ shifts[:, None, :]).astype(float) + 0.5) / float(1 << 32)
         got = mvnorm._qmc_means(L, upper, base, shifts, cuts)
         want = unblocked_means(L, upper, pts, cuts)
         assert got.tobytes() == want.tobytes(), (dim, n)
+
+
+def scipy_sobol_ints(dim, n):
+    from scipy.stats import qmc
+
+    pts = qmc.Sobol(d=dim, scramble=False).random_base2(int(n - 1).bit_length())
+    return np.floor(pts * float(1 << 32)).astype(np.uint64)
+
+
+class TestSobolPoints:
+    @pytest.mark.parametrize("dim", range(1, 20))
+    def test_points_are_scipys(self, monkeypatch, dim):
+        # the integers floor(2^32 x) of scipy's unscrambled Sobol' points,
+        # one contiguous uint32 row per dimension; each n from an empty
+        # cache, and again as a prefix of the largest
+        import closedmtp.mvnorm as mvnorm
+
+        for n in (2, 1 << 11, 1 << 16):
+            monkeypatch.setattr(mvnorm, "_sobol_ints", np.zeros((0, 0), dtype=np.uint32))
+            got = mvnorm._sobol_base(dim, n)
+            assert got.dtype == np.uint32 and got.shape == (dim, n)
+            assert all(row.flags.c_contiguous for row in got)
+            assert np.array_equal(got.T, scipy_sobol_ints(dim, n)), n
+        for n in (2, 1 << 11):
+            assert np.array_equal(mvnorm._sobol_base(dim, n).T, scipy_sobol_ints(dim, n)), n
+
+    @pytest.mark.parametrize("dim", [1, 5, 19])
+    def test_long_prefix(self, monkeypatch, dim):
+        import closedmtp.mvnorm as mvnorm
+
+        monkeypatch.setattr(mvnorm, "_sobol_ints", np.zeros((0, 0), dtype=np.uint32))
+        assert np.array_equal(mvnorm._sobol_base(dim, 1 << 18).T, scipy_sobol_ints(dim, 1 << 18))
+
+    def test_cache_grows_in_both_directions(self, monkeypatch):
+        import closedmtp.mvnorm as mvnorm
+
+        monkeypatch.setattr(mvnorm, "_sobol_ints", np.zeros((0, 0), dtype=np.uint32))
+        small = mvnorm._sobol_base(3, 1 << 12)
+        assert mvnorm._sobol_ints.shape == (3, 1 << 12)
+        assert np.array_equal(mvnorm._sobol_base(2, 1 << 14)[:, : 1 << 12], small[:2])
+        assert mvnorm._sobol_ints.shape == (3, 1 << 14)
+        assert np.array_equal(mvnorm._sobol_base(6, 1 << 10)[:3], small[:, : 1 << 10])
+        assert mvnorm._sobol_ints.shape == (6, 1 << 14)
+        assert not mvnorm._sobol_ints.flags.writeable
+
+
+class TestGeneratorBounds:
+    # both are refused before any rule, point or scipy.stats is touched
+    @pytest.mark.parametrize("points", [(1 << 30) + 1, 1 << 31, 10**30])
+    def test_max_points_above_the_sobol_range(self, points):
+        u = np.full(4, 0.01)
+        with pytest.raises(InputError, match="2\\^30"):
+            union_exceedance(u, equicorr(4, 0.5), max_points=points)
+        with pytest.raises(InputError, match="2\\^30"):
+            UnionRule(u, equicorr(4, 0.5), max_points=points)
+
+    def test_max_points_at_the_sobol_range(self):
+        # a loose target stops at the first 2^11-point pass
+        est = union_exceedance(np.full(4, 0.01), equicorr(4, 0.5), target_error=1.0, max_points=1 << 30)
+        assert 0.0 < est.value < 0.04
+
+    def test_dimension_above_max_hypotheses(self):
+        from closedmtp.subsets import MAX_HYPOTHESES
+
+        corr = np.eye(MAX_HYPOTHESES + 1)
+        with pytest.raises(InputError, match="at most 20"):
+            union_exceedance(np.full(MAX_HYPOTHESES + 1, 0.001), corr)
+        with pytest.raises(InputError, match="at most 20"):
+            UnionRule(np.full(MAX_HYPOTHESES + 1, 0.001), corr)
+
+    def test_dimension_at_max_hypotheses(self):
+        # independent events: the integrand is constant, so the QMC value is
+        # the product form to rounding
+        u = np.full(20, 0.001)
+        est = union_exceedance(u, np.eye(20), target_error=1e-3)
+        assert est.value == pytest.approx(1.0 - 0.999**20, abs=1e-12)
 
 
 class TestKernelPass:

@@ -20,11 +20,9 @@ def test_star_import():
     assert set(closedmtp.__all__) <= set(namespace)
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs most of a second to import; only QMC rules need it
+def run_fresh(code: str) -> str:
     src = str(Path(closedmtp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, closedmtp, closedmtp.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -33,4 +31,22 @@ def test_import_leaves_scipy_stats_out():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of a second and 45 MB to import, and nothing
+    # in the package needs it
+    code = "import sys, closedmtp, closedmtp.cli; print('scipy.stats' in sys.modules)"
+    assert run_fresh(code) == "False"
+
+
+def test_qmc_union_leaves_scipy_stats_out():
+    # a k=6 union is a QMC rule on Sobol' points the package generates
+    code = (
+        "import sys, numpy as np, closedmtp\n"
+        "corr = np.full((6, 6), 0.3); np.fill_diagonal(corr, 1.0)\n"
+        "est = closedmtp.union_exceedance(np.full(6, 0.004), corr, target_error=1e-5)\n"
+        "print(est.error > 1e-13, 'scipy.stats' in sys.modules)"
+    )
+    assert run_fresh(code) == "True False"

@@ -1,8 +1,8 @@
 """CPU, memory and pass counts of the QMC kernel (L0), of one root solve
-(L1), of the tutorial closure with scales and, on request, of an m=8
-``xie`` closure with and without scales.
+(L1), of the tutorial closure with scales, of a cold start and, on
+request, of an m=8 ``xie`` closure with and without scales.
 
-    PYTHONPATH=src python3 tools/bench_kernel.py            # L0, L1, tutorial
+    PYTHONPATH=src python3 tools/bench_kernel.py            # L0, L1, tutorial, cold start
     PYTHONPATH=src python3 tools/bench_kernel.py --closure  # also the m=8 closure
 
 Run from the repository root; point PYTHONPATH at another checkout's
@@ -25,6 +25,11 @@ from a fixed seed, so both sides integrate the same problems.
   median CPU of fifteen runs after a warm-up, the ``solve_monotone``
   calls of one run (counted through ``intersection``'s binding) and sha1
   prefixes of the local levels and adjusted p-values.
+- cold start: a fresh Python process that imports numpy, then
+  ``closedmtp``, and makes a first k=6 ``union_exceedance`` (a QMC rule,
+  so the Sobol' points are generated): wall time of the import and of the
+  union, the median over five processes, the largest peak RSS
+  (``ru_maxrss``) of the five, and whether ``scipy.stats`` was imported.
 - closure: one ``run_closure`` of an m=8 ``xie`` problem at target 1e-5
   with scales, and of the same problem at target 1e-6 without them (the
   p-values only): CPU, kernel passes, points, refits, the decisions, and
@@ -50,6 +55,7 @@ import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -212,6 +218,45 @@ def tutorial_closure() -> dict:
     }
 
 
+COLD_START = """
+import json, resource, sys, time
+import numpy as np
+start = time.perf_counter()
+import closedmtp
+imported = time.perf_counter()
+a = np.random.default_rng(46).standard_normal((6, 8))
+s = a @ a.T
+d = np.sqrt(np.diag(s))
+closedmtp.union_exceedance(np.full(6, 0.025 / 6), s / np.outer(d, d), seed=3)
+done = time.perf_counter()
+print(json.dumps({
+    "import_s": imported - start,
+    "first_union_s": done - imported,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "scipy_stats": "scipy.stats" in sys.modules,
+}))
+"""
+
+
+def cold_start(runs: int = 5) -> dict:
+    rows = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", COLD_START],
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+        )
+        for _ in range(runs)
+    ]
+    return {
+        "k": 6,
+        "import_s": round(statistics.median(r["import_s"] for r in rows), 3),
+        "first_union_s": round(statistics.median(r["first_union_s"] for r in rows), 3),
+        "peak_rss_mb": round(max(r["peak_rss_mb"] for r in rows), 1),
+        "scipy_stats_imported": any(r["scipy_stats"] for r in rows),
+    }
+
+
 def closure(target: float, compute_scales: bool) -> dict:
     rng = np.random.default_rng(8)
     m = 8
@@ -265,6 +310,8 @@ if __name__ == "__main__":
         print(json.dumps(results["L1_exact"][-1]), flush=True)
     results["tutorial_closure"] = tutorial_closure()
     print(json.dumps(results["tutorial_closure"]), flush=True)
+    results["cold_start"] = cold_start()
+    print(json.dumps(results["cold_start"]), flush=True)
     if "--closure" in sys.argv[1:]:
         results["closure"] = closure(1e-5, compute_scales=True)
         print(json.dumps(results["closure"]), flush=True)
