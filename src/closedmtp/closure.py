@@ -300,14 +300,18 @@ def run_closure(
         for mask in todo.tolist():
             ests[mask - 1] = fit(mask, max_points)[0]
         final[todo - 1] = True
+    # the member table in row order: each intersection's members, and
+    # their levels, are one slice of it
+    cols, ends = np.nonzero(inside)[1].tolist(), np.cumsum(inside.sum(axis=1)).tolist()
     if compute_scales:
         table, scale_table = _level_table(problem.scheme, model, alpha, method, solve)
+        member_levels = table[inside]
     results: list[IntersectionResult] = []
-    for mask, est in zip(iter_masks(m), ests):
-        mem = members(mask)
+    for mask, est, start, end in zip(iter_masks(m), ests, [0] + ends, ends):
+        mem = tuple(cols[start:end])
         scale = scales = levels = None
         if compute_scales:
-            levels, row = table[mask - 1, list(mem)], scale_table[mask - 1]
+            levels, row = member_levels[start:end], scale_table[mask - 1]
             if method.scales == "block":
                 split = (tuple(j for j in block if mask >> j & 1) for block in model.blocks)
                 scales = tuple((inner, float(row[inner[0]])) for inner in split if inner)

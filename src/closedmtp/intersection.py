@@ -177,10 +177,11 @@ class IntersectionResult:
 
     ``p_error`` is the reported absolute error of ``p_value``: 0 for
     Bonferroni, about 1e-13 where no block has more than three active
-    members, the QMC bound otherwise. The closure fits ``p_value`` to its
-    target error only where that can change an adjusted p-value or a
-    decision; elsewhere it is the first-pass estimate, and ``p_error`` may
-    exceed the target.
+    members, the quadrature's error (at least 1e-13, within the target)
+    where none has more than six, the QMC bound otherwise. The closure
+    fits ``p_value`` to its target error only where that can change an
+    adjusted p-value or a decision; elsewhere it is the first-pass
+    estimate, and ``p_error`` may exceed the target.
     ``scale`` is the single critical scaling where the method has one
     (1.0 for Bonferroni); ``block_scales`` carries per-block scalings
     for the per-subset method. ``local_levels`` and the scalings are None

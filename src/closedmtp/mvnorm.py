@@ -6,14 +6,19 @@ minus the orthant probability P(Z_j <= -Phi^-1(u_j) for all j). It is
 exact in dimension 1, computed by inclusion-exclusion from Owen's T
 function in dimension 2, and in dimension 3 with a triple term from a
 fixed Gauss-Legendre integral over one conditioning variable of a
-vectorised Owen's T bivariate (after Genz 2004). Dimension 4 and above
-estimates the orthant by separation-of-variables quasi-Monte Carlo in
-the style of Genz (1992): Cholesky factorization with greedy variable
-reordering, digitally shifted Sobol' points, and an error estimate from
-independent randomizations. The Sobol' points are generated here from
-the Joe & Kuo (2008) direction numbers, the set scipy.stats.qmc.Sobol
-uses, so no module imports scipy.stats. Every result carries an
-absolute-error bound; estimates are bit-reproducible for a fixed seed.
+vectorised Owen's T bivariate (after Genz 2004). Dimensions 4 to 6 are
+exact too, up to a quadrature error, by Plackett's (1954) reduction of
+the orthant to bivariate densities times orthants of two dimensions
+fewer, integrated by Gauss-Legendre along the path from independence.
+Dimension 7 and above, and a near-singular correlation whose quadrature
+misses its target, estimate the orthant by separation-of-variables
+quasi-Monte Carlo in the style of Genz (1992): Cholesky factorization
+with greedy variable reordering, digitally shifted Sobol' points, and an
+error estimate from independent randomizations. The Sobol' points are
+generated here from the Joe & Kuo (2008) direction numbers, the set
+scipy.stats.qmc.Sobol uses, so no module imports scipy.stats. Every
+result carries an absolute-error bound; estimates are bit-reproducible
+for a fixed seed.
 
 ``UnionRule`` keeps one integration rule fixed while a root solve moves
 the thresholds, so the union probability becomes a deterministic,
@@ -38,7 +43,7 @@ DEFAULT_ROOT_TOL = 1e-6
 # per-randomization Sobol' cap; one estimate uses at most _SHIFTS times this
 DEFAULT_MAX_POINTS = 1 << 16
 # highest dimension computed exactly rather than by QMC
-MAX_EXACT_DIM = 3
+MAX_EXACT_DIM = 6
 
 _SHIFTS = 10
 _START_POINTS = 1 << 11
@@ -59,6 +64,14 @@ _GL_COARSE = np.polynomial.legendre.leggauss(32)
 _TAIL = 8.5
 # ratio between successive cut distances from a bend of the integrand
 _GRADING = 8.0
+# Plackett's reduction: Gauss-Legendre nodes and weights on [0, 1] per node
+# count, 8, 16 and 32 (the trivariate's coarse rule); a fit tries the counts
+# after the first in turn, each value's error the gap to the value at the
+# count before it
+_PLACKETT_RULES = {
+    len(x): (0.5 * (x + 1.0), 0.5 * w)
+    for x, w in (np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(16), _GL_COARSE)
+}
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,9 @@ class ProbEstimate:
     """Probability estimate with an absolute-error bound.
 
     ``error`` is 0 for closed-form paths, a rounding or quadrature margin
-    (1e-13 or more) for the Owen's T and trivariate paths, and roughly a
-    3-sigma bound for quasi-Monte Carlo paths.
+    (1e-13 or more) for the exact paths up to six dimensions (Owen's T,
+    the trivariate and Plackett's reduction), and roughly a 3-sigma bound
+    for quasi-Monte Carlo paths.
     """
 
     value: float
@@ -292,6 +306,106 @@ def _tvn_cdf(h: np.ndarray, corr: np.ndarray) -> tuple[float, float]:
 
     fine = integral(_GL_FINE)
     return min(1.0, max(0.0, fine)), abs(fine - integral(_GL_COARSE))
+
+
+def _bvn_cdf_each(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """_bvn_cdf over arrays of finite bounds, each pair with its own
+    correlation in (-1, 1)."""
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = (
+            0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * s))
+            - owens_t(k, (h - rho * k) / (k * s)) - np.where(h * k < 0.0, 0.5, 0.0)
+        )
+        hz, kz = h == 0.0, k == 0.0
+        if hz.any() or kz.any():
+            # the zero-bound forms of _bvn_cdf
+            p = np.where(hz, 0.5 * ndtr(k) - owens_t(k, -rho / s), p)
+            p = np.where(kz, 0.5 * ndtr(h) - owens_t(h, -rho / s), p)
+            p = np.where(hz & kz, 0.25 + np.arcsin(rho) / (2.0 * math.pi), p)
+    return p
+
+
+def _orthant(b: np.ndarray, corr: np.ndarray, nodes: int) -> np.ndarray:
+    """P(Z <= b[:, n]) for Z ~ N(0, corr[:, :, n]), per column n of the
+    bounds b (k, N) and correlations corr (k, k, N), by Plackett's
+    reduction (Plackett 1954, Biometrika 41:351).
+
+    Along R(t) = (1 - t) I + t R the orthant starts at the product of the
+    Phi(b_i) and moves at rate sum over i < j of rho_ij phi_2(b_i, b_j;
+    t rho_ij) Phi_(k-2)(b', C), where b' and C are the standardized bounds
+    and correlation of the other k - 2 variables given Z_i = b_i and
+    Z_j = b_j under R(t). Gauss-Legendre with ``nodes`` nodes on [0, 1]
+    integrates the rate; every Phi_(k-2) over all problems, pairs and
+    nodes is one call of this function, down to Phi_1 (ndtr) or the
+    Owen's-T bivariate. The problems stay on the last axis of every
+    array, so each step is one numpy call over all of them. For t < 1,
+    R(t) is positive definite, so a singular R shows only as a slowly
+    converging integral.
+    """
+    k = b.shape[0]
+    if k == 1:
+        return ndtr(b[0])
+    if k == 2:
+        return _bvn_cdf_each(b[0], b[1], corr[0, 1])
+    x, w = _PLACKETT_RULES[nodes]
+    i, j = np.triu_indices(k, 1)
+    # (k-2, pairs): the other variables of each pair
+    rest = np.array([[o for o in range(k) if o != a and o != c] for a, c in zip(i, j)]).T
+    # (nodes, pairs, N)
+    t = x[:, None, None]
+    rho = corr[i, j]
+    r = t * rho
+    s2 = (1.0 - r) * (1.0 + r)
+    bi, bj = b[i], b[j]
+    density = np.exp(-0.5 * (bi * bi - 2.0 * r * bi * bj + bj * bj) / s2) / (2.0 * math.pi * np.sqrt(s2))
+    # the others' correlations with Z_i and Z_j, and their regression on
+    # (Z_i, Z_j) under R(t): (k-2, nodes, pairs, N)
+    ri, rj = corr[rest, i][:, None], corr[rest, j][:, None]
+    q = t / s2
+    gi, gj = q * (ri - r * rj), q * (rj - r * ri)
+    sd = np.sqrt(1.0 - t * (gi * ri + gj * rj))
+    bounds = (b[rest][:, None] - gi * bi - gj * bj) / sd
+    if k == 3:
+        given = ndtr(bounds[0])
+    else:
+        m = k - 2
+        a, c = np.triu_indices(m, 1)
+        cond = np.ones((m, m) + bounds.shape[1:])
+        cov = t * (corr[rest[a], rest[c]][:, None] - gi[a] * ri[c] - gj[a] * rj[c])
+        cond[a, c] = cond[c, a] = cov / (sd[a] * sd[c])
+        given = _orthant(bounds.reshape(m, -1), cond.reshape(m, m, -1), nodes).reshape(density.shape)
+    return np.prod(ndtr(b), axis=0) + (rho * np.tensordot(w, density * given, axes=1)).sum(axis=0)
+
+
+def _plackett_union(u: np.ndarray, corr: np.ndarray, nodes: int) -> float:
+    """The union at thresholds in [0, 1) from ``_orthant`` at ``nodes``
+    nodes; zero thresholds are dropped (zero-probability events)."""
+    keep = np.flatnonzero(u > 0.0)
+    if keep.size == 0:
+        return 0.0
+    return 1.0 - float(_orthant(-ndtri(u[keep])[:, None], corr[np.ix_(keep, keep)][:, :, None], nodes)[0])
+
+
+def _plackett_estimate(fine: float, coarse: float) -> ProbEstimate:
+    """The union at some node count, its error the gap to the value at half
+    as many, at least _EXACT_ERROR."""
+    return ProbEstimate(min(1.0, max(0.0, fine)), max(abs(fine - coarse), _EXACT_ERROR))
+
+
+def _plackett_fit(u: np.ndarray, corr: np.ndarray, target_error: float) -> tuple[ProbEstimate, int] | None:
+    """(estimate, node count) of Plackett's reduction at the first node
+    count of _PLACKETT_RULES past the coarsest whose value lies within
+    max(target_error, _EXACT_ERROR) of the value at the count before it
+    (half as many); None when none does, or a value is not finite."""
+    counts = list(_PLACKETT_RULES)
+    coarse = _plackett_union(u, corr, counts[0])
+    for nodes in counts[1:]:
+        fine = _plackett_union(u, corr, nodes)
+        if abs(fine - coarse) <= max(target_error, _EXACT_ERROR):
+            return _plackett_estimate(fine, coarse), nodes
+        coarse = fine
+    return None
 
 
 # Joe & Kuo (2008, SIAM J. Sci. Comput. 30:2635): (primitive polynomial,
@@ -562,6 +676,16 @@ def _check_dim(dim: int) -> None:
         raise InputError(f"correlation dimension must be at most {MAX_HYPOTHESES}, got {dim}")
 
 
+def _check_thresholds(thresholds, dim: int) -> np.ndarray:
+    u = np.asarray(thresholds, dtype=float)
+    if u.shape != (dim,):
+        raise InputError("threshold vector must match the correlation dimension")
+    # NaN fails both comparisons
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise InputError("thresholds must lie in [0, 1]")
+    return u
+
+
 def _check_root_tol(root_tol: float) -> float:
     if not 0.0 < root_tol < math.inf:
         raise InputError(f"root_tol must be positive and finite, got {root_tol}")
@@ -573,13 +697,14 @@ def _exact_union(u: np.ndarray, corr: np.ndarray, target_error: float) -> ProbEs
 
     The pair terms come from Owen's T, the triple term from the
     trivariate quadrature, whose own error is reported when it exceeds
-    the Owen's-T margin. None above three dimensions, or when that error
-    misses ``target_error`` as well as the margin.
+    the Owen's-T margin. None above three dimensions (Plackett's
+    reduction, ``_plackett_fit``, takes those up to MAX_EXACT_DIM), or
+    when that error misses ``target_error`` as well as the margin.
     """
     k = u.size
     if k == 1:
         return ProbEstimate(float(u[0]), 0.0)
-    if k > MAX_EXACT_DIM:
+    if k > 3:
         return None
     a = ndtri(u)
     both = 0.0
@@ -610,22 +735,19 @@ def union_exceedance(
     the union is 1 minus the orthant probability P(Z_j <= -Phi^-1(u_j)
     for all j). Zero thresholds are dropped (zero-probability events); a
     threshold of 1 makes the union certain and returns exactly 1. Up to
-    three remaining thresholds the union is exact by inclusion-exclusion
-    (to ~1e-13; in dimension 3 a quadrature whose error estimate misses
-    ``target_error`` hands over to QMC); above that it is a QMC estimate
-    of the orthant, with the reported error targeted at ``target_error``
-    but honest when the sample cap bites first. Either way it is the
+    three remaining thresholds the union is exact by inclusion-exclusion,
+    and up to six by Plackett's reduction (to ~1e-13, or the quadrature's
+    error; a quadrature whose error estimate misses ``target_error``
+    hands over to QMC); above that it is a QMC estimate of the orthant,
+    with the reported error targeted at ``target_error`` but honest when
+    the sample cap bites first. Either way it is the
     ``estimate`` of a ``UnionRule`` fitted at the remaining thresholds.
     A correlation of more than MAX_HYPOTHESES dimensions, or max_points
     above 2^30 (the Sobol' points' range), raises InputError.
     """
     cm = as_correlation(corr)
     _check_dim(cm.dim)
-    u = np.asarray(thresholds, dtype=float)
-    if u.shape != (cm.dim,):
-        raise InputError("threshold vector must match the correlation dimension")
-    if np.any(np.isnan(u)) or np.any(u < 0.0) or np.any(u > 1.0):
-        raise InputError("thresholds must lie in [0, 1]")
+    u = _check_thresholds(thresholds, cm.dim)
     max_points = _check_accuracy_args(target_error, max_points)
     if np.any(u == 1.0):
         return ProbEstimate(1.0, 0.0)
@@ -645,13 +767,15 @@ class UnionRule:
     thresholds: the package's one entry to the kernel.
 
     The rule is built at reference thresholds, all in (0, 1). Up to
-    three dimensions the exact inclusion-exclusion needs no rule. Above
-    that (or when the trivariate quadrature misses ``target_error`` at
-    the reference) a QMC rule for the complementary orthant is fitted at
-    the reference thresholds and kept, so the estimate is a
-    deterministic, continuous function of the thresholds: what a root
-    solve needs (Genz & Bretz 2009, section 5). ``estimate`` holds the
-    value at the reference thresholds.
+    three dimensions the exact inclusion-exclusion needs no rule; up to
+    MAX_EXACT_DIM the rule is the node count of Plackett's reduction that
+    meets ``target_error`` at the reference. Above that (or when the
+    quadrature misses ``target_error`` at the reference) a QMC rule for
+    the complementary orthant is fitted at the reference thresholds and
+    kept. Either way the estimate is a deterministic, continuous function
+    of the thresholds: what a root solve needs (Genz & Bretz 2009,
+    section 5). ``estimate`` holds the value at the reference thresholds.
+    A call checks its thresholds as ``union_exceedance`` does.
     """
 
     def __init__(
@@ -664,14 +788,16 @@ class UnionRule:
     ) -> None:
         self._corr = as_correlation(corr).values
         _check_dim(self._corr.shape[0])
-        u = np.asarray(thresholds, dtype=float)
-        if u.shape != (self._corr.shape[0],):
-            raise InputError("threshold vector must match the correlation dimension")
+        u = _check_thresholds(thresholds, self._corr.shape[0])
         if not np.all((u > 0.0) & (u < 1.0)):
             raise InputError("rule thresholds must lie strictly in (0, 1)")
         max_points = _check_accuracy_args(target_error, max_points)
         self._qmc: _QmcRule | None = None
+        # the node count of Plackett's reduction, above three dimensions
+        self._nodes: int | None = None
         est = _exact_union(u, self._corr, target_error)
+        if est is None and u.size <= MAX_EXACT_DIM:
+            est, self._nodes = _plackett_fit(u, self._corr, target_error) or (None, None)
         if est is None:
             self._qmc = _QmcRule(self._corr, -ndtri(u), seed, target_error, max_points)
             est = _complement(self._qmc.estimate)
@@ -679,15 +805,20 @@ class UnionRule:
 
     @property
     def sampled(self) -> bool:
-        """True when the rule is QMC rather than exact."""
+        """True when the rule is QMC rather than exact or quadrature."""
         return self._qmc is not None
 
     def __call__(self, thresholds, seed: int | None = None) -> ProbEstimate:
         """The union at ``thresholds``; with ``seed``, an independent
-        re-estimate on fresh shifts at the rule's point count instead."""
-        u = np.asarray(thresholds, dtype=float)
-        if np.any(u >= 1.0):
+        re-estimate on fresh shifts at the rule's point count instead (a
+        rule that does not sample has no shifts and ignores it)."""
+        u = _check_thresholds(thresholds, self._corr.shape[0])
+        if np.any(u == 1.0):
             return ProbEstimate(1.0, 0.0)
+        if self._nodes is not None:
+            return _plackett_estimate(
+                _plackett_union(u, self._corr, self._nodes), _plackett_union(u, self._corr, self._nodes // 2)
+            )
         if self._qmc is None:
             return _exact_union(u, self._corr, math.inf)
         return _complement(self._qmc(-ndtri(u), seed))

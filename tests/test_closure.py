@@ -1,7 +1,6 @@
 """Tests for the closed procedure, consonance check and the two shortcuts."""
 
 import dataclasses
-import json
 import re
 import signal
 from contextlib import contextmanager
@@ -37,6 +36,7 @@ from closedmtp.mvnorm import (
     DEFAULT_MAX_POINTS,
     DEFAULT_ROOT_TOL,
     DEFAULT_TARGET_ERROR,
+    MAX_EXACT_DIM,
     CorrelationMatrix,
     UnionRule,
     union_exceedance,
@@ -1223,7 +1223,6 @@ PUBLIC_PVALUE = {
     "parametric-common": partitioned_pvalue_common,
     "parametric-subsets": partitioned_pvalue_subsets,
 }
-FULL_CORR = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "full-corr.json"
 TUTORIAL_PROBLEM = Path(__file__).resolve().parents[1] / "tutorial" / "trial_problem.json"
 
 
@@ -1251,22 +1250,12 @@ def adjusted_of(values, m):
     return adjusted
 
 
-def full_corr_problem():
-    inst = json.loads(FULL_CORR.read_text())
-    return TestProblem(
-        scheme=xie_scheme(inst["weights"]),
-        model=CorrelationModel.full(CorrelationMatrix(np.array(inst["corr"]))),
-        pvalues=inst["pvalues"],
-        alpha=inst["alpha"],
-        method="xie",
-    )
-
-
 def refine_contract_problems():
-    """Random full-correlation xie problems at m = 5 and 6, and block models
-    with a 4-member block under both partitioned methods."""
+    """Two random full-correlation xie problems at m = 8, and block models
+    with a 7-member block under both partitioned methods: every p-value
+    with more than MAX_EXACT_DIM active members is sampled."""
     rng = np.random.default_rng(2024)
-    for m in (5, 6):
+    for m in (8, 8):
         yield TestProblem(
             scheme=xie_scheme(rng.dirichlet(np.ones(m) * 2.0)),
             model=CorrelationModel.full(random_correlation(rng, m)),
@@ -1276,11 +1265,11 @@ def refine_contract_problems():
         )
     for method in ("parametric-common", "parametric-subsets"):
         yield TestProblem(
-            scheme=random_scheme(rng, 6),
+            scheme=random_scheme(rng, 9),
             model=CorrelationModel(
-                6, ((0, 1, 2, 3), (4,), (5,)), (random_correlation(rng, 4), None, None)
+                9, (tuple(range(7)), (7,), (8,)), (random_correlation(rng, 7), None, None)
             ),
-            pvalues=rng.uniform(0.0, 0.03, size=6),
+            pvalues=rng.uniform(0.0, 0.03, size=9),
             alpha=0.025,
             method=method,
             seed=3,
@@ -1345,7 +1334,7 @@ class TestRefineSaving:
     def test_only_named_intersections_pass_the_first_pass(self, monkeypatch):
         import closedmtp.mvnorm as mvnorm
 
-        prob = full_corr_problem()
+        prob = next(refine_contract_problems())
         m, alpha, coarse = prob.m, prob.alpha, 1 << 11
         estimate = closure_module._METHODS["xie"].pvalue
 
@@ -1371,7 +1360,7 @@ class TestRefineSaving:
                 break
             named |= todo
             fits.update({mask: (fit(mask, 1 << 16)[0], True) for mask in todo})
-        sampled = {mask for mask in iter_masks(m) if len(members(mask)) > 3}
+        sampled = {mask for mask in iter_masks(m) if len(members(mask)) > MAX_EXACT_DIM}
         assert named and named < sampled
 
         current, deep = [], set()

@@ -214,10 +214,13 @@ class TestParametricPvalue:
 class TestOneBlockCase:
     def test_fully_known_tests_are_the_partitioned_tests(self):
         # one block: the fully known tests and the partitioned ones are
-        # the same floats, in the exact path (k=4, three active) and in
-        # the sampled one (k=5, four active)
+        # the same floats, in the exact path (k=4, three active), in
+        # Plackett's reduction (k=5, four active) and in the sampled one
+        # (k=8, seven active)
         rng = np.random.default_rng(31)
-        for w in ((0.3, 0.0, 0.25, 0.25), (0.2, 0.25, 0.0, 0.2, 0.25)):
+        for w in (
+            (0.3, 0.0, 0.25, 0.25), (0.2, 0.25, 0.0, 0.2, 0.25), (0.1, 0.15, 0.0, 0.1, 0.15, 0.1, 0.2, 0.2)
+        ):
             corr = random_correlation(rng, len(w))
             sub = tuple(range(len(w)))
             p = rng.uniform(0.0, 0.05, size=len(w))
@@ -314,13 +317,37 @@ class TestParametricC:
         rng = np.random.default_rng(12)
         per_solve = []
         for k in range(8):
-            corr = random_correlation(rng, 4)
-            w = rng.dirichlet(np.ones(4))
+            corr = random_correlation(rng, 7)
+            w = rng.dirichlet(np.ones(7))
             before = len(calls)
-            c = parametric_c(range(4), w, 0.05, corr, seed=k, target_error=1e-5)
+            c = parametric_c(range(7), w, 0.05, corr, seed=k, target_error=1e-5)
             per_solve.append(len(calls) - before)
             assert c > 1.0
         assert np.mean(per_solve) <= 12.0, per_solve
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_quadrature_blocks_solve_on_one_rule(self, monkeypatch, dim):
+        # up to six members a block's rule is Plackett's reduction: fitted
+        # once at c = 1, with no QMC pass, coarse stage or closing check,
+        # and the union at the root is the target within the tolerance
+        import closedmtp.mvnorm as mvnorm
+        from closedmtp.mvnorm import union_exceedance
+
+        passes, rules = [], []
+        kernel, init = mvnorm._qmc_means, mvnorm.UnionRule.__init__
+        monkeypatch.setattr(mvnorm, "_qmc_means", lambda *args: passes.append(1) or kernel(*args))
+        monkeypatch.setattr(
+            mvnorm.UnionRule, "__init__", lambda rule, *args: rules.append(1) or init(rule, *args)
+        )
+        rng = np.random.default_rng(80 + dim)
+        corr = random_correlation(rng, dim)
+        w = rng.dirichlet(np.ones(dim) * 2.0)
+        c = parametric_c(range(dim), w, 0.025, corr, seed=3)
+        assert c > 1.0
+        assert passes == [] and len(rules) == 1
+        est = union_exceedance(np.minimum(1.0, c * 0.025 * w), corr)
+        assert est.error <= 1e-6
+        assert abs(est.value - 0.025 * w.sum()) <= est.error + 0.025 * w.sum() * 1e-6
 
     def test_capped_root_solve_polishes_a_coarse_root(self, monkeypatch):
         # at the 2^16 cap, in points: the bracket and the Illinois steps run
@@ -341,7 +368,7 @@ class TestParametricC:
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
         rng = np.random.default_rng(21)
         passes = []
-        for k, dim in enumerate((4, 4, 5, 5, 6, 6)):
+        for k, dim in enumerate((7, 7, 7, 8, 8, 8)):
             corr = random_correlation(rng, dim)
             w = rng.dirichlet(np.ones(dim) * 2.0)
             before = len(points)
@@ -369,8 +396,8 @@ class TestParametricC:
         monkeypatch.setattr(
             intersection, "solve_monotone", lambda *args: solves.append(1) or solve(*args)
         )
-        corr = random_correlation(np.random.default_rng(4), 5)
-        c = parametric_c(range(5), np.full(5, 0.2), 0.05, corr, 1, 1e-5, max_points=max_points)
+        corr = random_correlation(np.random.default_rng(4), 7)
+        c = parametric_c(range(7), np.full(7, 1.0 / 7), 0.05, corr, 1, 1e-5, max_points=max_points)
         assert c > 1.0
         assert len(points) == fits and points[-1] == max_points
         assert len(solves) == 1
@@ -383,9 +410,9 @@ class TestParametricC:
 
         rng = np.random.default_rng(31)
         for k in range(2):
-            corr = random_correlation(rng, 4)
-            w = rng.dirichlet(np.ones(4) * 2.0)
-            polished = parametric_c(range(4), w, 0.025, corr, k, 1e-6)
+            corr = random_correlation(rng, 7)
+            w = rng.dirichlet(np.ones(7) * 2.0)
+            polished = parametric_c(range(7), w, 0.025, corr, k, 1e-6)
             solves = []
             solve = intersection.solve_monotone
             with monkeypatch.context() as patch:
@@ -393,12 +420,12 @@ class TestParametricC:
                 patch.setattr(
                     intersection, "solve_monotone", lambda *args: solves.append(1) or solve(*args)
                 )
-                bracketed = parametric_c(range(4), w, 0.025, corr, k, 1e-6)
+                bracketed = parametric_c(range(7), w, 0.025, corr, k, 1e-6)
             assert len(solves) == 2
             assert abs(polished - bracketed) <= 1e-6
 
     @pytest.mark.parametrize("check_misses", [False, True])
-    @pytest.mark.parametrize("dim, target", [(4, 1e-4), (6, 1e-4), (5, 1e-3)])
+    @pytest.mark.parametrize("dim, target", [(7, 1e-3), (8, 1e-3), (8, 3e-3)])
     def test_rules_that_meet_their_target_solve_once(self, monkeypatch, dim, target, check_misses):
         # when every first 2^11-point pass already meets its target, those
         # are the full rules: one bracketed solve on them, the same kernel
@@ -438,14 +465,14 @@ class TestParametricC:
         "blocks, target, calls",
         [
             # every rule ends at the cap: the check could only refine, so none
-            ((4,), 1e-9, 0),
-            ((6,), 1e-9, 0),
+            ((7,), 1e-9, 0),
+            ((8,), 1e-9, 0),
             # the first pass meets the target well below the cap: one check
-            ((4,), 1e-3, 1),
+            ((7,), 1e-3, 1),
             # one block at the cap, and one (independent: a constant
             # integrand) that meets any target on its first pass: one
             # check, which re-estimates both
-            ((4, 4), 1e-9, 2),
+            ((7, 7), 1e-9, 2),
         ],
     )
     def test_closing_check_only_while_a_rule_can_refine(self, monkeypatch, blocks, target, calls):

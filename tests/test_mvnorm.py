@@ -9,6 +9,7 @@ from scipy.special import ndtr, ndtri
 
 from closedmtp.exceptions import BracketError, InputError
 from closedmtp.mvnorm import (
+    MAX_EXACT_DIM,
     CorrelationMatrix,
     ProbEstimate,
     UnionRule,
@@ -195,7 +196,7 @@ class TestUnionExceedance:
 
     def test_finite_float_max_points_truncates(self):
         # 5000.7 rounds down to 4096 points, as 4096 itself does
-        u, cm = [0.01, 0.02, 0.01, 0.005], equicorr(4, 0.3)
+        u, cm = [0.01, 0.02, 0.01, 0.005, 0.01, 0.02, 0.01], equicorr(7, 0.3)
         want = union_exceedance(u, cm, 1, 1e-9, 1 << 12)
         assert union_exceedance(u, cm, 1, 1e-9, 5000.7) == want
 
@@ -215,17 +216,17 @@ class TestUnionExceedance:
 
     def test_independence_product_rule_qmc(self):
         rng = np.random.default_rng(5)
-        for dim in (3, 4, 5):
+        for dim in (3, 7, 8):
             u = rng.uniform(0.01, 0.5, size=dim)
             est = union_exceedance(u, equicorr(dim, 0.0), seed=11)
-            if dim > 3:
+            if dim > MAX_EXACT_DIM:
                 assert UnionRule(u, equicorr(dim, 0.0), seed=11).sampled
             want = 1.0 - np.prod(ndtr(-ndtri(u)))
             assert est.value == pytest.approx(want, abs=3 * est.error)
 
     def test_determinism(self):
-        cm = random_correlation(np.random.default_rng(0), 4)
-        u = np.array([0.02, 0.3, 0.1, 0.05])
+        cm = random_correlation(np.random.default_rng(0), 7)
+        u = np.array([0.02, 0.3, 0.1, 0.05, 0.01, 0.04, 0.2])
         a = union_exceedance(u, cm, seed=42)
         b = union_exceedance(u, cm, seed=42)
         assert (a.value, a.error) == (b.value, b.error)
@@ -315,7 +316,7 @@ class TestUnionExceedance:
         with pytest.raises(InputError):
             union_exceedance([0.1, u, 0.2], equicorr(3, 0.3))
 
-    @pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("dim", [7, 8, 9, 10, 11])
     def test_equicorrelated_half_orthant_qmc(self, dim):
         # at rho = 1/2, Z_j = (E_j - E_0) / sqrt 2, so the orthant at 0 is
         # P(E_0 is the largest of dim + 1) = 1 / (dim + 1)
@@ -391,6 +392,109 @@ class TestExactTrivariate:
         assert est.value == pytest.approx(0.75, abs=1e-14)
 
 
+def plackett_grid(dim):
+    """Twenty hard (thresholds, correlation) cases in dimension dim:
+    equicorrelated at 0.5, 0.9 and negative, random, and random about one
+    factor with loadings of 0.9 to 0.99 in size (|rho| up to about 0.96),
+    each at thresholds around 1e-6, 1e-3, 0.025 / dim and 0.3."""
+    rng = np.random.default_rng(2024 + dim)
+    for u0 in (1e-6, 1e-3, 0.025 / dim, 0.3):
+        yield np.full(dim, u0), equicorr(dim, 0.5)
+        yield np.full(dim, u0), equicorr(dim, 0.9)
+        yield np.full(dim, u0), equicorr(dim, -0.9 / (dim - 1))
+        yield rng.uniform(u0 / 3, 3 * u0, dim), random_correlation(rng, dim)
+        lam = rng.uniform(0.9, 0.99, dim) * rng.choice([-1.0, 1.0], dim)
+        e = 0.1 * rng.standard_normal((dim, dim))
+        s = np.outer(lam, lam) + np.diag(1.0 - lam**2) + e @ e.T
+        d = np.sqrt(np.diag(s))
+        yield rng.uniform(u0 / 3, 3 * u0, dim), CorrelationMatrix(s / np.outer(d, d))
+
+
+class TestPlackettReduction:
+    """Dimensions 4 to MAX_EXACT_DIM by Plackett's reduction: a fixed
+    Gauss-Legendre rule per fit, its error the gap to half the nodes."""
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_matches_one_factor_quadrature(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        for trial in range(4):
+            lam = rng.uniform(0.1, 0.95, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+            u = rng.uniform(1e-4, 0.1, size=dim)
+            rule = UnionRule(u, one_factor(lam))
+            assert not rule.sampled
+            assert rule.estimate.error <= 1e-6
+            assert rule.estimate.value == pytest.approx(one_factor_union(u, lam), abs=1e-10)
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_equicorrelated_half_orthant_exact(self, dim):
+        # zero bounds (u = 1/2) in every pair and every conditional
+        # bivariate: the zero-bound forms, and no NaN
+        rule = UnionRule([0.5] * dim, equicorr(dim, 0.5))
+        assert not rule.sampled
+        assert rule.estimate.value == pytest.approx(dim / (dim + 1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_within_error_of_a_fine_qmc_fit(self, dim):
+        # the QMC error is three standard errors of ten randomizations,
+        # which is not always a bound: at u = 1e-6 and negative correlation
+        # the fit sits 3.0 of them from the quadrature at 2^17 points (and
+        # at 2^19 with another seed). The comparison takes the two-sided
+        # 0.999 Student-t quantile on 9 degrees of freedom instead of 3.
+        import closedmtp.mvnorm as mvnorm
+
+        for case, (u, cm) in enumerate(plackett_grid(dim)):
+            rule = UnionRule(u, cm)
+            assert not rule.sampled, case
+            qmc = mvnorm._QmcRule(cm.values, -ndtri(u), case, 1e-12, 1 << 17).estimate
+            bound = rule.estimate.error + qmc.error * 4.78 / 3.0
+            assert abs(rule.estimate.value - (1.0 - qmc.value)) <= bound, case
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_error_covers_a_64_node_value(self, monkeypatch, dim):
+        import closedmtp.mvnorm as mvnorm
+
+        x, w = np.polynomial.legendre.leggauss(64)
+        monkeypatch.setitem(mvnorm._PLACKETT_RULES, 64, (0.5 * (x + 1.0), 0.5 * w))
+        for case, (u, cm) in enumerate(plackett_grid(dim)):
+            est = UnionRule(u, cm).estimate
+            fine = mvnorm._plackett_union(u, cm.values, 64)
+            assert abs(est.value - fine) <= est.error, case
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_zero_threshold_in_a_call_drops_out(self, dim):
+        cm = random_correlation(np.random.default_rng(dim), dim)
+        u = np.linspace(0.002, 0.02, dim)
+        rule = UnionRule(u, cm)
+        assert not rule.sampled
+        u[1] = 0.0
+        got = rule(u)
+        want = union_exceedance(u, cm)
+        assert np.isfinite(got.value)
+        assert got.value == pytest.approx(want.value, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_near_singular_falls_back_to_qmc(self, dim):
+        u = np.full(dim, 0.01)
+        assert UnionRule(u, equicorr(dim, 0.9999)).sampled
+        # rank-deficient: Z_1 = Z_2
+        v = np.eye(dim)
+        v[0, 1] = v[1, 0] = 1.0
+        assert UnionRule(u, CorrelationMatrix(v)).sampled
+
+    def test_rises_along_the_scale_of_a_root_solve(self):
+        cm = random_correlation(np.random.default_rng(12), 6)
+        u0 = np.array([0.004, 0.002, 0.003, 0.005, 0.004, 0.002])
+        rule = UnionRule(u0, cm)
+        assert not rule.sampled
+        assert rule(u0) == rule.estimate
+        values = np.array([rule(c * u0).value for c in np.linspace(1.0, 4.0, 31)])
+        assert np.all(np.diff(values) > 0.0)
+        # a step of 1e-6 in the scaling moves the union by at most ~5e-8
+        steps = [rule((1.0 + t) * u0).value for t in np.linspace(0.0, 1e-6, 5)]
+        assert np.all(np.abs(np.diff(steps)) <= 1e-7)
+        assert np.all(np.diff(steps) >= 0.0)
+
+
 class TestPairUnions:
     def test_equals_the_exact_union_elementwise(self):
         # every entry the float the kernel's exact path gives the pair, on
@@ -410,8 +514,8 @@ class TestPairUnions:
 
 class TestUnionRule:
     def test_deterministic_and_within_error_of_kernel(self):
-        cm = random_correlation(np.random.default_rng(3), 5)
-        u0 = np.array([0.01, 0.02, 0.005, 0.01, 0.015])
+        cm = random_correlation(np.random.default_rng(3), 7)
+        u0 = np.array([0.01, 0.02, 0.005, 0.01, 0.015, 0.01, 0.005])
         rule = UnionRule(u0, cm, seed=4, target_error=1e-5)
         assert rule.sampled
         for scale in (1.0, 1.1, 1.3):
@@ -435,8 +539,8 @@ class TestUnionRule:
             return kernel(*args)
 
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
-        u0 = np.array([0.01, 0.02, 0.01, 0.005])
-        cm = random_correlation(np.random.default_rng(6), 4)
+        u0 = np.array([0.01, 0.02, 0.01, 0.005, 0.01, 0.02, 0.01])
+        cm = random_correlation(np.random.default_rng(6), 7)
         rule = UnionRule(u0, cm, seed=1, target_error=1e-3)
         assert rule.sampled
         assert len(calls) == 1
@@ -460,8 +564,8 @@ class TestUnionRule:
             return kernel(L, b, base, *rest)
 
         monkeypatch.setattr(mvnorm, "_qmc_means", counted)
-        cm = random_correlation(np.random.default_rng(3), 5)
-        u0 = np.array([0.01, 0.02, 0.005, 0.01, 0.015])
+        cm = random_correlation(np.random.default_rng(3), 7)
+        u0 = np.array([0.01, 0.02, 0.005, 0.01, 0.015, 0.01, 0.005])
         rule = UnionRule(u0, cm, seed=4, target_error=1e-6)
         n = rule._qmc.n
         assert n > 1 << 11
@@ -471,8 +575,8 @@ class TestUnionRule:
         assert points[-1] == n
 
     def test_continuous_in_the_thresholds(self):
-        cm = random_correlation(np.random.default_rng(6), 4)
-        u0 = np.array([0.01, 0.02, 0.01, 0.005])
+        cm = random_correlation(np.random.default_rng(6), 7)
+        u0 = np.array([0.01, 0.02, 0.01, 0.005, 0.01, 0.02, 0.01])
         rule = UnionRule(u0, cm, seed=1, target_error=1e-4)
         values = [rule((1.0 + t) * u0).value for t in np.linspace(0.0, 1e-6, 5)]
         # a step of 1e-6 in the scaling moves the union by at most ~5e-8
@@ -488,15 +592,15 @@ class TestUnionRule:
         assert rule([0.5, 1.0, 0.2]) == ProbEstimate(1.0, 0.0)
 
     def test_refine_stops_at_the_cap(self):
-        cm = random_correlation(np.random.default_rng(2), 4)
-        rule = UnionRule([0.01] * 4, cm, target_error=1e-12, max_points=1 << 12)
+        cm = random_correlation(np.random.default_rng(2), 7)
+        rule = UnionRule([0.01] * 7, cm, target_error=1e-12, max_points=1 << 12)
         assert not rule.refine()
 
     def test_refine_past_the_fit_cap_matches_a_wider_fit(self):
         # a rule fitted under a cap of 2^11 can still be refined to a larger
         # one, onto the same points as a rule fitted under that cap
-        cm = random_correlation(np.random.default_rng(2), 4)
-        u = np.array([0.01, 0.02, 0.01, 0.005])
+        cm = random_correlation(np.random.default_rng(2), 7)
+        u = np.array([0.01, 0.02, 0.01, 0.005, 0.01, 0.02, 0.01])
         narrow = UnionRule(u, cm, seed=5, target_error=1.0, max_points=1 << 11)
         wide = UnionRule(u, cm, seed=5, target_error=1.0, max_points=1 << 14)
         assert narrow.estimate == wide.estimate
@@ -515,10 +619,30 @@ class TestUnionRule:
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_threshold_domain(self, u):
-        # a rule is fitted strictly inside (0, 1), exact or sampled
-        for dim in (2, 4):
+        # a rule is fitted strictly inside (0, 1), exact, by quadrature or sampled
+        for dim in (2, 4, 7):
             with pytest.raises(InputError):
                 UnionRule([0.01] * (dim - 1) + [u], equicorr(dim, 0.5))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 7])
+    @pytest.mark.parametrize("bad", ["short", "long", "nan", "negative", "above one"])
+    def test_call_checks_its_thresholds(self, dim, bad):
+        # a call takes thresholds as union_exceedance does: one per
+        # dimension, each in [0, 1], on the exact, quadrature and sampled
+        # rules alike
+        rule = UnionRule(np.full(dim, 0.01), equicorr(dim, 0.3), target_error=1e-3)
+        assert rule.sampled == (dim > MAX_EXACT_DIM)
+        u = {
+            "short": np.full(dim - 1, 0.01),
+            "long": np.full(dim + 1, 0.01),
+            "nan": np.r_[np.full(dim - 1, 0.01), math.nan],
+            "negative": np.r_[np.full(dim - 1, 0.01), -0.5],
+            "above one": np.r_[np.full(dim - 1, 0.01), 1.5],
+        }[bad]
+        with pytest.raises(InputError, match="threshold"):
+            rule(u)
+        with pytest.raises(InputError, match="threshold"):
+            union_exceedance(u, equicorr(dim, 0.3))
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -611,8 +735,8 @@ class TestGeneratorBounds:
 
     def test_max_points_at_the_sobol_range(self):
         # a loose target stops at the first 2^11-point pass
-        est = union_exceedance(np.full(4, 0.01), equicorr(4, 0.5), target_error=1.0, max_points=1 << 30)
-        assert 0.0 < est.value < 0.04
+        est = union_exceedance(np.full(7, 0.01), equicorr(7, 0.5), target_error=1.0, max_points=1 << 30)
+        assert 0.0 < est.value < 0.07
 
     def test_dimension_above_max_hypotheses(self):
         from closedmtp.subsets import MAX_HYPOTHESES
@@ -645,12 +769,12 @@ class TestKernelPass:
         check_blocked_pass(rng, dim, -rng.uniform(0.5, 2.5, size=dim))
 
     def test_capped_evaluation_holds_no_point_array(self):
-        # one evaluation of a k=6 rule at the 2^16 cap: the whole (10, 2^16,
-        # 5) float point array alone would take 26 MB
+        # one evaluation of a k=7 rule at the 2^16 cap: the whole (10, 2^16,
+        # 6) float point array alone would take 31 MB
         import tracemalloc
 
-        cm = random_correlation(np.random.default_rng(6), 6)
-        u = np.full(6, 0.004)
+        cm = random_correlation(np.random.default_rng(6), 7)
+        u = np.full(7, 0.004)
         rule = UnionRule(u, cm, seed=3, target_error=1e-9)
         assert rule._qmc.n == 1 << 16
         tracemalloc.start()

@@ -42,11 +42,11 @@ def test_import_leaves_scipy_stats_out():
 
 
 def test_qmc_union_leaves_scipy_stats_out():
-    # a k=6 union is a QMC rule on Sobol' points the package generates
+    # a k=7 union is a QMC rule on Sobol' points the package generates
     code = (
         "import sys, numpy as np, closedmtp\n"
-        "corr = np.full((6, 6), 0.3); np.fill_diagonal(corr, 1.0)\n"
-        "est = closedmtp.union_exceedance(np.full(6, 0.004), corr, target_error=1e-5)\n"
+        "corr = np.full((7, 7), 0.3); np.fill_diagonal(corr, 1.0)\n"
+        "est = closedmtp.union_exceedance(np.full(7, 0.004), corr, target_error=1e-5)\n"
         "print(est.error > 1e-13, 'scipy.stats' in sys.modules)"
     )
     assert run_fresh(code) == "True False"

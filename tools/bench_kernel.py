@@ -1,20 +1,27 @@
-"""CPU, memory and pass counts of the QMC kernel (L0), of one root solve
+"""CPU, memory and pass counts of the kernel (L0), of one root solve
 (L1), of the tutorial closure with scales, of a cold start and, on
-request, of an m=8 ``xie`` closure with and without scales.
+request, of an m=8 ``xie`` closure with and without scales and of
+Dunnett-type threshold tables.
 
     PYTHONPATH=src python3 tools/bench_kernel.py            # L0, L1, tutorial, cold start
     PYTHONPATH=src python3 tools/bench_kernel.py --closure  # also the m=8 closure
+    PYTHONPATH=src python3 tools/bench_kernel.py --dunnett  # also the m=6 and 8 tables
 
 Run from the repository root; point PYTHONPATH at another checkout's
 ``src`` to measure that one with the same script. Every instance is drawn
 from a fixed seed, so both sides integrate the same problems.
 
-- L0: one evaluation of a ``UnionRule`` fitted to the 2^16-point cap, so
-  one kernel pass over 10 x 2^16 points, at k = 4, 6, 8: CPU median of
-  five evaluations and tracemalloc's peak over a sixth.
-- L1: one ``parametric_c`` at k = 4, 6, 8 and targets 1e-4, 1e-5 and 1e-6,
-  with the 2^16-point cap: kernel passes, points in units of one capped
-  pass (2^16 per shift) and CPU, each the mean over three instances.
+- L0: one evaluation of a ``UnionRule`` fitted at targets 1e-6 and 1e-12
+  under the 2^16-point cap, at k = 4, 5, 6, 8: CPU median of five
+  evaluations, tracemalloc's peak over a sixth, and the rule's path and
+  reported error. A QMC rule (``"path": "qmc"``) makes one kernel pass
+  over 10 x n points; a quadrature rule (Plackett's reduction, k <= 6)
+  reports its Gauss-Legendre node count instead.
+- L1: one ``parametric_c`` at k = 4, 5, 6, 8 and targets 1e-4, 1e-5 and
+  1e-6, with the 2^16-point cap: kernel passes, points in units of one
+  capped pass (2^16 per shift) and CPU, each the mean over three
+  instances, and the largest error a union fitted at the solved
+  thresholds reports.
 - L1 exact: one ``parametric_c`` at k = 2 and 3, where every union is
   exact (no kernel pass): the median CPU of one solve over ten instances,
   each timed as the fastest of five runs, the exact union evaluations
@@ -26,7 +33,7 @@ from a fixed seed, so both sides integrate the same problems.
   calls of one run (counted through ``intersection``'s binding) and sha1
   prefixes of the local levels and adjusted p-values.
 - cold start: a fresh Python process that imports numpy, then
-  ``closedmtp``, and makes a first k=6 ``union_exceedance`` (a QMC rule,
+  ``closedmtp``, and makes a first k=7 ``union_exceedance`` (a QMC rule,
   so the Sobol' points are generated): wall time of the import and of the
   union, the median over five processes, the largest peak RSS
   (``ru_maxrss``) of the five, and whether ``scipy.stats`` was imported.
@@ -40,6 +47,11 @@ from a fixed seed, so both sides integrate the same problems.
   every p-value once to the target reports 0, and one that refits only
   what can change an answer leaves the other p-values at their first pass,
   so only the adjusted sha1 should agree between those two.
+- dunnett: ``decision_thresholds`` for ``xie`` with equal weights and one
+  block equicorrelated at rho = 0.5, alpha 0.025 and default tolerances,
+  at m = 6 and 8: CPU, the rows solved one by one (calls of
+  ``partitioned_common_scale`` through ``closure``'s binding) and the
+  table's sha1 prefix.
 
 Passes and points are counted by wrapping ``_QmcRule._means``, which each
 kernel pass goes through on both sides. BLAS is pinned to one thread.
@@ -64,13 +76,15 @@ import numpy as np  # noqa: E402
 
 from pathlib import Path  # noqa: E402
 
-from closedmtp import CorrelationMatrix, CorrelationModel, TestProblem, run_closure, xie_scheme  # noqa: E402
+from closedmtp import (  # noqa: E402
+    CorrelationMatrix, CorrelationModel, TestProblem, decision_thresholds, run_closure, xie_scheme,
+)
 from closedmtp import closure as closure_module  # noqa: E402
 from closedmtp import fileio, intersection, mvnorm  # noqa: E402
 from closedmtp.intersection import parametric_c  # noqa: E402
 
 CAP = 1 << 16
-DIMS = (4, 6, 8)
+DIMS = (4, 5, 6, 8)
 EXACT_DIMS = (2, 3)
 TUTORIAL = Path(__file__).resolve().parent.parent / "tutorial" / "trial_problem.json"
 
@@ -104,11 +118,11 @@ class PassCounter:
         mvnorm._QmcRule._means = self._means
 
 
-def kernel_pass(dim: int) -> dict:
+def kernel_pass(dim: int, target: float) -> dict:
     rng = np.random.default_rng(40 + dim)
     corr = random_correlation(rng, dim)
     u = np.full(dim, 0.025 / dim)
-    rule = mvnorm.UnionRule(u, corr, seed=3, target_error=1e-12, max_points=CAP)
+    rule = mvnorm.UnionRule(u, corr, seed=3, target_error=target, max_points=CAP)
     cpu = []
     for _ in range(5):
         start = time.process_time()
@@ -122,17 +136,21 @@ def kernel_pass(dim: int) -> dict:
         tracemalloc.stop()
     return {
         "k": dim,
-        "points_per_shift": rule._qmc.n,
-        "cpu_s": round(statistics.median(cpu), 4),
+        "target_error": target,
+        "path": "qmc" if rule.sampled else "quadrature",
+        "points_per_shift": rule._qmc.n if rule.sampled else None,
+        "nodes": None if rule.sampled else rule._nodes,
+        "cpu_s": round(statistics.median(cpu), 5),
         "tracemalloc_peak_mb": round(peak / 1e6, 1),
         "value": est.value,
+        "error": est.error,
     }
 
 
 def root_solve(dim: int, target: float) -> dict:
     rng = np.random.default_rng(100 + dim)
     cpu = 0.0
-    scales = []
+    scales, problems = [], []
     with PassCounter() as count:
         for inst in range(3):
             corr = random_correlation(rng, dim)
@@ -140,12 +158,15 @@ def root_solve(dim: int, target: float) -> dict:
             start = time.process_time()
             scales.append(parametric_c(range(dim), w, 0.025, corr, seed=inst, target_error=target))
             cpu += time.process_time() - start
+            problems.append((np.minimum(1.0, scales[-1] * 0.025 * w), corr, inst))
+    errors = [mvnorm.union_exceedance(u, corr, seed, target_error=target).error for u, corr, seed in problems]
     return {
         "k": dim,
         "target_error": target,
         "passes": round(count.passes / 3, 2),
         "capped_passes": round(count.points / CAP / 3, 2),
         "cpu_s": round(cpu / 3, 3),
+        "union_error": max(errors),
         "scales": scales,
     }
 
@@ -224,10 +245,10 @@ import numpy as np
 start = time.perf_counter()
 import closedmtp
 imported = time.perf_counter()
-a = np.random.default_rng(46).standard_normal((6, 8))
+a = np.random.default_rng(46).standard_normal((7, 9))
 s = a @ a.T
 d = np.sqrt(np.diag(s))
-closedmtp.union_exceedance(np.full(6, 0.025 / 6), s / np.outer(d, d), seed=3)
+closedmtp.union_exceedance(np.full(7, 0.025 / 7), s / np.outer(d, d), seed=3)
 done = time.perf_counter()
 print(json.dumps({
     "import_s": imported - start,
@@ -249,7 +270,7 @@ def cold_start(runs: int = 5) -> dict:
         for _ in range(runs)
     ]
     return {
-        "k": 6,
+        "k": 7,
         "import_s": round(statistics.median(r["import_s"] for r in rows), 3),
         "first_union_s": round(statistics.median(r["first_union_s"] for r in rows), 3),
         "peak_rss_mb": round(max(r["peak_rss_mb"] for r in rows), 1),
@@ -295,11 +316,23 @@ def closure(target: float, compute_scales: bool) -> dict:
     }
 
 
+def dunnett(m: int) -> dict:
+    corr = np.full((m, m), 0.5)
+    np.fill_diagonal(corr, 1.0)
+    scheme = xie_scheme(np.full(m, 1.0 / m))
+    with Counter(closure_module, "partitioned_common_scale") as count:
+        start = time.process_time()
+        table = decision_thresholds(scheme, CorrelationModel.full(corr), 0.025, "xie")
+        cpu = time.process_time() - start
+    return {"m": m, "cpu_s": round(cpu, 2), "row_solves": count.calls, "table_sha1": sha1(table)}
+
+
 if __name__ == "__main__":
     results = {"L0": [], "L1": []}
-    for dim in DIMS:
-        results["L0"].append(kernel_pass(dim))
-        print(json.dumps(results["L0"][-1]), flush=True)
+    for target in (1e-6, 1e-12):
+        for dim in DIMS:
+            results["L0"].append(kernel_pass(dim, target))
+            print(json.dumps(results["L0"][-1]), flush=True)
     for target in (1e-4, 1e-5, 1e-6):
         for dim in DIMS:
             results["L1"].append(root_solve(dim, target))
@@ -317,4 +350,7 @@ if __name__ == "__main__":
         print(json.dumps(results["closure"]), flush=True)
         results["closure_pvalues"] = closure(1e-6, compute_scales=False)
         print(json.dumps(results["closure_pvalues"]), flush=True)
+    if "--dunnett" in sys.argv[1:]:
+        results["dunnett"] = [dunnett(m) for m in (6, 8)]
+        print(json.dumps(results["dunnett"]), flush=True)
     print(json.dumps(results))
