@@ -145,7 +145,9 @@ def _bonferroni_pvalues(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     """bonferroni_pvalue of every row of ``rows`` (weights, 0.0 off the
     members): min(1, min over positive-weight j of p_j / w_j), the same
     floats, as division and minimum are exact per element."""
-    ratios = np.divide(p, rows, out=np.full(rows.shape, np.inf), where=rows > 0.0)
+    # a ratio past the float range is inf, capped at 1 like any above it
+    with np.errstate(over="ignore"):
+        ratios = np.divide(p, rows, out=np.full(rows.shape, np.inf), where=rows > 0.0)
     return np.minimum(ratios.min(axis=1), 1.0)
 
 
@@ -285,20 +287,25 @@ def run_closure(
         w = rows[mask - 1][inside[mask - 1]]
         return method.pvalue(mem, w, p[list(mem)], model, problem.seed, target_error, points)
 
+    # every intersection's p-value and its error, in mask order; final:
+    # the first pass is already the fit to max_points
     if method.pvalues is not None:
-        first = [(ProbEstimate(v, 0.0), True) for v in method.pvalues(rows, p).tolist()]
+        values = method.pvalues(rows, p)
+        errors = np.zeros(values.size)
+        final = np.ones(values.size, dtype=bool)
     else:
         first = [fit(mask, min(max_points, _COARSE_POINTS)) for mask in iter_masks(m)]
-    ests = [est for est, _ in first]
-    # final: the first pass is already the fit to max_points
-    final = np.array([met or max_points <= _COARSE_POINTS for _, met in first])
+        values = np.array([est.value for est, _ in first])
+        errors = np.array([est.error for est, _ in first])
+        final = np.array([met or max_points <= _COARSE_POINTS for _, met in first])
     # a refit is the fit to max_points on the same stream, so each J is refit at most once
     while not final.all():
-        todo = _refits(ests, final, m, alpha)
+        todo = _refits(values, errors, final, m, alpha)
         if todo.size == 0:
             break
         for mask in todo.tolist():
-            ests[mask - 1] = fit(mask, max_points)[0]
+            est = fit(mask, max_points)[0]
+            values[mask - 1], errors[mask - 1] = est.value, est.error
         final[todo - 1] = True
     # the member table in row order: each intersection's members, and
     # their levels, are one slice of it
@@ -307,7 +314,8 @@ def run_closure(
         table, scale_table = _level_table(problem.scheme, model, alpha, method, solve)
         member_levels = table[inside]
     results: list[IntersectionResult] = []
-    for mask, est, start, end in zip(iter_masks(m), ests, [0] + ends, ends):
+    ranges = zip([0] + ends, ends)
+    for mask, value, error, (start, end) in zip(iter_masks(m), values.tolist(), errors.tolist(), ranges):
         mem = tuple(cols[start:end])
         scale = scales = levels = None
         if compute_scales:
@@ -318,11 +326,10 @@ def run_closure(
             else:
                 scale = float(row[mem[0]])
         results.append(IntersectionResult(
-            mem, problem.method, est.value, scale, scales, levels, est.value <= alpha, est.error
+            mem, problem.method, value, scale, scales, levels, value <= alpha, error
         ))
     # H_j falls when every intersection containing it does; adjusted = their largest p
-    p_values = np.array([est.value for est in ests])
-    adjusted = np.where(inside, p_values[:, None], 0.0).max(axis=0)
+    adjusted = np.where(inside, values[:, None], 0.0).max(axis=0)
     rejected = adjusted <= alpha
     for out in (adjusted, rejected):
         out.setflags(write=False)
@@ -336,13 +343,12 @@ def run_closure(
     )
 
 
-def _refits(ests: list[ProbEstimate], final: np.ndarray, m: int, alpha: float) -> np.ndarray:
-    """Masks of the intersections J, not final, whose p-value within its
-    error could still change an answer: v_J + e_J reaches lo_j, the
-    largest v_K - e_K over the K containing j, for some member j (J may
-    set H_j's adjusted p-value), or [v_J - e_J, v_J + e_J] holds alpha."""
-    v = np.array([est.value for est in ests])
-    e = np.array([est.error for est in ests])
+def _refits(v: np.ndarray, e: np.ndarray, final: np.ndarray, m: int, alpha: float) -> np.ndarray:
+    """Masks of the intersections J, not final, whose p-value v_J within
+    its error e_J could still change an answer (both in mask order):
+    v_J + e_J reaches lo_j, the largest v_K - e_K over the K containing
+    j, for some member j (J may set H_j's adjusted p-value), or
+    [v_J - e_J, v_J + e_J] holds alpha."""
     masks = np.arange(1, 1 << m)
     low = v - e
     # per J, the smallest lo_j over its members

@@ -176,8 +176,9 @@ class IntersectionResult:
     """Outcome of testing one intersection hypothesis.
 
     ``p_error`` is the reported absolute error of ``p_value``: 0 for
-    Bonferroni, about 1e-13 where no block has more than three active
-    members, the quadrature's error (at least 1e-13, within the target)
+    Bonferroni, about 1e-13 where no block has more than two active
+    members (closed forms) and mostly where none has more than three,
+    the graded quadrature's error (at least 1e-13, within the target)
     where none has more than six, the QMC bound otherwise. The closure
     fits ``p_value`` to its target error only where that can change an
     adjusted p-value or a decision; elsewhere it is the first-pass
@@ -248,7 +249,8 @@ def bonferroni_pvalue(subset, weights, pvalues) -> float:
     mem, w, p = _check_subset_args(subset, weights, pvalues)
     _weight_total(w)
     act = w > 0.0
-    return float(min(1.0, np.min(p[act] / w[act])))
+    with np.errstate(over="ignore"):
+        return float(min(1.0, np.min(p[act] / w[act])))
 
 
 def _blocks(mem: tuple[int, ...], w: np.ndarray, model: CorrelationModel) -> list[tuple]:
@@ -694,7 +696,8 @@ def _subsets_estimate(
     for salt, _, act, corr_act, total in _blocks(mem, w, model):
         if act.size:
             # the union at thresholds w_j * min(p / w) over the block's weight total
-            q = float(np.min(p[act] / w[act]))
+            with np.errstate(over="ignore"):
+                q = float(np.min(p[act] / w[act]))
             if q >= 1.0 / float(np.max(w[act])):
                 # the heaviest threshold is 1, however its product rounds:
                 # the union is certain
@@ -744,7 +747,8 @@ def _common_estimate(
     model = as_model(corr)
     mask = mask_of(mem, model.m)
     live = w > 0.0
-    q = float(np.min(p[live] / w[live]))
+    with np.errstate(over="ignore"):
+        q = float(np.min(p[live] / w[live]))
     if q >= 1.0 / float(np.max(w)):
         # some block's heaviest threshold is 1: its union alone reaches the total
         return ProbEstimate(1.0, 0.0), True

@@ -2,23 +2,21 @@
 
 Every intersection test needs one probability: the union of one-sided
 events P(P_j <= u_j for some j), with P_j = 1 - Phi(Z_j), which is one
-minus the orthant probability P(Z_j <= -Phi^-1(u_j) for all j). It is
-exact in dimension 1, computed by inclusion-exclusion from Owen's T
-function in dimension 2, and in dimension 3 with a triple term from a
-fixed Gauss-Legendre integral over one conditioning variable of a
-vectorised Owen's T bivariate (after Genz 2004). Dimensions 4 to 6 are
-exact too, up to a quadrature error, by Plackett's (1954) reduction of
-the orthant to bivariate densities times orthants of two dimensions
-fewer, integrated by Gauss-Legendre along the path from independence.
-Dimension 7 and above, and a near-singular correlation whose quadrature
-misses its target, estimate the orthant by separation-of-variables
-quasi-Monte Carlo in the style of Genz (1992): Cholesky factorization
-with greedy variable reordering, digitally shifted Sobol' points, and an
-error estimate from independent randomizations. The Sobol' points are
-generated here from the Joe & Kuo (2008) direction numbers, the set
-scipy.stats.qmc.Sobol uses, so no module imports scipy.stats. Every
-result carries an absolute-error bound; estimates are bit-reproducible
-for a fixed seed.
+minus the orthant probability P(Z_j <= -Phi^-1(u_j) for all j). It takes
+one of three paths. One or two events are a closed form, the pair by
+Owen's T function. Three to six are exact up to a quadrature error, by
+Plackett's (1954) reduction of the orthant to bivariate densities times
+orthants of two dimensions fewer, integrated along the path from
+independence by Gauss-Legendre graded toward its end, where a pair
+correlated near +-1 bends sharply. Dimension 7 and above, and a
+near-singular correlation whose quadrature misses its target, estimate
+the orthant by separation-of-variables quasi-Monte Carlo in the style of
+Genz (1992): Cholesky factorization with greedy variable reordering,
+digitally shifted Sobol' points, and an error estimate from independent
+randomizations. The Sobol' points are generated here from the Joe & Kuo
+(2008) direction numbers, the set scipy.stats.qmc.Sobol uses, so no
+module imports scipy.stats. Every result carries an absolute-error
+bound; estimates are bit-reproducible for a fixed seed.
 
 ``UnionRule`` keeps one integration rule fixed while a root solve moves
 the thresholds, so the union probability becomes a deterministic,
@@ -55,33 +53,44 @@ _U64 = (1 << 64) - 1
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # Owen's-T based paths are good to ~1e-14; reported with margin
 _EXACT_ERROR = 1e-13
-# trivariate quadrature: Gauss-Legendre nodes and weights on [-1, 1] for the
-# reported value and for the coarser rule whose difference is its error
-_GL_FINE = np.polynomial.legendre.leggauss(64)
-_GL_COARSE = np.polynomial.legendre.leggauss(32)
-# the conditioning variable is integrated over [-_TAIL, _TAIL]; the mass
-# outside is below 1e-17
-_TAIL = 8.5
-# ratio between successive cut distances from a bend of the integrand
-_GRADING = 8.0
-# Plackett's reduction: Gauss-Legendre nodes and weights on [0, 1] per node
-# count, 8, 16 and 32 (the trivariate's coarse rule); a fit tries the counts
-# after the first in turn, each value's error the gap to the value at the
-# count before it
-_PLACKETT_RULES = {
-    len(x): (0.5 * (x + 1.0), 0.5 * w)
-    for x, w in (np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(16), _GL_COARSE)
-}
+# Plackett's reduction: node counts, each twice the one before; a fit
+# tries the counts after the first in turn, each value's error the gap to
+# the value at the count before it. Above three dimensions the ladder
+# stops at 32 nodes.
+_LADDER = (8, 16, 32, 64, 128, 256)
+
+
+def _graded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre's n nodes s and weights on [0, 1], graded toward
+    t = 1 by t = 1 - (1 - s)^2, dt = 2 (1 - s) ds: a pair's rate along t
+    carries 1 / sqrt(1 - t^2 rho^2), which bends sharply at t = 1 when
+    |rho| nears 1 (and is singular at |rho| = 1), and in s it is smooth."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (x + 1.0)
+    return 1.0 - (1.0 - s) ** 2, (1.0 - s) * w
+
+
+def _pair_table(k: int) -> tuple[np.ndarray, ...]:
+    """The pairs (i, j) of k variables, the other variables of each pair
+    as a (k-2, pairs) array, and the pairs (a, c) among k - 2 others."""
+    i, j = np.triu_indices(k, 1)
+    rest = np.array([[o for o in range(k) if o != a and o != c] for a, c in zip(i, j)]).T
+    return (i, j, rest, *np.triu_indices(k - 2, 1))
+
+
+_PLACKETT_RULES = {n: _graded_rule(n) for n in _LADDER}
+_PAIR_TABLES = {k: _pair_table(k) for k in range(3, MAX_EXACT_DIM + 1)}
 
 
 @dataclass(frozen=True)
 class ProbEstimate:
     """Probability estimate with an absolute-error bound.
 
-    ``error`` is 0 for closed-form paths, a rounding or quadrature margin
-    (1e-13 or more) for the exact paths up to six dimensions (Owen's T,
-    the trivariate and Plackett's reduction), and roughly a 3-sigma bound
-    for quasi-Monte Carlo paths.
+    ``error`` is 0 for a single event, 1e-13 (the Owen's-T rounding
+    margin) for a pair, for three to six events the gap between
+    Plackett's reduction at the rule's node count and at half as many (at
+    least 1e-13), and roughly a 3-sigma bound for quasi-Monte Carlo
+    paths.
     """
 
     value: float
@@ -162,196 +171,91 @@ def as_correlation(corr) -> CorrelationMatrix:
     return CorrelationMatrix(np.asarray(corr, dtype=float))
 
 
-def _owen_tail(h: float, a: float) -> float:
-    # Owen's T with the a=0, a=+-inf and h=0 limits made explicit.
-    if a == 0.0 or math.isinf(h):
-        return 0.0
-    if h == 0.0:
-        return math.atan(a) / (2.0 * math.pi)
-    if math.isinf(a):
-        return math.copysign(0.5 * float(ndtr(-abs(h))), a)
-    return float(owens_t(h, a))
+def _bvn(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """P(X <= h, Y <= k) for standard bivariate normals, elementwise, each
+    pair with its own correlation rho in [-1, 1]; bounds are finite.
 
-
-def _bvn_cdf(h: float, k: float, rho: float) -> float:
-    """P(X <= h, Y <= k) for standard bivariate normal with correlation rho;
-    bounds are finite or -inf."""
-    if math.isnan(h) or math.isnan(k):
-        raise InputError("NaN bound in bivariate probability")
-    if h == -math.inf or k == -math.inf:
-        return 0.0
-    if rho == 1.0:
-        return float(ndtr(min(h, k)))
-    if rho == -1.0:
-        return max(0.0, float(ndtr(h)) + float(ndtr(k)) - 1.0)
-    if rho == 0.0:
-        return float(ndtr(h)) * float(ndtr(k))
-    s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
-    if h == 0.0:
-        return 0.5 * float(ndtr(k)) - _owen_tail(k, -rho / s)
-    if k == 0.0:
-        return 0.5 * float(ndtr(h)) - _owen_tail(h, -rho / s)
-    ah = (k - rho * h) / (h * s)
-    ak = (h - rho * k) / (k * s)
-    delta = 0.5 if h * k < 0.0 else 0.0
-    p = 0.5 * (float(ndtr(h)) + float(ndtr(k))) - _owen_tail(h, ah) - _owen_tail(k, ak) - delta
-    return min(1.0, max(0.0, p))
-
-
-def _bvn_cdf_array(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
-    """_bvn_cdf over arrays of finite bounds sharing one correlation."""
-    if rho >= 1.0:
-        return ndtr(np.minimum(h, k))
-    if rho <= -1.0:
-        return np.maximum(0.0, ndtr(h) + ndtr(k) - 1.0)
-    s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    hz, kz = h == 0.0, k == 0.0
-    th = owens_t(h, (k - rho * h) / (np.where(hz, 1.0, h) * s))
-    tk = owens_t(k, (h - rho * k) / (np.where(kz, 1.0, k) * s))
-    p = 0.5 * (ndtr(h) + ndtr(k)) - th - tk - np.where(h * k < 0.0, 0.5, 0.0)
-    if hz.any() or kz.any():
-        # the zero-bound forms of _bvn_cdf
-        p = np.where(hz, 0.5 * ndtr(k) - owens_t(k, -rho / s), p)
-        p = np.where(kz, 0.5 * ndtr(h) - owens_t(h, -rho / s), p)
-        p = np.where(hz & kz, 0.25 + math.asin(rho) / (2.0 * math.pi), p)
-    return np.clip(p, 0.0, 1.0)
+    rho = +-1 and 0 are closed forms; otherwise Owen's T gives
+    (Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - [hk < 0] / 2, clipped
+    to [0, 1], with the zero-bound forms Phi(k) / 2 - T(k, -rho / s) (and
+    its mirror) and 1/4 + asin(rho) / 2pi at h = k = 0.
+    """
+    nh, nk = ndtr(h), ndtr(k)
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    hk = h * k
+    # a zero bound or rho = +-1 (s = 0) makes a term below infinite or
+    # NaN; those entries take their own forms after it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = (
+            0.5 * (nh + nk) - owens_t(h, (k - rho * h) / (h * s)) - owens_t(k, (h - rho * k) / (k * s))
+            - 0.5 * (hk < 0.0)
+        )
+        # min(1, max(0, p)); the zero-bound forms are not clipped
+        p = np.minimum(np.maximum(p, 0.0), 1.0)
+        if np.count_nonzero(hk) < hk.size:
+            hz, kz = h == 0.0, k == 0.0
+            p[hz] = 0.5 * nk[hz] - owens_t(k[hz], -rho[hz] / s[hz])
+            p[kz] = 0.5 * nh[kz] - owens_t(h[kz], -rho[kz] / s[kz])
+            both = hz & kz
+            p[both] = [0.25 + math.asin(x) / (2.0 * math.pi) for x in rho[both]]
+    one, minus, zero = rho == 1.0, rho == -1.0, rho == 0.0
+    if np.count_nonzero(one | minus | zero):
+        p[one] = ndtr(np.minimum(h[one], k[one]))
+        low = nh[minus] + nk[minus] - 1.0
+        p[minus] = np.maximum(low, 0.0)
+        p[zero] = nh[zero] * nk[zero]
+    return p
 
 
 def _pair_unions(u: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The union of two events at thresholds u and v in (0, 1) and
-    correlation rho, elementwise: each entry the float ``_exact_union``
-    gives that pair. The bivariate takes ``_bvn_cdf``'s branches, which
-    differ from ``_bvn_cdf_array``'s at rho = 0 and at a zero bound."""
-    h, k = ndtri(u), ndtri(v)
-    nh, nk = ndtr(h), ndtr(k)
-    both = np.empty(h.shape)
-    one, minus, zero = rho == 1.0, rho == -1.0, rho == 0.0
-    both[one] = ndtr(np.minimum(h[one], k[one]))
-    low = nh[minus] + nk[minus] - 1.0
-    both[minus] = np.where(low > 0.0, low, 0.0)
-    both[zero] = nh[zero] * nk[zero]
-    rest = ~(one | minus | zero)
-    h, k, r, nh, nk = h[rest], k[rest], rho[rest], nh[rest], nk[rest]
-    s = np.sqrt((1.0 - r) * (1.0 + r))
-    hz, kz = h == 0.0, k == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = (
-            0.5 * (nh + nk) - owens_t(h, (k - r * h) / (h * s)) - owens_t(k, (h - r * k) / (k * s))
-            - np.where(h * k < 0.0, 0.5, 0.0)
-        )
-    # min(1, max(0, p)) as _bvn_cdf rounds it; its zero-bound forms are not clipped
-    p = np.where(p < 1.0, np.where(p > 0.0, p, 0.0), 1.0)
-    p = np.where(hz, 0.5 * nk - owens_t(k, -r / s), p)
-    p = np.where(kz, 0.5 * nh - owens_t(h, -r / s), p)
-    p[hz & kz] = [0.25 + math.asin(x) / (2.0 * math.pi) for x in r[hz & kz]]
-    both[rest] = p
-    union = (u + v) - both
-    return np.where(union < 1.0, np.where(union > 0.0, union, 0.0), 1.0)
+    correlation rho, elementwise: u + v minus the bivariate orthant,
+    clipped to [0, 1]; each entry the float a ``UnionRule`` gives that pair."""
+    union = (u + v) - _bvn(ndtri(u), ndtri(v), rho)
+    return np.minimum(np.maximum(union, 0.0), 1.0)
 
 
-def _tvn_cdf(h: np.ndarray, corr: np.ndarray) -> tuple[float, float]:
-    """(P(Z <= h), error) for a trivariate standard normal Z; bounds are finite or -inf.
-
-    Conditions on the variable least correlated with the other two and
-    integrates the conditional bivariate probability against its density
-    by Gauss-Legendre, piecewise between cuts graded around the bend the
-    bivariate develops as the conditional correlation nears +-1. The
-    error is the gap to a rule with half the nodes. When every pair is
-    perfectly correlated the event is one interval and is exact.
-    """
-    if np.any(h == -np.inf):
-        return 0.0, 0.0
-    i = min(range(3), key=lambda t: max(abs(corr[t, (t + 1) % 3]), abs(corr[t, (t + 2) % 3])))
-    j, k = (i + 1) % 3, (i + 2) % 3
-    rij, rik = float(corr[i, j]), float(corr[i, k])
-    sj, sk = math.sqrt(max(1.0 - rij * rij, 0.0)), math.sqrt(max(1.0 - rik * rik, 0.0))
-    if sj == 0.0 or sk == 0.0:
-        # every pair is perfectly correlated: Z_t = sign(r_it) * Z_i, so the
-        # event is one interval for Z_i
-        signs = np.sign(corr[i])
-        upper = min(float(h[t]) for t in range(3) if signs[t] > 0.0)
-        lower = max((-float(h[t]) for t in range(3) if signs[t] < 0.0), default=-math.inf)
-        return max(0.0, float(ndtr(upper)) - float(ndtr(lower))), 0.0
-    rho = min(1.0, max(-1.0, (float(corr[j, k]) - rij * rik) / (sj * sk)))
-    top = min(float(h[i]), _TAIL)
-    if top <= -_TAIL:
-        return 0.0, float(ndtr(top))
-    cuts = {-_TAIL, top}
-    sign = 1.0 if rho >= 0.0 else -1.0
-    slope = rij / sj - sign * rik / sk
-    if rho != 0.0 and slope != 0.0:
-        # the bivariate bends where h_j(x) = sign * h_k(x), over a width
-        # that shrinks with 1 - |rho|; cuts graded away from the bend keep
-        # every piece smooth on its own scale
-        bend = (h[j] / sj - sign * h[k] / sk) / slope
-        width = math.sqrt(2.0 * (1.0 - abs(rho))) / abs(slope)
-        offsets = [0.0]
-        while 0.0 < width < 2.0 * _TAIL:
-            offsets += [width, -width]
-            width *= _GRADING
-        cuts.update(float(bend + d) for d in offsets if -_TAIL < bend + d < top)
-    cuts = sorted(cuts)
-
-    def integral(rule) -> float:
-        nodes, weights = rule
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            half = 0.5 * (hi - lo)
-            x = lo + half * (nodes + 1.0)
-            bivariate = _bvn_cdf_array((h[j] - rij * x) / sj, (h[k] - rik * x) / sk, rho)
-            total += half * float(weights @ (np.exp(-0.5 * x * x) * bivariate))
-        return total / _SQRT_TWO_PI
-
-    fine = integral(_GL_FINE)
-    return min(1.0, max(0.0, fine)), abs(fine - integral(_GL_COARSE))
+def _closed_form_union(u: np.ndarray, corr: np.ndarray) -> ProbEstimate:
+    """The union of one or two events at thresholds in [0, 1); a zero
+    threshold is a zero-probability event. Two events carry the Owen's-T
+    rounding margin."""
+    if u.size == 1:
+        return ProbEstimate(float(u[0]), 0.0)
+    union = _pair_unions(u[:1], u[1:], corr[0, 1:])[0] if u.all() else u.sum()
+    return ProbEstimate(float(union), _EXACT_ERROR)
 
 
-def _bvn_cdf_each(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """_bvn_cdf over arrays of finite bounds, each pair with its own
-    correlation in (-1, 1)."""
-    s = np.sqrt((1.0 - rho) * (1.0 + rho))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = (
-            0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * s))
-            - owens_t(k, (h - rho * k) / (k * s)) - np.where(h * k < 0.0, 0.5, 0.0)
-        )
-        hz, kz = h == 0.0, k == 0.0
-        if hz.any() or kz.any():
-            # the zero-bound forms of _bvn_cdf
-            p = np.where(hz, 0.5 * ndtr(k) - owens_t(k, -rho / s), p)
-            p = np.where(kz, 0.5 * ndtr(h) - owens_t(h, -rho / s), p)
-            p = np.where(hz & kz, 0.25 + np.arcsin(rho) / (2.0 * math.pi), p)
-    return p
-
-
-def _orthant(b: np.ndarray, corr: np.ndarray, nodes: int) -> np.ndarray:
+def _orthant(b: np.ndarray, corr: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """P(Z <= b[:, n]) for Z ~ N(0, corr[:, :, n]), per column n of the
-    bounds b (k, N) and correlations corr (k, k, N), by Plackett's
-    reduction (Plackett 1954, Biometrika 41:351).
+    bounds b (k, N) and correlations corr (k, k, N), one row per node
+    count in ``counts``, by Plackett's reduction (Plackett 1954,
+    Biometrika 41:351).
 
     Along R(t) = (1 - t) I + t R the orthant starts at the product of the
     Phi(b_i) and moves at rate sum over i < j of rho_ij phi_2(b_i, b_j;
     t rho_ij) Phi_(k-2)(b', C), where b' and C are the standardized bounds
     and correlation of the other k - 2 variables given Z_i = b_i and
-    Z_j = b_j under R(t). Gauss-Legendre with ``nodes`` nodes on [0, 1]
-    integrates the rate; every Phi_(k-2) over all problems, pairs and
-    nodes is one call of this function, down to Phi_1 (ndtr) or the
-    Owen's-T bivariate. The problems stay on the last axis of every
+    Z_j = b_j under R(t). The rate is integrated on each count's graded
+    Gauss-Legendre rule (``_PLACKETT_RULES``), the nodes of all counts in
+    one array pass; every Phi_(k-2) over all problems, pairs and one
+    count's nodes is one call of this function, down to Phi_1 (ndtr) or
+    the bivariate (``_bvn``). The problems stay on the last axis of every
     array, so each step is one numpy call over all of them. For t < 1,
-    R(t) is positive definite, so a singular R shows only as a slowly
-    converging integral.
+    R(t) is positive definite, so a singular R shows only as a rate that
+    grows like 1 / sqrt(1 - t), which the grading absorbs.
     """
     k = b.shape[0]
-    if k == 1:
-        return ndtr(b[0])
-    if k == 2:
-        return _bvn_cdf_each(b[0], b[1], corr[0, 1])
-    x, w = _PLACKETT_RULES[nodes]
-    i, j = np.triu_indices(k, 1)
-    # (k-2, pairs): the other variables of each pair
-    rest = np.array([[o for o in range(k) if o != a and o != c] for a, c in zip(i, j)]).T
+    if k < 3:
+        value = ndtr(b[0]) if k == 1 else _bvn(b[0], b[1], corr[0, 1])
+        return np.broadcast_to(value, (len(counts), value.size))
+    i, j, rest, a, c = _PAIR_TABLES[k]
+    # the nodes of every count one after another, and a row of weights
+    # per count, zero off that count's nodes
+    x = np.concatenate([_PLACKETT_RULES[n][0] for n in counts])
+    segments = [slice(end - n, end) for n, end in zip(counts, np.cumsum(counts).tolist())]
+    weights = np.zeros((len(counts), x.size))
+    for row, (n, seg) in enumerate(zip(counts, segments)):
+        weights[row, seg] = _PLACKETT_RULES[n][1]
     # (nodes, pairs, N)
     t = x[:, None, None]
     rho = corr[i, j]
@@ -370,21 +274,30 @@ def _orthant(b: np.ndarray, corr: np.ndarray, nodes: int) -> np.ndarray:
         given = ndtr(bounds[0])
     else:
         m = k - 2
-        a, c = np.triu_indices(m, 1)
         cond = np.ones((m, m) + bounds.shape[1:])
         cov = t * (corr[rest[a], rest[c]][:, None] - gi[a] * ri[c] - gj[a] * rj[c])
         cond[a, c] = cond[c, a] = cov / (sd[a] * sd[c])
-        given = _orthant(bounds.reshape(m, -1), cond.reshape(m, m, -1), nodes).reshape(density.shape)
-    return np.prod(ndtr(b), axis=0) + (rho * np.tensordot(w, density * given, axes=1)).sum(axis=0)
+        given = np.concatenate([
+            _orthant(bounds[:, seg].reshape(m, -1), cond[:, :, seg].reshape(m, m, -1), (n,)).reshape(
+                (n,) + bounds.shape[2:]
+            )
+            for n, seg in zip(counts, segments)
+        ])
+    rate = density * given
+    steps = (weights @ rate.reshape(x.size, -1)).reshape((len(counts),) + rate.shape[1:])
+    return np.prod(ndtr(b), axis=0) + (rho * steps).sum(axis=1)
 
 
-def _plackett_union(u: np.ndarray, corr: np.ndarray, nodes: int) -> float:
-    """The union at thresholds in [0, 1) from ``_orthant`` at ``nodes``
-    nodes; zero thresholds are dropped (zero-probability events)."""
-    keep = np.flatnonzero(u > 0.0)
-    if keep.size == 0:
-        return 0.0
-    return 1.0 - float(_orthant(-ndtri(u[keep])[:, None], corr[np.ix_(keep, keep)][:, :, None], nodes)[0])
+def _plackett_unions(u: np.ndarray, corr: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """The union at thresholds in [0, 1) from ``_orthant``, one value per
+    node count in ``counts``; zero thresholds are dropped (zero-probability
+    events)."""
+    keep = u > 0.0
+    if not keep.all():
+        u, corr = u[keep], corr[keep][:, keep]
+    if u.size == 0:
+        return np.zeros(len(counts))
+    return 1.0 - _orthant(-ndtri(u)[:, None], corr[:, :, None], counts)[:, 0]
 
 
 def _plackett_estimate(fine: float, coarse: float) -> ProbEstimate:
@@ -395,16 +308,26 @@ def _plackett_estimate(fine: float, coarse: float) -> ProbEstimate:
 
 def _plackett_fit(u: np.ndarray, corr: np.ndarray, target_error: float) -> tuple[ProbEstimate, int] | None:
     """(estimate, node count) of Plackett's reduction at the first node
-    count of _PLACKETT_RULES past the coarsest whose value lies within
-    max(target_error, _EXACT_ERROR) of the value at the count before it
-    (half as many); None when none does, or a value is not finite."""
-    counts = list(_PLACKETT_RULES)
-    coarse = _plackett_union(u, corr, counts[0])
-    for nodes in counts[1:]:
-        fine = _plackett_union(u, corr, nodes)
-        if abs(fine - coarse) <= max(target_error, _EXACT_ERROR):
-            return _plackett_estimate(fine, coarse), nodes
-        coarse = fine
+    count of the dimension's ladder past the coarsest whose value lies
+    within a tolerance of the value at the count before it (half as
+    many): max(target_error, _EXACT_ERROR) above three dimensions. A
+    trivariate pass costs about the same at any count, so at three the
+    ladder runs to 256 nodes, the first pass evaluates 8, 16 and 32 at
+    once, and the fit takes the first count within _EXACT_ERROR, or else
+    the top count if that is within max(target_error, _EXACT_ERROR).
+    None when no count qualifies, or a value is not finite."""
+    loose = max(target_error, _EXACT_ERROR)
+    if u.size == 3:
+        ladder, tol, first = _LADDER, _EXACT_ERROR, 3
+    else:
+        ladder, tol, first = _LADDER[:3], loose, 2
+    values = _plackett_unions(u, corr, ladder[:first]).tolist()
+    for n in range(1, len(ladder)):
+        if n == len(values):
+            values += _plackett_unions(u, corr, ladder[n : n + 1]).tolist()
+        gap = abs(values[n] - values[n - 1])
+        if gap <= tol or (n == len(ladder) - 1 and gap <= loose):
+            return _plackett_estimate(values[n], values[n - 1]), ladder[n]
     return None
 
 
@@ -692,36 +615,6 @@ def _check_root_tol(root_tol: float) -> float:
     return float(root_tol)
 
 
-def _exact_union(u: np.ndarray, corr: np.ndarray, target_error: float) -> ProbEstimate | None:
-    """Union probability by inclusion-exclusion for thresholds in (0, 1).
-
-    The pair terms come from Owen's T, the triple term from the
-    trivariate quadrature, whose own error is reported when it exceeds
-    the Owen's-T margin. None above three dimensions (Plackett's
-    reduction, ``_plackett_fit``, takes those up to MAX_EXACT_DIM), or
-    when that error misses ``target_error`` as well as the margin.
-    """
-    k = u.size
-    if k == 1:
-        return ProbEstimate(float(u[0]), 0.0)
-    if k > 3:
-        return None
-    a = ndtri(u)
-    both = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            both += _bvn_cdf(float(a[i]), float(a[j]), float(corr[i, j]))
-    v = float(u.sum()) - both
-    error = _EXACT_ERROR
-    if k == 3:
-        triple, quad_error = _tvn_cdf(a, corr)
-        if quad_error > max(target_error, _EXACT_ERROR):
-            return None
-        v += triple
-        error = max(error, quad_error)
-    return ProbEstimate(min(1.0, max(0.0, v)), error)
-
-
 def union_exceedance(
     thresholds,
     corr,
@@ -734,14 +627,15 @@ def union_exceedance(
     P_j = 1 - Phi(Z_j) with Z ~ MVN(0, corr), so each P_j is uniform and
     the union is 1 minus the orthant probability P(Z_j <= -Phi^-1(u_j)
     for all j). Zero thresholds are dropped (zero-probability events); a
-    threshold of 1 makes the union certain and returns exactly 1. Up to
-    three remaining thresholds the union is exact by inclusion-exclusion,
-    and up to six by Plackett's reduction (to ~1e-13, or the quadrature's
-    error; a quadrature whose error estimate misses ``target_error``
-    hands over to QMC); above that it is a QMC estimate of the orthant,
-    with the reported error targeted at ``target_error`` but honest when
-    the sample cap bites first. Either way it is the
-    ``estimate`` of a ``UnionRule`` fitted at the remaining thresholds.
+    threshold of 1 makes the union certain and returns exactly 1. One or
+    two remaining thresholds give a closed form (to ~1e-13), three to six
+    Plackett's reduction on the graded rule (its error the gap to half
+    the nodes, at most 1e-13 at three wherever the ladder reaches it; a
+    quadrature that misses ``target_error`` hands over to QMC); above that
+    it is a QMC estimate of the orthant, with the reported error targeted
+    at ``target_error`` but honest when the sample cap bites first.
+    Either way it is the ``estimate`` of a ``UnionRule`` fitted at the
+    remaining thresholds.
     A correlation of more than MAX_HYPOTHESES dimensions, or max_points
     above 2^30 (the Sobol' points' range), raises InputError.
     """
@@ -766,16 +660,18 @@ class UnionRule:
     """``union_exceedance`` over one correlation on a rule kept fixed across
     thresholds: the package's one entry to the kernel.
 
-    The rule is built at reference thresholds, all in (0, 1). Up to
-    three dimensions the exact inclusion-exclusion needs no rule; up to
-    MAX_EXACT_DIM the rule is the node count of Plackett's reduction that
-    meets ``target_error`` at the reference. Above that (or when the
-    quadrature misses ``target_error`` at the reference) a QMC rule for
-    the complementary orthant is fitted at the reference thresholds and
-    kept. Either way the estimate is a deterministic, continuous function
-    of the thresholds: what a root solve needs (Genz & Bretz 2009,
-    section 5). ``estimate`` holds the value at the reference thresholds.
-    A call checks its thresholds as ``union_exceedance`` does.
+    The rule is built at reference thresholds, all in (0, 1), and takes
+    one of three paths. One or two events are a closed form (the
+    bivariate by Owen's T) and need no rule. Three to MAX_EXACT_DIM take
+    Plackett's reduction on the graded Gauss-Legendre rule, at the node
+    count that ``_plackett_fit`` picks at the reference. Above that, or
+    when no node count meets ``target_error`` at the reference, a QMC
+    rule for the complementary orthant is fitted at the reference
+    thresholds and kept. Either way the estimate is a deterministic,
+    continuous function of the thresholds: what a root solve needs (Genz
+    & Bretz 2009, section 5). ``estimate`` holds the value at the
+    reference thresholds. A call checks its thresholds as
+    ``union_exceedance`` does.
     """
 
     def __init__(
@@ -793,10 +689,12 @@ class UnionRule:
             raise InputError("rule thresholds must lie strictly in (0, 1)")
         max_points = _check_accuracy_args(target_error, max_points)
         self._qmc: _QmcRule | None = None
-        # the node count of Plackett's reduction, above three dimensions
+        # the node count of Plackett's reduction, from three dimensions on
         self._nodes: int | None = None
-        est = _exact_union(u, self._corr, target_error)
-        if est is None and u.size <= MAX_EXACT_DIM:
+        est = None
+        if u.size <= 2:
+            est = _closed_form_union(u, self._corr)
+        elif u.size <= MAX_EXACT_DIM:
             est, self._nodes = _plackett_fit(u, self._corr, target_error) or (None, None)
         if est is None:
             self._qmc = _QmcRule(self._corr, -ndtri(u), seed, target_error, max_points)
@@ -815,13 +713,11 @@ class UnionRule:
         u = _check_thresholds(thresholds, self._corr.shape[0])
         if np.any(u == 1.0):
             return ProbEstimate(1.0, 0.0)
-        if self._nodes is not None:
-            return _plackett_estimate(
-                _plackett_union(u, self._corr, self._nodes), _plackett_union(u, self._corr, self._nodes // 2)
-            )
-        if self._qmc is None:
-            return _exact_union(u, self._corr, math.inf)
-        return _complement(self._qmc(-ndtri(u), seed))
+        if self._qmc is not None:
+            return _complement(self._qmc(-ndtri(u), seed))
+        if self._nodes is None:
+            return _closed_form_union(u, self._corr)
+        return _plackett_estimate(*_plackett_unions(u, self._corr, (self._nodes, self._nodes // 2)).tolist())
 
     def can_refine(self, max_points: int) -> bool:
         """Whether ``refine(max_points)`` would add points: QMC below max_points."""

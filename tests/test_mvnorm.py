@@ -1,5 +1,6 @@
 """Kernel tests: union/orthant probabilities, the QMC pass, root solves."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,9 +14,9 @@ from closedmtp.mvnorm import (
     CorrelationMatrix,
     ProbEstimate,
     UnionRule,
-    _bvn_cdf,
-    _exact_union,
+    _bvn,
     _pair_unions,
+    _plackett_unions,
     solve_monotone,
     union_exceedance,
 )
@@ -32,6 +33,11 @@ def random_correlation(rng, dim):
     s = a @ a.T
     d = np.sqrt(np.diag(s))
     return CorrelationMatrix(s / np.outer(d, d))
+
+
+def bvn(h, k, rho):
+    """The kernel's bivariate at one point."""
+    return float(_bvn(np.array([h]), np.array([k]), np.array([rho]))[0])
 
 
 def one_factor(lam):
@@ -72,11 +78,9 @@ def one_factor_orthant(upper, lam):
 
 def conditioned_quad(h, corr):
     """P(Z <= h) for a trivariate normal by adaptive quadrature over Z3 of
-    the Owen's T bivariate probability of (Z1, Z2) given Z3.
-
-    The kernel conditions on the variable least correlated with the
-    others, which for the matrices used here is never Z3. Cuts at doubling
-    distances resolve the bend where the conditional bounds cross.
+    the kernel's bivariate probability of (Z1, Z2) given Z3, independent
+    of Plackett's reduction. Cuts at doubling distances resolve the bend
+    where the conditional bounds cross.
     """
     corr = np.asarray(corr, dtype=float)
     r = corr[:2, 2]
@@ -85,7 +89,7 @@ def conditioned_quad(h, corr):
 
     def given_x(x):
         b = (np.asarray(h[:2]) - r * x) / s
-        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * _bvn_cdf(b[0], b[1], rho)
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * bvn(b[0], b[1], rho)
 
     cuts = {-12.0, h[2]}
     sign = 1.0 if rho >= 0.0 else -1.0
@@ -367,7 +371,7 @@ class TestExactTrivariate:
             assert est.error <= 1e-12
             a = ndtri(u)
             both = sum(
-                _bvn_cdf(a[i], a[j], cm.values[i, j]) for i, j in ((0, 1), (0, 2), (1, 2))
+                bvn(a[i], a[j], cm.values[i, j]) for i, j in ((0, 1), (0, 2), (1, 2))
             )
             want = sum(u) - both + conditioned_quad(a, cm.values)
             assert est.value == pytest.approx(want, abs=1e-12)
@@ -410,11 +414,27 @@ def plackett_grid(dim):
         yield rng.uniform(u0 / 3, 3 * u0, dim), CorrelationMatrix(s / np.outer(d, d))
 
 
+def plackett_reference(u, cm):
+    """The union by Plackett's reduction on a finer rule than any fit above
+    three dimensions takes, 128 nodes; 256, the top of the ladder, at
+    three."""
+    nodes = 256 if cm.dim == 3 else 128
+    return float(_plackett_unions(np.asarray(u, dtype=float), cm.values, (nodes,))[0])
+
+
+def pair_beside(dim, rho):
+    """Correlation 0.3 throughout but rho for the pair (0, 1)."""
+    v = np.full((dim, dim), 0.3)
+    v[0, 1] = v[1, 0] = rho
+    np.fill_diagonal(v, 1.0)
+    return CorrelationMatrix(v)
+
+
 class TestPlackettReduction:
-    """Dimensions 4 to MAX_EXACT_DIM by Plackett's reduction: a fixed
+    """Dimensions 3 to MAX_EXACT_DIM by Plackett's reduction: a graded
     Gauss-Legendre rule per fit, its error the gap to half the nodes."""
 
-    @pytest.mark.parametrize("dim", [4, 5, 6])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_matches_one_factor_quadrature(self, dim):
         rng = np.random.default_rng(70 + dim)
         for trial in range(4):
@@ -425,7 +445,7 @@ class TestPlackettReduction:
             assert rule.estimate.error <= 1e-6
             assert rule.estimate.value == pytest.approx(one_factor_union(u, lam), abs=1e-10)
 
-    @pytest.mark.parametrize("dim", [4, 5, 6])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_equicorrelated_half_orthant_exact(self, dim):
         # zero bounds (u = 1/2) in every pair and every conditional
         # bivariate: the zero-bound forms, and no NaN
@@ -433,7 +453,7 @@ class TestPlackettReduction:
         assert not rule.sampled
         assert rule.estimate.value == pytest.approx(dim / (dim + 1.0), abs=1e-12)
 
-    @pytest.mark.parametrize("dim", [4, 5, 6])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_within_error_of_a_fine_qmc_fit(self, dim):
         # the QMC error is three standard errors of ten randomizations,
         # which is not always a bound: at u = 1e-6 and negative correlation
@@ -449,18 +469,13 @@ class TestPlackettReduction:
             bound = rule.estimate.error + qmc.error * 4.78 / 3.0
             assert abs(rule.estimate.value - (1.0 - qmc.value)) <= bound, case
 
-    @pytest.mark.parametrize("dim", [4, 5, 6])
-    def test_error_covers_a_64_node_value(self, monkeypatch, dim):
-        import closedmtp.mvnorm as mvnorm
-
-        x, w = np.polynomial.legendre.leggauss(64)
-        monkeypatch.setitem(mvnorm._PLACKETT_RULES, 64, (0.5 * (x + 1.0), 0.5 * w))
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_error_covers_a_128_node_value(self, dim):
         for case, (u, cm) in enumerate(plackett_grid(dim)):
             est = UnionRule(u, cm).estimate
-            fine = mvnorm._plackett_union(u, cm.values, 64)
-            assert abs(est.value - fine) <= est.error, case
+            assert abs(est.value - plackett_reference(u, cm)) <= est.error, case
 
-    @pytest.mark.parametrize("dim", [4, 5, 6])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_zero_threshold_in_a_call_drops_out(self, dim):
         cm = random_correlation(np.random.default_rng(dim), dim)
         u = np.linspace(0.002, 0.02, dim)
@@ -474,12 +489,8 @@ class TestPlackettReduction:
 
     @pytest.mark.parametrize("dim", [4, 5, 6])
     def test_near_singular_falls_back_to_qmc(self, dim):
-        u = np.full(dim, 0.01)
-        assert UnionRule(u, equicorr(dim, 0.9999)).sampled
-        # rank-deficient: Z_1 = Z_2
-        v = np.eye(dim)
-        v[0, 1] = v[1, 0] = 1.0
-        assert UnionRule(u, CorrelationMatrix(v)).sampled
+        # every pair at 0.9999: the 16-to-32 node gap is about 3e-6
+        assert UnionRule(np.full(dim, 0.01), equicorr(dim, 0.9999)).sampled
 
     def test_rises_along_the_scale_of_a_root_solve(self):
         cm = random_correlation(np.random.default_rng(12), 6)
@@ -495,21 +506,117 @@ class TestPlackettReduction:
         assert np.all(np.diff(steps) >= 0.0)
 
 
-class TestPairUnions:
-    def test_equals_the_exact_union_elementwise(self):
-        # every entry the float the kernel's exact path gives the pair, on
-        # every branch of the bivariate: a threshold of 1/2 (bound 0), in
-        # one or both places, rho 0 and +-1, and rho near -1
+class TestNearSingularPairs:
+    """Pairs correlated near +-1, where a pair's rate along Plackett's path
+    bends sharply at t = 1 and the graded rule has to resolve it."""
+
+    @staticmethod
+    def trivariate_grid():
+        for u0 in (1e-6, 1e-3, 0.05):
+            for rho in (0.9, 0.99, 0.999, 0.9999, -0.45, -0.499):
+                yield f"equicorrelation {rho} at {u0}", u0, rho, equicorr(3, rho)
+            for rho in (0.99, 0.999):
+                yield f"pair {rho} at {u0}", u0, None, pair_beside(3, rho)
+
+    @pytest.mark.parametrize("target", [1e-6, 1e-13])
+    def test_trivariate_grid(self, target):
+        # the trivariate quadrature that held k = 3 before met 1e-6 on all
+        # but equicorrelation 0.999 and 0.9999 at u = 0.05, and 1e-13 on
+        # all but equicorrelation 0.99 at u >= 1e-3 and 0.999 and 0.9999
+        # everywhere; it reported at most 1e-12 wherever it met 1e-13.
+        # The ladder to 256 nodes meets 1e-13 on every case.
+        for name, u0, rho, cm in self.trivariate_grid():
+            u = np.full(3, u0)
+            rule = UnionRule(u, cm, target_error=target)
+            est = rule.estimate
+            assert not rule.sampled, name
+            assert est.error <= 1e-13, name
+            assert abs(est.value - plackett_reference(u, cm)) <= est.error, name
+            if rho is not None and rho > 0.0:
+                want = one_factor_union(u, [math.sqrt(rho)] * 3)
+                assert abs(est.value - want) <= est.error + 1e-14, name
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_pairs_in_larger_blocks(self, dim):
+        # a 0.99 or 0.999 pair beside 0.3: the 8-to-16 node gap meets 1e-6
+        for u0 in (1e-6, 1e-3, 0.05):
+            for rho in (0.99, 0.999):
+                u, cm = np.full(dim, u0), pair_beside(dim, rho)
+                rule = UnionRule(u, cm)
+                assert not rule.sampled and rule._nodes == 16, (u0, rho)
+                est = rule.estimate
+                assert est.error <= 1e-6, (u0, rho)
+                assert abs(est.value - plackett_reference(u, cm)) <= est.error, (u0, rho)
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_a_rank_deficient_block(self, dim):
+        # Z_1 = Z_2 and the rest independent: the union of dim - 1
+        # independent events
+        v = np.eye(dim)
+        v[0, 1] = v[1, 0] = 1.0
+        cm = CorrelationMatrix(v)
+        u = np.full(dim, 0.01)
+        rule = UnionRule(u, cm)
+        assert not rule.sampled
+        est = rule.estimate
+        assert abs(est.value - (1.0 - 0.99 ** (dim - 1))) <= est.error
+        assert abs(est.value - plackett_reference(u, cm)) <= est.error
+
+
+class TestBivariate:
+    """The one bivariate, ``_bvn``: the closed forms of k = 2, the
+    threshold table's array pass and the leaves of Plackett's reduction."""
+
+    bounds = np.array([-3.2, -1.0, -0.2, 0.0, 0.4, 1.7, 4.5])
+
+    def grid(self, rho):
+        h, k = (a.ravel() for a in np.meshgrid(self.bounds, self.bounds, indexing="ij"))
+        return h, k, _bvn(h, k, np.full(h.size, rho))
+
+    def test_independence(self):
+        h, k, got = self.grid(0.0)
+        assert got.tobytes() == (ndtr(h) * ndtr(k)).tobytes()
+
+    def test_perfect_correlation(self):
+        h, k, got = self.grid(1.0)
+        assert got.tobytes() == ndtr(np.minimum(h, k)).tobytes()
+        h, k, got = self.grid(-1.0)
+        assert got.tobytes() == np.maximum(0.0, ndtr(h) + ndtr(k) - 1.0).tobytes()
+
+    def test_zero_bounds(self):
+        rho = np.array([-0.999, -0.6, -1e-17, 1e-17, 0.3, 0.95, 0.999])
+        got = _bvn(np.zeros(rho.size), np.zeros(rho.size), rho)
+        want = [0.25 + math.asin(r) / (2.0 * math.pi) for r in rho]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("rho", [-0.99, -0.6, 0.45, 0.99])
+    def test_owens_t_forms_match_quadrature(self, rho):
+        # every bound pair, one zero bound and none among them:
+        # P(X <= h, Y <= k) = int_-inf^h phi(x) Phi((k - rho x) / s) dx
+        s = math.sqrt(1.0 - rho * rho)
+        h, k, got = self.grid(rho)
+        for a, b, p in zip(h, k, got):
+            want = quad(
+                lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * ndtr((b - rho * x) / s),
+                -40.0, a, epsabs=1e-15, epsrel=1e-13, limit=200,
+            )[0]
+            assert p == pytest.approx(want, abs=1e-14), (a, b)
+
+    def test_pair_unions_are_the_rules_floats(self):
+        # every entry the float a UnionRule gives the pair, on every branch
+        # of the bivariate: a threshold of 1/2 (bound 0), in one or both
+        # places, rho 0 and +-1, and rho near -1; pinned to the floats of
+        # the scalar Owen's-T bivariate this one replaced
         us = [1e-9, 0.003, 0.0125, 0.3, 0.5, 0.7, 1.0 - 1e-9]
         rhos = [-1.0, -0.99, -0.6, 0.0, 1e-17, 0.45, 1.0]
         u, v, r = (a.ravel() for a in np.meshgrid(us, us, rhos, indexing="ij"))
         assert np.count_nonzero((u == 0.5) & (v == 0.5)) == len(rhos)
         got = _pair_unions(u, v, r)
         want = np.array([
-            _exact_union(np.array([a, b]), np.array([[1.0, c], [c, 1.0]]), 1e-6).value
-            for a, b, c in zip(u, v, r)
+            UnionRule([a, b], [[1.0, c], [c, 1.0]]).estimate.value for a, b, c in zip(u, v, r)
         ])
         assert got.tobytes() == want.tobytes()
+        assert hashlib.sha1(got.tobytes()).hexdigest()[:12] == "ce34ec7a8ae4"
 
 
 class TestUnionRule:

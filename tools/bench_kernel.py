@@ -12,11 +12,15 @@ Run from the repository root; point PYTHONPATH at another checkout's
 from a fixed seed, so both sides integrate the same problems.
 
 - L0: one evaluation of a ``UnionRule`` fitted at targets 1e-6 and 1e-12
-  under the 2^16-point cap, at k = 4, 5, 6, 8: CPU median of five
+  under the 2^16-point cap, at k = 2, 3, 4, 5, 6, 8: CPU median of five
   evaluations, tracemalloc's peak over a sixth, and the rule's path and
   reported error. A QMC rule (``"path": "qmc"``) makes one kernel pass
-  over 10 x n points; a quadrature rule (Plackett's reduction, k <= 6)
-  reports its Gauss-Legendre node count instead.
+  over 10 x n points; a quadrature rule (Plackett's reduction, k = 3 to
+  6) reports its Gauss-Legendre node count instead, and a closed form
+  (k <= 2) neither.
+- near-singular: the same, at target 1e-6, for a block of k = 4, 5, 6
+  with correlation 0.3 but for one pair at 0.99 or 0.999, at thresholds
+  1e-3 and 0.05: the rule's path and node count or points.
 - L1: one ``parametric_c`` at k = 4, 5, 6, 8 and targets 1e-4, 1e-5 and
   1e-6, with the 2^16-point cap: kernel passes, points in units of one
   capped pass (2^16 per shift) and CPU, each the mean over three
@@ -24,9 +28,10 @@ from a fixed seed, so both sides integrate the same problems.
   thresholds reports.
 - L1 exact: one ``parametric_c`` at k = 2 and 3, where every union is
   exact (no kernel pass): the median CPU of one solve over ten instances,
-  each timed as the fastest of five runs, the exact union evaluations
-  per solve (``mvnorm._exact_union`` calls) and a sha1 prefix of the
-  scales.
+  each timed as the fastest of five runs, the union evaluations per
+  solve (calls of ``mvnorm._closed_form_union`` and
+  ``mvnorm._plackett_unions``, the closed-form and quadrature entries a
+  fit or a call of a rule goes through) and a sha1 prefix of the scales.
 - tutorial: ``run_closure`` with scales on ``tutorial/trial_problem.json``
   (the perfbench gatekeeping problem) at the CLI's target 1e-6: the
   median CPU of fifteen runs after a warm-up, the ``solve_monotone``
@@ -85,6 +90,7 @@ from closedmtp.intersection import parametric_c  # noqa: E402
 
 CAP = 1 << 16
 DIMS = (4, 5, 6, 8)
+L0_DIMS = (2, 3) + DIMS
 EXACT_DIMS = (2, 3)
 TUTORIAL = Path(__file__).resolve().parent.parent / "tutorial" / "trial_problem.json"
 
@@ -118,10 +124,17 @@ class PassCounter:
         mvnorm._QmcRule._means = self._means
 
 
-def kernel_pass(dim: int, target: float) -> dict:
+def rule_path(rule: mvnorm.UnionRule) -> str:
+    if rule.sampled:
+        return "qmc"
+    return "closed form" if rule._nodes is None else "quadrature"
+
+
+def kernel_pass(dim: int, target: float, corr=None, u0: float | None = None) -> dict:
     rng = np.random.default_rng(40 + dim)
-    corr = random_correlation(rng, dim)
-    u = np.full(dim, 0.025 / dim)
+    if corr is None:
+        corr = random_correlation(rng, dim)
+    u = np.full(dim, 0.025 / dim if u0 is None else u0)
     rule = mvnorm.UnionRule(u, corr, seed=3, target_error=target, max_points=CAP)
     cpu = []
     for _ in range(5):
@@ -137,7 +150,7 @@ def kernel_pass(dim: int, target: float) -> dict:
     return {
         "k": dim,
         "target_error": target,
-        "path": "qmc" if rule.sampled else "quadrature",
+        "path": rule_path(rule),
         "points_per_shift": rule._qmc.n if rule.sampled else None,
         "nodes": None if rule.sampled else rule._nodes,
         "cpu_s": round(statistics.median(cpu), 5),
@@ -145,6 +158,13 @@ def kernel_pass(dim: int, target: float) -> dict:
         "value": est.value,
         "error": est.error,
     }
+
+
+def near_singular(dim: int, rho: float, u0: float) -> dict:
+    corr = np.full((dim, dim), 0.3)
+    corr[0, 1] = corr[1, 0] = rho
+    np.fill_diagonal(corr, 1.0)
+    return {"pair_rho": rho, "u": u0, **kernel_pass(dim, 1e-6, CorrelationMatrix(corr), u0)}
 
 
 def root_solve(dim: int, target: float) -> dict:
@@ -176,23 +196,27 @@ def sha1(values) -> str:
 
 
 class Counter:
-    """Counts the calls of ``module.name`` while installed."""
+    """Counts the calls of ``module.name`` for each of ``names`` while installed."""
 
-    def __init__(self, module, name: str) -> None:
-        self.module, self.name, self.calls = module, name, 0
+    def __init__(self, module, *names: str) -> None:
+        self.module, self.names, self.calls = module, names, 0
 
     def __enter__(self) -> "Counter":
-        self._fn = fn = getattr(self.module, self.name)
+        self._fns = [getattr(self.module, name) for name in self.names]
+        for name, fn in zip(self.names, self._fns):
+            setattr(self.module, name, self._counted(fn))
+        return self
 
+    def _counted(self, fn):
         def counted(*args, **kwargs):
             self.calls += 1
             return fn(*args, **kwargs)
 
-        setattr(self.module, self.name, counted)
-        return self
+        return counted
 
     def __exit__(self, *exc) -> None:
-        setattr(self.module, self.name, self._fn)
+        for name, fn in zip(self.names, self._fns):
+            setattr(self.module, name, fn)
 
 
 def exact_solve(dim: int) -> dict:
@@ -201,7 +225,7 @@ def exact_solve(dim: int) -> dict:
         (random_correlation(rng, dim), rng.dirichlet(np.ones(dim) * 2.0)) for _ in range(10)
     ]
     cpu, scales = [], []
-    with Counter(mvnorm, "_exact_union") as count:
+    with Counter(mvnorm, "_closed_form_union", "_plackett_unions") as count:
         for corr, w in instances:
             scales.append(parametric_c(range(dim), w, 0.025, corr))
     for corr, w in instances:
@@ -328,11 +352,16 @@ def dunnett(m: int) -> dict:
 
 
 if __name__ == "__main__":
-    results = {"L0": [], "L1": []}
+    results = {"L0": [], "L1": [], "near_singular": []}
     for target in (1e-6, 1e-12):
-        for dim in DIMS:
+        for dim in L0_DIMS:
             results["L0"].append(kernel_pass(dim, target))
             print(json.dumps(results["L0"][-1]), flush=True)
+    for dim in DIMS[:3]:
+        for rho in (0.99, 0.999):
+            for u0 in (1e-3, 0.05):
+                results["near_singular"].append(near_singular(dim, rho, u0))
+                print(json.dumps(results["near_singular"][-1]), flush=True)
     for target in (1e-4, 1e-5, 1e-6):
         for dim in DIMS:
             results["L1"].append(root_solve(dim, target))
