@@ -105,25 +105,16 @@ def _check_shortcut(weights, pvalues, corr, alpha: float, label: str):
     return model, w, _check_pvalues(pvalues, model.m)
 
 
-def _common_levels(mem, w, alpha, model, *solve):
-    c = partitioned_common_scale(mem, w, alpha, model, *solve)
-    return c, None, c * alpha * w
-
-
-def _block_levels(mem, w, alpha, model, *solve):
-    scales = partitioned_subset_scales(mem, w, alpha, model, *solve)
-    scale_of = {j: c for block_mem, c in scales for j in block_mem}
-    return None, scales, np.array([scale_of[j] * alpha * wj for j, wj in zip(mem, w)])
-
-
 @dataclass(frozen=True)
 class _Method:
     """What one method does to test an intersection.
 
     ``levels`` maps (members, weights, alpha, model, seed, target_error,
-    root_tol, max_points) to (scale, block scales, local levels), and
-    looks the intersection tests up in this module's globals per call, so
-    wrappers on those bindings (tracing) see every call. ``pvalue`` maps
+    root_tol, max_points) to the scalings of the local levels, as
+    ((members, c), ...) per correlation block or for the whole
+    intersection, and looks the scale functions up in this module's
+    globals per call, so wrappers on those bindings (tracing) see every
+    call; bonferroni's levels are alpha * w and need none. ``pvalue`` maps
     (members, weights, p-values, model, seed, target_error, max_points) to
     (p-value estimate, whether every kernel fit met its target, in which
     case a fit capped at _COARSE_POINTS gives what one at any larger
@@ -134,11 +125,15 @@ class _Method:
     p-values) to every intersection's exact p-value in one array step.
     """
 
-    levels: Callable
+    levels: Callable | None
     pvalue: Callable | None
     scales: str
     proportional: bool = False
     pvalues: Callable | None = None
+
+
+def _common_scale(mem, *args):
+    return ((mem, partitioned_common_scale(mem, *args)),)
 
 
 def _bonferroni_pvalues(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -152,15 +147,12 @@ def _bonferroni_pvalues(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 _METHODS = {
-    "bonferroni": _Method(
-        lambda mem, w, alpha, *_: (1.0, None, alpha * w),
-        None,
-        "one",
-        pvalues=_bonferroni_pvalues,
+    "bonferroni": _Method(None, None, "one", pvalues=_bonferroni_pvalues),
+    "parametric-common": _Method(_common_scale, _common_estimate, "common"),
+    "parametric-subsets": _Method(
+        lambda *args: partitioned_subset_scales(*args), _subsets_estimate, "block"
     ),
-    "parametric-common": _Method(_common_levels, _common_estimate, "common"),
-    "parametric-subsets": _Method(_block_levels, _subsets_estimate, "block"),
-    "xie": _Method(_common_levels, _xie_estimate, "common", proportional=True),
+    "xie": _Method(_common_scale, _xie_estimate, "common", proportional=True),
 }
 # the method names every entry point accepts
 METHODS = tuple(_METHODS)
@@ -392,14 +384,14 @@ def decision_thresholds(
 def _level_table(scheme, model, alpha: float, method: _Method, solve: tuple):
     """(levels, scales) per mask - 1 and hypothesis: for each member j
     the local level c * alpha * w_j (-1.0 off the members) and the scaling
-    c of j's block or of the whole intersection; the floats the method's
-    levels give. ``solve`` is (seed, target_error, root_tol,
-    max_points); the weights are checked as each intersection test checks
-    its own (``_invalid_masks``). A row in which no block holds two
-    positive-weight members is alpha * w (scale 1); the rows in which
-    none holds more than two are solved in one array pass
+    c of j's block or of the whole intersection. ``solve`` is (seed,
+    target_error, root_tol, max_points); the weights are checked as each
+    intersection test checks its own (``_invalid_masks``). A row in which
+    no block holds two positive-weight members has scale 1; the rows in
+    which none holds more than two are solved in one array pass
     (``_closed_form_scales``); only a row with a block of three or more,
-    or one that pass leaves NaN, calls the levels.
+    or one that pass leaves NaN, calls the method's levels for its
+    scalings. Every level is then (c * alpha) * w_j, in one array step.
     """
     for mask in _invalid_masks(scheme)[:1].tolist():  # raise the intersection tests' error
         _check_subset_args(members(mask), scheme.table[mask])
@@ -420,13 +412,10 @@ def _level_table(scheme, model, alpha: float, method: _Method, solve: tuple):
     scale[closed] = _closed_form_scales(t[closed], model, alpha, common, solve[2])
     # a row the pass could not settle is solved alone, to raise its error in mask order
     alone = (most > 2) | np.isnan(scale).any(axis=1)
-    np.multiply(scale * alpha, t, out=t, where=inside & ~alone[:, None])
     for mask in masks[alone].tolist():
-        mem = members(mask)
-        c, block_scales, levels = method.levels(mem, scheme.table[mask], alpha, model, *solve)
-        t[mask - 1, list(mem)] = levels
-        for block, c in block_scales or ((mem, c),):
+        for block, c in method.levels(members(mask), scheme.table[mask], alpha, model, *solve):
             scale[mask - 1, list(block)] = c
+    np.multiply(scale * alpha, t, out=t, where=inside)
     return t, scale
 
 

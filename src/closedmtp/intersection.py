@@ -20,11 +20,14 @@ The fully known tests are the one-block case of the partitioned ones
 (``parametric_pvalue`` returns ``partitioned_pvalue_subsets``,
 ``parametric_c`` returns ``partitioned_common_scale``). One helper
 (``_blocks``) splits J by block and hands each block the correlation of
-its active members and the salt of its random stream, its place in the
-split: a subset inside one block gets salt 0, the whole subset's. Every
-parametric p-value is built from per-block unions at thresholds w_j * q,
-q the smallest p/w of the block (of J, for the common scaling, which sums
-them), over a weight total; every critical scaling is one root solve over
+its active members (none where it has fewer than two) and the salt of its
+random stream, its place in the split: a subset inside one block gets
+salt 0, the whole subset's. Every parametric p-value is one estimate
+(``_union_estimate``): per-block unions at thresholds w_j * q, q the
+smallest p/w, summed over a weight total; the common scaling's runs it
+once over all blocks, the per-block test on each block alone and takes
+the smallest. A block with one active member makes no kernel call: its
+union is its threshold. Every critical scaling is one root solve over
 per-block unions (``_solve_scale``), or, for the rows of a threshold table
 in which every block holds at most two active members, the same solve run
 for all of them in one array pass (``_solve_scales``); both run the one
@@ -70,8 +73,6 @@ _CHECK_SALT = 1 << 32
 _COARSE_POINTS = _START_POINTS
 # full-rule evaluations the secant finish of a sampled root solve may spend
 _SECANT_STEPS = 2
-# the correlation of every single hypothesis
-_UNIT = CorrelationMatrix(np.eye(1))
 
 
 def _check_seed(seed, name: str = "seed") -> int:
@@ -176,8 +177,9 @@ class IntersectionResult:
     """Outcome of testing one intersection hypothesis.
 
     ``p_error`` is the reported absolute error of ``p_value``: 0 for
-    Bonferroni, about 1e-13 where no block has more than two active
-    members (closed forms) and mostly where none has more than three,
+    Bonferroni and where every block holds one active member at most (the
+    union of one event is its threshold), about 1e-13 where none has more
+    than two (closed forms) and mostly where none has more than three,
     the graded quadrature's error (at least 1e-13, within the target)
     where none has more than six, the QMC bound otherwise. The closure
     fits ``p_value`` to its target error only where that can change an
@@ -256,9 +258,10 @@ def bonferroni_pvalue(subset, weights, pvalues) -> float:
 def _blocks(mem: tuple[int, ...], w: np.ndarray, model: CorrelationModel) -> list[tuple]:
     """The subset split by correlation block, in block order: per block
     (salt, block members, positions in ``mem`` of its active (positive-
-    weight) members, their correlation or None, weight total of all its
-    members). The salt is the block's place in this list. ``mem`` must be
-    ascending and inside the model, as every caller's ``mask_of`` checks."""
+    weight) members, their correlation, None for fewer than two, weight
+    total of all its members). The salt is the block's place in this list.
+    ``mem`` must be ascending and inside the model, as every caller's
+    ``mask_of`` checks."""
     groups: dict[int, list[int]] = {}
     for i, h in enumerate(model._block_of[list(mem)].tolist()):
         groups.setdefault(h, []).append(i)
@@ -267,13 +270,50 @@ def _blocks(mem: tuple[int, ...], w: np.ndarray, model: CorrelationModel) -> lis
     for salt, h in enumerate(sorted(groups)):
         idx = groups[h]
         act = [i for i in idx if positive[i]]
+        corr = None
         if len(act) > 1:
             corr = model.matrices[h].submatrix(model._pos[[mem[i] for i in act]])
-        else:
-            corr = _UNIT if act else None
         total = float(w[idx[0]]) if len(idx) == 1 else float(w[idx].sum())
         out.append((salt, tuple(mem[i] for i in idx), np.array(act, dtype=int), corr, total))
     return out
+
+
+def _union_estimate(
+    blocks, w: np.ndarray, p: np.ndarray, total: float, seed: int, mask: int,
+    target_error: float, max_points: int,
+) -> tuple[ProbEstimate, bool]:
+    """(estimate, whether every block met its share of the target): the
+    unions of ``blocks`` (``_blocks``'s entries) at thresholds w_j * q, q
+    the smallest p/w of their active members, summed in block order over
+    ``total`` (capped at 1), the errors too. The target is split across
+    the blocks that sample. A block with one active member adds
+    min(1, w * q), error 0, with no kernel call: the union of one event.
+    A kernel fit that meets its target on the first pass of
+    _COARSE_POINTS stops there, so then a fit capped at _COARSE_POINTS
+    gives the floats of one at any larger max_points."""
+    # checked here, since a one-member block never reaches the kernel's checks
+    max_points = _check_accuracy_args(target_error, max_points)
+    act = np.concatenate([block[2] for block in blocks])
+    with np.errstate(over="ignore"):
+        q = float(np.min(p[act] / w[act]))
+    if q >= 1.0 / float(np.max(w[act])):
+        # the heaviest threshold is 1, however its product rounds: the union is certain
+        return ProbEstimate(1.0, 0.0), True
+    block_error = target_error / max(1, sum(1 for b in blocks if b[2].size > MAX_EXACT_DIM))
+    union = error = 0.0
+    met = True
+    for salt, _, act, corr, _ in blocks:
+        if corr is not None:
+            est = union_exceedance(
+                np.minimum(1.0, w[act] * q), corr, derived_seed(seed, mask, salt),
+                block_error, max_points,
+            )
+            union += est.value
+            error += est.error
+            met = met and est.error <= block_error
+        elif act.size:
+            union += min(1.0, float(w[act[0]]) * q)
+    return ProbEstimate(min(1.0, union / total), error / total), met
 
 
 def parametric_pvalue(
@@ -294,7 +334,7 @@ def parametric_pvalue(
     mem, w, p = _check_subset_args(subset, weights, pvalues)
     model = _one_block(mem, corr, "parametric p-value")
     # the one-block case of the per-block minimum
-    return _subsets_estimate(mem, w, p, model, seed, target_error, max_points)[0].value
+    return _subsets_estimate(mem, w, p, model, _check_seed(seed), target_error, max_points)[0].value
 
 
 def _one_block(mem: tuple[int, ...], corr, what: str) -> CorrelationModel:
@@ -303,29 +343,6 @@ def _one_block(mem: tuple[int, ...], corr, what: str) -> CorrelationModel:
     if not model.covers(mem):
         raise InputError(f"{what} needs the correlation fully known over the subset")
     return model
-
-
-def _linear(c: float, alpha: float, w: np.ndarray) -> float:
-    """The union of a block with one active member at threshold c*alpha*w:
-    min(1, c*alpha*w), exact, the float a one-member rule gives."""
-    return min(1.0, c * alpha * float(w[0]))
-
-
-def _union_sum(rules, groups, alpha: float, known: dict):
-    """The per-block unions at thresholds c*alpha*w summed in block order,
-    as a function of c that reads and fills ``known``. A block with one
-    active member has no rule (None): it adds its linear term."""
-
-    def total(c: float) -> float:
-        if c not in known:
-            known[c] = sum(
-                _linear(c, alpha, w) if rule is None
-                else rule(np.minimum(1.0, c * alpha * w)).value
-                for rule, (_, _, w) in zip(rules, groups)
-            )
-        return known[c]
-
-    return total
 
 
 def _bracket_scales(total, target, at_one, cap, root_tol: float) -> tuple[np.ndarray, ...]:
@@ -382,15 +399,15 @@ def _secant_root(
 
 
 def _solve_scale(
-    groups: list[tuple[int, CorrelationMatrix, np.ndarray]], target: float, alpha: float,
+    groups: list[tuple[int, CorrelationMatrix | None, np.ndarray]], target: float, alpha: float,
     seed: int, mask: int, target_error: float, root_tol: float, max_points: int,
 ) -> float:
     """Smallest c >= 1 at which the per-block unions at thresholds
     c*alpha*w sum to the target.
 
     groups holds (salt, correlation, active weights) per block; a block
-    with one active member gets no rule and contributes the exact linear
-    term min(1, c*alpha*w) (``_linear``), and when every block has at
+    with one active member has no correlation and no rule: its union is
+    its threshold min(1, c*alpha*w), exact, and when every block has at
     most one the equation is linear and c = 1. Every other block gets one
     UnionRule kept fixed while c moves, so the sum is a deterministic,
     continuous function of c; the QMC error budget is split across the
@@ -415,7 +432,7 @@ def _solve_scale(
     # checked before the linear case returns, so every entry checks them
     max_points = _check_accuracy_args(target_error, max_points)
     root_tol = _check_root_tol(root_tol)
-    if all(w.size <= 1 for _, _, w in groups):
+    if all(corr is None for _, corr, _ in groups):
         return 1.0
     sampled = sum(1 for _, _, w in groups if w.size > MAX_EXACT_DIM)
     block_error = target_error / max(sampled, 1)
@@ -427,11 +444,39 @@ def _solve_scale(
     def fit(c: float, points: int) -> tuple[list[UnionRule | None], list[UnionRule]]:
         """(per block its rule or None, the rules) fitted at c."""
         rules = [
-            None if w.size == 1
+            None if corr is None
             else UnionRule(c * alpha * w, corr, derived_seed(seed, mask, salt), block_error, points)
             for salt, corr, w in groups
         ]
         return rules, [rule for rule in rules if rule is not None]
+
+    def unions(rules, c: float, fitted=False, check=False) -> list[ProbEstimate]:
+        """The per-block unions at thresholds c*alpha*w, in block order:
+        min(1, c*alpha*w) for a block with no rule, else the rule's value
+        there, its ``estimate`` when ``fitted`` (c is where it was fitted:
+        no kernel pass), or with ``check`` its independent re-estimate."""
+        t = c * alpha
+        return [
+            ProbEstimate(min(1.0, t * float(w[0])), 0.0) if rule is None
+            else rule.estimate if fitted
+            else rule(
+                np.minimum(1.0, t * w), derived_seed(seed, mask, salt + _CHECK_SALT) if check else None
+            )
+            for rule, (salt, _, w) in zip(rules, groups)
+        ]
+
+    def union_sum(rules, c0: float):
+        """(total, known): the sum of the unions as a function of c, which
+        keeps what it evaluates in ``known``, starting from the rules'
+        estimates at c0, where they were fitted."""
+        known = {c0: sum(est.value for est in unions(rules, c0, fitted=True))}
+
+        def total(c: float) -> float:
+            if c not in known:
+                known[c] = sum(est.value for est in unions(rules, c))
+            return known[c]
+
+        return total, known
 
     def bracketed(total) -> float:
         """The root of total(c) = target; ``total`` keeps what it evaluates."""
@@ -444,13 +489,6 @@ def _solve_scale(
         )
         return solve_monotone(total, target, (lo[0], hi[0]), root_tol)
 
-    def fitted_sum(rules: list[UnionRule | None], c: float) -> float:
-        """The sum at the c the rules were fitted at, from their estimates."""
-        return sum(
-            _linear(c, alpha, w) if rule is None else rule.estimate.value
-            for rule, (_, _, w) in zip(rules, groups)
-        )
-
     c0, slope = 1.0, None
     # a first pass of _COARSE_POINTS: where every rule meets its target
     # there, these are the rules a fit to max_points makes
@@ -461,29 +499,23 @@ def _solve_scale(
     if max_points > _COARSE_POINTS and any(
         rule.sampled and rule.estimate.error > block_error for rule in built
     ):
-        known = {1.0: fitted_sum(rules, 1.0)}
-        c0 = bracketed(_union_sum(rules, groups, alpha, known))
+        total, known = union_sum(rules, c0)
+        c0 = bracketed(total)
         slope = _crossing_slope(known, target)
         if slope is None or c0 * alpha * float(w_active.max()) >= 1.0:
             c0, slope = 1.0, None
         rules, built = fit(c0, max_points)
     while True:
-        known = {c0: fitted_sum(rules, c0)}
-        total = _union_sum(rules, groups, alpha, known)
+        total, _ = union_sum(rules, c0)
         c = None if slope is None else _secant_root(total, c0, slope, target, cap, root_tol)
         if c is None:
             c = bracketed(total)
         # the re-estimate can only lead to a refinement: none once no rule can refine
         if not any(rule.can_refine(max_points) for rule in built):
             return c
-        check = err = 0.0
-        for rule, (salt, _, w) in zip(rules, groups):
-            if rule is None:
-                check += _linear(c, alpha, w)
-                continue
-            est = rule(np.minimum(1.0, c * alpha * w), derived_seed(seed, mask, salt + _CHECK_SALT))
-            check += est.value
-            err += est.error + rule.estimate.error
+        ests = unions(rules, c, check=True)
+        check = sum(est.value for est in ests)
+        err = sum(est.error + rule.estimate.error for est, rule in zip(ests, rules) if rule is not None)
         if abs(check - target) <= err + slack:
             return c
         for rule in built:
@@ -598,7 +630,7 @@ def parametric_c(
     model = _one_block(mem, corr, "critical scaling")
     # the one-block case of the common scaling
     return partitioned_common_scale(
-        mem, w, alpha, model, seed, target_error, root_tol, max_points
+        mem, w, alpha, model, _check_seed(seed), target_error, root_tol, max_points
     )
 
 
@@ -619,7 +651,7 @@ def xie_pvalue(
     simplification.
     """
     return _xie_estimate(
-        subset, initial_weights, pvalues, corr, seed, target_error, max_points
+        subset, initial_weights, pvalues, corr, _check_seed(seed), target_error, max_points
     )[0].value
 
 
@@ -658,7 +690,7 @@ def partitioned_common_scale(
         (salt, corr_act, w[act]) for salt, _, act, corr_act, _ in _blocks(mem, w, model) if act.size
     ]
     return _solve_scale(
-        groups, alpha * total, alpha, seed, mask, target_error, root_tol, max_points
+        groups, alpha * total, alpha, _check_seed(seed), mask, target_error, root_tol, max_points
     )
 
 
@@ -676,41 +708,26 @@ def partitioned_pvalue_subsets(
     intersection p-value. No root-finding is involved.
     """
     return _subsets_estimate(
-        subset, weights, pvalues, corr, seed, target_error, max_points
+        subset, weights, pvalues, corr, _check_seed(seed), target_error, max_points
     )[0].value
 
 
 def _subsets_estimate(
     subset, weights, pvalues, corr, seed, target_error, max_points
 ) -> tuple[ProbEstimate, bool]:
-    """``partitioned_pvalue_subsets`` with its error, the largest block
-    error over that block's weight total, and whether every block met its
-    target. A kernel fit that meets its target on the first pass of
-    _COARSE_POINTS stops there, so then a fit capped at _COARSE_POINTS
-    gives the floats of one at any larger max_points."""
+    """``partitioned_pvalue_subsets`` with its error and whether every
+    block met its target: ``_union_estimate`` of each block alone, the
+    smallest value, the largest error."""
     mem, w, p = _check_subset_args(subset, weights, pvalues)
     _weight_total(w)
     model = as_model(corr)
     mask = mask_of(mem, model.m)
-    block_p, error, met = [], 0.0, True
-    for salt, _, act, corr_act, total in _blocks(mem, w, model):
-        if act.size:
-            # the union at thresholds w_j * min(p / w) over the block's weight total
-            with np.errstate(over="ignore"):
-                q = float(np.min(p[act] / w[act]))
-            if q >= 1.0 / float(np.max(w[act])):
-                # the heaviest threshold is 1, however its product rounds:
-                # the union is certain
-                block_p.append(1.0)
-                continue
-            est = union_exceedance(
-                np.minimum(1.0, w[act] * q), corr_act, derived_seed(seed, mask, salt),
-                target_error, max_points,
-            )
-            block_p.append(min(1.0, est.value / total))
-            error = max(error, est.error / total)
-            met = met and est.error <= target_error
-    return ProbEstimate(float(min(block_p)), error), met
+    blocks = [
+        _union_estimate([block], w, p, block[4], seed, mask, target_error, max_points)
+        for block in _blocks(mem, w, model) if block[2].size
+    ]
+    value = min(est.value for est, _ in blocks)
+    return ProbEstimate(value, max(est.error for est, _ in blocks)), all(met for _, met in blocks)
 
 
 def partitioned_pvalue_common(
@@ -732,41 +749,20 @@ def partitioned_pvalue_common(
     in the root solve. For one block it is ``parametric_pvalue``.
     """
     return _common_estimate(
-        subset, weights, pvalues, corr, seed, target_error, max_points
+        subset, weights, pvalues, corr, _check_seed(seed), target_error, max_points
     )[0].value
 
 
 def _common_estimate(
     subset, weights, pvalues, corr, seed, target_error, max_points
 ) -> tuple[ProbEstimate, bool]:
-    """``partitioned_pvalue_common`` with its error, the block errors
-    summed over the weight total, and whether every block met its share
-    of the target (as in ``_subsets_estimate``)."""
+    """``partitioned_pvalue_common`` with its error and whether every
+    block met its share of the target: ``_union_estimate`` of all blocks."""
     mem, w, p = _check_subset_args(subset, weights, pvalues)
     total = _weight_total(w)
     model = as_model(corr)
     mask = mask_of(mem, model.m)
-    live = w > 0.0
-    with np.errstate(over="ignore"):
-        q = float(np.min(p[live] / w[live]))
-    if q >= 1.0 / float(np.max(w)):
-        # some block's heaviest threshold is 1: its union alone reaches the total
-        return ProbEstimate(1.0, 0.0), True
-    groups = [
-        (salt, act, corr_act) for salt, _, act, corr_act, _ in _blocks(mem, w, model) if act.size
-    ]
-    block_error = target_error / max(1, sum(1 for _, act, _ in groups if act.size > MAX_EXACT_DIM))
-    union = error = 0.0
-    met = True
-    for salt, act, corr_act in groups:
-        est = union_exceedance(
-            np.minimum(1.0, w[act] * q), corr_act, derived_seed(seed, mask, salt),
-            block_error, max_points,
-        )
-        union += est.value
-        error += est.error
-        met = met and est.error <= block_error
-    return ProbEstimate(float(min(1.0, union / total)), error / total), met
+    return _union_estimate(_blocks(mem, w, model), w, p, total, seed, mask, target_error, max_points)
 
 
 def partitioned_subset_scales(
@@ -789,6 +785,7 @@ def partitioned_subset_scales(
     mem, w = _check_subset_args(subset, weights)
     _weight_total(w)
     _check_alpha(alpha)
+    seed = _check_seed(seed)
     model = as_model(corr)
     mask = mask_of(mem, model.m)
     return tuple(

@@ -28,8 +28,10 @@ from closedmtp.intersection import (
     derived_seed,
     parametric_c,
     parametric_pvalue,
+    partitioned_common_scale,
     partitioned_pvalue_common,
     partitioned_pvalue_subsets,
+    partitioned_subset_scales,
     xie_pvalue,
 )
 from closedmtp.mvnorm import (
@@ -599,15 +601,28 @@ def random_graph_scheme(rng, m):
     return scheme_from_graph(GraphSpec(m, rng.dirichlet(np.ones(m)), g / g.sum(axis=1, keepdims=True)))
 
 
+def subset_levels(method, mem, w, alpha, model, *solve):
+    """(scale, block scales, local levels) of one subset from the
+    method's scale function called on that subset alone: c = 1
+    (bonferroni), one common c, or one c per block."""
+    if method == "bonferroni":
+        return 1.0, None, alpha * w
+    if method == "parametric-subsets":
+        scales = partitioned_subset_scales(mem, w, alpha, model, *solve)
+        scale_of = {j: c for block, c in scales for j in block}
+        return None, scales, np.array([scale_of[j] * alpha * wj for j, wj in zip(mem, w)])
+    c = partitioned_common_scale(mem, w, alpha, model, *solve)
+    return c, None, c * alpha * w
+
+
 def per_subset_thresholds(scheme, model, alpha, method, seed=0, target_error=DEFAULT_TARGET_ERROR):
     """The threshold table as a loop over every subset gives it: each row
     the method's levels for that subset."""
-    levels = closure_module._METHODS[method].levels
     t = np.full(((1 << scheme.m) - 1, scheme.m), -1.0)
     for mask in iter_masks(scheme.m):
         mem = members(mask)
-        t[mask - 1, list(mem)] = levels(
-            mem, scheme.weights_for(mask), alpha, model,
+        t[mask - 1, list(mem)] = subset_levels(
+            method, mem, scheme.weights_for(mask), alpha, model,
             seed, target_error, DEFAULT_ROOT_TOL, DEFAULT_MAX_POINTS,
         )[2]
     return t
@@ -906,10 +921,9 @@ class TestClosureLevels:
                 scheme=scheme, model=model, pvalues=p, alpha=0.025, method=method, seed=4
             )
             report = run_closure(problem, target_error=1e-5)
-            levels = closure_module._METHODS[method].levels
             for mask, res in zip(iter_masks(scheme.m), report.intersections):
-                scale, block_scales, local = levels(
-                    res.members, scheme.weights_for(mask), 0.025, model,
+                scale, block_scales, local = subset_levels(
+                    method, res.members, scheme.weights_for(mask), 0.025, model,
                     4, 1e-5, DEFAULT_ROOT_TOL, DEFAULT_MAX_POINTS,
                 )
                 assert res.scale == scale and res.block_scales == block_scales, (method, mask)
@@ -946,6 +960,20 @@ class TestSeedChecks:
     def test_weighted_dunnett_single_step(self, seed):
         with pytest.raises(InputError, match="^seed must be a nonnegative integer$"):
             weighted_dunnett_single_step((0.5, 0.5), (0.01, 0.03), equicorr(2, 0.5), 0.05, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    @pytest.mark.parametrize("fn", [
+        parametric_pvalue, xie_pvalue, partitioned_pvalue_subsets, partitioned_pvalue_common,
+        parametric_c, partitioned_common_scale, partitioned_subset_scales,
+    ], ids=lambda fn: fn.__name__)
+    def test_intersection_functions(self, fn, seed):
+        # each returned a value for any of these
+        pvalue = fn in (parametric_pvalue, xie_pvalue, partitioned_pvalue_subsets,
+                        partitioned_pvalue_common)
+        full = fn in (parametric_pvalue, xie_pvalue, parametric_c)
+        with pytest.raises(InputError, match="^seed must be a nonnegative integer$"):
+            fn((0, 1, 2), (0.4, 0.35, 0.25), (0.01, 0.03, 0.02) if pvalue else 0.025,
+               equicorr(3, 0.4) if full else self.PAIR_MODEL, seed=seed)
 
     def test_numpy_seed_gives_the_int_seeds_table(self):
         scheme = random_scheme(np.random.default_rng(3), 3)

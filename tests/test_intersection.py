@@ -1,5 +1,7 @@
 """Tests for single-intersection p-values, critical scalings and block methods."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from closedmtp.intersection import (
     partitioned_subset_scales,
     xie_pvalue,
 )
-from closedmtp.mvnorm import CorrelationMatrix
+from closedmtp.mvnorm import MAX_EXACT_DIM, CorrelationMatrix
 from closedmtp.weighting import WeightingScheme, constant_scheme
+
+TUTORIAL_PROBLEM = Path(__file__).resolve().parents[1] / "tutorial" / "trial_problem.json"
 
 
 def equicorr(dim, rho):
@@ -106,15 +110,72 @@ class TestCorrelationModel:
         with pytest.raises(InputError, match="block 1 is empty"):
             CorrelationModel(2, ((), (0, 1)), (None, equicorr(2, 0.3)))
 
-    def test_blocks_singletons_share_one_identity(self):
-        from closedmtp import intersection
 
-        model = CorrelationModel(3, ((0, 1), (2,)), (equicorr(2, 0.5), None))
-        # a singleton block, and a pair with one active member
-        groups = intersection._blocks((0, 1, 2), np.array([0.3, 0.0, 0.2]), model)
-        assert [g[1] for g in groups] == [(0, 1), (2,)]
-        assert all(g[3] is intersection._UNIT for g in groups)
-        assert intersection._UNIT.values.tolist() == [[1.0]]
+class TestOneMemberBlocks:
+    """A block with one positive-weight member needs no kernel call: its
+    union is its threshold."""
+
+    @staticmethod
+    def counted_rules(monkeypatch):
+        import closedmtp.mvnorm as mvnorm
+
+        builds = []
+        init = mvnorm.UnionRule.__init__
+
+        def counted(rule, *args, **kwargs):
+            builds.append(args)
+            init(rule, *args, **kwargs)
+
+        monkeypatch.setattr(mvnorm.UnionRule, "__init__", counted)
+        return builds
+
+    def test_tutorial_closure_builds_a_rule_per_larger_block(self, monkeypatch):
+        from closedmtp import fileio
+
+        doc = fileio.load_document(TUTORIAL_PROBLEM.read_text(), "problem")
+        problem = fileio.parse_problem(doc)
+        assert problem.method == "parametric-subsets"
+        builds = self.counted_rules(monkeypatch)
+        run_closure(problem, target_error=1e-6)
+        # one rule per intersection whose block {H1, H2, H3} holds two or
+        # three positive weights; the singleton blocks build none
+        assert len(builds) == 40
+
+    @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
+    def test_one_member_blocks_build_no_rule(self, monkeypatch, method):
+        # a pair with one zero weight beside two singletons: every block
+        # holds at most one active member
+        model = CorrelationModel(4, ((0, 1), (2,), (3,)), (equicorr(2, 0.5), None, None))
+        scheme = constant_scheme((0.3, 0.1, 0.2, 0.25))
+        table = {
+            mask: np.where(np.array(mem) == 1, 0.0, w) if {0, 1} <= set(mem) else w
+            for mask, mem, w in scheme.entries()
+        }
+        scheme = WeightingScheme(4, table)
+        p = np.array([0.02, 0.001, 0.01, 0.0])
+        builds = self.counted_rules(monkeypatch)
+        rep = run_closure(TestProblem(
+            scheme=scheme, model=model, pvalues=p, alpha=0.025, method=method,
+        ))
+        assert builds == []
+        for mask, res in enumerate(rep.intersections, start=1):
+            mem, w = list(res.members), scheme.weights_for(mask)
+            pj = p[mem]
+            # per block of J: the positions of its members, and of its one active member
+            split = [[i for i, j in enumerate(mem) if j in block] for block in model.blocks]
+            split = [(idx, [i for i in idx if w[i] > 0.0]) for idx in split if idx]
+            assert all(len(act) <= 1 for _, act in split)
+            split = [(idx, act[0]) for idx, act in split if act]
+            # the union of one event is its threshold min(1, w * q)
+            if method == "parametric-common":
+                q = min(pj[a] / w[a] for _, a in split)
+                want = min(1.0, sum(min(1.0, w[a] * q) for _, a in split) / w.sum())
+            else:
+                want = min(
+                    min(1.0, min(1.0, w[a] * (pj[a] / w[a])) / w[idx].sum()) for idx, a in split
+                )
+            assert res.p_value == want, (method, mask)
+            assert res.p_error == 0.0
 
 
 class TestBonferroni:
@@ -209,6 +270,24 @@ class TestParametricPvalue:
         )
         with pytest.raises(InputError):
             parametric_pvalue((0, 1, 2), (0.4, 0.3, 0.3), (0.01, 0.02, 0.03), model)
+
+    @pytest.mark.parametrize("target_error, max_points, name", [
+        (1e-6, np.inf, "max_points"), (1e-6, np.nan, "max_points"), (1e-6, 1, "max_points"),
+        (0.0, 1 << 16, "target_error"), (np.inf, 1 << 16, "target_error"),
+        (np.nan, 1 << 16, "target_error"),
+    ])
+    def test_accuracy_args_checked_without_a_kernel_call(self, target_error, max_points, name):
+        # the twin of the scale's check: a one-member subset, or one whose
+        # threshold saturates (p = 1), never reaches the kernel's checks
+        for sub, w in (((0, 1), (0.5, 0.5)), ((1,), (0.4,))):
+            for p in (0.01, 1.0):
+                for pvalue in (
+                    parametric_pvalue, xie_pvalue, partitioned_pvalue_subsets,
+                    partitioned_pvalue_common,
+                ):
+                    with pytest.raises(InputError, match=name):
+                        pvalue(sub, w, (p,) * len(sub), equicorr(2, 0.5),
+                               target_error=target_error, max_points=max_points)
 
 
 class TestOneBlockCase:
@@ -734,6 +813,36 @@ class TestPartitionedSubsets:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(InputError):
             partitioned_pvalue_subsets((0, 1), (0.0, 0.0), (0.1, 0.1), equicorr(2, 0.0))
+
+    def test_block_minimum_of_common_pvalues(self):
+        # the per-block test is the common-scale test of J's part in one
+        # block; in blocks of at most six members every union is exact (the
+        # seeds, which differ, go unused), so the two agree float for float
+        rng = np.random.default_rng(197)
+        m = 9
+        for case in range(200):
+            blocks, start = [], 0
+            while start < m:
+                size = int(rng.integers(1, min(MAX_EXACT_DIM, m - start) + 1))
+                blocks.append(tuple(range(start, start + size)))
+                start += size
+            model = CorrelationModel(
+                m, blocks, tuple(random_correlation(rng, len(b)) if len(b) > 1 else None
+                                 for b in blocks),
+            )
+            sub = tuple(sorted(rng.choice(m, int(rng.integers(1, m + 1)), replace=False).tolist()))
+            w = rng.dirichlet(np.ones(len(sub)))
+            w[rng.random(len(sub)) < 0.25] = 0.0
+            if not w.any():
+                w[0] = 1.0
+            p = np.where(rng.random(len(sub)) < 0.15, 1.0, rng.uniform(0.0, 0.2, len(sub)))
+            p[rng.random(len(sub)) < 0.1] = 0.0
+            parts = [[i for i, j in enumerate(sub) if j in b] for b in blocks]
+            want = min(
+                partitioned_pvalue_common(tuple(sub[i] for i in idx), w[idx], p[idx], model)
+                for idx in parts if idx and w[idx].any()
+            )
+            assert partitioned_pvalue_subsets(sub, w, p, model, seed=case) == want, case
 
 
 class TestSeedDerivation:

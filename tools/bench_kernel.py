@@ -35,8 +35,10 @@ from a fixed seed, so both sides integrate the same problems.
 - tutorial: ``run_closure`` with scales on ``tutorial/trial_problem.json``
   (the perfbench gatekeeping problem) at the CLI's target 1e-6: the
   median CPU of fifteen runs after a warm-up, the ``solve_monotone``
-  calls of one run (counted through ``intersection``'s binding) and sha1
-  prefixes of the local levels and adjusted p-values.
+  calls of one run (counted through ``intersection``'s binding), the
+  ``UnionRule``s it builds (``rules``, counted by wrapping its
+  ``__init__``) and sha1 prefixes of the local levels and adjusted
+  p-values.
 - cold start: a fresh Python process that imports numpy, then
   ``closedmtp``, and makes a first k=7 ``union_exceedance`` (a QMC rule,
   so the Sobol' points are generated): wall time of the import and of the
@@ -196,7 +198,8 @@ def sha1(values) -> str:
 
 
 class Counter:
-    """Counts the calls of ``module.name`` for each of ``names`` while installed."""
+    """Counts the calls of ``module.name`` (or of a class's method) for
+    each of ``names`` while installed."""
 
     def __init__(self, module, *names: str) -> None:
         self.module, self.names, self.calls = module, names, 0
@@ -246,7 +249,10 @@ def exact_solve(dim: int) -> dict:
 def tutorial_closure() -> dict:
     doc = fileio.load_document(TUTORIAL.read_text(encoding="utf-8"), "problem")
     problem = fileio.parse_problem(doc)
-    with Counter(intersection, "solve_monotone") as count:
+    with (
+        Counter(intersection, "solve_monotone") as count,
+        Counter(mvnorm.UnionRule, "__init__") as rules,
+    ):
         report = run_closure(problem, target_error=1e-6)
     cpu = []
     for _ in range(15):
@@ -258,6 +264,7 @@ def tutorial_closure() -> dict:
         "method": problem.method,
         "cpu_s": round(statistics.median(cpu), 4),
         "solve_monotone_calls": count.calls,
+        "rules": rules.calls,
         "levels_sha1": sha1(np.concatenate([r.local_levels for r in report.intersections])),
         "adjusted_sha1": sha1(report.adjusted),
     }
