@@ -6,12 +6,16 @@ minus the orthant probability P(Z_j <= -Phi^-1(u_j) for all j). It takes
 one of three paths. One or two events are a closed form, the pair by
 Owen's T function. Three to six are exact up to a quadrature error, by
 Plackett's (1954) reduction of the orthant to bivariate densities times
-orthants of two dimensions fewer, integrated along the path from
-independence by Gauss-Legendre graded toward its end, where a pair
-correlated near +-1 bends sharply. Dimension 7 and above, and a
-near-singular correlation whose quadrature misses its target, estimate
-the orthant by separation-of-variables quasi-Monte Carlo in the style of
-Genz (1992): Cholesky factorization with greedy variable reordering,
+orthants of two dimensions fewer, integrated along a path by
+Gauss-Legendre graded toward its end, where a pair correlated near +-1
+bends sharply. Three take the symmetric path from independence, every
+pair moving; four to six move only the correlations of one pivot, a
+member of the most correlated pair, from the orthant of the others (as
+Genz 2004 does for three), so a level needs k - 1 pairs, not
+k (k - 1) / 2. Dimension 7 and above, and a near-singular correlation
+whose quadrature misses its target, estimate the orthant by
+separation-of-variables quasi-Monte Carlo in the style of Genz (1992):
+Cholesky factorization with greedy variable reordering,
 digitally shifted Sobol' points, and an error estimate from independent
 randomizations. The Sobol' points are generated here from the Joe & Kuo
 (2008) direction numbers, the set scipy.stats.qmc.Sobol uses, so no
@@ -25,6 +29,7 @@ continuous function of them (Genz & Bretz 2009, section 5).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Callable, Sequence
@@ -58,6 +63,13 @@ _EXACT_ERROR = 1e-13
 # the value at the count before it. Above three dimensions the ladder
 # stops at 32 nodes.
 _LADDER = (8, 16, 32, 64, 128, 256)
+# the one-variable step: a conditional variance at or below _FIXED_VAR is
+# a variable fixed by the pivot's partner (a +-1 pair off the pivot); it
+# leaves its correlations and takes the bound +-_FAR, where ndtr is 0 or 1
+# exactly, unless its fixed value is within _FAR * sqrt(_FIXED_VAR) of its
+# bound: a tie, NaN, which sends the fit to QMC
+_FIXED_VAR = 1e-14
+_FAR = 40.0
 
 
 def _graded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,16 +82,37 @@ def _graded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 - (1.0 - s) ** 2, (1.0 - s) * w
 
 
-def _pair_table(k: int) -> tuple[np.ndarray, ...]:
-    """The pairs (i, j) of k variables, the other variables of each pair
-    as a (k-2, pairs) array, and the pairs (a, c) among k - 2 others."""
-    i, j = np.triu_indices(k, 1)
-    rest = np.array([[o for o in range(k) if o != a and o != c] for a, c in zip(i, j)]).T
-    return (i, j, rest, *np.triu_indices(k - 2, 1))
+def _pivot_table(k: int) -> tuple:
+    """The pairs of k variables; per pivot p, the order of the variables
+    that puts p first; the pairs (0, j) of pivot 0, j = 1..k-1, and the
+    other k - 2 variables beside each, as a (k-2, k-1) array; and the
+    pairs (a, c) among those k - 2."""
+    partners = np.arange(1, k)
+    orders = np.array([[p] + [o for o in range(k) if o != p] for p in range(k)])
+    rest = np.array([[o for o in partners if o != j] for j in partners]).T
+    pivot_pairs = (np.zeros(k - 1, dtype=int), partners)
+    return (np.triu_indices(k, 1), orders, pivot_pairs, rest, *np.triu_indices(k - 2, 1))
 
 
 _PLACKETT_RULES = {n: _graded_rule(n) for n in _LADDER}
-_PAIR_TABLES = {k: _pair_table(k) for k in range(3, MAX_EXACT_DIM + 1)}
+# the pairs of three variables and the third variable of each
+_TRIPLE = (*np.triu_indices(3, 1), np.array([2, 1, 0]))
+_PIVOT_TABLES = {k: _pivot_table(k) for k in range(4, MAX_EXACT_DIM + 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _rule_layout(counts: tuple[int, ...]) -> tuple[np.ndarray, tuple[slice, ...], np.ndarray]:
+    """The graded nodes of every count in ``counts`` one after another,
+    each count's slice of them, and a row of weights per count, zero off
+    that count's nodes."""
+    x = np.concatenate([_PLACKETT_RULES[n][0] for n in counts])
+    segments = tuple(slice(end - n, end) for n, end in zip(counts, np.cumsum(counts).tolist()))
+    weights = np.zeros((len(counts), x.size))
+    for row, (n, seg) in enumerate(zip(counts, segments)):
+        weights[row, seg] = _PLACKETT_RULES[n][1]
+    x.setflags(write=False)
+    weights.setflags(write=False)
+    return x, segments, weights
 
 
 @dataclass(frozen=True)
@@ -89,7 +122,8 @@ class ProbEstimate:
     ``error`` is 0 for a single event, 1e-13 (the Owen's-T rounding
     margin) for a pair, for three to six events the gap between
     Plackett's reduction at the rule's node count and at half as many (at
-    least 1e-13), and roughly a 3-sigma bound for quasi-Monte Carlo
+    least 1e-13; the symmetric step at three, the one-variable step about
+    a pivot above), and roughly a 3-sigma bound for quasi-Monte Carlo
     paths.
     """
 
@@ -228,34 +262,50 @@ def _closed_form_union(u: np.ndarray, corr: np.ndarray) -> ProbEstimate:
 def _orthant(b: np.ndarray, corr: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """P(Z <= b[:, n]) for Z ~ N(0, corr[:, :, n]), per column n of the
     bounds b (k, N) and correlations corr (k, k, N), one row per node
-    count in ``counts``, by Plackett's reduction (Plackett 1954,
-    Biometrika 41:351).
+    count in ``counts``, by Plackett's (1954, Biometrika 41:351)
+    reduction: along a path R(t) from a correlation whose orthant is
+    known to R, the orthant moves at rate sum over pairs (i, j) of
+    dR_ij/dt phi_2(b_i, b_j; R_ij(t)) Phi_(k-2)(b', C), where b' and C
+    are the standardized bounds and correlation of the other k - 2
+    variables given Z_i = b_i and Z_j = b_j under R(t).
 
-    Along R(t) = (1 - t) I + t R the orthant starts at the product of the
-    Phi(b_i) and moves at rate sum over i < j of rho_ij phi_2(b_i, b_j;
-    t rho_ij) Phi_(k-2)(b', C), where b' and C are the standardized bounds
-    and correlation of the other k - 2 variables given Z_i = b_i and
-    Z_j = b_j under R(t). The rate is integrated on each count's graded
-    Gauss-Legendre rule (``_PLACKETT_RULES``), the nodes of all counts in
-    one array pass; every Phi_(k-2) over all problems, pairs and one
-    count's nodes is one call of this function, down to Phi_1 (ndtr) or
-    the bivariate (``_bvn``). The problems stay on the last axis of every
-    array, so each step is one numpy call over all of them. For t < 1,
-    R(t) is positive definite, so a singular R shows only as a rate that
-    grows like 1 / sqrt(1 - t), which the grading absorbs.
+    Three variables take the symmetric step: R(t) = (1 - t) I + t R from
+    the product of the Phi(b_i), every pair moving. Four to six take the
+    one-variable step (Genz 2004, Stat. Comput. 14:251, in any
+    dimension): a pivot p, the first member of the problem's most
+    correlated pair, is moved to the front, and only its correlations
+    move, R(t) = R0 + t (R - R0) with R0 = blockdiag(1, R_rest), so the
+    start is Phi(b_p) Phi_(k-1)(b_rest; R_rest) and the rate sums the
+    k - 1 pairs (p, j) only. A +-1 pair off the pivot fixes a variable
+    given its partner (see _FIXED_VAR).
+
+    The rate is integrated on each count's graded Gauss-Legendre rule
+    (``_PLACKETT_RULES``), the nodes of all counts in one array pass;
+    every Phi_(k-2) over all problems, pairs and one count's nodes, and
+    the start term over all counts, is one call of this function, down
+    to Phi_1 (ndtr) or the bivariate (``_bvn``). The problems stay on the
+    last axis of every array, so each step is one numpy call over all of
+    them. The pivot's correlations are below 1 in size for t < 1, so a
+    pair at +-1 through the pivot shows only as a rate that grows like
+    1 / sqrt(1 - t), which the grading absorbs.
     """
     k = b.shape[0]
     if k < 3:
         value = ndtr(b[0]) if k == 1 else _bvn(b[0], b[1], corr[0, 1])
         return np.broadcast_to(value, (len(counts), value.size))
-    i, j, rest, a, c = _PAIR_TABLES[k]
-    # the nodes of every count one after another, and a row of weights
-    # per count, zero off that count's nodes
-    x = np.concatenate([_PLACKETT_RULES[n][0] for n in counts])
-    segments = [slice(end - n, end) for n, end in zip(counts, np.cumsum(counts).tolist())]
-    weights = np.zeros((len(counts), x.size))
-    for row, (n, seg) in enumerate(zip(counts, segments)):
-        weights[row, seg] = _PLACKETT_RULES[n][1]
+    x, segments, weights = _rule_layout(tuple(counts))
+    # the pairs (i, j) whose correlation moves: every pair of three
+    # variables, or the pivot's k - 1 pairs, after each problem's pivot,
+    # the first member of its most correlated pair, is moved to the front
+    if k == 3:
+        i, j, o = _TRIPLE
+    else:
+        pairs, orders, (i, j), rest, a, c = _PIVOT_TABLES[k]
+        pivot = pairs[0][np.abs(corr[pairs]).argmax(axis=0)]
+        if pivot.any():
+            order = orders[pivot].T
+            col = np.arange(b.shape[1])
+            b, corr = b[order, col], corr[order[:, None], order, col]
     # (nodes, pairs, N)
     t = x[:, None, None]
     rho = corr[i, j]
@@ -263,36 +313,65 @@ def _orthant(b: np.ndarray, corr: np.ndarray, counts: Sequence[int]) -> np.ndarr
     s2 = (1.0 - r) * (1.0 + r)
     bi, bj = b[i], b[j]
     density = np.exp(-0.5 * (bi * bi - 2.0 * r * bi * bj + bj * bj) / s2) / (2.0 * math.pi * np.sqrt(s2))
-    # the others' correlations with Z_i and Z_j, and their regression on
-    # (Z_i, Z_j) under R(t): (k-2, nodes, pairs, N)
-    ri, rj = corr[rest, i][:, None], corr[rest, j][:, None]
-    q = t / s2
-    gi, gj = q * (ri - r * rj), q * (rj - r * ri)
-    sd = np.sqrt(1.0 - t * (gi * ri + gj * rj))
-    bounds = (b[rest][:, None] - gi * bi - gj * bj) / sd
     if k == 3:
-        given = ndtr(bounds[0])
+        # the third variable's correlations with Z_i and Z_j, and its
+        # regression on (Z_i, Z_j) under R(t)
+        ri, rj = corr[o, i], corr[o, j]
+        q = t / s2
+        gi, gj = q * (ri - r * rj), q * (rj - r * ri)
+        sd = np.sqrt(1.0 - t * (gi * ri + gj * rj))
+        given = ndtr((b[o] - gi * bi - gj * bj) / sd)
+        start = np.prod(ndtr(b), axis=0)
     else:
-        m = k - 2
-        cond = np.ones((m, m) + bounds.shape[1:])
-        cov = t * (corr[rest[a], rest[c]][:, None] - gi[a] * ri[c] - gj[a] * rj[c])
-        cond[a, c] = cond[c, a] = cov / (sd[a] * sd[c])
-        given = np.concatenate([
-            _orthant(bounds[:, seg].reshape(m, -1), cond[:, :, seg].reshape(m, m, -1), (n,)).reshape(
-                (n,) + bounds.shape[2:]
-            )
-            for n, seg in zip(counts, segments)
-        ])
+        # the others' correlations with the pivot Z_i, which move, and with
+        # Z_j, which do not, and their regression on (Z_i, Z_j) under R(t):
+        # (k-2, nodes, pairs, N)
+        ri, rj = t * corr[i, rest][:, None], corr[rest, j][:, None]
+        gi, gj = (ri - r * rj) / s2, (rj - r * ri) / s2
+        var = 1.0 - (gi * ri + gj * rj)
+        above = b[rest][:, None] - gi * bi - gj * bj
+        cov = corr[rest[a], rest[c]][:, None] - gi[a] * ri[c] - gj[a] * rj[c]
+        fixed = var <= _FIXED_VAR
+        if fixed.any():
+            # see _FIXED_VAR
+            tie = fixed & (np.abs(above) <= _FAR * math.sqrt(_FIXED_VAR))
+            above = np.where(fixed, np.copysign(_FAR, above), above)
+            above[tie] = np.nan
+            var = np.where(fixed, 1.0, var)
+            cov = np.where(fixed[a] | fixed[c], 0.0, cov)
+        sd = np.sqrt(var)
+        bounds = above / sd
+        cond = np.clip(cov / (sd[a] * sd[c]), -1.0, 1.0)
+        if k == 4:
+            given = _bvn(bounds[0], bounds[1], cond[0])
+        else:
+            m = k - 2
+            full = np.ones((m, m) + bounds.shape[1:])
+            full[a, c] = full[c, a] = cond
+            given = np.concatenate([
+                _orthant(bounds[:, seg].reshape(m, -1), full[:, :, seg].reshape(m, m, -1), (n,)).reshape(
+                    (n,) + bounds.shape[2:]
+                )
+                for n, seg in zip(counts, segments)
+            ])
+        start = ndtr(b[0]) * _orthant(b[1:], corr[1:, 1:], counts)
     rate = density * given
     steps = (weights @ rate.reshape(x.size, -1)).reshape((len(counts),) + rate.shape[1:])
-    return np.prod(ndtr(b), axis=0) + (rho * steps).sum(axis=1)
+    return start + (rho * steps).sum(axis=1)
 
 
 def _plackett_unions(u: np.ndarray, corr: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """The union at thresholds in [0, 1) from ``_orthant``, one value per
     node count in ``counts``; zero thresholds are dropped (zero-probability
-    events)."""
+    events). Above three events, so is an event inside that of a partner
+    correlated at +1 (a threshold at most the partner's, the later of two
+    equal ones), which adds nothing to the union: the one-variable step
+    would meet such a pair off its pivot as a variable fixed by the other,
+    and at equal thresholds as a tie."""
     keep = u > 0.0
+    if u.size > 3:
+        i, j = np.nonzero(np.triu(corr == 1.0, 1))
+        keep[np.where(u[j] <= u[i], j, i)] = False
     if not keep.all():
         u, corr = u[keep], corr[keep][:, keep]
     if u.size == 0:

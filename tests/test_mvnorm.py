@@ -1,6 +1,7 @@
 """Kernel tests: union/orthant probabilities, the QMC pass, root solves."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from closedmtp.mvnorm import (
     ProbEstimate,
     UnionRule,
     _bvn,
+    _graded_rule,
     _pair_unions,
     _plackett_unions,
     solve_monotone,
@@ -414,12 +416,52 @@ def plackett_grid(dim):
         yield rng.uniform(u0 / 3, 3 * u0, dim), CorrelationMatrix(s / np.outer(d, d))
 
 
+def symmetric_orthant(b, corr, n):
+    """P(Z <= b[:, N]) for Z ~ N(0, corr[:, :, N]) by Plackett's reduction
+    along the symmetric path (1 - t) I + t R, every pair moving, at n
+    graded nodes on every level: the kernel's step before four to six
+    dimensions took the one-variable step, kept as a reference
+    independent of that step."""
+    k = b.shape[0]
+    if k < 3:
+        return ndtr(b[0]) if k == 1 else _bvn(b[0], b[1], corr[0, 1])
+    x, w = _graded_rule(n)
+    i, j = np.triu_indices(k, 1)
+    rest = np.array([[o for o in range(k) if o != a and o != c] for a, c in zip(i, j)]).T
+    a, c = np.triu_indices(k - 2, 1)
+    # (nodes, pairs, N), and (k-2, nodes, pairs, N) for the other variables
+    t = x[:, None, None]
+    rho = corr[i, j]
+    r = t * rho
+    s2 = (1.0 - r) * (1.0 + r)
+    bi, bj = b[i], b[j]
+    density = np.exp(-0.5 * (bi * bi - 2.0 * r * bi * bj + bj * bj) / s2) / (2.0 * math.pi * np.sqrt(s2))
+    ri, rj = corr[rest, i][:, None], corr[rest, j][:, None]
+    q = t / s2
+    gi, gj = q * (ri - r * rj), q * (rj - r * ri)
+    sd = np.sqrt(1.0 - t * (gi * ri + gj * rj))
+    bounds = (b[rest][:, None] - gi * bi - gj * bj) / sd
+    m = k - 2
+    cond = np.ones((m, m) + bounds.shape[1:])
+    cov = t * (corr[rest[a], rest[c]][:, None] - gi[a] * ri[c] - gj[a] * rj[c])
+    cond[a, c] = cond[c, a] = cov / (sd[a] * sd[c])
+    given = symmetric_orthant(bounds.reshape(m, -1), cond.reshape(m, m, -1), n).reshape(bounds.shape[1:])
+    return np.prod(ndtr(b), axis=0) + (rho * np.tensordot(w, density * given, axes=1)).sum(axis=0)
+
+
+_references = {}
+
+
 def plackett_reference(u, cm):
-    """The union by Plackett's reduction on a finer rule than any fit above
+    """The union by the symmetric step on a finer rule than any fit above
     three dimensions takes, 128 nodes; 256, the top of the ladder, at
-    three."""
-    nodes = 256 if cm.dim == 3 else 128
-    return float(_plackett_unions(np.asarray(u, dtype=float), cm.values, (nodes,))[0])
+    three. Each case's value is computed once per session."""
+    u = np.asarray(u, dtype=float)
+    key = (u.tobytes(), cm.values.tobytes())
+    if key not in _references:
+        nodes = 256 if cm.dim == 3 else 128
+        _references[key] = 1.0 - float(symmetric_orthant(-ndtri(u)[:, None], cm.values[:, :, None], nodes)[0])
+    return _references[key]
 
 
 def pair_beside(dim, rho):
@@ -474,6 +516,19 @@ class TestPlackettReduction:
         for case, (u, cm) in enumerate(plackett_grid(dim)):
             est = UnionRule(u, cm).estimate
             assert abs(est.value - plackett_reference(u, cm)) <= est.error, case
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_one_variable_and_symmetric_steps_agree(self, dim):
+        # the kernel's one-variable step and the symmetric step agree
+        # within the fit's reported error, at the fit and at 128 nodes
+        cases = list(plackett_grid(dim))
+        cases += [(np.full(dim, u0), pair_beside(dim, rho)) for u0 in (1e-6, 0.05) for rho in (0.999, -0.3)]
+        for case, (u, cm) in enumerate(cases):
+            est = UnionRule(u, cm).estimate
+            symmetric = plackett_reference(u, cm)
+            assert abs(est.value - symmetric) <= est.error, case
+            one_variable = _plackett_unions(u, cm.values, (128,))[0]
+            assert abs(one_variable - symmetric) <= est.error, case
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_zero_threshold_in_a_call_drops_out(self, dim):
@@ -561,6 +616,57 @@ class TestNearSingularPairs:
         est = rule.estimate
         assert abs(est.value - (1.0 - 0.99 ** (dim - 1))) <= est.error
         assert abs(est.value - plackett_reference(u, cm)) <= est.error
+
+
+def unit_pairs(dim, pairs):
+    """Independence but for the given ((a, b), rho) pairs."""
+    v = np.eye(dim)
+    for (a, b), rho in pairs:
+        v[a, b] = v[b, a] = rho
+    return CorrelationMatrix(v)
+
+
+class TestUnitPairs:
+    """Pairs at exactly +-1 in four to six dimensions. The one-variable
+    step takes a member of the most correlated pair as its pivot, so one
+    such pair moves with t; an event inside a +1 partner's is dropped."""
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_a_unit_pair_at_every_position(self, dim, rho):
+        # the pair's union is 0.01 at +1 and 0.02 (disjoint tails) at -1
+        want = 1.0 - (1.0 - (0.01 if rho > 0.0 else 0.02)) * 0.99 ** (dim - 2)
+        for pair in zip(*np.triu_indices(dim, 1)):
+            rule = UnionRule(np.full(dim, 0.01), unit_pairs(dim, [(pair, rho)]))
+            assert not rule.sampled, pair
+            assert abs(rule.estimate.value - want) <= rule.estimate.error, pair
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_a_unit_pair_beside_a_disjoint_minus_one_pair(self, dim, rho):
+        # at -1 the pair off the pivot fixes one member given the other
+        want = 1.0 - (0.99 if rho > 0.0 else 0.98) * 0.98 * 0.99 ** (dim - 4)
+        for a, b, c, d in itertools.permutations(range(dim), 4):
+            if a > b or c > d:
+                continue
+            rule = UnionRule(np.full(dim, 0.01), unit_pairs(dim, [((a, b), rho), ((c, d), -1.0)]))
+            assert not rule.sampled, (a, b, c, d)
+            assert abs(rule.estimate.value - want) <= rule.estimate.error, (a, b, c, d)
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_a_rank_one_signed_block(self, dim):
+        # Z_i = s_i X: the orthant is the interval of X between the largest
+        # -b_i of the negative signs and the smallest b_i of the positive ones
+        rng = np.random.default_rng(40 + dim)
+        for trial in range(12):
+            s = rng.choice([-1.0, 1.0], dim)
+            u = np.full(dim, 0.01) if trial % 3 == 0 else rng.uniform(0.001, 0.2, dim)
+            b = -ndtri(u)
+            hi = min([bi for bi, si in zip(b, s) if si > 0.0], default=math.inf)
+            lo = max([-bi for bi, si in zip(b, s) if si < 0.0], default=-math.inf)
+            want = 1.0 - max(0.0, ndtr(hi) - ndtr(lo))
+            est = union_exceedance(u, CorrelationMatrix(np.outer(s, s)))
+            assert abs(est.value - want) <= est.error, trial
 
 
 class TestBivariate:
