@@ -54,16 +54,24 @@ def _seed_value(flag: int | None, file_seed) -> int:
     return seed
 
 
+def _emit(text: str, err: bool = False) -> None:
+    """Write to the current sys.stdout, or sys.stderr. click.echo without a
+    file caches a text stream per sys.stdout it meets, in a weak-keyed
+    dict whose value holds the key, so an in-process caller that swaps
+    the streams per call (click's CliRunner) would keep every report alive."""
+    click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             fn(*args, **kwargs)
         except InputError as e:
-            click.echo(f"error: {e}", err=True)
+            _emit(f"error: {e}", err=True)
             sys.exit(2)
         except NumericError as e:
-            click.echo(f"error: {e}", err=True)
+            _emit(f"error: {e}", err=True)
             sys.exit(1)
 
     return wrapper
@@ -319,7 +327,7 @@ def analyze(problem, alpha, method, seed, target_error, fmt):
         doc, alpha=alpha, method=method, seed=_seed_value(seed, doc.get("seed"))
     )
     report = run_closure(prob, target_error=target_error)
-    click.echo(_render(fileio.analysis_document(prob, report, target_error), fmt))
+    _emit(_render(fileio.analysis_document(prob, report, target_error), fmt))
 
 
 @main.command()
@@ -330,7 +338,7 @@ def weights(graph, fmt):
     """Derive the full weighting scheme from a propagation graph file."""
     doc = fileio.load_document(_read(graph), "graph")
     scheme = fileio.scheme_from_graph(fileio.parse_graph(doc))
-    click.echo(_render(fileio.scheme_document(scheme), fmt))
+    _emit(_render(fileio.scheme_document(scheme), fmt))
 
 
 @main.command("check-consonance")
@@ -352,7 +360,7 @@ def check_consonance_cmd(problem, alpha, seed, target_error, fmt):
     report = check_consonance(
         prob.scheme, prob.model, prob.alpha, seed=prob.seed, target_error=target_error
     )
-    click.echo(_render(fileio.consonance_document(report, prob.m, prob.alpha, prob.seed), fmt))
+    _emit(_render(fileio.consonance_document(report, prob.m, prob.alpha, prob.seed), fmt))
     if not report.consonant:
         sys.exit(3)
 
@@ -377,4 +385,4 @@ def simulate(scenario, alpha, method, seed, target_error, fmt):
         doc, alpha=alpha, method=method, seed=_seed_value(seed, doc.get("seed"))
     )
     report = run_simulation(scen, target_error=target_error)
-    click.echo(_render(fileio.simulation_document(scen, report), fmt))
+    _emit(_render(fileio.simulation_document(scen, report), fmt))

@@ -47,9 +47,13 @@ from .intersection import (
     _check_subset_args,
     _closed_form_scales,
     _common_estimate,
+    _common_pvalues,
+    _ratios,
     _subsets_estimate,
+    _subsets_pvalues,
     _weight_total,
     _xie_estimate,
+    _xie_pvalues,
     as_model,
     parametric_c,
     parametric_pvalue,
@@ -114,45 +118,49 @@ class _Method:
     ((members, c), ...) per correlation block or for the whole
     intersection, and looks the scale functions up in this module's
     globals per call, so wrappers on those bindings (tracing) see every
-    call; bonferroni's levels are alpha * w and need none. ``pvalue`` maps
-    (members, weights, p-values, model, seed, target_error, max_points) to
-    (p-value estimate, whether every kernel fit met its target, in which
-    case a fit capped at _COARSE_POINTS gives what one at any larger
-    max_points would). ``scales``: "one" (c = 1), "common" (one c per
-    intersection) or "block" (one c per correlation block).
-    ``proportional``: needs a proportional scheme, correlation known.
-    ``pvalues``, set in place of ``pvalue``, maps (the scheme's rows,
-    p-values) to every intersection's exact p-value in one array step.
+    call; bonferroni's levels are alpha * w and need none. ``pvalues``
+    maps (the scheme's rows, p-values, model, target_error) to the
+    first-pass p-values of every intersection at once, as arrays
+    (values, errors, whether every kernel fit met its target), with no
+    per-row Python: NaN where a row has a block of more than
+    MAX_EXACT_DIM active members or a quadrature that misses its target.
+    ``pvalue`` maps (members, weights, p-values, model, seed,
+    target_error, max_points) to one intersection's (p-value estimate,
+    target met, in which case a fit capped at _COARSE_POINTS gives what
+    one at any larger max_points would): the rows ``pvalues`` leaves, and
+    every refit; bonferroni's ``pvalues`` leaves none. ``scales``: "one"
+    (c = 1), "common" (one c per intersection) or "block" (one c per
+    correlation block). ``proportional``: needs a proportional scheme,
+    correlation known.
     """
 
     levels: Callable | None
     pvalue: Callable | None
+    pvalues: Callable
     scales: str
     proportional: bool = False
-    pvalues: Callable | None = None
 
 
 def _common_scale(mem, *args):
     return ((mem, partitioned_common_scale(mem, *args)),)
 
 
-def _bonferroni_pvalues(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _bonferroni_pvalues(rows: np.ndarray, p: np.ndarray, *_) -> tuple[np.ndarray, ...]:
     """bonferroni_pvalue of every row of ``rows`` (weights, 0.0 off the
     members): min(1, min over positive-weight j of p_j / w_j), the same
-    floats, as division and minimum are exact per element."""
+    floats, as division and minimum are exact per element; error 0."""
     # a ratio past the float range is inf, capped at 1 like any above it
-    with np.errstate(over="ignore"):
-        ratios = np.divide(p, rows, out=np.full(rows.shape, np.inf), where=rows > 0.0)
-    return np.minimum(ratios.min(axis=1), 1.0)
+    values = np.minimum(_ratios(rows, p).min(axis=1), 1.0)
+    return values, np.zeros(values.size), np.ones(values.size, dtype=bool)
 
 
 _METHODS = {
-    "bonferroni": _Method(None, None, "one", pvalues=_bonferroni_pvalues),
-    "parametric-common": _Method(_common_scale, _common_estimate, "common"),
+    "bonferroni": _Method(None, None, _bonferroni_pvalues, "one"),
+    "parametric-common": _Method(_common_scale, _common_estimate, _common_pvalues, "common"),
     "parametric-subsets": _Method(
-        lambda *args: partitioned_subset_scales(*args), _subsets_estimate, "block"
+        lambda *args: partitioned_subset_scales(*args), _subsets_estimate, _subsets_pvalues, "block"
     ),
-    "xie": _Method(_common_scale, _xie_estimate, "common", proportional=True),
+    "xie": _Method(_common_scale, _xie_estimate, _xie_pvalues, "common", proportional=True),
 }
 # the method names every entry point accepts
 METHODS = tuple(_METHODS)
@@ -263,7 +271,12 @@ def run_closure(
     p-value or fall on the other side of alpha are fitted again to
     ``target_error`` (``_refits``), giving the floats a fit of every
     p-value to the target gives. Every other intersection keeps its
-    first-pass ``p_value``, with its error in ``p_error``. Scales and
+    first-pass ``p_value``, with its error in ``p_error``. The first pass
+    is the method's ``pvalues``, one array pass over every row whose
+    blocks hold at most MAX_EXACT_DIM active members; only the rows it
+    leaves (a larger block, or a quadrature that misses its target) and
+    the refits are fitted one intersection at a time, through the
+    method's ``pvalue``, with the same floats. Scales and
     local levels come from ``decision_thresholds``'s table
     (``_level_table``); with ``compute_scales`` off the root solves are
     skipped and scale/levels stay unset on every intersection.
@@ -281,15 +294,12 @@ def run_closure(
 
     # every intersection's p-value and its error, in mask order; final:
     # the first pass is already the fit to max_points
-    if method.pvalues is not None:
-        values = method.pvalues(rows, p)
-        errors = np.zeros(values.size)
-        final = np.ones(values.size, dtype=bool)
-    else:
-        first = [fit(mask, min(max_points, _COARSE_POINTS)) for mask in iter_masks(m)]
-        values = np.array([est.value for est, _ in first])
-        errors = np.array([est.error for est, _ in first])
-        final = np.array([met or max_points <= _COARSE_POINTS for _, met in first])
+    values, errors, final = method.pvalues(rows, p, model, target_error)
+    final |= max_points <= _COARSE_POINTS
+    for mask in (np.flatnonzero(np.isnan(values)) + 1).tolist():
+        est, met = fit(mask, min(max_points, _COARSE_POINTS))
+        values[mask - 1], errors[mask - 1] = est.value, est.error
+        final[mask - 1] = met or max_points <= _COARSE_POINTS
     # a refit is the fit to max_points on the same stream, so each J is refit at most once
     while not final.all():
         todo = _refits(values, errors, final, m, alpha)

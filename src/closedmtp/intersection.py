@@ -49,6 +49,7 @@ from .mvnorm import (
     DEFAULT_ROOT_TOL,
     DEFAULT_TARGET_ERROR,
     MAX_EXACT_DIM,
+    _EXACT_ERROR,
     _START_POINTS,
     CorrelationMatrix,
     ProbEstimate,
@@ -57,11 +58,12 @@ from .mvnorm import (
     _check_root_tol,
     _illinois,
     _pair_unions,
+    _plackett_fits,
     as_correlation,
     solve_monotone,
     union_exceedance,
 )
-from .subsets import as_indices, check_m, mask_of, members
+from .subsets import _member_sums, as_indices, check_m, mask_of, member_table, members
 
 _U64 = (1 << 64) - 1
 _MIX = 0x9E3779B97F4A7C15
@@ -314,6 +316,117 @@ def _union_estimate(
         elif act.size:
             union += min(1.0, float(w[act[0]]) * q)
     return ProbEstimate(min(1.0, union / total), error / total), met
+
+
+def _ratios(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p_j / w_j per row of a weight table (n, m; 0.0 off the members),
+    inf where w_j is not positive; a ratio past the float range is inf."""
+    with np.errstate(over="ignore"):
+        return np.divide(p, rows, out=np.full(rows.shape, np.inf), where=rows > 0.0)
+
+
+def _block_unions(w, q, need, model: CorrelationModel, target_error: float) -> tuple[np.ndarray, ...]:
+    """(unions, errors), each (n, B): per row of a weight table w (n, m;
+    0.0 off the members) and block b of ``model`` where ``need`` (n, B)
+    holds, the union ``_union_estimate`` adds for the block at thresholds
+    min(1, w_j * q[row, b]) of its active members, and its error, the
+    floats ``union_exceedance`` gives; 0.0 elsewhere. NaN where the block
+    holds more than MAX_EXACT_DIM active members (which also changes the
+    row's error split) or Plackett's reduction finds no node count: a row
+    for the per-row fit. One event is its threshold, every pair of all
+    blocks is one ``_pair_unions`` call, and every problem of k = 3 to
+    MAX_EXACT_DIM events joins one ``_plackett_fits`` call per k."""
+    unions, errors = np.zeros(need.shape), np.zeros(need.shape)
+    # per number of events, the problems of every block: (block, rows,
+    # thresholds (n, k), correlations (n, k, k))
+    problems: dict[int, list] = {k: [] for k in range(2, MAX_EXACT_DIM + 1)}
+    for b, (mem, corr) in enumerate(zip(model.blocks, model.matrices)):
+        wb = w[:, list(mem)]
+        active = (wb > 0.0) & need[:, b, None]
+        u = np.minimum(1.0, np.multiply(wb, q[:, b, None], out=np.zeros(wb.shape), where=active))
+        count = active.sum(axis=1)
+        several, big = count > 1, count > MAX_EXACT_DIM
+        # a threshold of 1 makes the union certain; a zero threshold is a
+        # zero-probability event, dropped
+        certain = several & (active & (u == 1.0)).any(axis=1)
+        unions[certain, b] = 1.0
+        unions[big, b] = np.nan
+        fitted = (several & ~certain & ~big)[:, None]
+        live = np.where((count == 1)[:, None], active, active & (u > 0.0) & fitted)
+        size = live.sum(axis=1)
+        lone = size == 1
+        unions[lone, b] = u[lone][live[lone]]
+        for k, group in problems.items():
+            at = np.flatnonzero(size == k)
+            if at.size:
+                pos = np.nonzero(live[at])[1].reshape(-1, k)
+                thresholds = u[at][live[at]].reshape(-1, k)
+                group.append((b, at, thresholds, corr.values[pos[:, :, None], pos[:, None, :]]))
+    for k, group in problems.items():
+        if not group:
+            continue
+        u = np.concatenate([g[2] for g in group])
+        corr = np.concatenate([g[3] for g in group])
+        if k == 2:
+            value, error = _pair_unions(u[:, 0], u[:, 1], corr[:, 0, 1]), np.full(len(u), _EXACT_ERROR)
+        else:
+            value, error, _ = _plackett_fits(u.T, corr.transpose(1, 2, 0), target_error)
+        ends = np.cumsum([len(g[1]) for g in group]).tolist()
+        for (b, at, _, _), lo, hi in zip(group, [0] + ends, ends):
+            unions[at, b], errors[at, b] = value[lo:hi], error[lo:hi]
+    return unions, errors
+
+
+def _common_pvalues(rows: np.ndarray, p: np.ndarray, model: CorrelationModel, target_error: float):
+    """``_common_estimate`` of every row of a weight table (n, m; 0.0 off
+    the members) at the first pass, as arrays (values, errors, met): the
+    same floats, NaN where ``_block_unions`` leaves a block (see
+    ``_union_estimate``)."""
+    q = _ratios(rows, p).min(axis=1)
+    saturated = q >= 1.0 / rows.max(axis=1)
+    need = np.repeat(~saturated[:, None], len(model.blocks), axis=1)
+    unions, errors = _block_unions(rows, np.broadcast_to(q[:, None], need.shape), need, model, target_error)
+    union, error = np.zeros(len(rows)), np.zeros(len(rows))
+    for b in range(need.shape[1]):
+        union += unions[:, b]
+        error += errors[:, b]
+    total = _member_sums(rows, member_table(rows.shape[1])[1:])
+    values = np.where(saturated, 1.0, np.minimum(1.0, union / total))
+    return values, np.where(saturated, 0.0, error / total), (errors <= target_error).all(axis=1)
+
+
+def _subsets_pvalues(rows: np.ndarray, p: np.ndarray, model: CorrelationModel, target_error: float):
+    """``_subsets_estimate`` of every row of a weight table (n, m; 0.0 off
+    the members) at the first pass, as arrays (values, errors, met): per
+    block with an active member ``_union_estimate`` alone, its union over
+    the block's weight total, the smallest value and the largest error;
+    NaN where ``_block_unions`` leaves a block."""
+    inside = member_table(rows.shape[1])[1:]
+    shape = (len(rows), len(model.blocks))
+    q, has, saturated = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    for b, mem in enumerate(model.blocks):
+        top = rows[:, list(mem)].max(axis=1)
+        q[:, b] = _ratios(rows[:, list(mem)], p[list(mem)]).min(axis=1)
+        has[:, b] = top > 0.0
+        with np.errstate(divide="ignore"):
+            saturated[:, b] = has[:, b] & (q[:, b] >= 1.0 / top)
+    unions, errors = _block_unions(rows, q, has & ~saturated, model, target_error)
+    value, error = np.full(len(rows), np.inf), np.zeros(len(rows))
+    for b, mem in enumerate(model.blocks):
+        # the block's weight total, 1.0 where it has no active member
+        total = np.where(has[:, b], _member_sums(rows[:, list(mem)], inside[:, list(mem)]), 1.0)
+        sat, off = saturated[:, b], ~has[:, b]
+        block = np.where(sat, 1.0, np.minimum(1.0, unions[:, b] / total))
+        value = np.minimum(value, np.where(off, np.inf, block))
+        error = np.maximum(error, np.where(sat | off, 0.0, errors[:, b] / total))
+    return value, error, (errors <= target_error).all(axis=1)
+
+
+def _xie_pvalues(rows: np.ndarray, p: np.ndarray, model: CorrelationModel, target_error: float):
+    """``_xie_estimate`` of every row at the first pass, as arrays: the
+    rows rescaled to sum to 1 over their members, then ``_subsets_pvalues``."""
+    total = _member_sums(rows, member_table(rows.shape[1])[1:])
+    return _subsets_pvalues(rows / total[:, None], p, model, target_error)
 
 
 def parametric_pvalue(

@@ -70,16 +70,24 @@ _LADDER = (8, 16, 32, 64, 128, 256)
 # bound: a tie, NaN, which sends the fit to QMC
 _FIXED_VAR = 1e-14
 _FAR = 40.0
+# problems (columns) per _orthant call of a batched fit: at six events and
+# 16 nodes a column's arrays take about 1 MB, at five about 0.3 MB
+_FIT_COLUMNS = 16
 
 
+@functools.lru_cache(maxsize=None)
 def _graded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre's n nodes s and weights on [0, 1], graded toward
     t = 1 by t = 1 - (1 - s)^2, dt = 2 (1 - s) ds: a pair's rate along t
     carries 1 / sqrt(1 - t^2 rho^2), which bends sharply at t = 1 when
-    |rho| nears 1 (and is singular at |rho| = 1), and in s it is smooth."""
+    |rho| nears 1 (and is singular at |rho| = 1), and in s it is smooth.
+    Built on first use, read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
     s = 0.5 * (x + 1.0)
-    return 1.0 - (1.0 - s) ** 2, (1.0 - s) * w
+    nodes, weights = 1.0 - (1.0 - s) ** 2, (1.0 - s) * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _pivot_table(k: int) -> tuple:
@@ -94,7 +102,6 @@ def _pivot_table(k: int) -> tuple:
     return (np.triu_indices(k, 1), orders, pivot_pairs, rest, *np.triu_indices(k - 2, 1))
 
 
-_PLACKETT_RULES = {n: _graded_rule(n) for n in _LADDER}
 # the pairs of three variables and the third variable of each
 _TRIPLE = (*np.triu_indices(3, 1), np.array([2, 1, 0]))
 _PIVOT_TABLES = {k: _pivot_table(k) for k in range(4, MAX_EXACT_DIM + 1)}
@@ -105,11 +112,11 @@ def _rule_layout(counts: tuple[int, ...]) -> tuple[np.ndarray, tuple[slice, ...]
     """The graded nodes of every count in ``counts`` one after another,
     each count's slice of them, and a row of weights per count, zero off
     that count's nodes."""
-    x = np.concatenate([_PLACKETT_RULES[n][0] for n in counts])
+    x = np.concatenate([_graded_rule(n)[0] for n in counts])
     segments = tuple(slice(end - n, end) for n, end in zip(counts, np.cumsum(counts).tolist()))
     weights = np.zeros((len(counts), x.size))
     for row, (n, seg) in enumerate(zip(counts, segments)):
-        weights[row, seg] = _PLACKETT_RULES[n][1]
+        weights[row, seg] = _graded_rule(n)[1]
     x.setflags(write=False)
     weights.setflags(write=False)
     return x, segments, weights
@@ -280,7 +287,7 @@ def _orthant(b: np.ndarray, corr: np.ndarray, counts: Sequence[int]) -> np.ndarr
     given its partner (see _FIXED_VAR).
 
     The rate is integrated on each count's graded Gauss-Legendre rule
-    (``_PLACKETT_RULES``), the nodes of all counts in one array pass;
+    (``_graded_rule``), the nodes of all counts in one array pass;
     every Phi_(k-2) over all problems, pairs and one count's nodes, and
     the start term over all counts, is one call of this function, down
     to Phi_1 (ndtr) or the bivariate (``_bvn``). The problems stay on the
@@ -288,6 +295,11 @@ def _orthant(b: np.ndarray, corr: np.ndarray, counts: Sequence[int]) -> np.ndarr
     them. The pivot's correlations are below 1 in size for t < 1, so a
     pair at +-1 through the pivot shows only as a rate that grows like
     1 / sqrt(1 - t), which the grading absorbs.
+
+    Every step is elementwise or sums in a fixed order (the nodes one
+    after another, then the pairs), so a column's floats do not depend on
+    the other columns or their number: a batch gives each problem what
+    it gets alone.
     """
     k = b.shape[0]
     if k < 3:
@@ -356,22 +368,34 @@ def _orthant(b: np.ndarray, corr: np.ndarray, counts: Sequence[int]) -> np.ndarr
             ])
         start = ndtr(b[0]) * _orthant(b[1:], corr[1:, 1:], counts)
     rate = density * given
-    steps = (weights @ rate.reshape(x.size, -1)).reshape((len(counts),) + rate.shape[1:])
-    return start + (rho * steps).sum(axis=1)
+    # not a matrix product, whose order of summation depends on the width
+    steps = (weights[:, :, None] * rate.reshape(x.size, -1)).sum(axis=1)
+    return start + (rho * steps.reshape((len(counts),) + rate.shape[1:])).sum(axis=1)
+
+
+def _kept(u: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """Per column of thresholds u (k, N) and correlations corr (k, k, N),
+    the events that add to the union: those with a threshold above zero
+    and, above three events, not inside the event of a partner correlated
+    at +1 (a threshold at most the partner's, the later of two equal
+    ones). The one-variable step would meet such a pair off its pivot as
+    a variable fixed by the other, and at equal thresholds as a tie."""
+    keep = u > 0.0
+    if len(u) > 3:
+        pairs = _PIVOT_TABLES[len(u)][0]
+        one = corr[pairs] == 1.0
+        for p in np.flatnonzero(one.any(axis=1)).tolist():
+            i, j = pairs[0][p], pairs[1][p]
+            inner = u[j] <= u[i]
+            keep[j] &= ~(one[p] & inner)
+            keep[i] &= ~(one[p] & ~inner)
+    return keep
 
 
 def _plackett_unions(u: np.ndarray, corr: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """The union at thresholds in [0, 1) from ``_orthant``, one value per
-    node count in ``counts``; zero thresholds are dropped (zero-probability
-    events). Above three events, so is an event inside that of a partner
-    correlated at +1 (a threshold at most the partner's, the later of two
-    equal ones), which adds nothing to the union: the one-variable step
-    would meet such a pair off its pivot as a variable fixed by the other,
-    and at equal thresholds as a tie."""
-    keep = u > 0.0
-    if u.size > 3:
-        i, j = np.nonzero(np.triu(corr == 1.0, 1))
-        keep[np.where(u[j] <= u[i], j, i)] = False
+    node count in ``counts``, over the events ``_kept`` keeps."""
+    keep = _kept(u[:, None], corr[:, :, None])[:, 0]
     if not keep.all():
         u, corr = u[keep], corr[keep][:, keep]
     if u.size == 0:
@@ -385,29 +409,78 @@ def _plackett_estimate(fine: float, coarse: float) -> ProbEstimate:
     return ProbEstimate(min(1.0, max(0.0, fine)), max(abs(fine - coarse), _EXACT_ERROR))
 
 
-def _plackett_fit(u: np.ndarray, corr: np.ndarray, target_error: float) -> tuple[ProbEstimate, int] | None:
-    """(estimate, node count) of Plackett's reduction at the first node
-    count of the dimension's ladder past the coarsest whose value lies
-    within a tolerance of the value at the count before it (half as
-    many): max(target_error, _EXACT_ERROR) above three dimensions. A
-    trivariate pass costs about the same at any count, so at three the
-    ladder runs to 256 nodes, the first pass evaluates 8, 16 and 32 at
-    once, and the fit takes the first count within _EXACT_ERROR, or else
-    the top count if that is within max(target_error, _EXACT_ERROR).
-    None when no count qualifies, or a value is not finite."""
+def _unions(b: np.ndarray, corr: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """1 - ``_orthant``, per node count and column, at most _FIT_COLUMNS
+    columns to a call."""
+    if b.shape[1] <= _FIT_COLUMNS:
+        return 1.0 - _orthant(b, corr, counts)
+    return 1.0 - np.concatenate([
+        _orthant(b[:, s : s + _FIT_COLUMNS], corr[:, :, s : s + _FIT_COLUMNS], counts)
+        for s in range(0, b.shape[1], _FIT_COLUMNS)
+    ], axis=1)
+
+
+def _plackett_fits(u: np.ndarray, corr: np.ndarray, target_error: float) -> tuple[np.ndarray, ...]:
+    """(values, errors, node counts) of Plackett's reduction for every
+    column of thresholds u (k, N) in (0, 1), k = 3..MAX_EXACT_DIM, and
+    correlations corr (k, k, N), over the events ``_kept`` keeps: the
+    value at the first node count of the dimension's ladder past the
+    coarsest whose value lies within a tolerance of the value at the
+    count before it (half as many), clipped to [0, 1], its error that gap
+    (at least _EXACT_ERROR). The tolerance is max(target_error,
+    _EXACT_ERROR) above three events. A trivariate pass costs about the
+    same at any count, so at three the ladder runs to 256 nodes, the
+    first pass evaluates 8, 16 and 32 at once, and a fit takes the first
+    count within _EXACT_ERROR, or else the top count if that is within
+    max(target_error, _EXACT_ERROR). The count is 0 and the value NaN
+    where no count qualifies or a value is not finite.
+
+    The columns that keep the same number of events take each ladder
+    step together, one ``_unions`` pass over those still open, so each
+    column gets the floats it gets alone (``_orthant`` is batch-invariant).
+    """
+    k, n = u.shape
     loose = max(target_error, _EXACT_ERROR)
-    if u.size == 3:
+    if k == 3:
         ladder, tol, first = _LADDER, _EXACT_ERROR, 3
     else:
         ladder, tol, first = _LADDER[:3], loose, 2
-    values = _plackett_unions(u, corr, ladder[:first]).tolist()
-    for n in range(1, len(ladder)):
-        if n == len(values):
-            values += _plackett_unions(u, corr, ladder[n : n + 1]).tolist()
-        gap = abs(values[n] - values[n - 1])
-        if gap <= tol or (n == len(ladder) - 1 and gap <= loose):
-            return _plackett_estimate(values[n], values[n - 1]), ladder[n]
-    return None
+    value, error, nodes = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=int)
+    keep = _kept(u, corr)
+    sizes = keep.sum(axis=0)
+    b = -ndtri(u)
+    for d in sorted(set(sizes.tolist())):
+        cols = np.flatnonzero(sizes == d)
+        bd, cd = b[:, cols], corr[:, :, cols]
+        if d < k:
+            # each column's kept events, in order
+            idx, col = np.argsort(~keep[:, cols], axis=0, kind="stable")[:d], np.arange(cols.size)
+            bd, cd = bd[idx, col], cd[idx[:, None], idx, col]
+        steps = np.empty((len(ladder), cols.size))
+        steps[:first] = _unions(bd, cd, ladder[:first])
+        live = np.arange(cols.size)
+        for i in range(1, len(ladder)):
+            if i >= first:
+                steps[i, live] = _unions(bd[:, live], cd[:, :, live], ladder[i : i + 1])[0]
+            gap = np.abs(steps[i, live] - steps[i - 1, live])
+            done = (gap <= tol) | ((i == len(ladder) - 1) & (gap <= loose))
+            at, out = live[done], cols[live[done]]
+            value[out] = np.minimum(1.0, np.maximum(0.0, steps[i, at]))
+            error[out] = np.maximum(gap[done], _EXACT_ERROR)
+            nodes[out] = ladder[i]
+            live = live[~done]
+            if live.size == 0:
+                break
+    return value, error, nodes
+
+
+def _plackett_fit(u: np.ndarray, corr: np.ndarray, target_error: float) -> tuple[ProbEstimate, int] | None:
+    """(estimate, node count) of ``_plackett_fits`` on one problem; None
+    where it has no count."""
+    value, error, nodes = _plackett_fits(u[:, None], corr[:, :, None], target_error)
+    if not nodes[0]:
+        return None
+    return ProbEstimate(float(value[0]), float(error[0])), int(nodes[0])
 
 
 # Joe & Kuo (2008, SIAM J. Sci. Comput. 30:2635): (primitive polynomial,
@@ -491,9 +564,10 @@ def _reordered_cholesky(corr: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray
     At each step the variable with the smallest conditional probability
     mass (given truncated-normal means for the earlier coordinates) is
     brought forward, which concentrates the integrand's variance in the
-    leading coordinates of the QMC recursion. Returns the factor of the
-    reordered matrix and the order: ``perm[i]`` is the original index of
-    reordered variable i.
+    leading coordinates of the QMC recursion. A singular correlation
+    leaves a zero column below each variable the earlier ones fix.
+    Returns the factor of the reordered matrix and the order: ``perm[i]``
+    is the original index of reordered variable i.
     """
     k = corr.shape[0]
     c = corr.copy()
@@ -516,9 +590,13 @@ def _reordered_cholesky(corr: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray
             L[[i, j], :i] = L[[j, i], :i]
             b[[i, j]] = b[[j, i]]
             perm[[i, j]] = perm[[j, i]]
-        sii = max(c[i, i] - float(L[i, :i] @ L[i, :i]), eps)
-        L[i, i] = math.sqrt(sii)
-        if i + 1 < k:
+        sii = c[i, i] - float(L[i, :i] @ L[i, :i])
+        L[i, i] = math.sqrt(max(sii, eps))
+        # a conditional variance at or below _PSD_TOL is a variable the
+        # earlier ones fix (Genz & Bretz 2009): below its pivot the column
+        # would be rounding noise over that pivot, so it stays 0, and its
+        # factor in the integrand is an indicator
+        if i + 1 < k and sii > _PSD_TOL:
             L[i + 1 :, i] = (c[i + 1 :, i] - L[i + 1 :, :i] @ L[i, :i]) / L[i, i]
         hi = (b[i] - float(L[i, :i] @ y[:i])) / L[i, i]
         mass = max(float(ndtr(hi)), 1e-300)

@@ -75,3 +75,19 @@ def member_table(m: int) -> np.ndarray:
     of mask. Row 0 is the empty set."""
     masks = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
     return np.unpackbits(masks, axis=1, count=m, bitorder="little").view(bool)
+
+
+def _member_sums(full: np.ndarray, inside: np.ndarray | None = None) -> np.ndarray:
+    """Per row of a weight array, the float w.sum() gives on its member
+    vector, the entries where ``inside`` is set (by default each row of a
+    (2^m, m) array is a subset's row of ``member_table``): the rows of k
+    members are summed as one C-contiguous (n, k) array, whose row sums
+    NumPy takes as it takes a 1-D sum; 0.0 for a row with none."""
+    if inside is None:
+        inside = member_table(full.shape[1])
+    sizes = inside.sum(axis=1)
+    total = np.zeros(len(full))
+    for k in range(1, full.shape[1] + 1):
+        pick = np.flatnonzero(sizes == k)
+        total[pick] = full[pick][inside[pick]].reshape(-1, k).sum(axis=1)
+    return total

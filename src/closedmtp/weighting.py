@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import InputError
 from .intersection import _TOTAL_TOL
-from .subsets import check_m, iter_masks, mask_of, member_table, members
+from .subsets import _member_sums, check_m, iter_masks, mask_of, member_table, members
 
 _SUM_TOL = 1e-12
 
@@ -117,19 +117,6 @@ class WeightingScheme:
         if np.any(init <= 0.0):
             return False
         return bool(np.abs(self.rows - xie_scheme(init).rows).max() <= tol)
-
-
-def _member_sums(full: np.ndarray) -> np.ndarray:
-    """Per row of a (2^m, m) weight array, the float w.sum() gives on its
-    member vector: the rows of k members are summed as one C-contiguous
-    (n, k) array, whose row sums NumPy takes as it takes a 1-D sum."""
-    inside = member_table(full.shape[1])
-    sizes = inside.sum(axis=1)
-    total = np.zeros(len(full))
-    for k in range(1, full.shape[1] + 1):
-        pick = np.flatnonzero(sizes == k)
-        total[pick] = full[pick][inside[pick]].reshape(-1, k).sum(axis=1)
-    return total
 
 
 @dataclass(frozen=True, eq=False)

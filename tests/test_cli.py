@@ -110,6 +110,24 @@ class TestAnalyze:
         assert "error" in result.stderr
 
 
+    def test_repeated_calls_keep_no_report_alive(self, runner, problem_file):
+        # click.echo without a file caches each sys.stdout it meets and
+        # never frees it; CliRunner swaps sys.stdout per call
+        import gc
+
+        from click.testing import BytesIOCopy
+
+        def alive():
+            gc.collect()
+            return sum(1 for o in gc.get_objects() if isinstance(o, BytesIOCopy))
+
+        before = alive()
+        for _ in range(3):
+            assert runner.invoke(main, ["analyze", str(problem_file)]).exit_code == 0
+            assert runner.invoke(main, ["analyze", "missing.json"]).exit_code == 2
+        assert alive() == before
+
+
 class TestSeedPrecedence:
     def seed_of(self, runner, args, env=None, doc=HOLM_PROBLEM):
         result = runner.invoke(main, args, input=json.dumps(doc), env=env)

@@ -1430,3 +1430,93 @@ class TestRefineSaving:
             rep = run_closure(fileio.parse_problem(doc, method=method), compute_scales=False)
             assert all(res.p_error <= 1e-6 for res in rep.intersections)
         assert passes == []
+
+
+def array_pass_problems():
+    """Block models at m = 8 under both partitioned methods, and a full
+    xie model, whose rows hit every branch of the array p-values: a
+    7-member block (sampled, so fitted alone and refit), blocks of two to
+    six with a +1 pair, a -1 pair and a near-singular pair, a p-value of
+    0, rows that saturate (p-values of 1 and 0.9) and rows whose block
+    members all carry zero weight."""
+    rng = np.random.default_rng(2025)
+    m = 8
+    five = random_correlation(rng, 5).values.copy()
+    five[1, :] = five[:, 1] = five[0]
+    five[1, 1] = five[0, 1] = five[1, 0] = 1.0
+    six = random_correlation(rng, 6).values.copy()
+    six[2, :] = six[:, 2] = -six[3]
+    six[2, 2] = 1.0
+    six[2, 3] = six[3, 2] = -1.0
+    pair = equicorr(2, 0.999)
+    models = [
+        CorrelationModel(m, (tuple(range(7)), (7,)), (random_correlation(rng, 7), None)),
+        CorrelationModel(
+            m, ((0, 1, 2), (3, 4, 5, 6, 7)), (random_correlation(rng, 3), CorrelationMatrix(five))
+        ),
+        CorrelationModel(m, ((0, 1, 2, 3, 4, 5), (6, 7)), (CorrelationMatrix(six), pair)),
+    ]
+    p = rng.uniform(0.0, 0.03, size=m)
+    p[[1, 4, 6]] = 0.0, 1.0, 0.9
+    for model in models:
+        table = {}
+        for mask, mem, w in random_scheme(rng, m).entries():
+            # every third row holding both of 6 and 7 gives them zero weight
+            if len(mem) > 2 and {6, 7} <= set(mem) and mask % 3 == 0:
+                w = np.where(np.isin(mem, (6, 7)), 0.0, w)
+            table[mask] = w
+        for method in ("parametric-common", "parametric-subsets"):
+            yield TestProblem(WeightingScheme(m, table), model, p, 0.025, method, seed=5)
+    corr = random_correlation(rng, 7).values.copy()
+    corr[0, :] = corr[:, 0] = corr[5]
+    corr[0, 0] = corr[0, 5] = corr[5, 0] = 1.0
+    yield TestProblem(
+        xie_scheme(rng.dirichlet(np.ones(7))), CorrelationModel.full(CorrelationMatrix(corr)),
+        p[:7], 0.025, "xie", seed=6,
+    )
+
+
+class TestArrayPvalues:
+    """run_closure's first pass is one array pass over every row whose
+    blocks hold at most MAX_EXACT_DIM active members; it gives each row
+    the floats of the per-row estimate, and only the other rows (and the
+    refits) are fitted one at a time."""
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_every_row_is_the_per_row_floats(self, index):
+        prob = list(array_pass_problems())[index]
+        # with max_points <= 2^11 nothing is refit: the first pass is every fit
+        rep = run_closure(prob, target_error=1e-6, max_points=1 << 11, compute_scales=False)
+        values, errors = reference_fits(prob, 1e-6, 1 << 11)
+        assert [res.p_value for res in rep.intersections] == values.tolist()
+        assert [res.p_error for res in rep.intersections] == errors.tolist()
+        # the branches this case was built for are all taken
+        assert 1.0 in values and 0.0 in values and np.any(errors > 1e-13)
+
+    @pytest.mark.parametrize("index", [0, 6, 7])
+    def test_only_rows_with_a_larger_block_are_fitted_alone(self, monkeypatch, index):
+        # the last case is the first refine problem, which refits some rows
+        prob = [*array_pass_problems(), next(refine_contract_problems())][index]
+        values, _ = reference_fits(prob, 1e-6, 1 << 16)
+        method = closure_module._METHODS[prob.method]
+        fitted = []
+
+        def counted(mem, *args):
+            fitted.append((mask_of(mem, prob.m), args[-1]))
+            return method.pvalue(mem, *args)
+
+        monkeypatch.setitem(closure_module._METHODS, prob.method, dataclasses.replace(method, pvalue=counted))
+        rep = run_closure(prob, target_error=1e-6, compute_scales=False)
+        rows = prob.scheme.rows
+        large = {
+            mask for mask in iter_masks(prob.m)
+            if max(np.count_nonzero(rows[mask - 1, list(b)]) for b in prob.model.blocks) > MAX_EXACT_DIM
+        }
+        first = {mask for mask, points in fitted if points == 1 << 11}
+        assert first == large and len(first) == len([f for f in fitted if f[1] == 1 << 11])
+        # a row refit at max_points is one of those, and the rest are exact
+        refit = {mask for mask, points in fitted if points == 1 << 16}
+        assert refit <= large and (index < 7 or refit)
+        got = np.array([res.p_value for res in rep.intersections])
+        exact = np.array([mask not in large for mask in iter_masks(prob.m)])
+        assert got[exact].tolist() == values[exact].tolist()

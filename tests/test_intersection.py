@@ -19,7 +19,8 @@ from closedmtp.intersection import (
     partitioned_subset_scales,
     xie_pvalue,
 )
-from closedmtp.mvnorm import MAX_EXACT_DIM, CorrelationMatrix
+from closedmtp.intersection import _block_unions
+from closedmtp.mvnorm import MAX_EXACT_DIM, CorrelationMatrix, union_exceedance
 from closedmtp.weighting import WeightingScheme, constant_scheme
 
 TUTORIAL_PROBLEM = Path(__file__).resolve().parents[1] / "tutorial" / "trial_problem.json"
@@ -137,9 +138,11 @@ class TestOneMemberBlocks:
         assert problem.method == "parametric-subsets"
         builds = self.counted_rules(monkeypatch)
         run_closure(problem, target_error=1e-6)
-        # one rule per intersection whose block {H1, H2, H3} holds two or
-        # three positive weights; the singleton blocks build none
-        assert len(builds) == 40
+        # one rule per intersection whose block {H1, H2, H3} holds three
+        # positive weights, for its root solve: every p-value, and the
+        # scales of the rows where it holds two, take the array passes,
+        # and the singleton blocks build none
+        assert len(builds) == 8
 
     @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
     def test_one_member_blocks_build_no_rule(self, monkeypatch, method):
@@ -843,6 +846,40 @@ class TestPartitionedSubsets:
                 for idx in parts if idx and w[idx].any()
             )
             assert partitioned_pvalue_subsets(sub, w, p, model, seed=case) == want, case
+
+
+class TestBlockUnions:
+    """The array pass's per-block unions are ``union_exceedance``'s floats,
+    at any q: thresholds of 0 (dropped) and of 1 (a certain union) too."""
+
+    def test_each_block_is_union_exceedance(self):
+        rng = np.random.default_rng(31)
+        model = CorrelationModel(
+            9, ((0, 1, 2, 3, 4, 5), (6, 7), (8,)),
+            (random_correlation(rng, 6), equicorr(2, 0.7), None),
+        )
+        n = 300
+        w = rng.dirichlet(np.ones(9), size=n) * (rng.random((n, 9)) < 0.8)
+        q = rng.choice([0.0, 0.01, 0.3, 3.0, 40.0], size=(n, 3))
+        need = rng.random((n, 3)) < 0.9
+        unions, errors = _block_unions(w, q, need, model, 1e-6)
+        seen = set()
+        for row in range(n):
+            for b, block in enumerate(model.blocks):
+                wb = w[row, list(block)]
+                act = np.flatnonzero(wb > 0.0)
+                if not need[row, b] or act.size == 0:
+                    assert (unions[row, b], errors[row, b]) == (0.0, 0.0)
+                    continue
+                u = np.minimum(1.0, wb[act] * q[row, b])
+                if act.size == 1:
+                    want = (u[0], 0.0)
+                else:
+                    est = union_exceedance(u, model.matrices[b].submatrix(act))
+                    want = (est.value, est.error)
+                assert (unions[row, b], errors[row, b]) == want, (row, b)
+                seen.add((act.size > 1, float(u.max())))
+        assert (True, 1.0) in seen and (True, 0.0) in seen
 
 
 class TestSeedDerivation:

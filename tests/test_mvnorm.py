@@ -17,7 +17,10 @@ from closedmtp.mvnorm import (
     UnionRule,
     _bvn,
     _graded_rule,
+    _orthant,
     _pair_unions,
+    _plackett_fit,
+    _plackett_fits,
     _plackett_unions,
     solve_monotone,
     union_exceedance,
@@ -667,6 +670,138 @@ class TestUnitPairs:
             want = 1.0 - max(0.0, ndtr(hi) - ndtr(lo))
             est = union_exceedance(u, CorrelationMatrix(np.outer(s, s)))
             assert abs(est.value - want) <= est.error, trial
+
+
+def batch_columns(rng, dim, n):
+    """n problems of dim events as columns (thresholds (dim, n),
+    correlations (dim, dim, n)), drawn in turn from: random correlations;
+    a pair at 0.999 beside 0.3; a +1 pair (dropped above three events);
+    above three, a unit pair beside a -1 pair (a variable fixed off the
+    pivot) and two -1 pairs at u = 1/2 (a tie, which falls back); and
+    equicorrelation 0.9999 at u = 0.05, whose quadrature misses 1e-6."""
+    kinds = ["random", "near", "plus"] + (["fixed", "tie"] if dim > 3 else []) + ["miss"]
+    us, corrs = [], []
+    for col in range(n):
+        kind = kinds[col % len(kinds)]
+        u = rng.uniform(1e-4, 0.2, dim)
+        if kind == "random":
+            cm = random_correlation(rng, dim)
+        elif kind == "near":
+            cm = pair_beside(dim, 0.999)
+        elif kind == "plus":
+            cm = pair_beside(dim, 1.0)
+        elif kind == "fixed":
+            cm = unit_pairs(dim, [((0, 1), 1.0), ((2, 3), -1.0)])
+        elif kind == "tie":
+            u, cm = np.full(dim, 0.5), unit_pairs(dim, [((0, 1), -1.0), ((2, 3), -1.0)])
+        else:
+            u, cm = np.full(dim, 0.05), equicorr(dim, 0.9999)
+        us.append(u)
+        corrs.append(cm.values)
+    return np.array(us).T, np.stack(corrs, axis=2)
+
+
+class TestBatchedFit:
+    """Plackett's reduction on many problems at once gives each the floats
+    it gets alone: ``_orthant`` sums in a fixed order, and the batched fit
+    runs each ladder step on the columns still open."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_each_column_is_its_fit_alone(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        kinds = 0
+        for n in (1, 2, 7, 64):
+            u, corr = batch_columns(rng, dim, n)
+            value, error, nodes = _plackett_fits(u, corr, 1e-6)
+            for col in range(n):
+                alone = _plackett_fit(u[:, col], corr[:, :, col], 1e-6)
+                if alone is None:
+                    assert nodes[col] == 0 and np.isnan(value[col]), (n, col)
+                    kinds |= 1
+                else:
+                    est, count = alone
+                    assert (value[col], error[col], nodes[col]) == (est.value, est.error, count), (n, col)
+                    kinds |= 2
+        # both outcomes occur; at three events every kind here is fitted
+        assert kinds == (2 if dim == 3 else 3)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_orthant_columns_do_not_depend_on_the_batch(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        u, corr = batch_columns(rng, dim, 24)
+        keep = slice(0, 24) if dim == 3 else [c for c in range(24) if c % 6 not in (2, 4)]
+        b, corr = -ndtri(u[:, keep]), corr[:, :, keep]
+        counts = (8, 16, 32)
+        whole = _orthant(b, corr, counts)
+        for width in (1, 5):
+            parts = np.concatenate(
+                [_orthant(b[:, s : s + width], corr[:, :, s : s + width], counts)
+                 for s in range(0, b.shape[1], width)], axis=1,
+            )
+            assert np.array_equal(parts, whole, equal_nan=True), width
+
+    def test_the_column_cap_changes_no_float(self, monkeypatch):
+        import closedmtp.mvnorm as mvnorm
+
+        u, corr = batch_columns(np.random.default_rng(5), 5, 40)
+        want = _plackett_fits(u, corr, 1e-6)
+        monkeypatch.setattr(mvnorm, "_FIT_COLUMNS", 3)
+        got = _plackett_fits(u, corr, 1e-6)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+def rank_two(k):
+    """corr_ij = cos(theta_i - theta_j), theta = 0, 0.5, ..., (k - 1) / 2:
+    Z_i = cos(theta_i) X + sin(theta_i) Y, rank two, so from k = 3 on a
+    variable is fixed by two earlier ones."""
+    theta = 0.5 * np.arange(k)
+    return theta, CorrelationMatrix(np.cos(theta[:, None] - theta[None, :]))
+
+
+def rank_two_union(theta, u, n=1 << 20):
+    """The union for rank_two's correlation, by the midpoint rule in the
+    polar angle phi of (X, Y): the orthant holds R = |(X, Y)| <= min over
+    cos(phi - theta_i) > 0 of b_i / cos(phi - theta_i), and R is Rayleigh."""
+    b = -ndtri(np.asarray(u, dtype=float))
+    phi = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    cos = np.cos(phi[:, None] - theta[None, :])
+    reach = np.where(cos > 0.0, b / np.where(cos > 0.0, cos, 1.0), np.inf).min(axis=1)
+    return 1.0 - float(np.mean(-np.expm1(-0.5 * reach * reach)))
+
+
+class TestSingularQmc:
+    """A conditional variance at or below 1e-10 in the QMC factorization is
+    a variable fixed by the earlier ones: its column stays zero, and its
+    factor in the integrand is an indicator."""
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_polar_reference_matches_seeded_monte_carlo(self, k):
+        theta, _ = rank_two(k)
+        u = np.full(k, 0.01)
+        xy = np.random.default_rng(k).standard_normal((2, 1 << 21))
+        z = np.cos(theta)[:, None] * xy[0] + np.sin(theta)[:, None] * xy[1]
+        hits = (z > -ndtri(u)[:, None]).any(axis=0).mean()
+        # about 0.0351 at k = 6 and 0.0402 at k = 7
+        assert abs(hits - rank_two_union(theta, u)) <= 4.0 * math.sqrt(hits * (1.0 - hits) / xy.shape[1])
+
+    def test_a_rank_two_block_of_seven(self):
+        theta, cm = rank_two(7)
+        u = np.full(7, 0.01)
+        est = union_exceedance(u, cm)
+        assert abs(est.value - rank_two_union(theta, u)) <= est.error
+
+    def test_a_rank_two_block_of_six_on_qmc(self):
+        import closedmtp.mvnorm as mvnorm
+
+        theta, cm = rank_two(6)
+        u = np.full(6, 0.01)
+        exact = UnionRule(u, cm)
+        assert not exact.sampled
+        qmc = mvnorm._QmcRule(cm.values, -ndtri(u), 0, 1e-6, 1 << 16)
+        gap = abs((1.0 - qmc.estimate.value) - exact.estimate.value)
+        assert gap <= qmc.estimate.error + exact.estimate.error
+        assert abs(exact.estimate.value - rank_two_union(theta, u)) <= exact.estimate.error
 
 
 class TestBivariate:

@@ -6,6 +6,7 @@ Dunnett-type threshold tables.
     PYTHONPATH=src python3 tools/bench_kernel.py            # L0, L1, tutorial, cold start
     PYTHONPATH=src python3 tools/bench_kernel.py --closure  # also the m=8 closure
     PYTHONPATH=src python3 tools/bench_kernel.py --dunnett  # also the m=6 and 8 tables
+    PYTHONPATH=src python3 tools/bench_kernel.py --batched  # also fits alone against batched
 
 Run from the repository root; point PYTHONPATH at another checkout's
 ``src`` to measure that one with the same script. Every instance is drawn
@@ -49,11 +50,19 @@ from a fixed seed, so both sides integrate the same problems.
   p-values only): CPU, kernel passes, points, refits, the decisions, and
   sha1 prefixes of the adjusted and of the intersection p-values, which
   show whether two sides agree bit for bit. ``refits`` counts the
-  intersection p-value fits beyond one per intersection, counted by
-  wrapping the method's entry in ``closure._METHODS``; a closure that fits
-  every p-value once to the target reports 0, and one that refits only
-  what can change an answer leaves the other p-values at their first pass,
-  so only the adjusted sha1 should agree between those two.
+  intersection p-value fits past the first 2^11-point pass, counted by
+  wrapping the method's per-row entry in ``closure._METHODS``; a closure
+  that fits every p-value once to the target reports 0, and one that
+  refits only what can change an answer leaves the other p-values at
+  their first pass, so only the adjusted sha1 should agree between those
+  two.
+- batched: per k = 3 to 6, Plackett's reduction fitted at target 1e-6
+  on 64 random problems (thresholds in 0.001 to 0.05), one
+  ``_plackett_fit`` each (alone) and, in a checkout that has it, one
+  ``_plackett_fits`` over all 64 (batched): the CPU per problem, the
+  median of five runs, tracemalloc's peak over a sixth, and sha1
+  prefixes of the values, which must agree between the two and across
+  checkouts up to the last bits the summation order moves.
 - dunnett: ``decision_thresholds`` for ``xie`` with equal weights and one
   block equicorrelated at rho = 0.5, alpha 0.025 and default tolerances,
   at m = 6 and 8: CPU, the rows solved one by one (calls of
@@ -322,7 +331,7 @@ def closure(target: float, compute_scales: bool) -> dict:
     fits = []
 
     def counted(*args):
-        fits.append(1)
+        fits.append(args[-1])
         return method.pvalue(*args)
 
     closure_module._METHODS["xie"] = dataclasses.replace(method, pvalue=counted)
@@ -340,11 +349,49 @@ def closure(target: float, compute_scales: bool) -> dict:
         "cpu_s": round(cpu, 2),
         "passes": count.passes,
         "capped_passes": round(count.points / CAP, 2),
-        "refits": len(fits) - len(report.intersections),
+        "refits": sum(1 for points in fits if points > 1 << 11),
         "rejected": [bool(r) for r in report.rejected],
         "adjusted_sha1": sha1(report.adjusted),
         "pvalues_sha1": sha1([r.p_value for r in report.intersections]),
     }
+
+
+def timed(fn, runs: int = 5) -> tuple[float, float, object]:
+    """(median CPU seconds of ``runs`` calls, tracemalloc's peak in MB over
+    one more, the last result)."""
+    cpu = []
+    for _ in range(runs):
+        start = time.process_time()
+        out = fn()
+        cpu.append(time.process_time() - start)
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return statistics.median(cpu), peak / 1e6, out
+
+
+def batched(dim: int, n: int = 64) -> dict:
+    rng = np.random.default_rng(60 + dim)
+    cases = [(rng.uniform(0.001, 0.05, dim), random_correlation(rng, dim).values) for _ in range(n)]
+    cpu, peak, fits = timed(lambda: [mvnorm._plackett_fit(u, c, 1e-6) for u, c in cases])
+    out = {
+        "k": dim,
+        "problems": n,
+        "alone_ms": round(1e3 * cpu / n, 3),
+        "alone_peak_mb": round(peak, 2),
+        "alone_sha1": sha1([fit[0].value for fit in fits]),
+    }
+    if hasattr(mvnorm, "_plackett_fits"):
+        u = np.array([u for u, _ in cases]).T
+        corr = np.stack([c for _, c in cases], axis=2)
+        cpu, peak, (value, _, _) = timed(lambda: mvnorm._plackett_fits(u, corr, 1e-6))
+        out.update(
+            batched_ms=round(1e3 * cpu / n, 3), batched_peak_mb=round(peak, 2), batched_sha1=sha1(value)
+        )
+    return out
 
 
 def dunnett(m: int) -> dict:
@@ -386,6 +433,9 @@ if __name__ == "__main__":
         print(json.dumps(results["closure"]), flush=True)
         results["closure_pvalues"] = closure(1e-6, compute_scales=False)
         print(json.dumps(results["closure_pvalues"]), flush=True)
+    if "--batched" in sys.argv[1:]:
+        results["batched"] = [batched(dim) for dim in range(3, 7)]
+        print(json.dumps(results["batched"]), flush=True)
     if "--dunnett" in sys.argv[1:]:
         results["dunnett"] = [dunnett(m) for m in (6, 8)]
         print(json.dumps(results["dunnett"]), flush=True)

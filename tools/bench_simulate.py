@@ -36,8 +36,12 @@ CPU time, the median of three calls each, of ``scheme_from_graph``, of
 of ``validate``, of ``check_consonance`` (m <= 12, under a model with
 one known pair at rho = 0.5 and singletons) and of a bonferroni
 ``run_closure``; tracemalloc's peak over a fourth ``scheme_from_graph``.
-The scheme's weights, the violations and the adjusted p-values are
-hashed; their sha1 prefixes must match between checkouts.
+Then the partitioned closures on the same scheme and p-values, under
+that model: ``run_closure`` without scales for parametric-common and
+parametric-subsets, the median CPU time of three calls each and
+tracemalloc's peak over a fourth. The scheme's weights, the violations
+and the adjusted p-values are hashed; their sha1 prefixes must match
+between checkouts.
 """
 
 import os
@@ -232,20 +236,33 @@ def measure_schemes(m: int) -> dict:
     out["construct_s"] = median_cpu(lambda: WeightingScheme(m, table))[0]
     out["validate_s"], flags = median_cpu(lambda: validate(scheme))
     out["flags"] = flags
+    pair = CorrelationMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    model = CorrelationModel(m, ((0, 1),) + tuple((j,) for j in range(2, m)), (pair,) + (None,) * (m - 2))
     if m <= closure.MAX_CONSONANCE_M:
-        pair = CorrelationMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        model = CorrelationModel(m, ((0, 1),) + tuple((j,) for j in range(2, m)), (pair,) + (None,) * (m - 2))
         out["consonance_s"], report = median_cpu(lambda: check_consonance(scheme, model, 0.025))
         out["violations"] = len(report.violations)
         text = repr([(v.superset, v.subset, v.hypothesis, v.excess.hex()) for v in report.violations])
         out["violations_sha1"] = hashlib.sha1(text.encode()).hexdigest()[:12]
-    problem = TestProblem(
-        scheme, CorrelationModel.independent_blocks(m), rng.uniform(0.0, 0.05, size=m), 0.025, "bonferroni"
-    )
+    p = rng.uniform(0.0, 0.05, size=m)
+    problem = TestProblem(scheme, CorrelationModel.independent_blocks(m), p, 0.025, "bonferroni")
     out["bonferroni_closure_s"], report = median_cpu(lambda: run_closure(problem))
     weights = np.concatenate([scheme.weights_for(mask) for mask in range(1, 1 << m)])
     out["table_sha1"] = hashlib.sha1(weights.tobytes()).hexdigest()[:12]
     out["adjusted_sha1"] = hashlib.sha1(report.adjusted.tobytes()).hexdigest()[:12]
+    for method in ("parametric-common", "parametric-subsets"):
+        problem = TestProblem(scheme, model, p, 0.025, method)
+        cpu, report = median_cpu(lambda: run_closure(problem, compute_scales=False))
+        tracemalloc.start()
+        try:
+            run_closure(problem, compute_scales=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[method] = {
+            "closure_s": cpu,
+            "closure_peak_mb": round(peak / 1e6, 1),
+            "adjusted_sha1": hashlib.sha1(report.adjusted.tobytes()).hexdigest()[:12],
+        }
     return out
 
 
