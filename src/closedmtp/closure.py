@@ -45,7 +45,7 @@ from .intersection import (
     _check_alpha,
     _check_seed,
     _check_subset_args,
-    _closed_form_scales,
+    _array_scales,
     _common_estimate,
     _common_pvalues,
     _ratios,
@@ -65,6 +65,7 @@ from .mvnorm import (
     DEFAULT_MAX_POINTS,
     DEFAULT_ROOT_TOL,
     DEFAULT_TARGET_ERROR,
+    MAX_EXACT_DIM,
     ProbEstimate,
     _check_accuracy_args,
     _check_root_tol,
@@ -398,10 +399,10 @@ def _level_table(scheme, model, alpha: float, method: _Method, solve: tuple):
     target_error, root_tol, max_points); the weights are checked as each
     intersection test checks its own (``_invalid_masks``). A row in which
     no block holds two positive-weight members has scale 1; the rows in
-    which none holds more than two are solved in one array pass
-    (``_closed_form_scales``); only a row with a block of three or more,
-    or one that pass leaves NaN, calls the method's levels for its
-    scalings. Every level is then (c * alpha) * w_j, in one array step.
+    which none holds more than MAX_EXACT_DIM are solved in one array pass
+    (``_array_scales``); only a row with a larger block, or one that pass
+    leaves NaN, calls the method's levels for its scalings, in mask
+    order. Every level is then (c * alpha) * w_j, in one array step.
     """
     for mask in _invalid_masks(scheme)[:1].tolist():  # raise the intersection tests' error
         _check_subset_args(members(mask), scheme.table[mask])
@@ -417,11 +418,12 @@ def _level_table(scheme, model, alpha: float, method: _Method, solve: tuple):
             if len(block) > 1:
                 np.maximum(most, positive[:, list(block)].sum(axis=1), out=most)
     scale = np.ones(t.shape)
-    closed = np.flatnonzero(most == 2)
+    batched = np.flatnonzero((most > 1) & (most <= MAX_EXACT_DIM))
     common = method.scales == "common"
-    scale[closed] = _closed_form_scales(t[closed], model, alpha, common, solve[2])
+    if batched.size:
+        scale[batched] = _array_scales(t[batched], model, alpha, common, solve[1], solve[2])
     # a row the pass could not settle is solved alone, to raise its error in mask order
-    alone = (most > 2) | np.isnan(scale).any(axis=1)
+    alone = (most > MAX_EXACT_DIM) | np.isnan(scale).any(axis=1)
     for mask in masks[alone].tolist():
         for block, c in method.levels(members(mask), scheme.table[mask], alpha, model, *solve):
             scale[mask - 1, list(block)] = c

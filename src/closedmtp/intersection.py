@@ -29,9 +29,11 @@ once over all blocks, the per-block test on each block alone and takes
 the smallest. A block with one active member makes no kernel call: its
 union is its threshold. Every critical scaling is one root solve over
 per-block unions (``_solve_scale``), or, for the rows of a threshold table
-in which every block holds at most two active members, the same solve run
-for all of them in one array pass (``_solve_scales``); both run the one
-bracket search (``_bracket_scales``) and Illinois loop (``_illinois``). This
+in which every block holds at most MAX_EXACT_DIM active members, the same
+solve run for all of them in one array pass (``_solve_scales``); both run
+the one bracket search (``_bracket_scales``) and Illinois loop
+(``_illinois``). The array p-values and the array scales gather their
+blocks' problems the same way (``_problems``). This
 module is the only one outside ``mvnorm`` that calls the kernel: the closure,
 its shortcuts and the simulation test intersections through the functions here.
 """
@@ -59,6 +61,7 @@ from .mvnorm import (
     _illinois,
     _pair_unions,
     _plackett_fits,
+    _plackett_values,
     as_correlation,
     solve_monotone,
     union_exceedance,
@@ -325,6 +328,30 @@ def _ratios(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
         return np.divide(p, rows, out=np.full(rows.shape, np.inf), where=rows > 0.0)
 
 
+def _problems(values: np.ndarray, live: np.ndarray, model: CorrelationModel) -> dict[int, tuple]:
+    """Per number of events k = 1..MAX_EXACT_DIM, every (row, block) of
+    ``model`` whose block holds k members where ``live`` (n, m) holds,
+    blocks in order and rows ascending within each: (rows, blocks, those
+    members' entries of ``values`` (n, m) as an (N, k) array in member
+    order, their correlations (N, k, k), None at k = 1). A block with
+    more live members is in none; a k with no problem is left out."""
+    parts: dict[int, list] = {k: [] for k in range(1, MAX_EXACT_DIM + 1)}
+    for b, (mem, corr) in enumerate(zip(model.blocks, model.matrices)):
+        cols = np.array(mem)
+        on = live[:, cols]
+        size = on.sum(axis=1)
+        for k, part in parts.items():
+            at = np.flatnonzero(size == k)
+            if at.size:
+                pos = np.nonzero(on[at])[1].reshape(-1, k)
+                sub = None if k == 1 else corr.values[pos[:, :, None], pos[:, None, :]]
+                part.append((at, np.full(at.size, b), values[at[:, None], cols[pos]], sub))
+    return {
+        k: tuple(None if x[0] is None else np.concatenate(x) for x in zip(*part))
+        for k, part in parts.items() if part
+    }
+
+
 def _block_unions(w, q, need, model: CorrelationModel, target_error: float) -> tuple[np.ndarray, ...]:
     """(unions, errors), each (n, B): per row of a weight table w (n, m;
     0.0 off the members) and block b of ``model`` where ``need`` (n, B)
@@ -337,43 +364,30 @@ def _block_unions(w, q, need, model: CorrelationModel, target_error: float) -> t
     blocks is one ``_pair_unions`` call, and every problem of k = 3 to
     MAX_EXACT_DIM events joins one ``_plackett_fits`` call per k."""
     unions, errors = np.zeros(need.shape), np.zeros(need.shape)
-    # per number of events, the problems of every block: (block, rows,
-    # thresholds (n, k), correlations (n, k, k))
-    problems: dict[int, list] = {k: [] for k in range(2, MAX_EXACT_DIM + 1)}
-    for b, (mem, corr) in enumerate(zip(model.blocks, model.matrices)):
-        wb = w[:, list(mem)]
+    u, live = np.zeros(w.shape), np.zeros(w.shape, dtype=bool)
+    for b, mem in enumerate(model.blocks):
+        mem = list(mem)
+        wb = w[:, mem]
         active = (wb > 0.0) & need[:, b, None]
-        u = np.minimum(1.0, np.multiply(wb, q[:, b, None], out=np.zeros(wb.shape), where=active))
+        ub = np.minimum(1.0, np.multiply(wb, q[:, b, None], out=np.zeros(wb.shape), where=active))
         count = active.sum(axis=1)
         several, big = count > 1, count > MAX_EXACT_DIM
         # a threshold of 1 makes the union certain; a zero threshold is a
         # zero-probability event, dropped
-        certain = several & (active & (u == 1.0)).any(axis=1)
+        certain = several & (active & (ub == 1.0)).any(axis=1)
         unions[certain, b] = 1.0
         unions[big, b] = np.nan
         fitted = (several & ~certain & ~big)[:, None]
-        live = np.where((count == 1)[:, None], active, active & (u > 0.0) & fitted)
-        size = live.sum(axis=1)
-        lone = size == 1
-        unions[lone, b] = u[lone][live[lone]]
-        for k, group in problems.items():
-            at = np.flatnonzero(size == k)
-            if at.size:
-                pos = np.nonzero(live[at])[1].reshape(-1, k)
-                thresholds = u[at][live[at]].reshape(-1, k)
-                group.append((b, at, thresholds, corr.values[pos[:, :, None], pos[:, None, :]]))
-    for k, group in problems.items():
-        if not group:
-            continue
-        u = np.concatenate([g[2] for g in group])
-        corr = np.concatenate([g[3] for g in group])
-        if k == 2:
-            value, error = _pair_unions(u[:, 0], u[:, 1], corr[:, 0, 1]), np.full(len(u), _EXACT_ERROR)
+        u[:, mem] = ub
+        live[:, mem] = np.where((count == 1)[:, None], active, active & (ub > 0.0) & fitted)
+    for k, (rows, blocks, uk, corr) in _problems(u, live, model).items():
+        if k == 1:
+            value, error = uk[:, 0], np.zeros(len(uk))
+        elif k == 2:
+            value, error = _pair_unions(uk[:, 0], uk[:, 1], corr[:, 0, 1]), np.full(len(uk), _EXACT_ERROR)
         else:
-            value, error, _ = _plackett_fits(u.T, corr.transpose(1, 2, 0), target_error)
-        ends = np.cumsum([len(g[1]) for g in group]).tolist()
-        for (b, at, _, _), lo, hi in zip(group, [0] + ends, ends):
-            unions[at, b], errors[at, b] = value[lo:hi], error[lo:hi]
+            value, error, _ = _plackett_fits(uk.T, corr.transpose(1, 2, 0), target_error)
+        unions[rows, blocks], errors[rows, blocks] = value, error
     return unions, errors
 
 
@@ -411,15 +425,24 @@ def _subsets_pvalues(rows: np.ndarray, p: np.ndarray, model: CorrelationModel, t
         with np.errstate(divide="ignore"):
             saturated[:, b] = has[:, b] & (q[:, b] >= 1.0 / top)
     unions, errors = _block_unions(rows, q, has & ~saturated, model, target_error)
+    # the blocks' weight totals, 1.0 where a block has no active member
+    totals = np.where(has, _block_totals(rows, inside, model), 1.0)
     value, error = np.full(len(rows), np.inf), np.zeros(len(rows))
-    for b, mem in enumerate(model.blocks):
-        # the block's weight total, 1.0 where it has no active member
-        total = np.where(has[:, b], _member_sums(rows[:, list(mem)], inside[:, list(mem)]), 1.0)
-        sat, off = saturated[:, b], ~has[:, b]
+    for b in range(len(model.blocks)):
+        total, sat, off = totals[:, b], saturated[:, b], ~has[:, b]
         block = np.where(sat, 1.0, np.minimum(1.0, unions[:, b] / total))
         value = np.minimum(value, np.where(off, np.inf, block))
         error = np.maximum(error, np.where(sat | off, 0.0, errors[:, b] / total))
     return value, error, (errors <= target_error).all(axis=1)
+
+
+def _block_totals(w: np.ndarray, inside: np.ndarray, model: CorrelationModel) -> np.ndarray:
+    """(n, B): per row of a weight table (n, m) and block of ``model``, the
+    total weight of the block's members (where ``inside`` holds), the
+    float ``_blocks`` sums."""
+    return np.stack(
+        [_member_sums(w[:, list(mem)], inside[:, list(mem)]) for mem in model.blocks], axis=1
+    )
 
 
 def _xie_pvalues(rows: np.ndarray, p: np.ndarray, model: CorrelationModel, target_error: float):
@@ -524,7 +547,8 @@ def _solve_scale(
     most one the equation is linear and c = 1. Every other block gets one
     UnionRule kept fixed while c moves, so the sum is a deterministic,
     continuous function of c; the QMC error budget is split across the
-    blocks that sample.
+    blocks that sample. The sum reads each rule's value alone
+    (``UnionRule.value``); only the closing check below reads errors.
 
     The rules are first fitted at c = 1, capped at _COARSE_POINTS (the
     first pass of any fit). When every block is exact, max_points is at
@@ -563,30 +587,32 @@ def _solve_scale(
         ]
         return rules, [rule for rule in rules if rule is not None]
 
-    def unions(rules, c: float, fitted=False, check=False) -> list[ProbEstimate]:
+    def unions(rules, c: float, fitted: bool) -> list[ProbEstimate]:
         """The per-block unions at thresholds c*alpha*w, in block order:
-        min(1, c*alpha*w) for a block with no rule, else the rule's value
-        there, its ``estimate`` when ``fitted`` (c is where it was fitted:
-        no kernel pass), or with ``check`` its independent re-estimate."""
+        min(1, c*alpha*w) for a block with no rule, else the rule's
+        ``estimate`` when ``fitted`` (c is where it was fitted: no kernel
+        pass), or else its independent re-estimate there."""
         t = c * alpha
         return [
             ProbEstimate(min(1.0, t * float(w[0])), 0.0) if rule is None
             else rule.estimate if fitted
-            else rule(
-                np.minimum(1.0, t * w), derived_seed(seed, mask, salt + _CHECK_SALT) if check else None
-            )
+            else rule(np.minimum(1.0, t * w), derived_seed(seed, mask, salt + _CHECK_SALT))
             for rule, (salt, _, w) in zip(rules, groups)
         ]
 
     def union_sum(rules, c0: float):
-        """(total, known): the sum of the unions as a function of c, which
-        keeps what it evaluates in ``known``, starting from the rules'
-        estimates at c0, where they were fitted."""
+        """(total, known): the sum of the unions' values as a function of
+        c, which keeps what it evaluates in ``known``, starting from the
+        rules' estimates at c0, where they were fitted."""
         known = {c0: sum(est.value for est in unions(rules, c0, fitted=True))}
 
         def total(c: float) -> float:
             if c not in known:
-                known[c] = sum(est.value for est in unions(rules, c))
+                t = c * alpha
+                known[c] = sum(
+                    min(1.0, t * float(w[0])) if rule is None else rule.value(np.minimum(1.0, t * w))
+                    for rule, (_, _, w) in zip(rules, groups)
+                )
             return known[c]
 
         return total, known
@@ -626,7 +652,7 @@ def _solve_scale(
         # the re-estimate can only lead to a refinement: none once no rule can refine
         if not any(rule.can_refine(max_points) for rule in built):
             return c
-        ests = unions(rules, c, check=True)
+        ests = unions(rules, c, fitted=False)
         check = sum(est.value for est in ests)
         err = sum(est.error + rule.estimate.error for est, rule in zip(ests, rules) if rule is not None)
         if abs(check - target) <= err + slack:
@@ -635,47 +661,81 @@ def _solve_scale(
             rule.refine(max_points)
 
 
-def _solve_scales(w, rho, target, alpha: float, root_tol: float) -> np.ndarray:
+def _solve_scales(parts: dict[int, tuple], target, alpha: float, target_error: float, root_tol: float):
     """``_solve_scale`` for many problems in one array pass, where no
-    block holds more than two active members, so every block is exact.
+    block holds more than MAX_EXACT_DIM active members, so every block is
+    exact or a quadrature.
 
-    ``w`` (n, B, 2) holds per problem and block, in block order, the
-    weights of the block's active members (0 where it has fewer than
-    two); ``rho`` (n, B) is each pair's correlation. A problem's sum adds,
-    in block order from 0, the linear term min(1, c*alpha*w) of each
-    single member and the exact bivariate union of each pair
-    (``_pair_unions``). The loops ``_solve_scale`` runs on one problem run
-    on all of them, so each c is the float it gives; a problem on which
-    it would raise (a pair threshold outside (0, 1) at c = 1, a bracket
-    that does not straddle) gets NaN, for its caller to solve alone.
+    ``parts`` holds per number of events k the blocks of k active members
+    of every problem, as ``_problems`` gathers them: (problem, term,
+    weights (N, k), correlations (N, k, k)), ``term`` the block's place
+    in its problem's sum. A problem's sum adds, in term order from 0, the
+    linear term min(1, c*alpha*w) of each single member, the exact
+    bivariate union of each pair (``_pair_unions``) and Plackett's
+    reduction of each block of three or more (``_plackett_values``) at
+    the node count ``_plackett_fits`` fits at c = 1, whose fitted value
+    is the block's term there. The loops ``_solve_scale`` runs on one
+    problem run on all of them, so each c is the float it gives; a
+    problem on which it would raise or sample (a threshold outside (0, 1)
+    at c = 1, a fit that finds no node count, a bracket that does not
+    straddle) gets NaN, for its caller to solve alone.
     """
-    pair = w[..., 1] > 0.0
+    n = target.size
+    width = 1 + max(int(term.max()) for _, term, _, _ in parts.values())
+    fits = np.ones(n, dtype=bool)
+    top = np.zeros(n)
+    # per k of three or more: the node counts, the fitted values and the
+    # correlations as the kernel takes them, (k, k, N)
+    nodes, fitted, corrs = {}, {}, {}
+    for k, (problem, _, w, corr) in parts.items():
+        np.maximum.at(top, problem, w.max(axis=1))
+        if k == 1:
+            continue
+        # UnionRule's check of a block's thresholds at c = 1, where its rule is fitted
+        u = alpha * w
+        ok = ((u > 0.0) & (u < 1.0)).all(axis=1)
+        if k > 2:
+            corrs[k] = corr.transpose(1, 2, 0)
+            fitted[k], nodes[k] = np.full(ok.size, np.nan), np.zeros(ok.size, dtype=int)
+            fitted[k][ok], _, nodes[k][ok] = _plackett_fits(u[ok].T, corrs[k][:, :, ok], target_error)
+            ok &= nodes[k] > 0
+        fits[problem[~ok]] = False
 
-    def total(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-        u = np.minimum(1.0, (c * alpha)[:, None, None] * w[rows])
-        terms = u[..., 0]
-        on = pair[rows]
-        at = u[on]
-        # a threshold of 1 makes the union certain
-        live = (at < 1.0).all(axis=1)
-        union = np.ones(len(at))
-        union[live] = _pair_unions(at[live, 0], at[live, 1], rho[rows][on][live])
-        terms[on] = union
+    def total(rows: np.ndarray, c: np.ndarray, at_fit: bool = False) -> np.ndarray:
+        """The sums of problems ``rows`` at scales c; with ``at_fit`` (c =
+        1) each block of three or more adds its fitted value."""
+        place = np.full(n, -1)
+        place[rows] = np.arange(rows.size)
+        terms = np.zeros((rows.size, width))
+        for k, (problem, term, w, corr) in parts.items():
+            on = np.flatnonzero(place[problem] >= 0)
+            i = place[problem[on]]
+            u = np.minimum(1.0, (c[i] * alpha)[:, None] * w[on])
+            if k == 1:
+                union = u[:, 0]
+            elif k == 2:
+                # a threshold of 1 makes the union certain
+                union = np.ones(on.size)
+                live = (u < 1.0).all(axis=1)
+                union[live] = _pair_unions(u[live, 0], u[live, 1], corr[on[live], 0, 1])
+            elif at_fit:
+                union = fitted[k][on]
+            else:
+                union = _plackett_values(u.T, corrs[k][:, :, on], nodes[k][on])
+            terms[i, term[on]] = union
         out = terms[:, 0].copy()
-        for b in range(1, terms.shape[1]):
+        for b in range(1, width):
             out += terms[:, b]
         return out
 
-    n = len(target)
-    # UnionRule's check of a pair's thresholds at c = 1, where its rule is fitted
-    u1 = alpha * w
-    fits = ~(pair & ((u1 <= 0.0) | (u1 >= 1.0)).any(axis=2)).any(axis=1)
     c = np.where(fits, 1.0, np.nan)
-    at_one = total(np.arange(n), np.ones(n))
-    todo = np.flatnonzero(fits & (at_one < target))
+    rows = np.flatnonzero(fits)
+    at_one = np.full(n, np.nan)
+    at_one[rows] = total(rows, np.ones(rows.size), at_fit=True)
+    todo = rows[at_one[rows] < target[rows]]
     tgt = target[todo]
     # at c = 1/(alpha * max weight) the largest threshold saturates
-    cap = 1.0 / (alpha * w[todo].max(axis=(1, 2)))
+    cap = 1.0 / (alpha * top[todo])
     lo, hi, f_lo, f_hi = _bracket_scales(
         lambda i, x: total(todo[i], x), tgt, at_one[todo], cap, root_tol
     )
@@ -690,37 +750,31 @@ def _solve_scales(w, rho, target, alpha: float, root_tol: float) -> np.ndarray:
     return c
 
 
-def _closed_form_scales(w, model: CorrelationModel, alpha: float, common: bool, root_tol: float):
+def _array_scales(w, model: CorrelationModel, alpha: float, common: bool, target_error: float, root_tol: float):
     """The scales of weight-table rows (n, m; non-members -1) in which no
-    block holds more than two positive-weight members, in one
-    ``_solve_scales`` pass: with ``common`` each row's common scaling as
-    an (n, 1) column, else each member's block scaling (n, m); NaN where
-    the pass cannot settle a row."""
-    n, blocks = len(w), model.blocks
-    rows = np.arange(n)
-    active = np.zeros((n, len(blocks), 2))
-    rho = np.zeros((n, len(blocks)))
-    for b, (mem, corr) in enumerate(zip(blocks, model.matrices)):
-        mem = np.array(mem)
-        positive = w[:, mem] > 0.0
-        # the first and the last positive-weight member: the pair in member order
-        first = positive.argmax(axis=1)
-        last = mem.size - 1 - positive[:, ::-1].argmax(axis=1)
-        count = positive.sum(axis=1)
-        active[:, b, 0] = np.where(count > 0, w[rows, mem[first]], 0.0)
-        active[:, b, 1] = np.where(count > 1, w[rows, mem[last]], 0.0)
-        if corr is not None:
-            rho[:, b] = corr.values[first, last]
+    block holds more than MAX_EXACT_DIM positive-weight members, in one
+    ``_solve_scales`` pass over the blocks ``_problems`` gathers: with
+    ``common`` each row's common scaling as an (n, 1) column, else each
+    member's block scaling (n, m); NaN where the pass cannot settle a row."""
+    inside = w >= 0.0
+    parts = _problems(w, w > 0.0, model)
     if common:
         # the weight total over the members, as _weight_total sums them
-        total = np.array([row[row >= 0.0].sum() for row in w])
-        return _solve_scales(active, rho, alpha * total, alpha, root_tol)[:, None]
-    at = np.nonzero(active[..., 1] > 0.0)
-    pairs = active[at]
-    scales = np.ones((n, len(blocks)))
-    scales[at] = _solve_scales(
-        pairs[:, None], rho[at][:, None], alpha * (pairs[:, 0] + pairs[:, 1]), alpha, root_tol
-    )
+        total = _member_sums(w, inside)
+        return _solve_scales(parts, alpha * total, alpha, target_error, root_tol)[:, None]
+    # each block of two or more active members is a problem of its own,
+    # numbered in the order of ``parts``
+    own, rows, blocks, start = {}, [], [], 0
+    for k, (rk, bk, wk, corr) in parts.items():
+        if k > 1:
+            own[k] = (np.arange(start, start + rk.size), np.zeros(rk.size, dtype=int), wk, corr)
+            rows.append(rk)
+            blocks.append(bk)
+            start += rk.size
+    rows, blocks = np.concatenate(rows), np.concatenate(blocks)
+    totals = _block_totals(w, inside, model)[rows, blocks]
+    scales = np.ones((len(w), len(model.blocks)))
+    scales[rows, blocks] = _solve_scales(own, alpha * totals, alpha, target_error, root_tol)
     return scales[:, model._block_of]
 
 

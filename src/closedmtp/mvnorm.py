@@ -420,6 +420,40 @@ def _unions(b: np.ndarray, corr: np.ndarray, counts: tuple[int, ...]) -> np.ndar
     ], axis=1)
 
 
+def _kept_events(b: np.ndarray, corr: np.ndarray, keep: np.ndarray, cols: np.ndarray, d: int):
+    """The bounds (d, N) and correlations (d, d, N) of the columns ``cols``
+    of b (k, .) and corr (k, k, .), each column's d events that ``keep``
+    marks, in order."""
+    bd, cd = b[:, cols], corr[:, :, cols]
+    if d < len(b):
+        idx, col = np.argsort(~keep[:, cols], axis=0, kind="stable")[:d], np.arange(cols.size)
+        bd, cd = bd[idx, col], cd[idx[:, None], idx, col]
+    return bd, cd
+
+
+def _plackett_values(u: np.ndarray, corr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The union per column of thresholds u (k, N) in [0, 1], k =
+    3..MAX_EXACT_DIM, and correlations corr (k, k, N), by Plackett's
+    reduction at the column's node count in ``nodes`` alone, over the
+    events ``_kept`` keeps, clipped to [0, 1] as ``_plackett_estimate``
+    clips it; 1 where a threshold is 1. The columns that keep as many
+    events at one count take one ``_unions`` pass, so each column gets
+    the value a ``UnionRule`` fitted to its count gives it alone."""
+    value = np.ones(u.shape[1])
+    keep = _kept(u, corr)
+    # a threshold of 1 makes the union certain: the column keeps its 1
+    sizes = np.where((u == 1.0).any(axis=0), -1, keep.sum(axis=0))
+    value[sizes == 0] = 0.0
+    b = -ndtri(u)
+    for d, n in sorted(set(zip(sizes.tolist(), nodes.tolist()))):
+        if d > 0:
+            cols = np.flatnonzero((sizes == d) & (nodes == n))
+            fine = _unions(*_kept_events(b, corr, keep, cols, d), (n,))[0]
+            # fmax and fmin, as Python's max and min, take NaN to 0
+            value[cols] = np.fmin(1.0, np.fmax(fine, 0.0))
+    return value
+
+
 def _plackett_fits(u: np.ndarray, corr: np.ndarray, target_error: float) -> tuple[np.ndarray, ...]:
     """(values, errors, node counts) of Plackett's reduction for every
     column of thresholds u (k, N) in (0, 1), k = 3..MAX_EXACT_DIM, and
@@ -451,11 +485,7 @@ def _plackett_fits(u: np.ndarray, corr: np.ndarray, target_error: float) -> tupl
     b = -ndtri(u)
     for d in sorted(set(sizes.tolist())):
         cols = np.flatnonzero(sizes == d)
-        bd, cd = b[:, cols], corr[:, :, cols]
-        if d < k:
-            # each column's kept events, in order
-            idx, col = np.argsort(~keep[:, cols], axis=0, kind="stable")[:d], np.arange(cols.size)
-            bd, cd = bd[idx, col], cd[idx[:, None], idx, col]
+        bd, cd = _kept_events(b, corr, keep, cols, d)
         steps = np.empty((len(ladder), cols.size))
         steps[:first] = _unions(bd, cd, ladder[:first])
         live = np.arange(cols.size)
@@ -828,7 +858,7 @@ class UnionRule:
     continuous function of the thresholds: what a root solve needs (Genz
     & Bretz 2009, section 5). ``estimate`` holds the value at the
     reference thresholds. A call checks its thresholds as
-    ``union_exceedance`` does.
+    ``union_exceedance`` does; ``value`` gives a call's value alone.
     """
 
     def __init__(
@@ -875,6 +905,14 @@ class UnionRule:
         if self._nodes is None:
             return _closed_form_union(u, self._corr)
         return _plackett_estimate(*_plackett_unions(u, self._corr, (self._nodes, self._nodes // 2)).tolist())
+
+    def value(self, thresholds) -> float:
+        """``self(thresholds).value``; a quadrature rule evaluates its node
+        count alone, not also the half as many its error needs."""
+        if self._nodes is None:
+            return self(thresholds).value
+        u = _check_thresholds(thresholds, self._corr.shape[0])
+        return float(_plackett_values(u[:, None], self._corr[:, :, None], np.array([self._nodes]))[0])
 
     def can_refine(self, max_points: int) -> bool:
         """Whether ``refine(max_points)`` would add points: QMC below max_points."""

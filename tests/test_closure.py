@@ -820,17 +820,20 @@ class TestThresholdWeightChecks:
 
 class TestThresholdSaving:
     """The table's saving, by counts: a row in which no block holds more
-    than two positive-weight members is solved in one array pass, with no
-    call of the method's levels and no kernel rule; only a row with a
-    block of three or more calls the levels, once."""
+    than MAX_EXACT_DIM positive-weight members is solved in one array
+    pass, with no call of the method's levels and no kernel rule; only a
+    row with a larger block calls the levels, once."""
 
     PAIR = (2, 5)
+    TRIPLE = (2, 5, 6)
 
-    def problem(self):
+    @staticmethod
+    def problem(block):
         m = 8
         scheme = random_graph_scheme(np.random.default_rng(88), m)
-        singles = tuple((j,) for j in range(m) if j not in self.PAIR)
-        model = CorrelationModel(m, (self.PAIR,) + singles, (equicorr(2, 0.5),) + (None,) * 6)
+        singles = tuple((j,) for j in range(m) if j not in block)
+        corr = equicorr(len(block), 0.5)
+        model = CorrelationModel(m, (block,) + singles, (corr,) + (None,) * len(singles))
         return scheme, model
 
     @staticmethod
@@ -845,9 +848,10 @@ class TestThresholdSaving:
         monkeypatch.setitem(closure_module._METHODS, name, dataclasses.replace(method, levels=counted))
         return calls
 
+    @pytest.mark.parametrize("block", [PAIR, TRIPLE], ids=["pair", "triple"])
     @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
-    def test_closed_form_rows_call_no_levels_and_build_no_rule(self, monkeypatch, method):
-        scheme, model = self.problem()
+    def test_closed_form_rows_call_no_levels_and_build_no_rule(self, monkeypatch, method, block):
+        scheme, model = self.problem(block)
         calls = self.counted_levels(monkeypatch, method)
         builds = []
         build = UnionRule.__init__
@@ -859,16 +863,16 @@ class TestThresholdSaving:
         monkeypatch.setattr(UnionRule, "__init__", counted)
         t = decision_thresholds(scheme, model, 0.025, method)
         assert calls == [] and builds == []
-        # the subsets holding the pair were solved: their scale exceeds 1
-        both = [mask for mask in iter_masks(8) if set(self.PAIR) <= set(members(mask))]
+        # the subsets holding the block were solved: their scale exceeds 1
+        holding = [mask for mask in iter_masks(8) if set(block) <= set(members(mask))]
         assert all(t[mask - 1, 2] > 0.025 * scheme.weights_for(mask)[members(mask).index(2)]
-                   for mask in both)
+                   for mask in holding)
 
     @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
     def test_a_closure_with_scales_calls_no_levels(self, monkeypatch, method):
         # the closure takes its levels from the table, whose pair rows the
         # array pass solves
-        scheme, model = self.problem()
+        scheme, model = self.problem(self.PAIR)
         calls = self.counted_levels(monkeypatch, method)
         problem = TestProblem(
             scheme=scheme, model=model, pvalues=np.linspace(0.001, 0.04, 8), alpha=0.025,
@@ -882,28 +886,23 @@ class TestThresholdSaving:
         else:
             assert dict(full.block_scales)[self.PAIR] > 1.0
 
-    def test_a_closure_calls_levels_once_per_row_holding_the_triple(self, monkeypatch):
-        _, scheme, model, _ = list(threshold_table_cases())[2]
-        triple = {1, 2, 5}
-        holding = [members(mask) for mask in iter_masks(7) if triple <= set(members(mask))]
-        for method in ("parametric-common", "parametric-subsets"):
-            calls = self.counted_levels(monkeypatch, method)
-            problem = TestProblem(
-                scheme=scheme, model=model, pvalues=np.linspace(0.001, 0.04, 7), alpha=0.025,
-                method=method,
-            )
-            run_closure(problem)
-            assert calls == holding, method
-
-    def test_rows_holding_the_triple_call_levels_once(self, monkeypatch):
-        name, scheme, model, _ = list(threshold_table_cases())[2]
-        assert name == "pair-triple"
-        triple = {1, 2, 5}
-        holding = [members(mask) for mask in iter_masks(7) if triple <= set(members(mask))]
+    def test_rows_holding_a_block_of_seven_call_levels_once(self, monkeypatch):
+        # every weight is positive, so the rows holding all of the block
+        # hold seven active members, past the array pass
+        seven = tuple(range(MAX_EXACT_DIM + 1))
+        scheme, model = self.problem(seven)
+        holding = [members(mask) for mask in iter_masks(8) if set(seven) <= set(members(mask))]
+        assert len(holding) == 2
         for method in ("parametric-common", "parametric-subsets"):
             calls = self.counted_levels(monkeypatch, method)
             decision_thresholds(scheme, model, 0.025, method)
-            # every weight is positive, so these rows hold a block of three
+            assert calls == holding, method
+            calls.clear()
+            problem = TestProblem(
+                scheme=scheme, model=model, pvalues=np.linspace(0.001, 0.04, 8), alpha=0.025,
+                method=method,
+            )
+            run_closure(problem)
             assert calls == holding, method
 
 

@@ -2,10 +2,13 @@
 
 from pathlib import Path
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from closedmtp.closure import TestProblem, run_closure
+from closedmtp.closure import TestProblem, decision_thresholds, run_closure
 from closedmtp.exceptions import InputError
 from closedmtp.intersection import (
     CorrelationModel,
@@ -19,8 +22,9 @@ from closedmtp.intersection import (
     partitioned_subset_scales,
     xie_pvalue,
 )
-from closedmtp.intersection import _block_unions
+from closedmtp.intersection import _array_scales, _block_unions
 from closedmtp.mvnorm import MAX_EXACT_DIM, CorrelationMatrix, union_exceedance
+from closedmtp.subsets import mask_of, member_table, members
 from closedmtp.weighting import WeightingScheme, constant_scheme
 
 TUTORIAL_PROBLEM = Path(__file__).resolve().parents[1] / "tutorial" / "trial_problem.json"
@@ -138,11 +142,10 @@ class TestOneMemberBlocks:
         assert problem.method == "parametric-subsets"
         builds = self.counted_rules(monkeypatch)
         run_closure(problem, target_error=1e-6)
-        # one rule per intersection whose block {H1, H2, H3} holds three
-        # positive weights, for its root solve: every p-value, and the
-        # scales of the rows where it holds two, take the array passes,
+        # every p-value and every scale, the rows whose block {H1, H2, H3}
+        # holds three positive weights included, take the array passes,
         # and the singleton blocks build none
-        assert len(builds) == 8
+        assert len(builds) == 0
 
     @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
     def test_one_member_blocks_build_no_rule(self, monkeypatch, method):
@@ -880,6 +883,161 @@ class TestBlockUnions:
                 assert (unions[row, b], errors[row, b]) == want, (row, b)
                 seen.add((act.size > 1, float(u.max())))
         assert (True, 1.0) in seen and (True, 0.0) in seen
+
+
+def paired_correlation(k, rho):
+    """k variables at correlation 0.3 but for the first two, at rho; at
+    rho = -1 the second is the first negated."""
+    c = np.full((k, k), 0.3) + 0.7 * np.eye(k)
+    if rho == -1.0:
+        c[1, 2:] = c[2:, 1] = -0.3
+    c[0, 1] = c[1, 0] = rho
+    return CorrelationMatrix(c)
+
+
+class TestArrayScales:
+    """The table's array pass (``_array_scales``) gives every row in which
+    no block holds more than MAX_EXACT_DIM positive-weight members the
+    floats ``partitioned_common_scale`` and ``partitioned_subset_scales``
+    give it alone, or NaN, for the table to solve it alone, where that
+    solve samples or raises."""
+
+    ALPHA = 0.025
+
+    @staticmethod
+    def rows(rng, model, n, zero=0.2):
+        """n random weight rows (-1 off the members) in which some block
+        holds two positive weights at least; each member's weight is 0
+        with probability ``zero``."""
+        m, out = model.m, []
+        while len(out) < n:
+            row = np.full(m, -1.0)
+            mem = np.sort(rng.choice(m, size=rng.integers(2, m + 1), replace=False))
+            row[mem] = rng.dirichlet(np.ones(mem.size)) * rng.uniform(0.5, 1.0)
+            row[mem[rng.random(mem.size) < zero]] = 0.0
+            if max((row[list(block)] > 0.0).sum() for block in model.blocks) > 1:
+                out.append(row)
+        return np.array(out)
+
+    @staticmethod
+    def per_row(t, model, alpha, common):
+        """Per row the scale of each member, solved alone; NaN off the members."""
+        out = np.full(t.shape, np.nan)
+        for r, row in enumerate(t):
+            mem = tuple(np.flatnonzero(row >= 0.0).tolist())
+            args = (mem, row[list(mem)], alpha, model)
+            if common:
+                out[r, list(mem)] = partitioned_common_scale(*args)
+            else:
+                for block, c in partitioned_subset_scales(*args):
+                    out[r, list(block)] = c
+        return out
+
+    def check(self, t, model, alpha=ALPHA):
+        """Both methods' array scales equal the per-row ones on every member."""
+        inside = t >= 0.0
+        for common in (True, False):
+            got = np.broadcast_to(_array_scales(t, model, alpha, common, 1e-6, 1e-6), t.shape)
+            want = self.per_row(t, model, alpha, common)
+            assert got[inside].tobytes() == want[inside].tobytes(), common
+
+    @pytest.mark.parametrize("k", range(3, MAX_EXACT_DIM + 1))
+    def test_a_block_beside_a_pair_and_singletons(self, k):
+        rng = np.random.default_rng(40 + k)
+        model = CorrelationModel(
+            k + 3, (tuple(range(k)), (k, k + 1), (k + 2,)),
+            (random_correlation(rng, k), equicorr(2, 0.5), None),
+        )
+        self.check(self.rows(rng, model, 12), model)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 0.999])
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_degenerate_and_near_singular_pairs(self, k, rho):
+        # a +1 pair is one event, which _kept drops above three; the
+        # pair beside the block takes the same correlation
+        rng = np.random.default_rng(60 + k)
+        model = CorrelationModel(
+            k + 3, (tuple(range(k)), (k, k + 1), (k + 2,)),
+            (paired_correlation(k, rho), equicorr(2, rho), None),
+        )
+        t = self.rows(rng, model, 10)
+        assert np.isfinite(_array_scales(t, model, self.ALPHA, True, 1e-6, 1e-6)).all()
+        self.check(t, model)
+
+    def test_a_bracket_that_reaches_the_cap(self, monkeypatch):
+        # at alpha 0.9 three nearly equal events need c near the cap
+        # 1 / (alpha * max w), and the bracket's first step reaches it,
+        # where the heaviest threshold is 1 and the union certain
+        import closedmtp.intersection as intersection
+
+        seen = []
+        values = intersection._plackett_values
+
+        def recorded(u, *args):
+            seen.append(float(u.max()))
+            return values(u, *args)
+
+        monkeypatch.setattr(intersection, "_plackett_values", recorded)
+        model = CorrelationModel.full(equicorr(3, 0.999))
+        t = np.array([[0.34, 0.33, 0.33], [0.4, 0.3, 0.3], [0.5, 0.25, 0.25]])
+        self.check(t, model, alpha=0.9)
+        assert 1.0 in seen
+
+    def test_a_quadrature_that_misses_its_target_is_solved_alone(self):
+        # equicorrelation 0.9999 over four events: no node count meets the
+        # target, so the per-row solve samples, and the table solves it so
+        model = CorrelationModel(5, ((0, 1, 2, 3), (4,)), (equicorr(4, 0.9999), None))
+        scheme = constant_scheme((0.25, 0.25, 0.2, 0.2, 0.1))
+        t = np.where(member_table(5)[1:], scheme.rows, -1.0)
+        four = (t[:, :4] > 0.0).all(axis=1)
+        for common in (True, False):
+            scales = np.broadcast_to(_array_scales(t, model, self.ALPHA, common, 1e-6, 1e-6), t.shape)
+            assert np.isnan(scales[four, 0]).all() and not np.isnan(scales[~four]).any()
+            method = "parametric-common" if common else "parametric-subsets"
+            table = decision_thresholds(scheme, model, self.ALPHA, method)
+            want = np.where(t >= 0.0, self.per_row(t, model, self.ALPHA, common) * self.ALPHA * t, -1.0)
+            assert table.tobytes() == want.tobytes(), method
+
+    def test_a_threshold_outside_the_unit_interval_at_one(self):
+        # alpha * w underflows to 0 in the triple: the per-row rule refuses
+        # it, the pass leaves the row, and the table raises that error
+        model = CorrelationModel(4, ((0, 1, 2), (3,)), (equicorr(3, 0.5), None))
+        t = np.array([[1e-320, 1e-320, 1e-320, -1.0], [0.3, 0.3, 0.3, 0.1]])
+        for common in (True, False):
+            scales = np.broadcast_to(_array_scales(t, model, 1e-10, common, 1e-6, 1e-6), t.shape)
+            assert np.isnan(scales[0, :3]).all() and not np.isnan(scales[1]).any()
+        with pytest.raises(InputError) as ref:
+            partitioned_common_scale((0, 1, 2), t[0, :3], 1e-10, model)
+        scheme = WeightingScheme(4, {**constant_scheme((0.3, 0.3, 0.3, 0.1)).table, 7: t[0, :3]})
+        for method in ("parametric-common", "parametric-subsets"):
+            with pytest.raises(InputError, match=f"^{re.escape(str(ref.value))}$"):
+                decision_thresholds(scheme, model, 1e-10, method)
+
+    @pytest.mark.parametrize("bad, first", [((0b111, 0b1111111), 0b111), ((0b1111111, 0b10000111), 0b1111111)])
+    def test_rows_solved_alone_raise_in_mask_order(self, monkeypatch, bad, first):
+        # a row of seven active members is solved alone, as is a row the
+        # pass leaves: the first of them in mask order that fails raises,
+        # and no later row is solved
+        import closedmtp.closure as closure
+
+        seven = tuple(range(MAX_EXACT_DIM + 1))
+        model = CorrelationModel(8, (seven, (7,)), (equicorr(7, 0.5), None))
+        table = dict(constant_scheme(np.full(8, 0.125)).table)
+        for mask in bad:
+            table[mask] = np.full(len(members(mask)), 1e-320)
+        scheme = WeightingScheme(8, table)
+        for name in ("parametric-common", "parametric-subsets"):
+            method, calls = closure._METHODS[name], []
+
+            def counted(mem, *args, method=method):
+                calls.append(mem)
+                return method.levels(mem, *args)
+
+            monkeypatch.setitem(closure._METHODS, name, dataclasses.replace(method, levels=counted))
+            with pytest.raises(InputError, match="strictly in"):
+                decision_thresholds(scheme, model, 1e-10, name)
+            assert calls[-1] == members(first), name
+            assert all(mask_of(mem, 8) <= first for mem in calls), name
 
 
 class TestSeedDerivation:

@@ -22,6 +22,7 @@ from closedmtp.mvnorm import (
     _plackett_fit,
     _plackett_fits,
     _plackett_unions,
+    _plackett_values,
     solve_monotone,
     union_exceedance,
 )
@@ -749,6 +750,32 @@ class TestBatchedFit:
         got = _plackett_fits(u, corr, 1e-6)
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestValueOnly:
+    """A root solve's sums read ``UnionRule.value``: a quadrature rule's
+    value at its node count alone, with the floats of the call that also
+    evaluates half as many for the error, and ``_plackett_values`` gives
+    every column of a batch that float."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_value_is_the_call_value_alone_and_batched(self, dim):
+        rng = np.random.default_rng(110 + dim)
+        u, corr = batch_columns(rng, dim, 18)
+        cols, scaled, nodes, want = [], [], [], []
+        for col in range(u.shape[1]):
+            rule = UnionRule(u[:, col], CorrelationMatrix(corr[:, :, col]))
+            # the reference, thresholds grown and one saturated at 1
+            for x in (u[:, col], np.minimum(1.0, 1.7 * u[:, col]), u[:, col] / u[:, col].max()):
+                assert rule.value(x) == rule(x).value, col
+                if not rule.sampled:
+                    cols.append(col)
+                    scaled.append(x)
+                    nodes.append(rule._nodes)
+                    want.append(rule.value(x))
+        assert len(set(cols)) >= 10
+        got = _plackett_values(np.array(scaled).T, corr[:, :, cols], np.array(nodes))
+        assert got.tolist() == want
 
 
 def rank_two(k):

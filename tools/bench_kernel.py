@@ -30,9 +30,11 @@ from a fixed seed, so both sides integrate the same problems.
 - L1 exact: one ``parametric_c`` at k = 2 and 3, where every union is
   exact (no kernel pass): the median CPU of one solve over ten instances,
   each timed as the fastest of five runs, the union evaluations per
-  solve (calls of ``mvnorm._closed_form_union`` and
-  ``mvnorm._plackett_unions``, the closed-form and quadrature entries a
-  fit or a call of a rule goes through) and a sha1 prefix of the scales.
+  solve (calls of ``mvnorm._closed_form_union``,
+  ``mvnorm._plackett_unions`` and, in a checkout that has it,
+  ``mvnorm._plackett_values``: the closed-form and quadrature entries a
+  fit or an evaluation of a rule goes through) and a sha1 prefix of the
+  scales.
 - tutorial: ``run_closure`` with scales on ``tutorial/trial_problem.json``
   (the perfbench gatekeeping problem) at the CLI's target 1e-6: the
   median CPU of fifteen runs after a warm-up, the ``solve_monotone``
@@ -208,10 +210,11 @@ def sha1(values) -> str:
 
 class Counter:
     """Counts the calls of ``module.name`` (or of a class's method) for
-    each of ``names`` while installed."""
+    each of ``names`` the module has, while installed."""
 
     def __init__(self, module, *names: str) -> None:
-        self.module, self.names, self.calls = module, names, 0
+        self.module, self.calls = module, 0
+        self.names = [name for name in names if hasattr(module, name)]
 
     def __enter__(self) -> "Counter":
         self._fns = [getattr(self.module, name) for name in self.names]
@@ -237,7 +240,7 @@ def exact_solve(dim: int) -> dict:
         (random_correlation(rng, dim), rng.dirichlet(np.ones(dim) * 2.0)) for _ in range(10)
     ]
     cpu, scales = [], []
-    with Counter(mvnorm, "_closed_form_union", "_plackett_unions") as count:
+    with Counter(mvnorm, "_closed_form_union", "_plackett_unions", "_plackett_values") as count:
         for corr, w in instances:
             scales.append(parametric_c(range(dim), w, 0.025, corr))
     for corr, w in instances:

@@ -26,9 +26,10 @@ fwer-sim benchmark's, parametric-common on a seeded random graph with
 one known pair at rho = 0.5 and singletons. CPU time is the median of
 three calls. A fourth call counts the rows solved one by one (calls of
 ``partitioned_common_scale``), the rows solved together in the array
-pass (the rows handed to ``_closed_form_scales``; 0 in a checkout
-without it) and the scalar root solves (``solve_monotone``) it makes;
-the table's sha1 prefix must match between checkouts.
+pass (the rows handed to ``_array_scales``, or to
+``_closed_form_scales`` in an older checkout) and the scalar root
+solves (``solve_monotone``) it makes; the table's sha1 prefix must
+match between checkouts.
 
 Schemes: per m one seeded random graph with two zero initial weights.
 CPU time, the median of three calls each, of ``scheme_from_graph``, of
@@ -175,6 +176,7 @@ def measure_thresholds(m: int) -> dict:
     counts = {"rows_alone": 0, "rows_batched": 0, "solves": 0}
     wrapped = [
         (closure, "partitioned_common_scale", "rows_alone"),
+        (closure, "_array_scales", "rows_batched"),
         (closure, "_closed_form_scales", "rows_batched"),
         (intersection, "solve_monotone", "solves"),
     ]
