@@ -394,6 +394,9 @@ CLI_RUNS = {
     "consonance-csv": ["check-consonance", "trial_problem.json", "--format", "csv"],
     "consonance-text": ["check-consonance", "trial_problem.json", "--format", "text"],
     "analyze-json": ["analyze", "trial_problem.json"],
+    "simulate-json": ["simulate", "trial_scenario.json", "--seed", "7"],
+    "simulate-csv": ["simulate", "trial_scenario.json", "--seed", "7", "--format", "csv"],
+    "simulate-text": ["simulate", "trial_scenario.json", "--seed", "7", "--format", "text"],
 }
 
 CLI_SHA1 = {
@@ -401,6 +404,9 @@ CLI_SHA1 = {
     'consonance-csv': [3, 'dae78b1dd00ee8cf'],
     'consonance-json': [3, '1c40c34d6a6e66a7'],
     'consonance-text': [3, '73c35cfb78f3e006'],
+    'simulate-csv': [0, 'd8b146608a715ed3'],
+    'simulate-json': [0, '0c1036db0bd3914c'],
+    'simulate-text': [0, '6a8c5ae4eac16a3e'],
     'weights-csv': [0, '3b2fa329e4506377'],
     'weights-json': [0, 'efb7abd75685bd90'],
     'weights-text': [0, '609968330772b08f'],

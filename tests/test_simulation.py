@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from closedmtp import simulation
 from closedmtp.closure import TestProblem, decision_thresholds, run_closure
@@ -289,6 +289,40 @@ class TestScenarioValidation:
                 replications=100,
             )
 
+    @pytest.mark.parametrize(
+        "flags",
+        # numpy would read each of these as two True flags
+        [["False", "True"], [True, 0.5], [True, float("nan")]],
+        ids=["string", "float", "nan"],
+    )
+    def test_flags_must_be_booleans(self, flags):
+        with pytest.raises(InputError, match="true-null flags must be booleans"):
+            SimScenario(
+                scheme=xie_scheme((0.5, 0.5)),
+                model=CorrelationModel.independent_blocks(2),
+                generator=equicorr(2, 0.0),
+                alpha=0.05,
+                method="bonferroni",
+                true_nulls=flags,
+                mean_shifts=[0.0, 0.0],
+                replications=100,
+            )
+
+    def test_bool_array_flags_kept_writable(self):
+        flags = np.array([True, False])
+        scen = SimScenario(
+            scheme=xie_scheme((0.5, 0.5)),
+            model=CorrelationModel.independent_blocks(2),
+            generator=equicorr(2, 0.0),
+            alpha=0.05,
+            method="bonferroni",
+            true_nulls=flags,
+            mean_shifts=[0.0, 1.0],
+            replications=100,
+        )
+        assert scen.true_nulls.tolist() == [True, False]
+        assert not scen.true_nulls.flags.writeable and flags.flags.writeable
+
     def test_root_tol_checked_without_root_solves(self):
         # bonferroni solves nothing, so only the up-front check can catch it
         scen = SimScenario(
@@ -465,8 +499,9 @@ class TestReplicationLoop:
     @pytest.mark.parametrize(
         ("m", "builds"),
         # m=4: the 2^4 masks fill part of one 64-bit word; m=13 and 14:
-        # two and four tiles, each built once for all three chunks
-        [(4, 1), (13, 2), (14, 4)],
+        # two and four tiles, each built once for all three chunks; m=17:
+        # 32 tiles on a short run, hypotheses past bit 15 of the masks
+        [(4, 1), (13, 2), (14, 4), (17, 32)],
     )
     def test_tables_equal_intersection_loop_bit_for_bit(self, m, builds, monkeypatch):
         calls = []
@@ -475,7 +510,7 @@ class TestReplicationLoop:
             simulation, "_tile_tables", lambda *args: calls.append(args[1:]) or build(*args)
         )
         # the last chunk is short
-        n = 2 * _chunk_size(m) + 301
+        n = 2 * _chunk_size(m) + 301 if m < 17 else 301
         scen = bonferroni_graph_scenario(m, n)
         assert any(
             scen.scheme.weights_for(mask)[members(mask).index(3)] == 0.0
@@ -525,6 +560,28 @@ class TestReplicationLoop:
         finally:
             tracemalloc.stop()
         assert peak < chunk * ((1 << m) - 1) * 4, peak
+
+
+class TestPvaluesWithinReach:
+    def test_left_out_entries_exceed_the_top_cutoff(self):
+        tops = np.array([1e-12, 1e-6, 1e-3, 0.025, 0.5])
+        steps = np.array([-1e-6, -1e-12, 0.0, 1e-12, 5e-8, 1e-7, 2e-7, 1e-6])
+        neg_z = ndtri(tops) + steps[:, None]
+        p = simulation._pvalues_within_reach(neg_z, tops)
+        left = np.isinf(p)
+        assert np.all(ndtr(neg_z[left]) > np.broadcast_to(tops, neg_z.shape)[left])
+        assert p[~left].tobytes() == ndtr(neg_z[~left]).tobytes()
+        # the band keeps every entry up to a step of 1e-7 past the top
+        # cutoff, and leaves out every entry further past it
+        assert not left[:6].any() and left[6:].all()
+
+    def test_columns_without_a_banded_cutoff(self):
+        # no positive cutoff: nothing; above 1/2 or subnormal: everything
+        tops = np.array([0.0, -np.inf, -1.0, 0.7, 1.0, 1e-310])
+        neg_z = np.linspace(-40.0, 40.0, 81)[:, None] + np.zeros(len(tops))
+        p = simulation._pvalues_within_reach(neg_z, tops)
+        assert np.all(p[:, :3] == np.inf)
+        assert p[:, 3:].tobytes() == ndtr(neg_z[:, 3:]).tobytes()
 
 
 class TestBoundDecisions:

@@ -18,8 +18,11 @@ the median of three calls; the peak is tracemalloc's over a fourth.
 ``decided_by_bounds`` is the share of replications whose every
 hypothesis two exact bounds settle (p_i <= least_i > 0 rejects H_i;
 p_i > t[O_i, i] or t[O_i, i] <= 0 retains it, O_i being i plus every j
-above all its positive cutoffs), worked out here from the replayed
-p-values and the same cutoffs, whichever checkout ``simulate`` comes from.
+above all its positive cutoffs), and ``ndtr_share`` the share of
+(replication, hypothesis) entries within reach of a cutoff (p_j at most
+top_j, j's largest positive cutoff), the only ones whose p-value needs
+computing. Both are worked out here from the replayed p-values and the
+same cutoffs, whichever checkout ``simulate`` comes from.
 
 Thresholds: per m one ``decision_thresholds`` table shaped like the
 fwer-sim benchmark's, parametric-common on a seeded random graph with
@@ -99,9 +102,10 @@ def scenario(m: int, replications: int) -> SimScenario:
     )
 
 
-def decided_by_bounds(scen: SimScenario, cutoffs: np.ndarray) -> float:
+def bound_shares(scen: SimScenario, cutoffs: np.ndarray) -> tuple[float, float]:
     """Share of ``scen``'s replications in which every hypothesis is
-    settled by its bounds under the cutoff table ``cutoffs``."""
+    settled by its bounds under the cutoff table ``cutoffs``, and share
+    of its p-values at most their hypothesis's largest positive cutoff."""
     m, n = scen.m, scen.replications
     chunk = simulation._chunk_size(m)
     lower = scen.generator.cholesky_lower()
@@ -109,7 +113,7 @@ def decided_by_bounds(scen: SimScenario, cutoffs: np.ndarray) -> float:
     top = np.where(cutoffs > 0.0, cutoffs, -1.0).max(axis=0)
     least = np.where(members, cutoffs, np.inf).min(axis=0)
     bits = 1 << np.arange(m)
-    decided = 0
+    decided = within = 0
     for index, lo in enumerate(range(0, n, chunk)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=scen.master_seed, spawn_key=(index,)))
         z = rng.standard_normal((min(chunk, n - lo), m)) @ lower.T + scen.mean_shifts
@@ -117,7 +121,8 @@ def decided_by_bounds(scen: SimScenario, cutoffs: np.ndarray) -> float:
         cut = cutoffs[(((p > top) @ bits)[:, None] | bits) - 1, np.arange(m)]
         settled = (p > cut) | (cut <= 0.0) | ((p <= least) & (least > 0.0))
         decided += int(settled.all(axis=1).sum())
-    return decided / n
+        within += int((p <= top).sum())
+    return decided / n, within / (n * m)
 
 
 def measure(m: int) -> dict:
@@ -141,13 +146,15 @@ def measure(m: int) -> dict:
     finally:
         simulation.decision_thresholds = solve
     digest = hashlib.sha1(report.rejection_rates.tobytes()).hexdigest()[:12]
+    decided, within = bound_shares(scen, cutoffs)
     return {
         "m": m,
         "replications": n,
         "cpu_s": round(statistics.median(cpu), 4),
         "reps_per_s": round(n / statistics.median(cpu)),
         "tracemalloc_peak_mb": round(peak / 1e6, 1),
-        "decided_by_bounds": round(decided_by_bounds(scen, cutoffs), 4),
+        "decided_by_bounds": round(decided, 4),
+        "ndtr_share": round(within, 4),
         "fwer": report.fwer_estimate,
         "rejection_rates_sha1": digest,
     }
