@@ -102,9 +102,14 @@ def _chunk_size(m: int) -> int:
     return max(256, min(1 << 16, (1 << 24) >> m))
 
 
-# masks per tile of lookup tables: a multiple of 64, so a tile starts on a
-# word boundary, and small enough that a table row is at most 512 bytes
+# masks per tile of lookup tables: a whole number of sub-tiles, and few
+# enough that a chunk's two buffers of the tile's words take 1 KB per
+# replication; only one tile's tables are held at a time
 _TILE = 1 << 12
+
+# masks per sub-tile: a sub-tile's table row is 8 words, one 64-byte
+# line, and a rank's row of the tile is gathered from one row per sub-tile
+_SUB_TILE = 1 << 9
 
 # a step in z far beyond the rounding of ndtri and ndtr (_pvalues_within_reach)
 _REACH_BAND = 1e-7
@@ -112,27 +117,46 @@ _REACH_BAND = 1e-7
 
 def _tile_tables(levels: np.ndarray, start: int, stop: int) -> list[tuple]:
     """Lookup tables of the masks [start, stop), one per hypothesis with a
-    positive cutoff among them: (j, keys, table).
+    positive cutoff among them: (j, keys, index, rows).
 
     ``keys`` are j's negated positive cutoffs in ascending order, so
     K = searchsorted(keys, -p, "right") counts the cutoffs t with p <= t.
-    Row K of ``table`` holds the bits of the K masks with the largest
-    cutoffs, which are exactly the intersections p fires; mask
-    start + b is bit b % 64 of word b // 64.
+    The masks p fires are the K with the largest cutoffs. Their bits are
+    stored per sub-tile of _SUB_TILE masks (one sub-tile when the tile
+    holds fewer): ``rows`` holds, sub-tile after sub-tile, one row for
+    each count of the sub-tile's masks fired, from none up, each the OR
+    of the previous row and the next mask's bit. Row index[K, s] is
+    sub-tile s's row at rank K, so rows[index[K]] laid end to end is
+    the tile's row at rank K, in which mask start + b is bit b % 64 of
+    word b // 64.
     """
     n_words = -(-(stop - start) // 64)
+    sub_words = min(n_words, _SUB_TILE // 64)
+    n_subs = n_words // sub_words
     tables = []
     for j, cut in enumerate(levels[:, start:stop]):
         bits = np.flatnonzero(cut > 0.0)
         if bits.size == 0:
             continue
         order = bits[np.argsort(-cut[bits])]
-        table = np.zeros((order.size + 1, n_words), dtype=np.uint64)
-        table[np.arange(1, order.size + 1), order >> 6] = np.left_shift(
+        # rank r adds the mask order[r - 1] to sub-tile sub[r - 1]
+        ranks = np.arange(1, order.size + 1)
+        sub = order // _SUB_TILE
+        index = np.zeros((order.size + 1, n_subs), dtype=np.int32)
+        index[ranks, sub] = 1
+        np.cumsum(index, axis=0, out=index)
+        # each sub-tile's rows start at its row of no mask fired
+        sizes = index[-1] + 1
+        firsts = np.cumsum(sizes) - sizes
+        index += firsts
+        rows = np.zeros((sizes.sum(), sub_words), dtype=np.uint64)
+        rows[index[ranks, sub], (order >> 6) % sub_words] = np.left_shift(
             np.uint64(1), (order & 63).astype(np.uint64)
         )
-        np.bitwise_or.accumulate(table, axis=0, out=table)
-        tables.append((j, -cut[order], table))
+        for first, size in zip(firsts, sizes):
+            block = rows[first : first + size]
+            np.bitwise_or.accumulate(block, axis=0, out=block)
+        tables.append((j, -cut[order], index, rows))
     return tables
 
 
@@ -186,10 +210,10 @@ def simulate(
     taken as +inf.
 
     For each hypothesis j, its positive cutoffs are sorted in descending
-    order, and row K of j's table holds the packed bits of the first K
+    order, and j's row at rank K holds the packed bits of the first K
     intersections in that order. Per replication, one binary search
     gives the number K_j of cutoffs at least p_j, and the intersections
-    fired are the OR of the m rows table_j[K_j], held as 64-bit words.
+    fired are the OR of the m rows at ranks K_j, held as 64-bit words.
     As bit b of word w stands for mask 64 w + b, which hypotheses have a
     surviving intersection is read from the OR of the surviving words
     (i < 6) and from the indices of the words that hold a survivor: the
@@ -200,12 +224,22 @@ def simulate(
     call and held only during that tile's pass over the chunks, which
     redraws from the chunk's own seed the p-values of each chunk that
     holds an open replication. The first tile's pass also decides by
-    the bounds. Between tiles, only which replications are open and
-    which hypotheses have a surviving intersection are kept, the latter
-    as one 32-bit hypothesis mask. Beyond the cutoffs themselves, memory
-    is thus one tile's tables, one chunk's buffers of 16 bytes per
-    replication and 64 masks of a tile plus a few replication-by-
-    hypothesis arrays, and 4 + 1 bytes per replication, for every m.
+    the bounds, and no later tile is built once it leaves nothing open.
+    Between tiles, only which replications are open and which
+    hypotheses have a surviving intersection are kept, the latter as one
+    32-bit hypothesis mask.
+
+    A table does not hold a rank's row whole. Its rows are kept per
+    sub-tile of 2^9 masks (8 words): one row for each count of the
+    sub-tile's masks fired. An index gives, for every rank, the row of
+    each sub-tile, and one gather of those rows puts the rank's row
+    together. In a full tile of 8 sub-tiles, a positive cutoff thus
+    costs one 64-byte row and one 32-byte index row, not a 512-byte row
+    of the tile. Beyond the cutoffs themselves, memory is one tile's
+    tables, about 96 bytes per positive cutoff in the tile, one chunk's
+    buffers of 16 bytes per replication and 64 masks of a tile plus a
+    few replication-by-hypothesis arrays, and 4 + 1 bytes per
+    replication, for every m.
     """
     m = scenario.m
     n_total = scenario.replications
@@ -241,6 +275,7 @@ def simulate(
     flat = levels.ravel()
     own = (bits | hyps << m)[:, None]
     n_words = -(-min(_TILE, 1 << m) // 64)
+    sub_words = min(n_words, _SUB_TILE // 64)
     # the masks 0..63 of a word that contain H_i, i < 6 (none of mask 0)
     low = min(m, 6)
     patterns = np.array(
@@ -260,12 +295,15 @@ def simulate(
     # pending[n]: the bounds leave some hypothesis of replication n open
     pending = np.zeros(n_total, dtype=bool)
     for start in range(0, 1 << m, _TILE):
+        # the first tile decides by the bounds; later ones are needed only
+        # while a replication is left open
+        if start and not pending.any():
+            break
         tables = _tile_tables(levels, start, min(start + _TILE, 1 << m))
         # the hypotheses i >= 6 held by the masks of the tile's word w
         held_by_word = ((start >> 6) + np.arange(n_words, dtype=np.uint64)) << np.uint64(6)
         for chunk_index, (lo, hi) in enumerate(chunks):
-            # the first tile decides by the bounds; later ones redraw only
-            # the chunks with a replication left open
+            # later tiles redraw only the chunks with a replication left open
             if start and not pending[lo:hi].any():
                 continue
             rng = np.random.default_rng(
@@ -299,11 +337,14 @@ def simulate(
             neg_p = -p
             f = fired[: n_c * n_words].reshape(n_c, n_words)
             g = row[: n_c * n_words].reshape(n_c, n_words)
+            # g's words sub-tile by sub-tile, as the tables' rows hold them
+            parts = g.reshape(n_c, -1, sub_words)
             f.fill(0)
-            for j, keys, table in tables:
+            for j, keys, index, rows in tables:
                 k = np.searchsorted(keys, neg_p[j], side="right")
-                # K is always in range; "clip" lets take write into g unbuffered
-                np.take(table, k, axis=0, out=g, mode="clip")
+                # every row index is in range; "clip" lets take write into
+                # g unbuffered
+                np.take(rows, index.take(k, axis=0), axis=0, out=parts, mode="clip")
                 f |= g
             survived = np.invert(f, out=f)
             # the hypotheses with a surviving intersection in the tile

@@ -135,6 +135,36 @@ def bonferroni_graph_scenario(m, replications):
     )
 
 
+def fwer_sim_scenario(replications):
+    """An m=12 graph shaped like the fwer-sim benchmark's instances: eight
+    outgoing edges per node, one known pair at rho = 0.5 and singletons,
+    four shifted alternatives, parametric-common at alpha = 0.025."""
+    m = 12
+    rng = np.random.default_rng(1212)
+    g = np.zeros((m, m))
+    for j in range(m):
+        targets = rng.choice([i for i in range(m) if i != j], size=8, replace=False)
+        g[j, targets] = rng.dirichlet(np.ones(8))
+    a, b = 2, 7
+    corr = np.eye(m)
+    corr[a, b] = corr[b, a] = 0.5
+    singles = tuple((j,) for j in range(m) if j not in (a, b))
+    pair = CorrelationMatrix([[1.0, 0.5], [0.5, 1.0]])
+    shifts = np.zeros(m)
+    shifts[[0, 4, 9, 11]] = rng.uniform(2.0, 3.0, size=4)
+    return SimScenario(
+        scheme=scheme_from_graph(GraphSpec(m, rng.dirichlet(np.ones(m)), g)),
+        model=CorrelationModel(m, ((a, b),) + singles, (pair,) + (None,) * len(singles)),
+        generator=CorrelationMatrix(corr),
+        alpha=0.025,
+        method="parametric-common",
+        true_nulls=shifts == 0.0,
+        mean_shifts=shifts,
+        replications=replications,
+        master_seed=3,
+    )
+
+
 def drawn_pvalues(scen):
     """The p-values simulate draws, replication by replication: each
     chunk's stream replayed from its own seed."""
@@ -162,10 +192,32 @@ def report_of(rejected, nulls):
     )
 
 
+def cumulative_tile_tables(levels, start, stop):
+    """The tables of the masks [start, stop) with one full row per rank, as
+    simulate once built them: (j, keys, table), one per hypothesis with a
+    positive cutoff among them. Row K of ``table`` holds the bits of the K
+    masks with the largest cutoffs; mask start + b is bit b % 64 of word
+    b // 64."""
+    n_words = -(-(stop - start) // 64)
+    tables = []
+    for j, cut in enumerate(levels[:, start:stop]):
+        bits = np.flatnonzero(cut > 0.0)
+        if bits.size == 0:
+            continue
+        order = bits[np.argsort(-cut[bits])]
+        table = np.zeros((order.size + 1, n_words), dtype=np.uint64)
+        table[np.arange(1, order.size + 1), order >> 6] = np.left_shift(
+            np.uint64(1), (order & 63).astype(np.uint64)
+        )
+        np.bitwise_or.accumulate(table, axis=0, out=table)
+        tables.append((j, -cut[order], table))
+    return tables
+
+
 def bitset_loop(scen, thresholds):
-    """simulate's report from the lookup tables alone: every replication
-    goes through every tile's binary search and OR of table rows, with
-    no decision by bounds."""
+    """simulate's report from cumulative lookup tables alone: every
+    replication goes through every tile's binary search and OR of full
+    table rows, with no decision by bounds and no sub-tiles."""
     m = scen.m
     levels = np.full((m, 1 << m), -1.0)
     levels[:, 1:] = thresholds.T
@@ -174,7 +226,7 @@ def bitset_loop(scen, thresholds):
     alive = np.zeros(p.shape, dtype=bool)
     for start in range(0, 1 << m, simulation._TILE):
         stop = min(start + simulation._TILE, 1 << m)
-        tables = simulation._tile_tables(levels, start, stop)
+        tables = cumulative_tile_tables(levels, start, stop)
         for lo in range(0, len(p), _chunk_size(m)):
             rows = p[lo : lo + _chunk_size(m)]
             fired = np.zeros((len(rows), -(-(stop - start) // 64)), dtype=np.uint64)
@@ -561,6 +613,52 @@ class TestReplicationLoop:
             tracemalloc.stop()
         assert peak < chunk * ((1 << m) - 1) * 4, peak
 
+    def test_memory_below_the_cumulative_tables_on_a_benchmark_shaped_graph(self):
+        # two chunks; with one full row of 512 bytes per rank, the tables
+        # of this m=12 graph alone would take more than the whole bound
+        scen = fwer_sim_scenario(_chunk_size(12) + 1000)
+        t = decision_thresholds(scen.scheme, scen.model, scen.alpha, scen.method, scen.master_seed)
+        levels = np.full((12, 1 << 12), -1.0)
+        levels[:, 1:] = t.T
+        assert sum(table.nbytes for *_, table in cumulative_tile_tables(levels, 0, 1 << 12)) > 12e6
+        tracemalloc.start()
+        try:
+            simulate(scen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, peak
+
+
+class TestTileTables:
+    @staticmethod
+    def levels(m):
+        # cutoffs from a few values, so that many tie, with zero, negative
+        # and -inf ones among them; H_1 has no positive cutoff
+        rng = np.random.default_rng(40 + m)
+        values = np.array([-np.inf, -1.0, 0.0, 1e-3, 2e-3, 0.01, 0.025, 0.5])
+        levels = rng.choice(values, size=(m, 1 << m))
+        levels[1] = np.minimum(levels[1], 0.0)
+        return levels
+
+    @pytest.mark.parametrize("m", [4, 9, 10, 12, 13])
+    def test_every_rank_gathers_the_cumulative_row(self, m):
+        # m=4: fewer masks than one sub-tile; m=13: two tiles
+        levels = self.levels(m)
+        for start in range(0, 1 << m, simulation._TILE):
+            stop = min(start + simulation._TILE, 1 << m)
+            got = simulation._tile_tables(levels, start, stop)
+            want = cumulative_tile_tables(levels, start, stop)
+            assert [t[0] for t in got] == [t[0] for t in want] == [j for j in range(m) if j != 1]
+            for (_, keys, index, rows), (_, want_keys, table) in zip(got, want):
+                assert keys.tobytes() == want_keys.tobytes()
+                assert np.unique(keys).size < keys.size
+                assert len(index) == len(table)
+                # every rank K, from none fired to all, sub-rows end to end
+                assert rows[index].reshape(table.shape).tobytes() == table.tobytes()
+                if stop - start == simulation._TILE:
+                    assert rows.nbytes + index.nbytes < table.nbytes / 4
+
 
 class TestPvaluesWithinReach:
     def test_left_out_entries_exceed_the_top_cutoff(self):
@@ -633,10 +731,12 @@ class TestBoundDecisions:
         assert got.rejection_rates[1] == 0.0
         assert_same_report(got, intersection_loop(scen, t))
 
-    def test_every_replication_decided(self, monkeypatch):
+    @pytest.mark.parametrize("m", [9, 13])
+    def test_every_replication_decided(self, m, monkeypatch):
         # tiny positive cutoffs: a p of 0 is below every cutoff of its
-        # hypothesis (rejected), any other p above all of them (retained)
-        m = 9
+        # hypothesis (rejected), any other p above all of them (retained);
+        # at m=13 the first tile's pass leaves nothing open, so the second
+        # tile's tables are never built
         n = _chunk_size(m) + 301
         scen = self.tied_scenario(m, n)
         scen = dataclasses.replace(
@@ -645,7 +745,13 @@ class TestBoundDecisions:
         inside = member_table(m)[1:]
         t = np.where(inside, 1e-300, -1.0)
         monkeypatch.setattr(simulation, "decision_thresholds", lambda *args: t)
+        starts = []
+        build = simulation._tile_tables
+        monkeypatch.setattr(
+            simulation, "_tile_tables", lambda *args: starts.append(args[1]) or build(*args)
+        )
         got = simulate(scen)
+        assert starts == [0]
         assert undecided_share(scen, t) == 0.0
         assert_same_report(got, intersection_loop(scen, t))
         assert_same_report(got, bitset_loop(scen, t))

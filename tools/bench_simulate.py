@@ -15,6 +15,10 @@ hypothesis and every other hypothesis a true null, over eight chunks
 plus a short one. The cutoffs are solved once beforehand and handed to
 ``simulate``, so the figures cover the replications alone. CPU time is
 the median of three calls; the peak is tracemalloc's over a fourth.
+``tables_mb`` is the size of the largest tile's lookup tables (every
+array ``_tile_tables`` returns for it) and ``tables_s`` the CPU time to
+build every tile's tables from the same cutoffs, the median of three
+passes: the part of ``cpu_s`` and of the peak that the tables take.
 ``decided_by_bounds`` is the share of replications whose every
 hypothesis two exact bounds settle (p_i <= least_i > 0 rejects H_i;
 p_i > t[O_i, i] or t[O_i, i] <= 0 retains it, O_i being i plus every j
@@ -125,6 +129,28 @@ def bound_shares(scen: SimScenario, cutoffs: np.ndarray) -> tuple[float, float]:
     return decided / n, within / (n * m)
 
 
+def table_costs(m: int, cutoffs: np.ndarray) -> tuple[int, float]:
+    """(bytes of the largest tile's tables, median CPU seconds to build
+    every tile's tables) from ``simulate``'s cutoffs, read as it reads
+    them: levels[j, mask], every cutoff that is not positive left out."""
+    levels = np.full((m, 1 << m), -np.inf)
+    levels[:, 1:] = cutoffs.T
+    tile = simulation._TILE
+    largest = 0
+    cpu = []
+    for _ in range(3):
+        # one tile's tables held at a time, as in simulate
+        spent = 0.0
+        for lo in range(0, 1 << m, tile):
+            start = time.process_time()
+            tables = simulation._tile_tables(levels, lo, min(lo + tile, 1 << m))
+            spent += time.process_time() - start
+            largest = max(largest, sum(a.nbytes for t in tables for a in t[1:]))
+            del tables
+        cpu.append(spent)
+    return largest, statistics.median(cpu)
+
+
 def measure(m: int) -> dict:
     n = 8 * simulation._chunk_size(m) + 1000
     scen = scenario(m, n)
@@ -147,12 +173,15 @@ def measure(m: int) -> dict:
         simulation.decision_thresholds = solve
     digest = hashlib.sha1(report.rejection_rates.tobytes()).hexdigest()[:12]
     decided, within = bound_shares(scen, cutoffs)
+    tables_bytes, tables_cpu = table_costs(m, cutoffs)
     return {
         "m": m,
         "replications": n,
         "cpu_s": round(statistics.median(cpu), 4),
         "reps_per_s": round(n / statistics.median(cpu)),
         "tracemalloc_peak_mb": round(peak / 1e6, 1),
+        "tables_mb": round(tables_bytes / 1e6, 2),
+        "tables_s": round(tables_cpu, 4),
         "decided_by_bounds": round(decided, 4),
         "ndtr_share": round(within, 4),
         "fwer": report.fwer_estimate,
