@@ -90,6 +90,7 @@ __all__ = [
     "union_exceedance",
     "validate",
     "weighted_dunnett_single_step",
+    "xie_pvalue",
     "xie_scheme",
     "xie_shortcut",
 ]

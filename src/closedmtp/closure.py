@@ -46,27 +46,23 @@ from .intersection import (
     _check_seed,
     _check_subset_args,
     _array_scales,
-    _common_estimate,
     _common_pvalues,
+    _one_block,
     _ratios,
-    _subsets_estimate,
     _subsets_pvalues,
     _weight_total,
-    _xie_estimate,
     _xie_pvalues,
     as_model,
     parametric_c,
     parametric_pvalue,
     partitioned_common_scale,
     partitioned_subset_scales,
-    xie_pvalue,
 )
 from .mvnorm import (
     DEFAULT_MAX_POINTS,
     DEFAULT_ROOT_TOL,
     DEFAULT_TARGET_ERROR,
     MAX_EXACT_DIM,
-    ProbEstimate,
     _check_accuracy_args,
     _check_root_tol,
     union_exceedance,  # not called here; perfbench/smoke.py checks that tracing wraps it
@@ -120,23 +116,18 @@ class _Method:
     intersection, and looks the scale functions up in this module's
     globals per call, so wrappers on those bindings (tracing) see every
     call; bonferroni's levels are alpha * w and need none. ``pvalues``
-    maps (the scheme's rows, p-values, model, target_error) to the
-    first-pass p-values of every intersection at once, as arrays
-    (values, errors, whether every kernel fit met its target), with no
-    per-row Python: NaN where a row has a block of more than
-    MAX_EXACT_DIM active members or a quadrature that misses its target.
-    ``pvalue`` maps (members, weights, p-values, model, seed,
-    target_error, max_points) to one intersection's (p-value estimate,
-    target met, in which case a fit capped at _COARSE_POINTS gives what
-    one at any larger max_points would): the rows ``pvalues`` leaves, and
-    every refit; bonferroni's ``pvalues`` leaves none. ``scales``: "one"
-    (c = 1), "common" (one c per intersection) or "block" (one c per
-    correlation block). ``proportional``: needs a proportional scheme,
-    correlation known.
+    maps (weight rows, 0.0 off the members, their masks, p-values, model,
+    seed, target_error, max_points) to those intersections' p-values, as
+    arrays (values, errors, whether every fit met its target, in which
+    case a fit capped at _COARSE_POINTS gives what one at any larger
+    max_points would): the one p-value path, which ``intersection``'s
+    public p-value functions call on one row. ``scales``: "one" (c = 1),
+    "common" (one c per intersection) or "block" (one c per correlation
+    block). ``proportional``: needs a proportional scheme, correlation
+    known.
     """
 
     levels: Callable | None
-    pvalue: Callable | None
     pvalues: Callable
     scales: str
     proportional: bool = False
@@ -146,7 +137,7 @@ def _common_scale(mem, *args):
     return ((mem, partitioned_common_scale(mem, *args)),)
 
 
-def _bonferroni_pvalues(rows: np.ndarray, p: np.ndarray, *_) -> tuple[np.ndarray, ...]:
+def _bonferroni_pvalues(rows: np.ndarray, masks, p: np.ndarray, *_) -> tuple[np.ndarray, ...]:
     """bonferroni_pvalue of every row of ``rows`` (weights, 0.0 off the
     members): min(1, min over positive-weight j of p_j / w_j), the same
     floats, as division and minimum are exact per element; error 0."""
@@ -156,12 +147,10 @@ def _bonferroni_pvalues(rows: np.ndarray, p: np.ndarray, *_) -> tuple[np.ndarray
 
 
 _METHODS = {
-    "bonferroni": _Method(None, None, _bonferroni_pvalues, "one"),
-    "parametric-common": _Method(_common_scale, _common_estimate, _common_pvalues, "common"),
-    "parametric-subsets": _Method(
-        lambda *args: partitioned_subset_scales(*args), _subsets_estimate, _subsets_pvalues, "block"
-    ),
-    "xie": _Method(_common_scale, _xie_estimate, _xie_pvalues, "common", proportional=True),
+    "bonferroni": _Method(None, _bonferroni_pvalues, "one"),
+    "parametric-common": _Method(_common_scale, _common_pvalues, "common"),
+    "parametric-subsets": _Method(lambda *args: partitioned_subset_scales(*args), _subsets_pvalues, "block"),
+    "xie": _Method(_common_scale, _xie_pvalues, "common", proportional=True),
 }
 # the method names every entry point accepts
 METHODS = tuple(_METHODS)
@@ -273,11 +262,8 @@ def run_closure(
     ``target_error`` (``_refits``), giving the floats a fit of every
     p-value to the target gives. Every other intersection keeps its
     first-pass ``p_value``, with its error in ``p_error``. The first pass
-    is the method's ``pvalues``, one array pass over every row whose
-    blocks hold at most MAX_EXACT_DIM active members; only the rows it
-    leaves (a larger block, or a quadrature that misses its target) and
-    the refits are fitted one intersection at a time, through the
-    method's ``pvalue``, with the same floats. Scales and
+    is one call of the method's ``pvalues`` on every intersection, and
+    each round of refits one call on the intersections it names. Scales and
     local levels come from ``decision_thresholds``'s table
     (``_level_table``); with ``compute_scales`` off the root solves are
     skipped and scale/levels stay unset on every intersection.
@@ -286,29 +272,21 @@ def run_closure(
     m, p, alpha, model = problem.m, problem.pvalues, problem.alpha, problem.model
     method = _METHODS[problem.method]
     solve = (problem.seed, target_error, root_tol, max_points)
-    rows, inside = problem.scheme.rows, member_table(m)[1:]
-
-    def fit(mask: int, points: int) -> tuple[ProbEstimate, bool]:
-        mem = members(mask)
-        w = rows[mask - 1][inside[mask - 1]]
-        return method.pvalue(mem, w, p[list(mem)], model, problem.seed, target_error, points)
-
+    rows, inside, masks = problem.scheme.rows, member_table(m)[1:], np.arange(1, 1 << m)
     # every intersection's p-value and its error, in mask order; final:
     # the first pass is already the fit to max_points
-    values, errors, final = method.pvalues(rows, p, model, target_error)
+    values, errors, final = method.pvalues(
+        rows, masks, p, model, problem.seed, target_error, min(max_points, _COARSE_POINTS)
+    )
     final |= max_points <= _COARSE_POINTS
-    for mask in (np.flatnonzero(np.isnan(values)) + 1).tolist():
-        est, met = fit(mask, min(max_points, _COARSE_POINTS))
-        values[mask - 1], errors[mask - 1] = est.value, est.error
-        final[mask - 1] = met or max_points <= _COARSE_POINTS
     # a refit is the fit to max_points on the same stream, so each J is refit at most once
     while not final.all():
         todo = _refits(values, errors, final, m, alpha)
         if todo.size == 0:
             break
-        for mask in todo.tolist():
-            est = fit(mask, max_points)[0]
-            values[mask - 1], errors[mask - 1] = est.value, est.error
+        values[todo - 1], errors[todo - 1], _ = method.pvalues(
+            rows[todo - 1], todo, p, model, problem.seed, target_error, max_points
+        )
         final[todo - 1] = True
     # the member table in row order: each intersection's members, and
     # their levels, are one slice of it
@@ -534,26 +512,26 @@ def xie_shortcut(
     model, w0, p = _check_shortcut(initial_weights, pvalues, corr, alpha, "initial weights")
     seed = _check_seed(seed)
     m = model.m
-    active = list(range(m))
-    order: list[int] = []
+    # the checks xie_pvalue makes of the full set, the chain's first step
+    _one_block(tuple(range(m)), model, "parametric p-value")
+    _weight_total(w0 / w0.sum())
+    max_points = _check_accuracy_args(target_error, max_points)
+    # the removal order depends on p / w0 alone; the stable sort takes ties low
+    with np.errstate(over="ignore"):
+        order = np.argsort(p / w0, kind="stable")
+    # step i tests the hypotheses not yet removed, order[i:]
+    masks = np.cumsum(1 << order[::-1])[::-1]
+    chain = np.where(member_table(m, masks), w0, 0.0)
+    values = _xie_pvalues(chain, masks, p, model, seed, target_error, max_points)[0]
     adjusted = np.empty(m)
-    running = 0.0
-    for _ in range(m):
-        mem = tuple(active)
-        pv = xie_pvalue(mem, w0[list(mem)], p[list(mem)], model, seed, target_error, max_points)
-        running = max(running, pv)
-        ratios = p[list(mem)] / w0[list(mem)]
-        star = mem[int(np.argmin(ratios))]  # argmin takes the first, so ties go low
-        adjusted[star] = running
-        order.append(star)
-        active.remove(star)
+    adjusted[order] = np.maximum.accumulate(values)
     adjusted.setflags(write=False)
     # the running maximum is nondecreasing along the order, so the
     # rejected set is a prefix of it
     return {
         "adjusted": adjusted,
         "rejected": adjusted <= alpha,
-        "order": tuple(order),
+        "order": tuple(order.tolist()),
     }
 
 

@@ -18,20 +18,24 @@ union, a minimum, or a rejection decision.
 
 The fully known tests are the one-block case of the partitioned ones
 (``parametric_pvalue`` returns ``partitioned_pvalue_subsets``,
-``parametric_c`` returns ``partitioned_common_scale``). One helper
-(``_blocks``) splits J by block and hands each block the correlation of
-its active members (none where it has fewer than two) and the salt of its
-random stream, its place in the split: a subset inside one block gets
-salt 0, the whole subset's. Every parametric p-value is one estimate
-(``_union_estimate``): per-block unions at thresholds w_j * q, q the
-smallest p/w, summed over a weight total; the common scaling's runs it
-once over all blocks, the per-block test on each block alone and takes
-the smallest. A block with one active member makes no kernel call: its
-union is its threshold. Every critical scaling is one root solve over
-per-block unions (``_solve_scale``), or, for the rows of a threshold table
-in which every block holds at most MAX_EXACT_DIM active members, the same
-solve run for all of them in one array pass (``_solve_scales``); both run
-the one bracket search (``_bracket_scales``) and Illinois loop
+``parametric_c`` returns ``partitioned_common_scale``). Every parametric
+p-value comes from one array pass over weight rows and their subsets'
+masks (``_common_pvalues``, ``_subsets_pvalues``, ``_xie_pvalues``): per
+row and block the union at thresholds w_j * q, q the smallest p/w
+(``_block_unions``); the common scaling's p-value sums them over the
+weight total, the per-block test takes each block over its own total
+and the smallest. The closure runs it on every intersection at once,
+the shortcut on its chain and each public p-value function on one row.
+A block with one active member makes no kernel call: its union is its
+threshold. A block of more than MAX_EXACT_DIM active members is one
+kernel call on a random stream salted by the block's place among the
+blocks that meet the subset: a subset inside one block gets salt 0, the
+whole subset's. ``_blocks`` numbers a subset's blocks the same way for
+the root solves. Every critical scaling is one root solve over per-block
+unions (``_solve_scale``), or, for the rows of a threshold table in
+which every block holds at most MAX_EXACT_DIM active members, the same
+solve run for all of them in one array pass (``_solve_scales``); both
+run the one bracket search (``_bracket_scales``) and Illinois loop
 (``_illinois``). The array p-values and the array scales gather their
 blocks' problems the same way (``_problems``). This
 module is the only one outside ``mvnorm`` that calls the kernel: the closure,
@@ -283,44 +287,6 @@ def _blocks(mem: tuple[int, ...], w: np.ndarray, model: CorrelationModel) -> lis
     return out
 
 
-def _union_estimate(
-    blocks, w: np.ndarray, p: np.ndarray, total: float, seed: int, mask: int,
-    target_error: float, max_points: int,
-) -> tuple[ProbEstimate, bool]:
-    """(estimate, whether every block met its share of the target): the
-    unions of ``blocks`` (``_blocks``'s entries) at thresholds w_j * q, q
-    the smallest p/w of their active members, summed in block order over
-    ``total`` (capped at 1), the errors too. The target is split across
-    the blocks that sample. A block with one active member adds
-    min(1, w * q), error 0, with no kernel call: the union of one event.
-    A kernel fit that meets its target on the first pass of
-    _COARSE_POINTS stops there, so then a fit capped at _COARSE_POINTS
-    gives the floats of one at any larger max_points."""
-    # checked here, since a one-member block never reaches the kernel's checks
-    max_points = _check_accuracy_args(target_error, max_points)
-    act = np.concatenate([block[2] for block in blocks])
-    with np.errstate(over="ignore"):
-        q = float(np.min(p[act] / w[act]))
-    if q >= 1.0 / float(np.max(w[act])):
-        # the heaviest threshold is 1, however its product rounds: the union is certain
-        return ProbEstimate(1.0, 0.0), True
-    block_error = target_error / max(1, sum(1 for b in blocks if b[2].size > MAX_EXACT_DIM))
-    union = error = 0.0
-    met = True
-    for salt, _, act, corr, _ in blocks:
-        if corr is not None:
-            est = union_exceedance(
-                np.minimum(1.0, w[act] * q), corr, derived_seed(seed, mask, salt),
-                block_error, max_points,
-            )
-            union += est.value
-            error += est.error
-            met = met and est.error <= block_error
-        elif act.size:
-            union += min(1.0, float(w[act[0]]) * q)
-    return ProbEstimate(min(1.0, union / total), error / total), met
-
-
 def _ratios(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     """p_j / w_j per row of a weight table (n, m; 0.0 off the members),
     inf where w_j is not positive; a ratio past the float range is inf."""
@@ -352,19 +318,28 @@ def _problems(values: np.ndarray, live: np.ndarray, model: CorrelationModel) -> 
     }
 
 
-def _block_unions(w, q, need, model: CorrelationModel, target_error: float) -> tuple[np.ndarray, ...]:
-    """(unions, errors), each (n, B): per row of a weight table w (n, m;
-    0.0 off the members) and block b of ``model`` where ``need`` (n, B)
-    holds, the union ``_union_estimate`` adds for the block at thresholds
-    min(1, w_j * q[row, b]) of its active members, and its error, the
-    floats ``union_exceedance`` gives; 0.0 elsewhere. NaN where the block
-    holds more than MAX_EXACT_DIM active members (which also changes the
-    row's error split) or Plackett's reduction finds no node count: a row
-    for the per-row fit. One event is its threshold, every pair of all
-    blocks is one ``_pair_unions`` call, and every problem of k = 3 to
-    MAX_EXACT_DIM events joins one ``_plackett_fits`` call per k."""
+def _block_unions(w, masks, q, need, model: CorrelationModel, seed: int, target_error: float,
+                  max_points: int, split: bool) -> tuple[np.ndarray, ...]:
+    """(unions, errors, met): per row of a weight table w (n, m; 0.0 off
+    the members of its mask in ``masks``) and block b of ``model`` where
+    ``need`` (n, B) holds, the union of the block's active members' events
+    at thresholds min(1, w_j * q[row, b]) and its error, 0.0 elsewhere;
+    per row, whether every block met its target. With ``split`` a row's
+    target is split across its blocks of more than MAX_EXACT_DIM active
+    members, the blocks that sample; else each block gets all of it.
+
+    One event is its threshold, every pair is one ``_pair_unions`` call,
+    and every problem of k = 3 to MAX_EXACT_DIM events joins one
+    ``_plackett_fits`` call per k and target. A larger block, or one whose
+    quadrature finds no node count, is one ``union_exceedance`` call at
+    max_points, in mask order, on the stream derived_seed(seed, mask,
+    salt), salt the block's place among the blocks that meet the row.
+    Each union is the float ``union_exceedance`` gives it alone; a fit
+    that meets its target on its first pass of _COARSE_POINTS stops
+    there, giving the floats of a fit at any larger max_points."""
     unions, errors = np.zeros(need.shape), np.zeros(need.shape)
     u, live = np.zeros(w.shape), np.zeros(w.shape, dtype=bool)
+    alone, sampled = np.zeros(need.shape, dtype=bool), np.zeros(len(w), dtype=int)
     for b, mem in enumerate(model.blocks):
         mem = list(mem)
         wb = w[:, mem]
@@ -372,50 +347,74 @@ def _block_unions(w, q, need, model: CorrelationModel, target_error: float) -> t
         ub = np.minimum(1.0, np.multiply(wb, q[:, b, None], out=np.zeros(wb.shape), where=active))
         count = active.sum(axis=1)
         several, big = count > 1, count > MAX_EXACT_DIM
+        sampled += big
         # a threshold of 1 makes the union certain; a zero threshold is a
         # zero-probability event, dropped
         certain = several & (active & (ub == 1.0)).any(axis=1)
         unions[certain, b] = 1.0
-        unions[big, b] = np.nan
+        alone[:, b] = big & ~certain
         fitted = (several & ~certain & ~big)[:, None]
         u[:, mem] = ub
         live[:, mem] = np.where((count == 1)[:, None], active, active & (ub > 0.0) & fitted)
+    shares = np.maximum(1, sampled) if split else np.ones(len(w), dtype=int)
+    block_error = target_error / shares
     for k, (rows, blocks, uk, corr) in _problems(u, live, model).items():
         if k == 1:
             value, error = uk[:, 0], np.zeros(len(uk))
         elif k == 2:
             value, error = _pair_unions(uk[:, 0], uk[:, 1], corr[:, 0, 1]), np.full(len(uk), _EXACT_ERROR)
         else:
-            value, error, _ = _plackett_fits(uk.T, corr.transpose(1, 2, 0), target_error)
+            # one fit per share of the target: each column's floats are those it gets alone
+            value, error, share = np.empty(len(uk)), np.empty(len(uk)), shares[rows]
+            split_by = np.flatnonzero(np.bincount(share))
+            for n in split_by.tolist():
+                at = slice(None) if split_by.size == 1 else share == n
+                fit = _plackett_fits(uk[at].T, corr[at].transpose(1, 2, 0), target_error / n)
+                value[at], error[at] = fit[0], fit[1]
+            # no node count: the quadrature hands over to QMC
+            alone[rows[np.isnan(value)], blocks[np.isnan(value)]] = True
         unions[rows, blocks], errors[rows, blocks] = value, error
-    return unions, errors
+    bits = [sum(1 << j for j in mem) for mem in model.blocks]
+    for row, b in zip(*np.nonzero(alone)):
+        mask, cols = int(masks[row]), np.array(model.blocks[b])
+        act = np.flatnonzero(w[row, cols] > 0.0)
+        est = union_exceedance(
+            np.minimum(1.0, w[row, cols[act]] * q[row, b]), model.matrices[b].submatrix(act),
+            derived_seed(seed, mask, sum(1 for bit in bits[:b] if mask & bit)),
+            block_error[row], max_points,
+        )
+        unions[row, b], errors[row, b] = est.value, est.error
+    return unions, errors, (errors <= block_error[:, None]).all(axis=1)
 
 
-def _common_pvalues(rows: np.ndarray, p: np.ndarray, model: CorrelationModel, target_error: float):
-    """``_common_estimate`` of every row of a weight table (n, m; 0.0 off
-    the members) at the first pass, as arrays (values, errors, met): the
-    same floats, NaN where ``_block_unions`` leaves a block (see
-    ``_union_estimate``)."""
+def _common_pvalues(rows, masks, p, model: CorrelationModel, seed, target_error, max_points):
+    """``partitioned_pvalue_common`` of every row of a weight table (n, m;
+    0.0 off the members of its mask in ``masks``) at p-values p (m,), as
+    arrays (values, errors, met): the per-block unions at thresholds
+    w_j * q, q the row's smallest p/w, summed in block order over the
+    row's weight total (capped at 1), the errors too; 1 where the
+    heaviest threshold is 1, however its product rounds."""
     q = _ratios(rows, p).min(axis=1)
     saturated = q >= 1.0 / rows.max(axis=1)
     need = np.repeat(~saturated[:, None], len(model.blocks), axis=1)
-    unions, errors = _block_unions(rows, np.broadcast_to(q[:, None], need.shape), need, model, target_error)
+    unions, errors, met = _block_unions(
+        rows, masks, np.broadcast_to(q[:, None], need.shape), need, model, seed, target_error, max_points, True
+    )
     union, error = np.zeros(len(rows)), np.zeros(len(rows))
     for b in range(need.shape[1]):
         union += unions[:, b]
         error += errors[:, b]
-    total = _member_sums(rows, member_table(rows.shape[1])[1:])
+    total = _member_sums(rows, member_table(rows.shape[1], masks))
     values = np.where(saturated, 1.0, np.minimum(1.0, union / total))
-    return values, np.where(saturated, 0.0, error / total), (errors <= target_error).all(axis=1)
+    return values, np.where(saturated, 0.0, error / total), met
 
 
-def _subsets_pvalues(rows: np.ndarray, p: np.ndarray, model: CorrelationModel, target_error: float):
-    """``_subsets_estimate`` of every row of a weight table (n, m; 0.0 off
-    the members) at the first pass, as arrays (values, errors, met): per
-    block with an active member ``_union_estimate`` alone, its union over
-    the block's weight total, the smallest value and the largest error;
-    NaN where ``_block_unions`` leaves a block."""
-    inside = member_table(rows.shape[1])[1:]
+def _subsets_pvalues(rows, masks, p, model: CorrelationModel, seed, target_error, max_points):
+    """``partitioned_pvalue_subsets`` of every row, as ``_common_pvalues``
+    takes and gives them: per block with an active member the union at
+    thresholds w_j * q_b, q_b the block's smallest p/w, over the block's
+    weight total (1 where the block saturates), the smallest value and
+    the largest error."""
     shape = (len(rows), len(model.blocks))
     q, has, saturated = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     for b, mem in enumerate(model.blocks):
@@ -424,16 +423,18 @@ def _subsets_pvalues(rows: np.ndarray, p: np.ndarray, model: CorrelationModel, t
         has[:, b] = top > 0.0
         with np.errstate(divide="ignore"):
             saturated[:, b] = has[:, b] & (q[:, b] >= 1.0 / top)
-    unions, errors = _block_unions(rows, q, has & ~saturated, model, target_error)
+    unions, errors, met = _block_unions(
+        rows, masks, q, has & ~saturated, model, seed, target_error, max_points, False
+    )
     # the blocks' weight totals, 1.0 where a block has no active member
-    totals = np.where(has, _block_totals(rows, inside, model), 1.0)
+    totals = np.where(has, _block_totals(rows, member_table(rows.shape[1], masks), model), 1.0)
     value, error = np.full(len(rows), np.inf), np.zeros(len(rows))
     for b in range(len(model.blocks)):
         total, sat, off = totals[:, b], saturated[:, b], ~has[:, b]
         block = np.where(sat, 1.0, np.minimum(1.0, unions[:, b] / total))
         value = np.minimum(value, np.where(off, np.inf, block))
         error = np.maximum(error, np.where(sat | off, 0.0, errors[:, b] / total))
-    return value, error, (errors <= target_error).all(axis=1)
+    return value, error, met
 
 
 def _block_totals(w: np.ndarray, inside: np.ndarray, model: CorrelationModel) -> np.ndarray:
@@ -445,11 +446,25 @@ def _block_totals(w: np.ndarray, inside: np.ndarray, model: CorrelationModel) ->
     )
 
 
-def _xie_pvalues(rows: np.ndarray, p: np.ndarray, model: CorrelationModel, target_error: float):
-    """``_xie_estimate`` of every row at the first pass, as arrays: the
-    rows rescaled to sum to 1 over their members, then ``_subsets_pvalues``."""
-    total = _member_sums(rows, member_table(rows.shape[1])[1:])
-    return _subsets_pvalues(rows / total[:, None], p, model, target_error)
+def _xie_pvalues(rows, masks, p, model: CorrelationModel, seed, target_error, max_points):
+    """``xie_pvalue`` of every row, as ``_common_pvalues`` takes and gives
+    them: the rows rescaled to sum to 1 over their members, then
+    ``_subsets_pvalues``."""
+    total = _member_sums(rows, member_table(rows.shape[1], masks))
+    return _subsets_pvalues(rows / total[:, None], masks, p, model, seed, target_error, max_points)
+
+
+def _one_row(pvalues, mem, w, p, corr, seed: int, target_error: float, max_points: int) -> float:
+    """The p-value the array function ``pvalues`` gives the intersection
+    ``mem`` at member weights w and p-values p, after the checks every
+    public p-value makes of the weights, model, subset and accuracy."""
+    _weight_total(w)
+    model = as_model(corr)
+    mask = np.array([mask_of(mem, model.m)])
+    max_points = _check_accuracy_args(target_error, max_points)
+    row, full = np.zeros((1, model.m)), np.zeros(model.m)
+    row[0, list(mem)], full[list(mem)] = w, p
+    return float(pvalues(row, mask, full, model, seed, target_error, max_points)[0][0])
 
 
 def parametric_pvalue(
@@ -469,8 +484,9 @@ def parametric_pvalue(
     """
     mem, w, p = _check_subset_args(subset, weights, pvalues)
     model = _one_block(mem, corr, "parametric p-value")
+    seed = _check_seed(seed)
     # the one-block case of the per-block minimum
-    return _subsets_estimate(mem, w, p, model, _check_seed(seed), target_error, max_points)[0].value
+    return _one_row(_subsets_pvalues, mem, w, p, model, seed, target_error, max_points)
 
 
 def _one_block(mem: tuple[int, ...], corr, what: str) -> CorrelationModel:
@@ -817,20 +833,12 @@ def xie_pvalue(
     1/total factor, which is the proportional method's defining
     simplification.
     """
-    return _xie_estimate(
-        subset, initial_weights, pvalues, corr, _check_seed(seed), target_error, max_points
-    )[0].value
-
-
-def _xie_estimate(
-    subset, initial_weights, pvalues, corr, seed, target_error, max_points
-) -> tuple[ProbEstimate, bool]:
-    """``xie_pvalue`` as ``_subsets_estimate`` gives it: (estimate, target met)."""
+    seed = _check_seed(seed)
     mem, w, p = _check_subset_args(subset, initial_weights, pvalues)
     if np.any(w <= 0.0):
         raise InputError("proportional method needs strictly positive initial weights")
     model = _one_block(mem, corr, "parametric p-value")
-    return _subsets_estimate(mem, w / w.sum(), p, model, seed, target_error, max_points)
+    return _one_row(_subsets_pvalues, mem, w / w.sum(), p, model, seed, target_error, max_points)
 
 
 def partitioned_common_scale(
@@ -874,27 +882,9 @@ def partitioned_pvalue_subsets(
     its own share of the weight and the smallest block p-value is the
     intersection p-value. No root-finding is involved.
     """
-    return _subsets_estimate(
-        subset, weights, pvalues, corr, _check_seed(seed), target_error, max_points
-    )[0].value
-
-
-def _subsets_estimate(
-    subset, weights, pvalues, corr, seed, target_error, max_points
-) -> tuple[ProbEstimate, bool]:
-    """``partitioned_pvalue_subsets`` with its error and whether every
-    block met its target: ``_union_estimate`` of each block alone, the
-    smallest value, the largest error."""
+    seed = _check_seed(seed)
     mem, w, p = _check_subset_args(subset, weights, pvalues)
-    _weight_total(w)
-    model = as_model(corr)
-    mask = mask_of(mem, model.m)
-    blocks = [
-        _union_estimate([block], w, p, block[4], seed, mask, target_error, max_points)
-        for block in _blocks(mem, w, model) if block[2].size
-    ]
-    value = min(est.value for est, _ in blocks)
-    return ProbEstimate(value, max(est.error for est, _ in blocks)), all(met for _, met in blocks)
+    return _one_row(_subsets_pvalues, mem, w, p, corr, seed, target_error, max_points)
 
 
 def partitioned_pvalue_common(
@@ -915,21 +905,9 @@ def partitioned_pvalue_common(
     involved; the error budget is split across the blocks that sample, as
     in the root solve. For one block it is ``parametric_pvalue``.
     """
-    return _common_estimate(
-        subset, weights, pvalues, corr, _check_seed(seed), target_error, max_points
-    )[0].value
-
-
-def _common_estimate(
-    subset, weights, pvalues, corr, seed, target_error, max_points
-) -> tuple[ProbEstimate, bool]:
-    """``partitioned_pvalue_common`` with its error and whether every
-    block met its share of the target: ``_union_estimate`` of all blocks."""
+    seed = _check_seed(seed)
     mem, w, p = _check_subset_args(subset, weights, pvalues)
-    total = _weight_total(w)
-    model = as_model(corr)
-    mask = mask_of(mem, model.m)
-    return _union_estimate(_blocks(mem, w, model), w, p, total, seed, mask, target_error, max_points)
+    return _one_row(_common_pvalues, mem, w, p, corr, seed, target_error, max_points)
 
 
 def partitioned_subset_scales(

@@ -70,11 +70,12 @@ def iter_masks(m: int) -> Iterator[int]:
     return iter(range(1, 1 << m))
 
 
-def member_table(m: int) -> np.ndarray:
-    """(2^m, m) bools: row mask holds, at column j, whether j is a member
-    of mask. Row 0 is the empty set."""
-    masks = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    return np.unpackbits(masks, axis=1, count=m, bitorder="little").view(bool)
+def member_table(m: int, masks: np.ndarray | None = None) -> np.ndarray:
+    """(n, m) bools: row i holds, at column j, whether j is a member of
+    masks[i]; by default every mask 0 .. 2^m - 1, so row 0 is the empty set."""
+    masks = np.arange(1 << m, dtype="<u4") if masks is None else masks
+    packed = np.ascontiguousarray(masks, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(packed, axis=1, count=m, bitorder="little").view(bool)
 
 
 def _member_sums(full: np.ndarray, inside: np.ndarray | None = None) -> np.ndarray:

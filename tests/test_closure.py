@@ -45,6 +45,7 @@ from closedmtp.mvnorm import (
 )
 from closedmtp.subsets import iter_masks, mask_of, members
 from closedmtp.weighting import GraphSpec, WeightingScheme, scheme_from_graph, xie_scheme
+from per_row_pvalues import ESTIMATES
 
 C_DUNNETT_PAIR = 1.0128226207641466  # (1 - sqrt(0.95)) / 0.025
 
@@ -1204,17 +1205,24 @@ class TestWeightedDunnett:
         # p_k / w_k > 1 / max w for the lightest k, so the heaviest threshold
         # of H_k's adjusted p-value is mathematically 1, though w_j * (1 / w_j)
         # rounds below 1: the union is certain, the p-value exactly 1, and
-        # no rule is fitted for it
+        # nothing is fitted for it. A fit is a rule (the root solve's) or a
+        # batched quadrature fit of the p-values' array pass
+        import closedmtp.intersection as intersection
         import closedmtp.mvnorm as mvnorm
 
         fits = []
-        init = mvnorm.UnionRule.__init__
+        init, batched = mvnorm.UnionRule.__init__, intersection._plackett_fits
 
         def counted(self, *args, **kwargs):
             fits.append(1)
             init(self, *args, **kwargs)
 
+        def counted_batch(u, *args):
+            fits.extend([1] * u.shape[1])
+            return batched(u, *args)
+
         monkeypatch.setattr(mvnorm.UnionRule, "__init__", counted)
+        monkeypatch.setattr(intersection, "_plackett_fits", counted_batch)
         rng = np.random.default_rng(88)
         m = int(rng.integers(2, 6))
         w = rng.dirichlet(np.ones(m) * 3.0)
@@ -1255,14 +1263,14 @@ TUTORIAL_PROBLEM = Path(__file__).resolve().parents[1] / "tutorial" / "trial_pro
 
 def reference_fits(prob, target_error, max_points):
     """(values, errors) of every p_J fitted to the target at max_points:
-    values from the public p-value function, errors from the estimate the
-    closure uses, whose value must be the same float."""
+    values from the public p-value function, errors from the per-row
+    estimate (``per_row_pvalues``), whose value must be the same float."""
     values, errors = [], []
     for mask in iter_masks(prob.m):
         mem = members(mask)
         args = (mem, prob.scheme.weights_for(mask), prob.pvalues[list(mem)], prob.model,
                 prob.seed, target_error, max_points)
-        est, _ = closure_module._METHODS[prob.method].pvalue(*args)
+        est, _ = ESTIMATES[prob.method](*args)
         values.append(PUBLIC_PVALUE[prob.method](*args))
         assert est.value == values[-1]
         errors.append(est.error)
@@ -1354,6 +1362,29 @@ class TestRefineOnlyWhatCanChangeAnAnswer:
         assert [res.p_error for res in rep.intersections] == errors.tolist()
 
 
+def kernel_calls(monkeypatch, prob):
+    """The (mask, block, max_points) of every call ``run_closure`` makes of
+    ``intersection.union_exceedance`` while installed, in call order, each
+    read off its stream: derived_seed(seed, mask, salt), the salt the
+    block's place among the blocks holding a member of the mask."""
+    import closedmtp.intersection as intersection
+
+    streams = {}
+    for mask in iter_masks(prob.m):
+        present = [b for b, block in enumerate(prob.model.blocks) if mask & mask_of(block, prob.m)]
+        for salt, b in enumerate(present):
+            streams[derived_seed(prob.seed, mask, salt)] = (mask, b)
+    calls = []
+    union = intersection.union_exceedance
+
+    def counted(thresholds, corr, seed, target_error, max_points):
+        calls.append((*streams[seed], max_points))
+        return union(thresholds, corr, seed, target_error, max_points)
+
+    monkeypatch.setattr(intersection, "union_exceedance", counted)
+    return calls
+
+
 class TestRefineSaving:
     """Kernel passes counted by wrapping ``_QmcRule._means``, which every
     pass goes through."""
@@ -1363,7 +1394,7 @@ class TestRefineSaving:
 
         prob = next(refine_contract_problems())
         m, alpha, coarse = prob.m, prob.alpha, 1 << 11
-        estimate = closure_module._METHODS["xie"].pvalue
+        estimate = ESTIMATES["xie"]
 
         def fit(mask, points):
             mem = members(mask)
@@ -1390,22 +1421,14 @@ class TestRefineSaving:
         sampled = {mask for mask in iter_masks(m) if len(members(mask)) > MAX_EXACT_DIM}
         assert named and named < sampled
 
-        current, deep = [], set()
-
-        def tagged(mem, *args):
-            current.append(mask_of(mem, m))
-            return estimate(mem, *args)
-
+        calls, deep = kernel_calls(monkeypatch, prob), set()
         means = mvnorm._QmcRule._means
 
         def counted(rule, shifts, start, upper):
             if rule.n > coarse:
-                deep.add(current[-1])
+                deep.add(calls[-1][0])
             return means(rule, shifts, start, upper)
 
-        monkeypatch.setitem(
-            closure_module._METHODS, "xie", dataclasses.replace(closure_module._METHODS["xie"], pvalue=tagged)
-        )
         monkeypatch.setattr(mvnorm._QmcRule, "_means", counted)
         rep = run_closure(prob, compute_scales=False)
         assert deep == named
@@ -1476,10 +1499,10 @@ def array_pass_problems():
 
 
 class TestArrayPvalues:
-    """run_closure's first pass is one array pass over every row whose
-    blocks hold at most MAX_EXACT_DIM active members; it gives each row
-    the floats of the per-row estimate, and only the other rows (and the
-    refits) are fitted one at a time."""
+    """run_closure's first pass is one array pass over every row; it gives
+    each row the floats of the per-row estimate, and only a block of more
+    than MAX_EXACT_DIM active members (first pass and refit) is fitted by
+    a ``union_exceedance`` call of its own."""
 
     @pytest.mark.parametrize("index", range(7))
     def test_every_row_is_the_per_row_floats(self, index):
@@ -1497,25 +1520,19 @@ class TestArrayPvalues:
         # the last case is the first refine problem, which refits some rows
         prob = [*array_pass_problems(), next(refine_contract_problems())][index]
         values, _ = reference_fits(prob, 1e-6, 1 << 16)
-        method = closure_module._METHODS[prob.method]
-        fitted = []
-
-        def counted(mem, *args):
-            fitted.append((mask_of(mem, prob.m), args[-1]))
-            return method.pvalue(mem, *args)
-
-        monkeypatch.setitem(closure_module._METHODS, prob.method, dataclasses.replace(method, pvalue=counted))
+        calls = kernel_calls(monkeypatch, prob)
         rep = run_closure(prob, target_error=1e-6, compute_scales=False)
         rows = prob.scheme.rows
-        large = {
-            mask for mask in iter_masks(prob.m)
-            if max(np.count_nonzero(rows[mask - 1, list(b)]) for b in prob.model.blocks) > MAX_EXACT_DIM
-        }
-        first = {mask for mask, points in fitted if points == 1 << 11}
-        assert first == large and len(first) == len([f for f in fitted if f[1] == 1 << 11])
-        # a row refit at max_points is one of those, and the rest are exact
-        refit = {mask for mask, points in fitted if points == 1 << 16}
-        assert refit <= large and (index < 7 or refit)
+        large = [
+            (mask, b) for mask in iter_masks(prob.m) for b, block in enumerate(prob.model.blocks)
+            if np.count_nonzero(rows[mask - 1, list(block)]) > MAX_EXACT_DIM
+        ]
+        # the first pass fits each larger block once, in mask order
+        assert [(mask, b) for mask, b, points in calls if points == 1 << 11] == large
+        # a block refit at max_points is one of those, and the rest are exact
+        refit = {(mask, b) for mask, b, points in calls if points == 1 << 16}
+        assert refit <= set(large) and (index < 7 or refit)
+        assert all(points in (1 << 11, 1 << 16) for _, _, points in calls)
         got = np.array([res.p_value for res in rep.intersections])
-        exact = np.array([mask not in large for mask in iter_masks(prob.m)])
+        exact = np.array([mask not in {mask for mask, _ in large} for mask in iter_masks(prob.m)])
         assert got[exact].tolist() == values[exact].tolist()

@@ -22,10 +22,11 @@ from closedmtp.intersection import (
     partitioned_subset_scales,
     xie_pvalue,
 )
-from closedmtp.intersection import _array_scales, _block_unions
+from closedmtp.intersection import _array_scales, _block_unions, _common_pvalues
 from closedmtp.mvnorm import MAX_EXACT_DIM, CorrelationMatrix, union_exceedance
 from closedmtp.subsets import mask_of, member_table, members
 from closedmtp.weighting import WeightingScheme, constant_scheme
+from per_row_pvalues import ESTIMATES
 
 TUTORIAL_PROBLEM = Path(__file__).resolve().parents[1] / "tutorial" / "trial_problem.json"
 
@@ -865,7 +866,8 @@ class TestBlockUnions:
         w = rng.dirichlet(np.ones(9), size=n) * (rng.random((n, 9)) < 0.8)
         q = rng.choice([0.0, 0.01, 0.3, 3.0, 40.0], size=(n, 3))
         need = rng.random((n, 3)) < 0.9
-        unions, errors = _block_unions(w, q, need, model, 1e-6)
+        masks = np.full(n, (1 << 9) - 1)
+        unions, errors, _ = _block_unions(w, masks, q, need, model, 0, 1e-6, 1 << 16, False)
         seen = set()
         for row in range(n):
             for b, block in enumerate(model.blocks):
@@ -883,6 +885,46 @@ class TestBlockUnions:
                 assert (unions[row, b], errors[row, b]) == want, (row, b)
                 seen.add((act.size > 1, float(u.max())))
         assert (True, 1.0) in seen and (True, 0.0) in seen
+
+
+class TestArrayPvaluesOfSampledRows:
+    """The array p-values fit a block of more than MAX_EXACT_DIM active
+    members alone and split a row's target across its sampled blocks:
+    the floats of the per-row estimate (``per_row_pvalues``), which also
+    fits the row's smaller blocks at that share of the target."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.6])
+    def test_common_rows_with_two_sampled_blocks(self, rho):
+        # a four-member block with a pair at 0.999: at thresholds near 0.05
+        # its quadrature takes 16 nodes at target 1e-6 and, at half that,
+        # 32 (rho = 0.6) or none, which hands it over to QMC (rho = 0.3)
+        rng = np.random.default_rng(47)
+        m = 18
+        four = np.full((4, 4), rho) + (1.0 - rho) * np.eye(4)
+        four[0, 1] = four[1, 0] = 0.999
+        blocks = (tuple(range(7)), tuple(range(7, 14)), tuple(range(14, 18)))
+        model = CorrelationModel(
+            m, blocks, (random_correlation(rng, 7), random_correlation(rng, 7), CorrelationMatrix(four))
+        )
+        full = (1 << m) - 1
+        masks = np.array([full, full, full & ~(1 << 15), full & ~(1 << 3), full & ~0x3F])
+        rows = np.zeros((len(masks), m))
+        for row, mask in zip(rows, masks):
+            mem = np.array(members(int(mask)))
+            heavy = mem >= 14
+            row[mem] = np.where(heavy, 0.6 / heavy.sum(), 0.4 / (~heavy).sum())
+        # a zero weight leaves its block six active members: it is exact
+        rows[1, 9] = 0.0
+        p = np.minimum(1.0, rows[0] * rng.uniform(0.33, 0.5, size=m))
+        values, errors, met = _common_pvalues(rows, masks, p, model, 3, 1e-6, 1 << 12)
+        for i, (row, mask) in enumerate(zip(rows, masks)):
+            mem = members(int(mask))
+            est, want_met = ESTIMATES["parametric-common"](
+                mem, row[list(mem)], p[list(mem)], model, 3, 1e-6, 1 << 12
+            )
+            assert (values[i], errors[i], met[i]) == (est.value, est.error, want_met), i
+        # rows 0, 2 and 3 hold two sampled blocks, row 1 one
+        assert not met.any() and 0.0 < values.min() and values.max() < 1.0
 
 
 def paired_correlation(k, rho):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import closedmtp
@@ -12,6 +13,16 @@ def test_all_names_resolve():
     missing = [name for name in closedmtp.__all__ if not hasattr(closedmtp, name)]
     assert missing == []
     assert len(set(closedmtp.__all__)) == len(closedmtp.__all__)
+
+
+def test_every_public_name_is_exported():
+    # the modules of the package are not exported; every other name without
+    # a leading underscore is
+    public = {
+        name for name, value in vars(closedmtp).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(closedmtp.__all__)) == []
 
 
 def test_star_import():

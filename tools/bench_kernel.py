@@ -52,12 +52,12 @@ from a fixed seed, so both sides integrate the same problems.
   p-values only): CPU, kernel passes, points, refits, the decisions, and
   sha1 prefixes of the adjusted and of the intersection p-values, which
   show whether two sides agree bit for bit. ``refits`` counts the
-  intersection p-value fits past the first 2^11-point pass, counted by
-  wrapping the method's per-row entry in ``closure._METHODS``; a closure
-  that fits every p-value once to the target reports 0, and one that
-  refits only what can change an answer leaves the other p-values at
-  their first pass, so only the adjusted sha1 should agree between those
-  two.
+  intersection p-values fitted past the first 2^11-point pass: the rows
+  the method's ``pvalues`` entry in ``closure._METHODS`` receives at more
+  than 2^11 points, counted by wrapping it; a closure that fits every
+  p-value once to the target reports 0, and one that refits only what
+  can change an answer leaves the other p-values at their first pass, so
+  only the adjusted sha1 should agree between those two.
 - batched: per k = 3 to 6, Plackett's reduction fitted at target 1e-6
   on 64 random problems (thresholds in 0.001 to 0.05), one
   ``_plackett_fit`` each (alone) and, in a checkout that has it, one
@@ -331,13 +331,14 @@ def closure(target: float, compute_scales: bool) -> dict:
         scheme=xie_scheme(w), model=CorrelationModel.full(corr), pvalues=p, alpha=0.025, method="xie"
     )
     method = closure_module._METHODS["xie"]
+    # (rows, max_points) of every call
     fits = []
 
-    def counted(*args):
-        fits.append(args[-1])
-        return method.pvalue(*args)
+    def counted(rows, *args):
+        fits.append((len(rows), args[-1]))
+        return method.pvalues(rows, *args)
 
-    closure_module._METHODS["xie"] = dataclasses.replace(method, pvalue=counted)
+    closure_module._METHODS["xie"] = dataclasses.replace(method, pvalues=counted)
     try:
         with PassCounter() as count:
             start = time.process_time()
@@ -352,7 +353,7 @@ def closure(target: float, compute_scales: bool) -> dict:
         "cpu_s": round(cpu, 2),
         "passes": count.passes,
         "capped_passes": round(count.points / CAP, 2),
-        "refits": sum(1 for points in fits if points > 1 << 11),
+        "refits": sum(rows for rows, points in fits if points > 1 << 11),
         "rejected": [bool(r) for r in report.rejected],
         "adjusted_sha1": sha1(report.adjusted),
         "pvalues_sha1": sha1([r.p_value for r in report.intersections]),
