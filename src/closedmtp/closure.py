@@ -6,10 +6,11 @@ Every method tests J at local levels c * w_j(J) * alpha, with c = 1
 (Bonferroni), one common c (also for xie, on its one block), or one c
 per correlation block, and gives J the p-value p_J, the smallest alpha
 at which those levels reject J: J is rejected when p_J <= alpha. One
-record per method (``_METHODS``) holds its level and p-value functions
-and what it needs of its inputs; run_closure decides through its
+record per method (``_METHODS``) holds its p-value function, which c it
+solves and what it needs of its inputs; run_closure decides through its
 p-values, decision_thresholds through its levels, both read from one
-table (``_level_table``). Every intersection test, the shortcuts'
+table (``_level_table``), whose every c comes from one call of
+``intersection._scales``. Every intersection test, the shortcuts'
 included, goes through ``intersection``, the only module outside
 ``mvnorm`` that calls the kernel, except Bonferroni's in run_closure,
 which needs no kernel and is one array step over all intersections.
@@ -45,24 +46,22 @@ from .intersection import (
     _check_alpha,
     _check_seed,
     _check_subset_args,
-    _array_scales,
     _common_pvalues,
     _one_block,
     _ratios,
+    _scales,
     _subsets_pvalues,
+    _summable,
     _weight_total,
     _xie_pvalues,
     as_model,
     parametric_c,
     parametric_pvalue,
-    partitioned_common_scale,
-    partitioned_subset_scales,
 )
 from .mvnorm import (
     DEFAULT_MAX_POINTS,
     DEFAULT_ROOT_TOL,
     DEFAULT_TARGET_ERROR,
-    MAX_EXACT_DIM,
     _check_accuracy_args,
     _check_root_tol,
     union_exceedance,  # not called here; perfbench/smoke.py checks that tracing wraps it
@@ -110,31 +109,21 @@ def _check_shortcut(weights, pvalues, corr, alpha: float, label: str):
 class _Method:
     """What one method does to test an intersection.
 
-    ``levels`` maps (members, weights, alpha, model, seed, target_error,
-    root_tol, max_points) to the scalings of the local levels, as
-    ((members, c), ...) per correlation block or for the whole
-    intersection, and looks the scale functions up in this module's
-    globals per call, so wrappers on those bindings (tracing) see every
-    call; bonferroni's levels are alpha * w and need none. ``pvalues``
-    maps (weight rows, 0.0 off the members, their masks, p-values, model,
-    seed, target_error, max_points) to those intersections' p-values, as
-    arrays (values, errors, whether every fit met its target, in which
-    case a fit capped at _COARSE_POINTS gives what one at any larger
-    max_points would): the one p-value path, which ``intersection``'s
-    public p-value functions call on one row. ``scales``: "one" (c = 1),
-    "common" (one c per intersection) or "block" (one c per correlation
-    block). ``proportional``: needs a proportional scheme, correlation
-    known.
+    ``pvalues`` maps (weight rows, 0.0 off the members, their masks,
+    p-values, model, seed, target_error, max_points) to those
+    intersections' p-values, as arrays (values, errors, whether every fit
+    met its target, in which case a fit capped at _COARSE_POINTS gives
+    what one at any larger max_points would): the one p-value path, which
+    ``intersection``'s public p-value functions call on one row.
+    ``scales``: "one" (c = 1), "common" (one c per intersection) or
+    "block" (one c per correlation block), solved by
+    ``intersection._scales``, the one scale path. ``proportional``: needs
+    a proportional scheme, correlation known.
     """
 
-    levels: Callable | None
     pvalues: Callable
     scales: str
     proportional: bool = False
-
-
-def _common_scale(mem, *args):
-    return ((mem, partitioned_common_scale(mem, *args)),)
 
 
 def _bonferroni_pvalues(rows: np.ndarray, masks, p: np.ndarray, *_) -> tuple[np.ndarray, ...]:
@@ -147,10 +136,10 @@ def _bonferroni_pvalues(rows: np.ndarray, masks, p: np.ndarray, *_) -> tuple[np.
 
 
 _METHODS = {
-    "bonferroni": _Method(None, _bonferroni_pvalues, "one"),
-    "parametric-common": _Method(_common_scale, _common_pvalues, "common"),
-    "parametric-subsets": _Method(lambda *args: partitioned_subset_scales(*args), _subsets_pvalues, "block"),
-    "xie": _Method(_common_scale, _xie_pvalues, "common", proportional=True),
+    "bonferroni": _Method(_bonferroni_pvalues, "one"),
+    "parametric-common": _Method(_common_pvalues, "common"),
+    "parametric-subsets": _Method(_subsets_pvalues, "block"),
+    "xie": _Method(_xie_pvalues, "common", proportional=True),
 }
 # the method names every entry point accepts
 METHODS = tuple(_METHODS)
@@ -375,36 +364,18 @@ def _level_table(scheme, model, alpha: float, method: _Method, solve: tuple):
     the local level c * alpha * w_j (-1.0 off the members) and the scaling
     c of j's block or of the whole intersection. ``solve`` is (seed,
     target_error, root_tol, max_points); the weights are checked as each
-    intersection test checks its own (``_invalid_masks``). A row in which
-    no block holds two positive-weight members has scale 1; the rows in
-    which none holds more than MAX_EXACT_DIM are solved in one array pass
-    (``_array_scales``); only a row with a larger block, or one that pass
-    leaves NaN, calls the method's levels for its scalings, in mask
-    order. Every level is then (c * alpha) * w_j, in one array step.
+    intersection test checks its own (``_invalid_masks``). Every scaling
+    but bonferroni's 1 comes from one ``_scales`` call over the table;
+    every level is then (c * alpha) * w_j, in one array step.
     """
     for mask in _invalid_masks(scheme)[:1].tolist():  # raise the intersection tests' error
         _check_subset_args(members(mask), scheme.table[mask])
         _weight_total(scheme.table[mask])
-    masks = np.arange(1, 1 << scheme.m)
     inside = member_table(scheme.m)[1:]
     t = np.where(inside, scheme.rows, -1.0)
-    # per row, the most positive-weight members any block holds
-    most = np.zeros(len(t), dtype=int)
-    if method.scales != "one":
-        positive = t > 0.0
-        for block in model.blocks:
-            if len(block) > 1:
-                np.maximum(most, positive[:, list(block)].sum(axis=1), out=most)
     scale = np.ones(t.shape)
-    batched = np.flatnonzero((most > 1) & (most <= MAX_EXACT_DIM))
-    common = method.scales == "common"
-    if batched.size:
-        scale[batched] = _array_scales(t[batched], model, alpha, common, solve[1], solve[2])
-    # a row the pass could not settle is solved alone, to raise its error in mask order
-    alone = (most > MAX_EXACT_DIM) | np.isnan(scale).any(axis=1)
-    for mask in masks[alone].tolist():
-        for block, c in method.levels(members(mask), scheme.table[mask], alpha, model, *solve):
-            scale[mask - 1, list(block)] = c
+    if method.scales != "one":
+        scale = _scales(t, np.arange(1, 1 << scheme.m), model, alpha, method.scales == "common", *solve)
     np.multiply(scale * alpha, t, out=t, where=inside)
     return t, scale
 
@@ -510,6 +481,7 @@ def xie_shortcut(
     makes the greedy chain's p-values dominate all other intersections.
     """
     model, w0, p = _check_shortcut(initial_weights, pvalues, corr, alpha, "initial weights")
+    w0 = _summable(w0)
     seed = _check_seed(seed)
     m = model.m
     # the checks xie_pvalue makes of the full set, the chain's first step

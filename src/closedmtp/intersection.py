@@ -29,17 +29,17 @@ the shortcut on its chain and each public p-value function on one row.
 A block with one active member makes no kernel call: its union is its
 threshold. A block of more than MAX_EXACT_DIM active members is one
 kernel call on a random stream salted by the block's place among the
-blocks that meet the subset: a subset inside one block gets salt 0, the
-whole subset's. ``_blocks`` numbers a subset's blocks the same way for
-the root solves. Every critical scaling is one root solve over per-block
-unions (``_solve_scale``), or, for the rows of a threshold table in
-which every block holds at most MAX_EXACT_DIM active members, the same
-solve run for all of them in one array pass (``_solve_scales``); both
-run the one bracket search (``_bracket_scales``) and Illinois loop
-(``_illinois``). The array p-values and the array scales gather their
-blocks' problems the same way (``_problems``). This
-module is the only one outside ``mvnorm`` that calls the kernel: the closure,
-its shortcuts and the simulation test intersections through the functions here.
+blocks that meet the subset (``_group``; a subset inside one block gets
+salt 0, the whole subset's). Every critical scaling comes from one path,
+``_scales``, on a table's rows or on one row: one array pass
+(``_solve_scales``) solves every problem whose blocks hold at most
+MAX_EXACT_DIM active members, and one root solve over per-block unions
+(``_solve_scale``) each other one, with the same bracket search
+(``_bracket_scales``) and Illinois loop (``_illinois``). The array
+p-values and scales gather their blocks' problems alike (``_problems``).
+This module is the only one outside ``mvnorm`` that calls the kernel:
+the closure, its shortcuts and the simulation test intersections
+through the functions here.
 """
 
 from __future__ import annotations
@@ -264,29 +264,6 @@ def bonferroni_pvalue(subset, weights, pvalues) -> float:
         return float(min(1.0, np.min(p[act] / w[act])))
 
 
-def _blocks(mem: tuple[int, ...], w: np.ndarray, model: CorrelationModel) -> list[tuple]:
-    """The subset split by correlation block, in block order: per block
-    (salt, block members, positions in ``mem`` of its active (positive-
-    weight) members, their correlation, None for fewer than two, weight
-    total of all its members). The salt is the block's place in this list.
-    ``mem`` must be ascending and inside the model, as every caller's
-    ``mask_of`` checks."""
-    groups: dict[int, list[int]] = {}
-    for i, h in enumerate(model._block_of[list(mem)].tolist()):
-        groups.setdefault(h, []).append(i)
-    positive = (w > 0.0).tolist()
-    out = []
-    for salt, h in enumerate(sorted(groups)):
-        idx = groups[h]
-        act = [i for i in idx if positive[i]]
-        corr = None
-        if len(act) > 1:
-            corr = model.matrices[h].submatrix(model._pos[[mem[i] for i in act]])
-        total = float(w[idx[0]]) if len(idx) == 1 else float(w[idx].sum())
-        out.append((salt, tuple(mem[i] for i in idx), np.array(act, dtype=int), corr, total))
-    return out
-
-
 def _ratios(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     """p_j / w_j per row of a weight table (n, m; 0.0 off the members),
     inf where w_j is not positive; a ratio past the float range is inf."""
@@ -316,6 +293,17 @@ def _problems(values: np.ndarray, live: np.ndarray, model: CorrelationModel) -> 
         k: tuple(None if x[0] is None else np.concatenate(x) for x in zip(*part))
         for k, part in parts.items() if part
     }
+
+
+def _group(row: np.ndarray, mask: int, model: CorrelationModel, b: int) -> tuple:
+    """(salt, correlation, None for fewer than two, weights) of the
+    positive-weight members of block b in the weight row ``row`` of the
+    subset ``mask``: the salt is the block's place among the blocks that
+    meet the mask, zero-weight members included."""
+    mem = np.array(model.blocks[b])
+    act = np.flatnonzero(row[mem] > 0.0)
+    salt = sum(1 for other in model.blocks[:b] if any(mask >> j & 1 for j in other))
+    return salt, model.matrices[b].submatrix(act) if act.size > 1 else None, row[mem[act]]
 
 
 def _block_unions(w, masks, q, need, model: CorrelationModel, seed: int, target_error: float,
@@ -374,14 +362,12 @@ def _block_unions(w, masks, q, need, model: CorrelationModel, seed: int, target_
             # no node count: the quadrature hands over to QMC
             alone[rows[np.isnan(value)], blocks[np.isnan(value)]] = True
         unions[rows, blocks], errors[rows, blocks] = value, error
-    bits = [sum(1 << j for j in mem) for mem in model.blocks]
     for row, b in zip(*np.nonzero(alone)):
-        mask, cols = int(masks[row]), np.array(model.blocks[b])
-        act = np.flatnonzero(w[row, cols] > 0.0)
+        mask = int(masks[row])
+        salt, corr, wb = _group(w[row], mask, model, b)
         est = union_exceedance(
-            np.minimum(1.0, w[row, cols[act]] * q[row, b]), model.matrices[b].submatrix(act),
-            derived_seed(seed, mask, sum(1 for bit in bits[:b] if mask & bit)),
-            block_error[row], max_points,
+            np.minimum(1.0, wb * q[row, b]), corr, derived_seed(seed, mask, salt), block_error[row],
+            max_points,
         )
         unions[row, b], errors[row, b] = est.value, est.error
     return unions, errors, (errors <= block_error[:, None]).all(axis=1)
@@ -417,17 +403,18 @@ def _subsets_pvalues(rows, masks, p, model: CorrelationModel, seed, target_error
     the largest error."""
     shape = (len(rows), len(model.blocks))
     q, has, saturated = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    totals, inside = np.empty(shape), member_table(rows.shape[1], masks)
     for b, mem in enumerate(model.blocks):
         top = rows[:, list(mem)].max(axis=1)
         q[:, b] = _ratios(rows[:, list(mem)], p[list(mem)]).min(axis=1)
         has[:, b] = top > 0.0
         with np.errstate(divide="ignore"):
             saturated[:, b] = has[:, b] & (q[:, b] >= 1.0 / top)
+        # the block's weight total, the float w.sum() gives on its members; 1.0 with none active
+        totals[:, b] = np.where(has[:, b], _member_sums(rows[:, list(mem)], inside[:, list(mem)]), 1.0)
     unions, errors, met = _block_unions(
         rows, masks, q, has & ~saturated, model, seed, target_error, max_points, False
     )
-    # the blocks' weight totals, 1.0 where a block has no active member
-    totals = np.where(has, _block_totals(rows, member_table(rows.shape[1], masks), model), 1.0)
     value, error = np.full(len(rows), np.inf), np.zeros(len(rows))
     for b in range(len(model.blocks)):
         total, sat, off = totals[:, b], saturated[:, b], ~has[:, b]
@@ -435,15 +422,6 @@ def _subsets_pvalues(rows, masks, p, model: CorrelationModel, seed, target_error
         value = np.minimum(value, np.where(off, np.inf, block))
         error = np.maximum(error, np.where(sat | off, 0.0, errors[:, b] / total))
     return value, error, met
-
-
-def _block_totals(w: np.ndarray, inside: np.ndarray, model: CorrelationModel) -> np.ndarray:
-    """(n, B): per row of a weight table (n, m) and block of ``model``, the
-    total weight of the block's members (where ``inside`` holds), the
-    float ``_blocks`` sums."""
-    return np.stack(
-        [_member_sums(w[:, list(mem)], inside[:, list(mem)]) for mem in model.blocks], axis=1
-    )
 
 
 def _xie_pvalues(rows, masks, p, model: CorrelationModel, seed, target_error, max_points):
@@ -555,38 +533,34 @@ def _solve_scale(
     seed: int, mask: int, target_error: float, root_tol: float, max_points: int,
 ) -> float:
     """Smallest c >= 1 at which the per-block unions at thresholds
-    c*alpha*w sum to the target.
+    c*alpha*w sum to the target: one problem that the array pass of
+    ``_scales`` does not settle, its arguments checked there.
 
-    groups holds (salt, correlation, active weights) per block; a block
-    with one active member has no correlation and no rule: its union is
-    its threshold min(1, c*alpha*w), exact, and when every block has at
-    most one the equation is linear and c = 1. Every other block gets one
-    UnionRule kept fixed while c moves, so the sum is a deterministic,
-    continuous function of c; the QMC error budget is split across the
-    blocks that sample. The sum reads each rule's value alone
-    (``UnionRule.value``); only the closing check below reads errors.
+    groups holds (salt, correlation, active weights) per block, at least
+    one with a correlation; a block with one active member has none and
+    no rule: its union is its threshold min(1, c*alpha*w), exact. Every
+    other block gets one UnionRule kept fixed while c moves, so the sum is
+    a deterministic, continuous function of c; the QMC error budget is
+    split across the blocks that sample. The sum reads each rule's value
+    alone (``UnionRule.value``); only the closing check below reads errors.
 
     The rules are first fitted at c = 1, capped at _COARSE_POINTS (the
-    first pass of any fit). When every block is exact, max_points is at
-    most _COARSE_POINTS, or every sampled rule meets its error target,
-    these are the full rules, and the bracket search and Illinois steps
-    of a table's array pass, run on this one problem, find the root.
-    Otherwise that solve runs on them as coarse rules; the full rules are
-    fitted at the coarse root c0, whose estimate is the sum at c0, and
-    secant steps starting along the coarse slope polish the root (the
-    bracketed solve takes over if they do not settle). The solved c is
-    checked against one independent re-estimate (salt + _CHECK_SALT) while
-    some sampled rule is below max_points; a miss beyond the combined
-    error refines every such rule and solves again.
+    first pass of any fit). When max_points is at most _COARSE_POINTS or
+    every sampled rule meets its error target (or none samples, as in a
+    problem the pass left NaN for a threshold or a bracket), these are
+    the full rules, and the bracket search and Illinois steps of the array
+    pass, run on this one problem, find the root or raise. Otherwise that
+    solve runs on them as coarse rules; the full rules are fitted at the
+    coarse root c0, whose estimate is the sum at c0, and secant steps
+    starting along the coarse slope polish the root (the bracketed solve
+    takes over if they do not settle). The solved c is checked against one
+    independent re-estimate (salt + _CHECK_SALT) while some sampled rule
+    is below max_points; a miss beyond the combined error refines every
+    such rule and solves again.
 
     The sum at c=1 never exceeds the target (Bonferroni inequality), so
     an estimate already at or above it means c=1 within noise.
     """
-    # checked before the linear case returns, so every entry checks them
-    max_points = _check_accuracy_args(target_error, max_points)
-    root_tol = _check_root_tol(root_tol)
-    if all(corr is None for _, corr, _ in groups):
-        return 1.0
     sampled = sum(1 for _, _, w in groups if w.size > MAX_EXACT_DIM)
     block_error = target_error / max(sampled, 1)
     w_active = np.concatenate([w for _, _, w in groups])
@@ -766,32 +740,65 @@ def _solve_scales(parts: dict[int, tuple], target, alpha: float, target_error: f
     return c
 
 
-def _array_scales(w, model: CorrelationModel, alpha: float, common: bool, target_error: float, root_tol: float):
-    """The scales of weight-table rows (n, m; non-members -1) in which no
-    block holds more than MAX_EXACT_DIM positive-weight members, in one
-    ``_solve_scales`` pass over the blocks ``_problems`` gathers: with
-    ``common`` each row's common scaling as an (n, 1) column, else each
-    member's block scaling (n, m); NaN where the pass cannot settle a row."""
-    inside = w >= 0.0
-    parts = _problems(w, w > 0.0, model)
-    if common:
-        # the weight total over the members, as _weight_total sums them
-        total = _member_sums(w, inside)
-        return _solve_scales(parts, alpha * total, alpha, target_error, root_tol)[:, None]
-    # each block of two or more active members is a problem of its own,
-    # numbered in the order of ``parts``
-    own, rows, blocks, start = {}, [], [], 0
-    for k, (rk, bk, wk, corr) in parts.items():
-        if k > 1:
-            own[k] = (np.arange(start, start + rk.size), np.zeros(rk.size, dtype=int), wk, corr)
-            rows.append(rk)
-            blocks.append(bk)
-            start += rk.size
-    rows, blocks = np.concatenate(rows), np.concatenate(blocks)
-    totals = _block_totals(w, inside, model)[rows, blocks]
-    scales = np.ones((len(w), len(model.blocks)))
-    scales[rows, blocks] = _solve_scales(own, alpha * totals, alpha, target_error, root_tol)
-    return scales[:, model._block_of]
+def _scales(w, masks, model: CorrelationModel, alpha: float, common: bool, seed: int,
+            target_error: float, root_tol: float, max_points: int) -> np.ndarray:
+    """The scalings of the local levels of every row of a weight table w
+    (n, m; -1 off the members of its mask in ``masks``), per hypothesis
+    (n, m): with ``common`` one per row, pinning the sum of its blocks'
+    unions to alpha times its weight total, else one per block, pinning
+    the block's union to alpha times the block's weight total; the caller
+    checks the arguments. A problem (a row, or a (row, block)) in which no
+    block holds two positive-weight members scales by 1. Those in which
+    none holds more than MAX_EXACT_DIM are solved in one ``_solve_scales``
+    pass; every other one, and each the pass leaves NaN, alone by
+    ``_solve_scale``, in mask order, then block order."""
+    inside, positive = w >= 0.0, w > 0.0
+    # each block's column of problems: the one of a common scaling, or one
+    # per block of two or more members, then one, holding none, for the rest
+    multi = np.array([len(mem) > 1 for mem in model.blocks])
+    col = np.zeros(multi.size, dtype=int) if common else np.where(multi, np.cumsum(multi) - 1, multi.sum())
+    # per row and column, the most positive-weight members one block holds
+    counts = np.zeros((len(w), col.max() + 1), dtype=int)
+    for b in np.flatnonzero(multi).tolist():
+        counts[:, col[b]] = np.maximum(counts[:, col[b]], positive[:, list(model.blocks[b])].sum(axis=1))
+    several, exact = counts > 1, (counts > 1) & (counts <= MAX_EXACT_DIM)
+    column = col[model._block_of]
+    # the weight totals the problems pin: the float w.sum() gives on their members
+    totals = np.ones(counts.shape)
+    for i in range(counts.shape[1]):
+        need = np.flatnonzero(several[:, i])
+        totals[need, i] = _member_sums(w[need], inside[need] & (column == i))
+    scales = np.ones(counts.shape)
+    rows, cols = np.nonzero(exact)
+    if rows.size:
+        # each problem's number in the pass, in row-major order; a row's
+        # blocks are the terms of its common sum, a block a problem of its own
+        number = np.cumsum(exact).reshape(exact.shape) - 1
+        parts = {
+            k: (number[r, col[b]], b if common else np.zeros_like(b), wk, corr)
+            for k, (r, b, wk, corr) in _problems(w, positive & exact[:, column], model).items()
+        }
+        scales[rows, cols] = _solve_scales(parts, alpha * totals[rows, cols], alpha, target_error, root_tol)
+    for row, i in zip(*np.nonzero(several & (~exact | np.isnan(scales)))):
+        mask = int(masks[row])
+        # the column's blocks that hold a positive weight
+        groups = [g for g in (_group(w[row], mask, model, b) for b in np.flatnonzero(col == i)) if g[2].size]
+        scales[row, i] = _solve_scale(groups, alpha * totals[row, i], alpha, seed, mask, target_error,
+                                      root_tol, max_points)
+    return scales[:, column]
+
+
+def _one_scale(mem, w, alpha: float, model: CorrelationModel, common: bool, seed, target_error: float,
+               root_tol: float, max_points: int) -> np.ndarray:
+    """The scalings ``_scales`` gives the one row ``mem`` at member weights
+    w, per hypothesis, after the public scale functions' checks."""
+    mask = mask_of(mem, model.m)
+    seed = _check_seed(seed)
+    max_points = _check_accuracy_args(target_error, max_points)
+    root_tol = _check_root_tol(root_tol)
+    row = np.full((1, model.m), -1.0)
+    row[0, list(mem)] = w
+    return _scales(row, np.array([mask]), model, alpha, common, seed, target_error, root_tol, max_points)[0]
 
 
 def parametric_c(
@@ -817,6 +824,12 @@ def parametric_c(
     )
 
 
+def _summable(w: np.ndarray) -> np.ndarray:
+    """w, or w over its largest entry where w.sum() overflows."""
+    with np.errstate(over="ignore"):
+        return w if np.isfinite(w.sum()) else w / w.max()
+
+
 def xie_pvalue(
     subset,
     initial_weights,
@@ -838,6 +851,7 @@ def xie_pvalue(
     if np.any(w <= 0.0):
         raise InputError("proportional method needs strictly positive initial weights")
     model = _one_block(mem, corr, "parametric p-value")
+    w = _summable(w)
     return _one_row(_subsets_pvalues, mem, w / w.sum(), p, model, seed, target_error, max_points)
 
 
@@ -857,16 +871,10 @@ def partitioned_common_scale(
     equation is linear and c = 1 exactly.
     """
     mem, w = _check_subset_args(subset, weights)
-    total = _weight_total(w)
+    _weight_total(w)
     _check_alpha(alpha)
-    model = as_model(corr)
-    mask = mask_of(mem, model.m)
-    groups = [
-        (salt, corr_act, w[act]) for salt, _, act, corr_act, _ in _blocks(mem, w, model) if act.size
-    ]
-    return _solve_scale(
-        groups, alpha * total, alpha, _check_seed(seed), mask, target_error, root_tol, max_points
-    )
+    scales = _one_scale(mem, w, alpha, as_model(corr), True, seed, target_error, root_tol, max_points)
+    return float(scales[mem[0]])
 
 
 def partitioned_pvalue_subsets(
@@ -932,11 +940,6 @@ def partitioned_subset_scales(
     _check_alpha(alpha)
     seed = _check_seed(seed)
     model = as_model(corr)
-    mask = mask_of(mem, model.m)
-    return tuple(
-        (block_mem, _solve_scale(
-            [(salt, corr_act, w[act])], alpha * total, alpha, seed, mask,
-            target_error, root_tol, max_points,
-        ))
-        for salt, block_mem, act, corr_act, total in _blocks(mem, w, model)
-    )
+    scales = _one_scale(mem, w, alpha, model, False, seed, target_error, root_tol, max_points)
+    split = (tuple(j for j in block if j in mem) for block in model.blocks)
+    return tuple((inner, float(scales[inner[0]])) for inner in split if inner)

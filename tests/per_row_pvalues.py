@@ -1,27 +1,43 @@
-"""The closure's intersection p-values computed one intersection at a
-time: an oracle for the array p-values in ``closedmtp.intersection``.
+"""The closure's intersection p-values and critical scalings computed
+one intersection at a time: an oracle for the array p-values and the
+array scales in ``closedmtp.intersection``.
 
-Each estimate gives (ProbEstimate, whether every kernel fit met its
-target). A subset is split by correlation block (``_blocks``); every
-block with two or more active members is one ``union_exceedance`` call at
-thresholds w_j * q on the stream derived_seed(seed, mask, salt), the salt
-the block's place in the split. The kernel is called through
+A subset is split by correlation block (``_blocks``), each block salted
+by its place in the split. Each p-value estimate gives (ProbEstimate,
+whether every kernel fit met its target): every block with two or more
+active members is one ``union_exceedance`` call at thresholds w_j * q on
+the stream derived_seed(seed, mask, salt). The kernel is called through
 ``closedmtp.mvnorm``, so a wrapper on ``closedmtp.intersection``'s
-binding counts only the library's own calls.
+binding counts only the library's own calls. Each scale (``common_scale``,
+``subset_scales``) is 1 where no block holds two active members, the
+equation being linear there, and otherwise one call of
+``closedmtp.intersection._solve_scale`` on the split's blocks.
 """
 
 import numpy as np
 
+import closedmtp.intersection as intersection
 from closedmtp.exceptions import InputError
 from closedmtp.intersection import (
     CorrelationModel,
+    _check_alpha,
+    _check_seed,
     _check_subset_args,
     _one_block,
     _weight_total,
     as_model,
     derived_seed,
 )
-from closedmtp.mvnorm import MAX_EXACT_DIM, ProbEstimate, _check_accuracy_args, union_exceedance
+from closedmtp.mvnorm import (
+    DEFAULT_MAX_POINTS,
+    DEFAULT_ROOT_TOL,
+    DEFAULT_TARGET_ERROR,
+    MAX_EXACT_DIM,
+    ProbEstimate,
+    _check_accuracy_args,
+    _check_root_tol,
+    union_exceedance,
+)
 from closedmtp.subsets import mask_of
 
 
@@ -133,3 +149,56 @@ ESTIMATES = {
     "parametric-common": _common_estimate,
     "parametric-subsets": _subsets_estimate,
 }
+
+
+def _solve(groups, target, alpha, seed, mask, target_error, root_tol, max_points) -> float:
+    """c = 1 when no block of ``groups`` ((salt, correlation, active
+    weights) each) has a correlation, else ``_solve_scale``'s root."""
+    if all(corr is None for _, corr, _ in groups):
+        return 1.0
+    return intersection._solve_scale(
+        groups, target, alpha, seed, mask, target_error, root_tol, max_points
+    )
+
+
+def _scale_args(subset, weights, alpha, corr, seed, target_error, root_tol, max_points):
+    """(members, weights, model, mask, seed, max_points, root_tol), after
+    the checks the public scale functions make."""
+    mem, w = _check_subset_args(subset, weights)
+    _weight_total(w)
+    _check_alpha(alpha)
+    model = as_model(corr)
+    mask = mask_of(mem, model.m)
+    seed = _check_seed(seed)
+    max_points = _check_accuracy_args(target_error, max_points)
+    return mem, w, model, mask, seed, max_points, _check_root_tol(root_tol)
+
+
+def common_scale(
+    subset, weights, alpha, corr, seed=0, target_error=DEFAULT_TARGET_ERROR,
+    root_tol=DEFAULT_ROOT_TOL, max_points=DEFAULT_MAX_POINTS,
+) -> float:
+    """``partitioned_common_scale`` solved alone: one root over the sum
+    of the unions of every block with an active member."""
+    mem, w, model, mask, seed, max_points, root_tol = _scale_args(
+        subset, weights, alpha, corr, seed, target_error, root_tol, max_points
+    )
+    groups = [(salt, c, w[act]) for salt, _, act, c, _ in _blocks(mem, w, model) if act.size]
+    return _solve(groups, alpha * float(w.sum()), alpha, seed, mask, target_error, root_tol, max_points)
+
+
+def subset_scales(
+    subset, weights, alpha, corr, seed=0, target_error=DEFAULT_TARGET_ERROR,
+    root_tol=DEFAULT_ROOT_TOL, max_points=DEFAULT_MAX_POINTS,
+) -> tuple:
+    """``partitioned_subset_scales`` solved alone: ((block members, c),
+    ...) over the blocks meeting the subset, each block's root at its
+    own weight total."""
+    mem, w, model, mask, seed, max_points, root_tol = _scale_args(
+        subset, weights, alpha, corr, seed, target_error, root_tol, max_points
+    )
+    return tuple(
+        (block, _solve([(salt, c, w[act])], alpha * total, alpha, seed, mask, target_error, root_tol,
+                       max_points))
+        for salt, block, act, c, total in _blocks(mem, w, model)
+    )

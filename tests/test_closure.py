@@ -1,15 +1,14 @@
 """Tests for the closed procedure, consonance check and the two shortcuts."""
 
-import dataclasses
 import re
 import signal
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import closedmtp.closure as closure_module
 from closedmtp import fileio
 from closedmtp.closure import (
     METHODS,
@@ -45,7 +44,7 @@ from closedmtp.mvnorm import (
 )
 from closedmtp.subsets import iter_masks, mask_of, members
 from closedmtp.weighting import GraphSpec, WeightingScheme, scheme_from_graph, xie_scheme
-from per_row_pvalues import ESTIMATES
+from per_row_pvalues import ESTIMATES, common_scale, subset_scales
 
 C_DUNNETT_PAIR = 1.0128226207641466  # (1 - sqrt(0.95)) / 0.025
 
@@ -404,8 +403,8 @@ class TestRunClosureParametric:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_compute_scales_off_skips_levels(self, monkeypatch, method):
-        # every method decides by its p-values, so none needs a scale function
-        import closedmtp.closure as closure
+        # every method decides by its p-values, so none needs a root solve
+        import closedmtp.intersection as intersection
 
         prob = TestProblem(
             scheme=xie_scheme((0.5, 0.5)),
@@ -416,10 +415,10 @@ class TestRunClosureParametric:
         )
         with_levels = run_closure(prob)
         calls = []
-        for name in ("partitioned_common_scale", "partitioned_subset_scales"):
-            scale = getattr(closure, name)
+        for name in ("_solve_scale", "_solve_scales"):
+            solve = getattr(intersection, name)
             monkeypatch.setattr(
-                closure, name, lambda *args, scale=scale: calls.append(1) or scale(*args)
+                intersection, name, lambda *args, solve=solve: calls.append(1) or solve(*args)
             )
         rep = run_closure(prob, compute_scales=False)
         assert calls == []
@@ -603,16 +602,16 @@ def random_graph_scheme(rng, m):
 
 
 def subset_levels(method, mem, w, alpha, model, *solve):
-    """(scale, block scales, local levels) of one subset from the
-    method's scale function called on that subset alone: c = 1
-    (bonferroni), one common c, or one c per block."""
+    """(scale, block scales, local levels) of one subset from the per-row
+    scale oracle called on that subset alone: c = 1 (bonferroni), one
+    common c, or one c per block."""
     if method == "bonferroni":
         return 1.0, None, alpha * w
     if method == "parametric-subsets":
-        scales = partitioned_subset_scales(mem, w, alpha, model, *solve)
+        scales = subset_scales(mem, w, alpha, model, *solve)
         scale_of = {j: c for block, c in scales for j in block}
         return None, scales, np.array([scale_of[j] * alpha * wj for j, wj in zip(mem, w)])
-    c = partitioned_common_scale(mem, w, alpha, model, *solve)
+    c = common_scale(mem, w, alpha, model, *solve)
     return c, None, c * alpha * w
 
 
@@ -820,10 +819,12 @@ class TestThresholdWeightChecks:
 
 
 class TestThresholdSaving:
-    """The table's saving, by counts: a row in which no block holds more
-    than MAX_EXACT_DIM positive-weight members is solved in one array
-    pass, with no call of the method's levels and no kernel rule; only a
-    row with a larger block calls the levels, once."""
+    """The table's saving, by counts: a problem in which no block holds
+    more than MAX_EXACT_DIM positive-weight members is solved in one array
+    pass (``_solve_scales``), with no root solve alone (``_solve_scale``)
+    and no kernel rule; only a problem with a larger block is solved
+    alone, once: the row for a common scaling, the block for per-block
+    scalings."""
 
     PAIR = (2, 5)
     TRIPLE = (2, 5, 6)
@@ -838,22 +839,31 @@ class TestThresholdSaving:
         return scheme, model
 
     @staticmethod
-    def counted_levels(monkeypatch, name):
-        method = closure_module._METHODS[name]
-        calls = []
+    def counted_solves(monkeypatch):
+        """(per ``_solve_scale`` call its mask and the sizes of its
+        blocks' active weights, per ``_solve_scales`` call its problems)."""
+        import closedmtp.intersection as intersection
 
-        def counted(mem, *args):
-            calls.append(mem)
-            return method.levels(mem, *args)
+        alone, batched = [], []
+        solve, solves = intersection._solve_scale, intersection._solve_scales
 
-        monkeypatch.setitem(closure_module._METHODS, name, dataclasses.replace(method, levels=counted))
-        return calls
+        def counted(groups, *args):
+            alone.append((args[3], [w.size for _, _, w in groups]))
+            return solve(groups, *args)
+
+        def counted_pass(parts, target, *args):
+            batched.append(target.size)
+            return solves(parts, target, *args)
+
+        monkeypatch.setattr(intersection, "_solve_scale", counted)
+        monkeypatch.setattr(intersection, "_solve_scales", counted_pass)
+        return alone, batched
 
     @pytest.mark.parametrize("block", [PAIR, TRIPLE], ids=["pair", "triple"])
     @pytest.mark.parametrize("method", ["parametric-common", "parametric-subsets"])
     def test_closed_form_rows_call_no_levels_and_build_no_rule(self, monkeypatch, method, block):
         scheme, model = self.problem(block)
-        calls = self.counted_levels(monkeypatch, method)
+        alone, batched = self.counted_solves(monkeypatch)
         builds = []
         build = UnionRule.__init__
 
@@ -863,9 +873,11 @@ class TestThresholdSaving:
 
         monkeypatch.setattr(UnionRule, "__init__", counted)
         t = decision_thresholds(scheme, model, 0.025, method)
-        assert calls == [] and builds == []
         # the subsets holding the block were solved: their scale exceeds 1
         holding = [mask for mask in iter_masks(8) if set(block) <= set(members(mask))]
+        # one problem per row holding two members of the block at least
+        several = [mask for mask in iter_masks(8) if len(set(block) & set(members(mask))) > 1]
+        assert alone == [] and builds == [] and batched == [len(several)]
         assert all(t[mask - 1, 2] > 0.025 * scheme.weights_for(mask)[members(mask).index(2)]
                    for mask in holding)
 
@@ -874,13 +886,13 @@ class TestThresholdSaving:
         # the closure takes its levels from the table, whose pair rows the
         # array pass solves
         scheme, model = self.problem(self.PAIR)
-        calls = self.counted_levels(monkeypatch, method)
+        alone, batched = self.counted_solves(monkeypatch)
         problem = TestProblem(
             scheme=scheme, model=model, pvalues=np.linspace(0.001, 0.04, 8), alpha=0.025,
             method=method,
         )
         report = run_closure(problem)
-        assert calls == []
+        assert alone == [] and batched == [1 << 6]
         full = report.intersections[-1]
         if method == "parametric-common":
             assert full.scale > 1.0
@@ -889,28 +901,31 @@ class TestThresholdSaving:
 
     def test_rows_holding_a_block_of_seven_call_levels_once(self, monkeypatch):
         # every weight is positive, so the rows holding all of the block
-        # hold seven active members, past the array pass
+        # hold seven active members, past the array pass; per-block
+        # scalings solve the block alone, a common one the whole row
         seven = tuple(range(MAX_EXACT_DIM + 1))
         scheme, model = self.problem(seven)
-        holding = [members(mask) for mask in iter_masks(8) if set(seven) <= set(members(mask))]
+        holding = [mask for mask in iter_masks(8) if set(seven) <= set(members(mask))]
         assert len(holding) == 2
+        groups = {"parametric-common": [[7], [7, 1]], "parametric-subsets": [[7], [7]]}
         for method in ("parametric-common", "parametric-subsets"):
-            calls = self.counted_levels(monkeypatch, method)
+            alone, _ = self.counted_solves(monkeypatch)
             decision_thresholds(scheme, model, 0.025, method)
-            assert calls == holding, method
-            calls.clear()
+            want = list(zip(holding, groups[method]))
+            assert alone == want, method
+            alone.clear()
             problem = TestProblem(
                 scheme=scheme, model=model, pvalues=np.linspace(0.001, 0.04, 8), alpha=0.025,
                 method=method,
             )
             run_closure(problem)
-            assert calls == holding, method
+            assert alone == want, method
 
 
 class TestClosureLevels:
     """run_closure reads its scales and local levels from the threshold
-    table; each intersection's must be the floats the method's levels
-    give that subset alone."""
+    table; each intersection's must be the floats the per-row scale
+    oracle gives that subset alone."""
 
     @pytest.mark.parametrize("case", list(threshold_table_cases()), ids=lambda case: case[0])
     def test_equal_the_per_subset_levels(self, case):
@@ -1067,6 +1082,18 @@ class TestCheckConsonance:
 
 
 class TestXieShortcut:
+    def test_weights_whose_sum_overflows(self):
+        # 1e308 + 1e308 is inf: the weights are rescaled by their largest
+        # first, with no overflow warning, and give the equal weights' chain
+        args = ((0.01, 0.02), equicorr(2, 0.5), 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = xie_shortcut((1e308, 1e308), *args)
+        equal = xie_shortcut((0.5, 0.5), *args)
+        assert big["adjusted"].tolist() == equal["adjusted"].tolist()
+        assert big["rejected"].tolist() == equal["rejected"].tolist()
+        assert big["order"] == equal["order"]
+
     def test_single_hypothesis(self):
         out = xie_shortcut((1.0,), (0.013,), equicorr(1, 0.0), 0.025)
         assert out["adjusted"] == pytest.approx([0.013], abs=1e-12)

@@ -2,8 +2,8 @@
 
 from pathlib import Path
 
-import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,11 +22,18 @@ from closedmtp.intersection import (
     partitioned_subset_scales,
     xie_pvalue,
 )
-from closedmtp.intersection import _array_scales, _block_unions, _common_pvalues
-from closedmtp.mvnorm import MAX_EXACT_DIM, CorrelationMatrix, union_exceedance
-from closedmtp.subsets import mask_of, member_table, members
+from closedmtp.intersection import _block_unions, _common_pvalues, _scales
+from closedmtp.mvnorm import (
+    DEFAULT_MAX_POINTS,
+    DEFAULT_ROOT_TOL,
+    DEFAULT_TARGET_ERROR,
+    MAX_EXACT_DIM,
+    CorrelationMatrix,
+    union_exceedance,
+)
+from closedmtp.subsets import member_table, members
 from closedmtp.weighting import WeightingScheme, constant_scheme
-from per_row_pvalues import ESTIMATES
+from per_row_pvalues import ESTIMATES, common_scale, subset_scales
 
 TUTORIAL_PROBLEM = Path(__file__).resolve().parents[1] / "tutorial" / "trial_problem.json"
 
@@ -413,24 +420,27 @@ class TestParametricC:
 
     @pytest.mark.parametrize("dim", [4, 5, 6])
     def test_quadrature_blocks_solve_on_one_rule(self, monkeypatch, dim):
-        # up to six members a block's rule is Plackett's reduction: fitted
-        # once at c = 1, with no QMC pass, coarse stage or closing check,
-        # and the union at the root is the target within the tolerance
+        # up to six members a block is Plackett's reduction, solved in the
+        # array pass: fitted once at c = 1 (one _plackett_fits call), with
+        # no UnionRule, QMC pass, coarse stage or closing check, and the
+        # union at the root is the target within the tolerance
+        import closedmtp.intersection as intersection
         import closedmtp.mvnorm as mvnorm
         from closedmtp.mvnorm import union_exceedance
 
-        passes, rules = [], []
-        kernel, init = mvnorm._qmc_means, mvnorm.UnionRule.__init__
+        passes, rules, fits = [], [], []
+        kernel, init, fit = mvnorm._qmc_means, mvnorm.UnionRule.__init__, intersection._plackett_fits
         monkeypatch.setattr(mvnorm, "_qmc_means", lambda *args: passes.append(1) or kernel(*args))
         monkeypatch.setattr(
             mvnorm.UnionRule, "__init__", lambda rule, *args: rules.append(1) or init(rule, *args)
         )
+        monkeypatch.setattr(intersection, "_plackett_fits", lambda *args: fits.append(1) or fit(*args))
         rng = np.random.default_rng(80 + dim)
         corr = random_correlation(rng, dim)
         w = rng.dirichlet(np.ones(dim) * 2.0)
         c = parametric_c(range(dim), w, 0.025, corr, seed=3)
         assert c > 1.0
-        assert passes == [] and len(rules) == 1
+        assert passes == [] and rules == [] and len(fits) == 1
         est = union_exceedance(np.minimum(1.0, c * 0.025 * w), corr)
         assert est.error <= 1e-6
         assert abs(est.value - 0.025 * w.sum()) <= est.error + 0.025 * w.sum() * 1e-6
@@ -607,6 +617,15 @@ class TestXie:
     def test_requires_positive_weights(self):
         with pytest.raises(InputError):
             xie_pvalue((0, 1), (0.5, 0.0), (0.01, 0.02), equicorr(2, 0.0))
+
+    def test_weights_whose_sum_overflows(self):
+        # 1e308 + 1e308 is inf: the weights are rescaled by their largest
+        # first, with no overflow warning, and give the equal weights' value
+        corr = equicorr(2, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = xie_pvalue((0, 1), (1e308, 1e308), (0.01, 0.02), corr)
+        assert big == xie_pvalue((0, 1), (0.5, 0.5), (0.01, 0.02), corr)
 
 
 class TestPartitionedCommon:
@@ -938,11 +957,13 @@ def paired_correlation(k, rho):
 
 
 class TestArrayScales:
-    """The table's array pass (``_array_scales``) gives every row in which
-    no block holds more than MAX_EXACT_DIM positive-weight members the
-    floats ``partitioned_common_scale`` and ``partitioned_subset_scales``
-    give it alone, or NaN, for the table to solve it alone, where that
-    solve samples or raises."""
+    """The one scale path (``_scales``) gives every row of a weight table
+    the floats the per-row oracle (``common_scale``, ``subset_scales``:
+    the subset's blocks, the linear case, then ``_solve_scale``) gives it
+    alone. Its array pass settles every problem in which no block holds
+    more than MAX_EXACT_DIM positive-weight members, except where that
+    solve would sample or raise: those, and the larger ones, it solves
+    alone, in mask order."""
 
     ALPHA = 0.025
 
@@ -962,24 +983,46 @@ class TestArrayScales:
         return np.array(out)
 
     @staticmethod
+    def scales(t, model, alpha, common):
+        """``_scales`` of the rows t at the default seed and tolerances."""
+        masks = (t >= 0.0) @ (1 << np.arange(t.shape[1]))
+        return _scales(
+            t, masks, model, alpha, common, 0, DEFAULT_TARGET_ERROR, DEFAULT_ROOT_TOL, DEFAULT_MAX_POINTS
+        )
+
+    @staticmethod
+    def solved_alone(monkeypatch):
+        """The masks of every ``_solve_scale`` call, in call order, while installed."""
+        import closedmtp.intersection as intersection
+
+        masks, solve = [], intersection._solve_scale
+
+        def counted(*args):
+            masks.append(args[4])
+            return solve(*args)
+
+        monkeypatch.setattr(intersection, "_solve_scale", counted)
+        return masks
+
+    @staticmethod
     def per_row(t, model, alpha, common):
-        """Per row the scale of each member, solved alone; NaN off the members."""
+        """Per row the oracle's scale of each member; NaN off the members."""
         out = np.full(t.shape, np.nan)
         for r, row in enumerate(t):
             mem = tuple(np.flatnonzero(row >= 0.0).tolist())
             args = (mem, row[list(mem)], alpha, model)
             if common:
-                out[r, list(mem)] = partitioned_common_scale(*args)
+                out[r, list(mem)] = common_scale(*args)
             else:
-                for block, c in partitioned_subset_scales(*args):
+                for block, c in subset_scales(*args):
                     out[r, list(block)] = c
         return out
 
     def check(self, t, model, alpha=ALPHA):
-        """Both methods' array scales equal the per-row ones on every member."""
+        """Both methods' scales equal the per-row ones on every member."""
         inside = t >= 0.0
         for common in (True, False):
-            got = np.broadcast_to(_array_scales(t, model, alpha, common, 1e-6, 1e-6), t.shape)
+            got = self.scales(t, model, alpha, common)
             want = self.per_row(t, model, alpha, common)
             assert got[inside].tobytes() == want[inside].tobytes(), common
 
@@ -994,7 +1037,7 @@ class TestArrayScales:
 
     @pytest.mark.parametrize("rho", [1.0, -1.0, 0.999])
     @pytest.mark.parametrize("k", [3, 4, 6])
-    def test_degenerate_and_near_singular_pairs(self, k, rho):
+    def test_degenerate_and_near_singular_pairs(self, monkeypatch, k, rho):
         # a +1 pair is one event, which _kept drops above three; the
         # pair beside the block takes the same correlation
         rng = np.random.default_rng(60 + k)
@@ -1003,7 +1046,10 @@ class TestArrayScales:
             (paired_correlation(k, rho), equicorr(2, rho), None),
         )
         t = self.rows(rng, model, 10)
-        assert np.isfinite(_array_scales(t, model, self.ALPHA, True, 1e-6, 1e-6)).all()
+        alone = self.solved_alone(monkeypatch)
+        self.scales(t, model, self.ALPHA, True)
+        # the array pass settles every row
+        assert alone == []
         self.check(t, model)
 
     def test_a_bracket_that_reaches_the_cap(self, monkeypatch):
@@ -1025,31 +1071,40 @@ class TestArrayScales:
         self.check(t, model, alpha=0.9)
         assert 1.0 in seen
 
-    def test_a_quadrature_that_misses_its_target_is_solved_alone(self):
+    def test_a_quadrature_that_misses_its_target_is_solved_alone(self, monkeypatch):
         # equicorrelation 0.9999 over four events: no node count meets the
         # target, so the per-row solve samples, and the table solves it so
         model = CorrelationModel(5, ((0, 1, 2, 3), (4,)), (equicorr(4, 0.9999), None))
         scheme = constant_scheme((0.25, 0.25, 0.2, 0.2, 0.1))
         t = np.where(member_table(5)[1:], scheme.rows, -1.0)
-        four = (t[:, :4] > 0.0).all(axis=1)
+        four = np.flatnonzero((t[:, :4] > 0.0).all(axis=1)) + 1
         for common in (True, False):
-            scales = np.broadcast_to(_array_scales(t, model, self.ALPHA, common, 1e-6, 1e-6), t.shape)
-            assert np.isnan(scales[four, 0]).all() and not np.isnan(scales[~four]).any()
+            alone = self.solved_alone(monkeypatch)
+            self.scales(t, model, self.ALPHA, common)
+            assert alone == four.tolist(), common
             method = "parametric-common" if common else "parametric-subsets"
             table = decision_thresholds(scheme, model, self.ALPHA, method)
             want = np.where(t >= 0.0, self.per_row(t, model, self.ALPHA, common) * self.ALPHA * t, -1.0)
             assert table.tobytes() == want.tobytes(), method
 
-    def test_a_threshold_outside_the_unit_interval_at_one(self):
+    def test_a_threshold_outside_the_unit_interval_at_one(self, monkeypatch):
         # alpha * w underflows to 0 in the triple: the per-row rule refuses
-        # it, the pass leaves the row, and the table raises that error
+        # it, the pass leaves the row, and the solve alone raises that error
+        import closedmtp.intersection as intersection
+
         model = CorrelationModel(4, ((0, 1, 2), (3,)), (equicorr(3, 0.5), None))
         t = np.array([[1e-320, 1e-320, 1e-320, -1.0], [0.3, 0.3, 0.3, 0.1]])
-        for common in (True, False):
-            scales = np.broadcast_to(_array_scales(t, model, 1e-10, common, 1e-6, 1e-6), t.shape)
-            assert np.isnan(scales[0, :3]).all() and not np.isnan(scales[1]).any()
         with pytest.raises(InputError) as ref:
             partitioned_common_scale((0, 1, 2), t[0, :3], 1e-10, model)
+        passes, solve = [], intersection._solve_scales
+        monkeypatch.setattr(
+            intersection, "_solve_scales", lambda *args: passes.append(solve(*args)) or passes[-1]
+        )
+        for common in (True, False):
+            with pytest.raises(InputError, match=f"^{re.escape(str(ref.value))}$"):
+                self.scales(t, model, 1e-10, common)
+            # one problem per row: the first left NaN, the second settled
+            assert np.isnan(passes[-1][0]) and not np.isnan(passes[-1][1]), common
         scheme = WeightingScheme(4, {**constant_scheme((0.3, 0.3, 0.3, 0.1)).table, 7: t[0, :3]})
         for method in ("parametric-common", "parametric-subsets"):
             with pytest.raises(InputError, match=f"^{re.escape(str(ref.value))}$"):
@@ -1057,11 +1112,9 @@ class TestArrayScales:
 
     @pytest.mark.parametrize("bad, first", [((0b111, 0b1111111), 0b111), ((0b1111111, 0b10000111), 0b1111111)])
     def test_rows_solved_alone_raise_in_mask_order(self, monkeypatch, bad, first):
-        # a row of seven active members is solved alone, as is a row the
+        # a block of seven active members is solved alone, as is a row the
         # pass leaves: the first of them in mask order that fails raises,
         # and no later row is solved
-        import closedmtp.closure as closure
-
         seven = tuple(range(MAX_EXACT_DIM + 1))
         model = CorrelationModel(8, (seven, (7,)), (equicorr(7, 0.5), None))
         table = dict(constant_scheme(np.full(8, 0.125)).table)
@@ -1069,17 +1122,11 @@ class TestArrayScales:
             table[mask] = np.full(len(members(mask)), 1e-320)
         scheme = WeightingScheme(8, table)
         for name in ("parametric-common", "parametric-subsets"):
-            method, calls = closure._METHODS[name], []
-
-            def counted(mem, *args, method=method):
-                calls.append(mem)
-                return method.levels(mem, *args)
-
-            monkeypatch.setitem(closure._METHODS, name, dataclasses.replace(method, levels=counted))
+            calls = self.solved_alone(monkeypatch)
             with pytest.raises(InputError, match="strictly in"):
                 decision_thresholds(scheme, model, 1e-10, name)
-            assert calls[-1] == members(first), name
-            assert all(mask_of(mem, 8) <= first for mem in calls), name
+            assert calls[-1] == first, name
+            assert all(mask <= first for mask in calls), name
 
 
 class TestSeedDerivation:

@@ -11,6 +11,7 @@ from unittest import mock
 
 import pytest
 
+import closedmtp.intersection
 import closedmtp.mvnorm
 import closedmtp.simulation
 
@@ -34,11 +35,22 @@ def test_closure_pvalues_row():
     assert row["pvalues_sha1"] == "c1c47606645a"
 
 
+@pytest.mark.parametrize("m, row_solves, sha1", [(6, 0, "7db6de6b2b73"), (7, 1, "c9dffbc08c52")])
+def test_dunnett_row_solves(m, row_solves, sha1):
+    # the array pass settles every row of six events; the one row of
+    # seven is solved alone, and the tool must see that solve
+    row = load_tool("bench_kernel").dunnett(m)
+    assert row["row_solves"] == row_solves
+    assert row["table_sha1"] == sha1
+
+
 @pytest.mark.parametrize("tool", ["bench_kernel", "bench_simulate"])
 def test_private_names_the_tool_reads_exist(tool):
-    modules = {"mvnorm": closedmtp.mvnorm, "simulation": closedmtp.simulation}
+    modules = {
+        "intersection": closedmtp.intersection, "mvnorm": closedmtp.mvnorm, "simulation": closedmtp.simulation
+    }
     source = (TOOLS / f"{tool}.py").read_text(encoding="utf-8")
-    names = set(re.findall(r"\b(mvnorm|simulation)\.(_\w+(?:\.\w+)*)", source))
+    names = set(re.findall(r"\b(intersection|mvnorm|simulation)\.(_\w+(?:\.\w+)*)", source))
     assert names
     for home, path in sorted(names):
         obj = modules[home]

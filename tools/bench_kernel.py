@@ -31,10 +31,11 @@ from a fixed seed, so both sides integrate the same problems.
   exact (no kernel pass): the median CPU of one solve over ten instances,
   each timed as the fastest of five runs, the union evaluations per
   solve (calls of ``mvnorm._closed_form_union``,
-  ``mvnorm._plackett_unions`` and, in a checkout that has it,
-  ``mvnorm._plackett_values``: the closed-form and quadrature entries a
-  fit or an evaluation of a rule goes through) and a sha1 prefix of the
-  scales.
+  ``mvnorm._plackett_unions`` and, in a checkout that has them,
+  ``mvnorm._plackett_values`` and ``intersection``'s own bindings of
+  ``_pair_unions`` and ``_plackett_values``: the closed-form and
+  quadrature entries a fit or an evaluation of a rule goes through, and
+  those the array root solve calls) and a sha1 prefix of the scales.
 - tutorial: ``run_closure`` with scales on ``tutorial/trial_problem.json``
   (the perfbench gatekeeping problem) at the CLI's target 1e-6: the
   median CPU of fifteen runs after a warm-up, the ``solve_monotone``
@@ -68,8 +69,8 @@ from a fixed seed, so both sides integrate the same problems.
 - dunnett: ``decision_thresholds`` for ``xie`` with equal weights and one
   block equicorrelated at rho = 0.5, alpha 0.025 and default tolerances,
   at m = 6 and 8: CPU, the rows solved one by one (calls of
-  ``partitioned_common_scale`` through ``closure``'s binding) and the
-  table's sha1 prefix.
+  ``intersection._solve_scale``, the root solve of a row the array pass
+  does not settle) and the table's sha1 prefix.
 
 Passes and points are counted by wrapping ``_QmcRule._means``, which each
 kernel pass goes through on both sides. BLAS is pinned to one thread.
@@ -240,7 +241,10 @@ def exact_solve(dim: int) -> dict:
         (random_correlation(rng, dim), rng.dirichlet(np.ones(dim) * 2.0)) for _ in range(10)
     ]
     cpu, scales = [], []
-    with Counter(mvnorm, "_closed_form_union", "_plackett_unions", "_plackett_values") as count:
+    with (
+        Counter(mvnorm, "_closed_form_union", "_plackett_unions", "_plackett_values") as count,
+        Counter(intersection, "_pair_unions", "_plackett_values") as array_count,
+    ):
         for corr, w in instances:
             scales.append(parametric_c(range(dim), w, 0.025, corr))
     for corr, w in instances:
@@ -253,7 +257,7 @@ def exact_solve(dim: int) -> dict:
     return {
         "k": dim,
         "cpu_ms": round(1e3 * statistics.median(cpu), 3),
-        "unions_per_solve": count.calls / len(instances),
+        "unions_per_solve": (count.calls + array_count.calls) / len(instances),
         "scales_sha1": sha1(scales),
     }
 
@@ -402,7 +406,7 @@ def dunnett(m: int) -> dict:
     corr = np.full((m, m), 0.5)
     np.fill_diagonal(corr, 1.0)
     scheme = xie_scheme(np.full(m, 1.0 / m))
-    with Counter(closure_module, "partitioned_common_scale") as count:
+    with Counter(intersection, "_solve_scale") as count:
         start = time.process_time()
         table = decision_thresholds(scheme, CorrelationModel.full(corr), 0.025, "xie")
         cpu = time.process_time() - start

@@ -32,11 +32,10 @@ Thresholds: per m one ``decision_thresholds`` table shaped like the
 fwer-sim benchmark's, parametric-common on a seeded random graph with
 one known pair at rho = 0.5 and singletons. CPU time is the median of
 three calls. A fourth call counts the rows solved one by one (calls of
-``partitioned_common_scale``), the rows solved together in the array
-pass (the rows handed to ``_array_scales``, or to
-``_closed_form_scales`` in an older checkout) and the scalar root
-solves (``solve_monotone``) it makes; the table's sha1 prefix must
-match between checkouts.
+``intersection._solve_scale``), the rows solved together in the array
+pass (the problems handed to ``intersection._solve_scales``) and the
+scalar root solves (``solve_monotone``) it makes; the table's sha1
+prefix must match between checkouts.
 
 Schemes: per m one seeded random graph with two zero initial weights.
 CPU time, the median of three calls each, of ``scheme_from_graph``, of
@@ -211,9 +210,8 @@ def measure_thresholds(m: int) -> dict:
         cpu.append(time.process_time() - start)
     counts = {"rows_alone": 0, "rows_batched": 0, "solves": 0}
     wrapped = [
-        (closure, "partitioned_common_scale", "rows_alone"),
-        (closure, "_array_scales", "rows_batched"),
-        (closure, "_closed_form_scales", "rows_batched"),
+        (intersection, "_solve_scale", "rows_alone"),
+        (intersection, "_solve_scales", "rows_batched"),
         (intersection, "solve_monotone", "solves"),
     ]
     wrapped = [entry for entry in wrapped if hasattr(entry[0], entry[1])]
@@ -221,8 +219,8 @@ def measure_thresholds(m: int) -> dict:
 
     def counted(fn, key):
         def call(*args, **kwargs):
-            # the array pass takes its rows' weights first
-            counts[key] += len(args[0]) if key == "rows_batched" else 1
+            # the array pass takes its problems' targets second
+            counts[key] += len(args[1]) if key == "rows_batched" else 1
             return fn(*args, **kwargs)
 
         return call
